@@ -34,7 +34,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
-from .linsolve import DirectFactor, SolveReport, SolverConfig, assemble
+from .linsolve import DirectFactor, SolveReport, SolverConfig, assemble, nested_dissection
 from .operators import OperatorContext, apply_dh, apply_dh_star, compose_second_order
 
 __all__ = [
@@ -146,15 +146,16 @@ def _cell_system_solve(op_apply, rhs_interior: np.ndarray, grid: Grid,
     config = config or SolverConfig()
     if factor is None:
         matrix = assemble(op_apply, (grid.nx, grid.ny))
+        order = nested_dissection(grid.nx, grid.ny)
         try:
-            factor = DirectFactor(matrix, tol=config.tol)
+            factor = DirectFactor(matrix, order, tol=config.tol)
         except RuntimeError:
             # Exactly singular factorization: axis-aligned uniform directions
             # admit an alternating gauge mode that cancels out of every
             # reconstruction; a tiny diagonal shift selects one gauge.
             shift = 1e-12 * float(abs(matrix).max())
             shifted = (matrix + shift * sp.eye(matrix.shape[0], format="csr")).tocsr()
-            factor = DirectFactor(shifted, tol=config.tol)
+            factor = DirectFactor(shifted, order, tol=config.tol)
     report = factor.solve(rhs_interior.ravel())
     if not report.ok:
         raise StageError(f"{stage} solve failed: residual {report.residual:.3e} "
@@ -362,15 +363,18 @@ def fill_ghost(p: NodeField, problem: LinearProblem, defect_warn: float = 1e-6,
 
 def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
                     fill: bool = True) -> SolutionDecomposition:
-    """Full pipeline: h -> pi -> L -> l -> q, then p = pi + q and ghost fill.
+    """Full pipeline: L, then h -> pi and l -> q, then p = pi + q and ghost fill.
 
     Well-posed and second-order accurate uniformly in eps, down to and
     including eps = 0.  The mean and fluctuation systems share one matrix and
-    one factorization.
+    one factorization.  L does not depend on h and is solved first, so its
+    factorization is freed before the shared one is built.
     """
     config = config or SolverConfig()
     grid = problem.grid
     ctx = problem.context()
+
+    L, rep_L = solve_L(problem, config)
 
     rhs_mean = _rhs_mean(problem, ctx)
     op_mean = _mean_operator(problem, ctx)
@@ -378,8 +382,6 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
         op_mean, rhs_mean.values[INTERIOR], grid, config, "mean-potential"
     )
     pi = reconstruct_pi(problem, h)
-
-    L, rep_L = solve_L(problem, config)
 
     rhs_l = L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
     l, rep_l, _ = _cell_system_solve(

@@ -6,9 +6,11 @@ The nonlinear problem
 
 is solved by iterating: linearize g around the current iterate, solve the
 resulting linear anisotropic problem for the correction with the
-decomposition pipeline, add the correction, refill the ghost ring from the
-flux boundary condition.  For a linear reaction law the first correction is
-exact, so the loop converges in one iteration up to solver residuals.
+decomposition pipeline, and add the correction on interior nodes.  Interior
+values never read ghost values, so the ghost ring is filled from the flux
+boundary condition once, when the loop hands back its iterate.  For a linear
+reaction law the first correction is exact, so the loop converges in one
+iteration up to solver residuals.
 """
 
 from __future__ import annotations
@@ -151,14 +153,25 @@ def gummel_solve(
     lattice, or pass interior values through :func:`apcore.fill_ghost`).
     Returns ``(p, state)``; a diverging correction (growth above 10x over
     three iterations, or non-finite iterates) aborts with the history kept.
+    Iterations update interior nodes only; an iterate the loop updated gets
+    its ghost ring filled once, on return.
     """
     stop = stop or StopRule()
     config = config or SolverConfig()
     state = GummelState()
     p = p0.copy()
+    updated = False
     exact_norm = None
     if exact is not None:
         exact_norm = float(np.linalg.norm(exact.values[INTERIOR]))
+
+    def finish(status: str, detail: str = ""):
+        state.status = status
+        state.detail = detail
+        if updated:
+            filled, _ = fill_ghost(p, _with_original_source(problem))
+            return filled, state
+        return p, state
 
     for n in range(stop.n_max):
         lp = linearize(problem, p)
@@ -167,10 +180,8 @@ def gummel_solve(
         except Exception as exc:
             # An iterate whose linearized system is no longer solvable has
             # left the workable basin; report it as divergence, not a crash.
-            state.status = "diverged"
-            state.detail = f"linearized solve broke down at iteration {n}: {exc}"
             state.n_iterations = n
-            return p, state
+            return finish("diverged", f"linearized solve broke down at iteration {n}: {exc}")
 
         delta = dec.p.values[INTERIOR]
         p_new = p.copy()
@@ -179,8 +190,8 @@ def gummel_solve(
         corr = float(np.linalg.norm(delta)) / max(norm_new, 1e-300)
 
         if np.isfinite(corr) and np.all(np.isfinite(p_new.values[INTERIOR])):
-            p_new, _ = fill_ghost(p_new, _with_original_source(problem))
             p = p_new
+            updated = True
         err = np.nan
         if exact is not None and exact_norm:
             err = float(np.linalg.norm(p.values[INTERIOR] - exact.values[INTERIOR])) / exact_norm
@@ -197,21 +208,15 @@ def gummel_solve(
         )
         state.n_iterations = n + 1
 
-        if not np.isfinite(corr) or not np.all(np.isfinite(p.values)):
-            state.status = "diverged"
-            state.detail = f"non-finite iterate at iteration {n}"
-            return p, state
+        if not np.isfinite(corr) or not np.all(np.isfinite(p.values[INTERIOR])):
+            return finish("diverged", f"non-finite iterate at iteration {n}")
         corrs = state.corrections
         if len(corrs) >= 4 and corrs[-1] > 10.0 * corrs[-4]:
-            state.status = "diverged"
-            state.detail = f"correction grew more than 10x over three iterations at {n}"
-            return p, state
+            return finish("diverged", f"correction grew more than 10x over three iterations at {n}")
         if corr <= stop.tol_rel:
-            state.status = "converged"
-            return p, state
+            return finish("converged")
 
-    state.status = "max_iterations"
-    return p, state
+    return finish("max_iterations")
 
 
 def _with_original_source(problem: NonlinearProblem) -> LinearProblem:

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from apdiff import apcore
 from apdiff.apcore import (
     LinearProblem,
     fill_ghost,
@@ -12,7 +16,7 @@ from apdiff.apcore import (
     solve_linear_ap,
 )
 from apdiff.grid import INTERIOR, CellField, NodeField, make_grid, sample_node
-from apdiff.linsolve import SolverConfig
+from apdiff.linsolve import SolveReport, SolverConfig
 from apdiff.operators import apply_dh
 from apdiff.problems import case_angle, case_linear_variable
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
@@ -278,3 +282,47 @@ def test_residuals_reported():
     dec = solve_linear_ap(case.problem)
     assert set(dec.residuals) == {"h", "L", "l"}
     assert all(r <= 1e-12 for r in dec.residuals.values())
+
+
+class ColamdFactor:
+    """Oracle: the factorization in COLAMD column order, refined as DirectFactor refines."""
+
+    def __init__(self, matrix, perm, tol=1e-12):
+        self.matrix = matrix.tocsr()
+        self.tol = tol
+        self._lu = spla.splu(self.matrix.tocsc(), permc_spec="COLAMD")
+
+    def solve(self, rhs):
+        x = self._lu.solve(rhs)
+        scale = max(float(np.linalg.norm(rhs)), 1e-300)
+        res = float(np.linalg.norm(self.matrix @ x - rhs)) / scale
+        for _ in range(2):
+            if res <= self.tol or not np.isfinite(res):
+                break
+            x = x + self._lu.solve(rhs - self.matrix @ x)
+            res = float(np.linalg.norm(self.matrix @ x - rhs)) / scale
+        return SolveReport(x, res, 0, 0.0, bool(np.isfinite(res) and res <= self.tol), "colamd")
+
+
+@pytest.mark.parametrize(
+    "kind, value",
+    [("linear", 0.1), ("linear", 1e-3), ("linear", 0.0), ("angle", 0), ("angle", 45), ("angle", 90)],
+)
+def test_nested_dissection_matches_colamd_oracle(kind, value, monkeypatch):
+    # eps for the linear case, degrees for the angle case (0 and 90 are the
+    # axis-aligned directions)
+    g = unit_square_grid(64)
+    if kind == "linear":
+        case = case_linear_variable(g, value)
+    else:
+        case = case_angle(g, 1e-3, math.radians(value))
+    config = SolverConfig()
+    dec = solve_linear_ap(case.problem, config)
+    with monkeypatch.context() as m:
+        m.setattr(apcore, "DirectFactor", ColamdFactor)
+        oracle = solve_linear_ap(case.problem, config)
+    assert all(r <= config.tol for r in dec.residuals.values())
+    for name in ("h", "L", "l", "pi", "q", "p"):
+        got = getattr(dec, name).values[INTERIOR]
+        want = getattr(oracle, name).values[INTERIOR]
+        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300), name

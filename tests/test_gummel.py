@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from apdiff.apcore import solve_linear_ap
+from apdiff.apcore import fill_ghost, solve_linear_ap
 from apdiff.grid import INTERIOR, NodeField, make_grid, sample_cell, sample_cell_vec, sample_node
-from apdiff.gummel import NonlinearProblem, StopRule, error_plateau_check, gummel_solve, linearize
+from apdiff.gummel import (
+    IterationRecord,
+    NonlinearProblem,
+    StopRule,
+    _with_original_source,
+    error_plateau_check,
+    gummel_solve,
+    linearize,
+)
 from apdiff.problems import case_nonlinear
 from apdiff.experiments import unit_square_grid
 
@@ -162,6 +170,41 @@ def test_history_records_fields():
     assert rec.n == 0
     assert np.isfinite(rec.error_rel_l2)
     assert rec.residual_h <= 1e-12 and rec.residual_l <= 1e-12
+
+
+def per_iteration_fill_reference(problem, p0, stop, exact):
+    """The Gummel loop with a ghost fill after every update, for converging runs."""
+    p = p0.copy()
+    history = []
+    exact_norm = np.linalg.norm(exact.values[INTERIOR])
+    for n in range(stop.n_max):
+        lp = linearize(problem, p)
+        dec = solve_linear_ap(lp, fill=False)
+        p_new = p.copy()
+        p_new.values[INTERIOR] = p.values[INTERIOR] + dec.p.values[INTERIOR]
+        corr = float(np.linalg.norm(dec.p.values[INTERIOR])) / float(
+            np.linalg.norm(p_new.values[INTERIOR]))
+        p, _ = fill_ghost(p_new, _with_original_source(problem))
+        err = float(np.linalg.norm(p.values[INTERIOR] - exact.values[INTERIOR])) / exact_norm
+        history.append(IterationRecord(n, corr, err, dec.residuals["h"], dec.residuals["L"],
+                                       dec.residuals["l"], lp._slope_floored))
+        if corr <= stop.tol_rel:
+            return p, history
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0])
+def test_ghost_fill_once_matches_per_iteration_fill(eps):
+    g = unit_square_grid(64)
+    case = case_nonlinear(g, eps)
+    exact = case.exact_field()
+    p0 = sample_node(case.initial_guess, g)
+    stop = StopRule(tol_rel=1e-12)
+    p, state = gummel_solve(case.problem, p0, stop, exact=exact)
+    p_ref, history_ref = per_iteration_fill_reference(case.problem, p0, stop, exact)
+    assert state.status == "converged"
+    assert state.history == history_ref
+    np.testing.assert_array_equal(p.values, p_ref.values)
 
 
 def test_error_plateau_check():

@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apdiff.grid import CellField, NodeField, make_grid
+from apdiff import linsolve
+from apdiff.experiments import unit_square_grid
+from apdiff.grid import INTERIOR, CellField, NodeField, make_grid
 from apdiff.linsolve import (
     AssemblyError,
+    DirectFactor,
     SolverConfig,
     SparseSystem,
     assemble,
     dump_matrix,
     estimate_condition,
+    nested_dissection,
     solve,
 )
 from apdiff.operators import compose_second_order
+from apdiff.problems import case_linear_variable
 
 from test_operators import uniform_ctx
 
@@ -189,3 +197,65 @@ def test_dump_matrix(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split() == ["0", "0", "1.5"]
     assert lines[1].split() == ["1", "1", "-2.0"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(nx=st.integers(2, 70), ny=st.integers(2, 70))
+def test_nested_dissection_separates_halves(nx, ny):
+    perm = nested_dissection(nx, ny)
+    np.testing.assert_array_equal(np.sort(perm), np.arange(nx * ny))
+    position = np.empty(nx * ny, dtype=int)
+    position[perm] = np.arange(nx * ny)
+
+    blocks = [np.arange(nx * ny).reshape(nx, ny)]
+    while blocks:
+        block = blocks.pop()
+        split = linsolve._bisect(block)
+        if split is None:
+            continue
+        first, second, separator = (part.ravel() for part in split)
+        parts = np.concatenate([first, second, separator])
+        np.testing.assert_array_equal(np.sort(parts), np.sort(block.ravel()))
+        assert first.size and second.size and separator.size
+
+        inner = np.zeros(nx * ny, dtype=int)
+        inner[first] = 1
+        inner[second] = 2
+        inner = inner.reshape(nx, ny)
+        label = np.pad(inner, 1)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                neighbour = label[1 + di:nx + 1 + di, 1 + dj:ny + 1 + dj]
+                assert not np.any((inner == 1) & (neighbour == 2))
+
+        # both halves are eliminated before their separator
+        assert position[np.concatenate([first, second])].max() < position[separator].min()
+        blocks += [split[0], split[1]]
+
+
+def test_nested_dissection_fills_less_than_colamd():
+    g = unit_square_grid(128)
+    problem = case_linear_variable(g, 0.1).problem
+    ctx = problem.context()
+
+    def op(v):
+        chi = CellField.zeros(g)
+        chi.values[INTERIOR] = v
+        return compose_second_order(
+            chi, problem.reaction_cell, problem.reaction_node, ctx
+        ).values[INTERIOR]
+
+    mat = assemble(op, (g.nx, g.ny))
+    nd = DirectFactor(mat, nested_dissection(g.nx, g.ny))._lu
+    colamd = spla.splu(mat.tocsc(), permc_spec="COLAMD")
+    assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_direct_factor_unpermutes_solution():
+    rng = np.random.default_rng(3)
+    n = 40
+    mat = sp.random(n, n, density=0.1, random_state=4, format="csr") + 5.0 * sp.eye(n)
+    rhs = rng.standard_normal(n)
+    rep = DirectFactor(mat, rng.permutation(n)).solve(rhs)
+    assert rep.ok
+    np.testing.assert_allclose(rep.x, np.linalg.solve(mat.toarray(), rhs), rtol=1e-12)

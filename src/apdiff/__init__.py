@@ -7,8 +7,6 @@ from .apcore import (
     reconstruct_pi,
     reconstruct_q,
     solve_L,
-    solve_h,
-    solve_l,
     solve_linear_ap,
 )
 from .grid import (
@@ -22,7 +20,7 @@ from .grid import (
     sample_node,
 )
 from .gummel import NonlinearProblem, StopRule, gummel_solve, linearize
-from .linsolve import SolverConfig, SparseSystem, assemble, estimate_condition, solve
+from .linsolve import SolverConfig, assemble, estimate_condition
 from .operators import OperatorContext, apply_dh, apply_dh_star, compose_second_order, duality_defect
 from .problems import CASES, case_angle, case_ap_limit, case_linear_variable, case_nonlinear, spline
 

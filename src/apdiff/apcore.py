@@ -42,10 +42,8 @@ __all__ = [
     "SolutionDecomposition",
     "GhostFillReport",
     "StageError",
-    "solve_h",
     "reconstruct_pi",
     "solve_L",
-    "solve_l",
     "reconstruct_q",
     "fill_ghost",
     "solve_linear_ap",
@@ -54,6 +52,22 @@ __all__ = [
 
 class StageError(RuntimeError):
     """A stage of the solve pipeline failed; the message names the stage."""
+
+
+def check_data(problem, names, positive) -> None:
+    """Reject a negative or non-finite eps, non-finite fields and non-positive coefficients.
+
+    ``names`` lists the field attributes of ``problem`` to check for
+    finiteness, ``positive`` those of them that must be strictly positive.
+    """
+    if not (np.isfinite(problem.eps) and problem.eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {problem.eps}")
+    for name in names:
+        values = getattr(problem, name).values
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} has non-finite values")
+        if name in positive and not np.all(values > 0.0):
+            raise ValueError(f"{name} must be strictly positive")
 
 
 @dataclass
@@ -78,14 +92,9 @@ class LinearProblem:
     grad_source_cell: CellField
 
     def __post_init__(self):
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if not np.all(self.reaction_node.values > 0.0):
-            raise ValueError("reaction coefficient must be strictly positive at nodes")
-        if not np.all(self.reaction_cell.values > 0.0):
-            raise ValueError("reaction coefficient must be strictly positive at cells")
-        if not np.all(self.diffusivity_cell.values > 0.0):
-            raise ValueError("diffusivity must be strictly positive")
+        check_data(self, ("reaction_node", "reaction_cell", "diffusivity_cell", "direction",
+                          "source_node", "grad_source_cell"),
+                   positive=("reaction_node", "reaction_cell", "diffusivity_cell"))
 
     @classmethod
     def from_functions(cls, grid: Grid, eps, reaction, diffusivity, direction, source, grad_source):
@@ -129,7 +138,6 @@ class SolutionDecomposition:
     p: NodeField  # pi + q on interior nodes, ghost ring filled
     residuals: dict = field(default_factory=dict)  # per-stage relative residuals
     mean_gradient_l2: float = 0.0  # ||dh pi||_l2(cells) / ||p||_l2(nodes)
-    mean_gradient_max: float = 0.0
     ghost: GhostFillReport | None = None
 
 
@@ -139,68 +147,48 @@ def _rhs_mean(problem: LinearProblem, ctx: OperatorContext) -> CellField:
     return apply_dh(ratio, ctx)
 
 
-def _cell_system_solve(op_apply, rhs_interior: np.ndarray, grid: Grid,
-                       config: SolverConfig, stage: str,
-                       factor: DirectFactor | None = None):
-    """Assemble (unless a factorization is supplied), solve, embed, report."""
-    config = config or SolverConfig()
-    if factor is None:
-        matrix = assemble(op_apply, (grid.nx, grid.ny))
-        order = nested_dissection(grid.nx, grid.ny)
+def _cell_operator(problem: LinearProblem, ctx: OperatorContext, cell_weight: CellField,
+                   shift: float = 0.0):
+    """``-dh((1/G) dh*(cell_weight chi)) + shift chi`` on interior cells, ring held at zero."""
+    grid = problem.grid
+
+    def op(v: np.ndarray) -> np.ndarray:
+        chi = CellField.zeros(grid)
+        chi.values[INTERIOR] = v
+        out = compose_second_order(chi, cell_weight, problem.reaction_node, ctx)
+        return out.values[INTERIOR] + shift * v
+
+    return op
+
+
+def _factor(op_apply, grid: Grid, tol: float, stage: str) -> DirectFactor:
+    """Assemble a cell system and factor it in nested-dissection order."""
+    matrix = assemble(op_apply, (grid.nx, grid.ny))
+    order = nested_dissection(grid.nx, grid.ny)
+    try:
+        return DirectFactor(matrix, order, tol=tol)
+    except RuntimeError:
+        # Exactly singular factorization: a gauge mode that cancels out of
+        # every reconstruction; a tiny diagonal shift selects one gauge.
+        shift = 1e-12 * float(abs(matrix).max())
+        shifted = (matrix + shift * sp.eye(matrix.shape[0], format="csr")).tocsr()
         try:
-            factor = DirectFactor(matrix, order, tol=config.tol)
-        except RuntimeError:
-            # Exactly singular factorization: axis-aligned uniform directions
-            # admit an alternating gauge mode that cancels out of every
-            # reconstruction; a tiny diagonal shift selects one gauge.
-            shift = 1e-12 * float(abs(matrix).max())
-            shifted = (matrix + shift * sp.eye(matrix.shape[0], format="csr")).tocsr()
-            factor = DirectFactor(shifted, order, tol=config.tol)
+            return DirectFactor(shifted, order, tol=tol)
+        except RuntimeError as exc:
+            raise StageError(f"{stage} factorization failed, also after a gauge shift: "
+                             f"{exc}") from exc
+
+
+def _solve(factor: DirectFactor, rhs_interior: np.ndarray, grid: Grid, tol: float,
+           stage: str) -> tuple[CellField, SolveReport]:
+    """Solve one right-hand side on the interior cells; the ring stays zero."""
     report = factor.solve(rhs_interior.ravel())
     if not report.ok:
         raise StageError(f"{stage} solve failed: residual {report.residual:.3e} "
-                         f"above tolerance {config.tol:.1e}")
+                         f"above tolerance {tol:.1e}")
     out = CellField.zeros(grid)
     out.values[INTERIOR] = report.x.reshape(grid.nx, grid.ny)
-    return out, report, factor
-
-
-def solve_h(problem: LinearProblem, config: SolverConfig | None = None):
-    """Potential of the mean part; the system does not involve eps.
-
-    Returns ``(h, report)`` with ``h`` zero on the boundary cell ring.
-    """
-    config = config or SolverConfig()
-    ctx = problem.context()
-    op = _mean_operator(problem, ctx)
-    rhs = _rhs_mean(problem, ctx).values[INTERIOR]
-    h, report, _ = _cell_system_solve(op, rhs, problem.grid, config, "mean-potential")
-    return h, report
-
-
-def _mean_operator(problem: LinearProblem, ctx: OperatorContext):
-    grid = problem.grid
-
-    def op(v: np.ndarray) -> np.ndarray:
-        chi = CellField.zeros(grid)
-        chi.values[INTERIOR] = v
-        out = compose_second_order(chi, problem.reaction_cell, problem.reaction_node, ctx)
-        return out.values[INTERIOR]
-
-    return op
-
-
-def _fluct_operator(problem: LinearProblem, ctx: OperatorContext):
-    grid = problem.grid
-    eps = problem.eps
-
-    def op(v: np.ndarray) -> np.ndarray:
-        chi = CellField.zeros(grid)
-        chi.values[INTERIOR] = v
-        out = compose_second_order(chi, problem.diffusivity_cell, problem.reaction_node, ctx)
-        return out.values[INTERIOR] + eps * v
-
-    return op
+    return out, report
 
 
 def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
@@ -224,25 +212,15 @@ def solve_L(problem: LinearProblem, config: SolverConfig | None = None):
     grid = problem.grid
     if problem.eps == 0.0:
         return CellField.zeros(grid), SolveReport(
-            np.zeros(grid.n_interior_cells), 0.0, 0, 0.0, True, "skipped (eps = 0)"
+            np.zeros(grid.n_interior_cells), 0.0, 0.0, True, "skipped (eps = 0)"
         )
     ctx = problem.context()
     rhs = -problem.eps * (
         _rhs_mean(problem, ctx).values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
     )
-    op = _fluct_operator(problem, ctx)
-    L, report, _ = _cell_system_solve(op, rhs, grid, config, "flux-potential")
-    return L, report
-
-
-def solve_l(problem: LinearProblem, L: CellField, config: SolverConfig | None = None):
-    """Potential of the fluctuation part (same operator as the mean system)."""
-    config = config or SolverConfig()
-    ctx = problem.context()
-    rhs = L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
-    op = _mean_operator(problem, ctx)
-    l, report, _ = _cell_system_solve(op, rhs, problem.grid, config, "fluctuation-potential")
-    return l, report
+    op = _cell_operator(problem, ctx, problem.diffusivity_cell, problem.eps)
+    factor = _factor(op, grid, config.tol, "flux-potential")
+    return _solve(factor, rhs, grid, config.tol, "flux-potential")
 
 
 def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
@@ -257,11 +235,17 @@ def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
 # Ghost filling ---------------------------------------------------------------
 
 
-def fill_ghost(p: NodeField, problem: LinearProblem, defect_warn: float = 1e-6,
-               rcond: float = 1e-6):
+# Ghost-fill constants: relative singular-value cutoff of the truncated SVD,
+# and the constraint defect above which a fill is flagged in its report.
+GHOST_RCOND = 1e-6
+GHOST_DEFECT_WARN = 1e-6
+
+
+def fill_ghost(p: NodeField, grid: Grid, direction: CellVectorField, grad_source: CellField):
     """Fill ghost node values from the flux boundary constraints.
 
-    On every boundary ring cell the constraint ``(dh p) = b.S`` is imposed.
+    On every boundary ring cell the constraint ``(dh p) = b.S`` is imposed,
+    with ``b`` the anisotropy ``direction`` and ``b.S`` the ``grad_source``.
     The constraints couple ghost nodes along each edge and across corners, so
     they are solved as one global least-squares system over all ghost
     unknowns; four second-order diagonal extrapolation rows close the corner
@@ -280,11 +264,10 @@ def fill_ghost(p: NodeField, problem: LinearProblem, defect_warn: float = 1e-6,
 
     Interior values are never touched.  Returns ``(filled, report)``.
     """
-    g = problem.grid
-    nx, ny = g.nx, g.ny
-    dx2, dy2 = 2.0 * g.dx, 2.0 * g.dy
-    b = problem.direction.values
-    bs = problem.grad_source_cell.values
+    nx, ny = grid.nx, grid.ny
+    dx2, dy2 = 2.0 * grid.dx, 2.0 * grid.dy
+    b = direction.values
+    bs = grad_source.values
     vals = p.values
 
     ghost_index = {}
@@ -340,7 +323,7 @@ def fill_ghost(p: NodeField, problem: LinearProblem, defect_warn: float = 1e-6,
     row_norms = np.linalg.norm(a, axis=1)
     scale = np.where(row_norms > 0.0, row_norms, 1.0)
     u, sig, vt = scipy.linalg.svd(a / scale[:, None], full_matrices=False)
-    rank = int(np.sum(sig > rcond * sig[0])) if sig.size else 0
+    rank = int(np.sum(sig > GHOST_RCOND * sig[0])) if sig.size else 0
     misfit = (rhs - a @ target) / scale
     inv = np.zeros_like(sig)
     inv[:rank] = 1.0 / sig[:rank]
@@ -356,7 +339,7 @@ def fill_ghost(p: NodeField, problem: LinearProblem, defect_warn: float = 1e-6,
         n_unknowns=k,
         n_constraints=m,
         rank_deficient=bool(rank < k),
-        defect_exceeded=bool(defect > defect_warn),
+        defect_exceeded=bool(defect > GHOST_DEFECT_WARN),
     )
     return filled, report
 
@@ -376,17 +359,14 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
 
     L, rep_L = solve_L(problem, config)
 
-    rhs_mean = _rhs_mean(problem, ctx)
-    op_mean = _mean_operator(problem, ctx)
-    h, rep_h, factor = _cell_system_solve(
-        op_mean, rhs_mean.values[INTERIOR], grid, config, "mean-potential"
-    )
+    op_mean = _cell_operator(problem, ctx, problem.reaction_cell)
+    factor = _factor(op_mean, grid, config.tol, "mean-potential")
+    h, rep_h = _solve(factor, _rhs_mean(problem, ctx).values[INTERIOR], grid, config.tol,
+                      "mean-potential")
     pi = reconstruct_pi(problem, h)
 
     rhs_l = L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
-    l, rep_l, _ = _cell_system_solve(
-        None, rhs_l, grid, config, "fluctuation-potential", factor=factor
-    )
+    l, rep_l = _solve(factor, rhs_l, grid, config.tol, "fluctuation-potential")
     q = reconstruct_q(problem, l)
 
     p = NodeField.zeros(grid)
@@ -394,13 +374,11 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
 
     ghost_report = None
     if fill:
-        p, ghost_report = fill_ghost(p, problem)
+        p, ghost_report = fill_ghost(p, grid, problem.direction, problem.grad_source_cell)
 
     p_norm = float(np.linalg.norm(p.values[INTERIOR]))
     dh_pi = apply_dh(pi, ctx).values[INTERIOR]
     mean_grad_l2 = float(np.linalg.norm(dh_pi)) / max(p_norm, 1e-300)
-    p_max = float(np.max(np.abs(p.values[INTERIOR])))
-    mean_grad_max = float(np.max(np.abs(dh_pi))) / max(p_max, 1e-300)
 
     return SolutionDecomposition(
         h=h,
@@ -411,6 +389,5 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
         p=p,
         residuals={"h": rep_h.residual, "L": rep_L.residual, "l": rep_l.residual},
         mean_gradient_l2=mean_grad_l2,
-        mean_gradient_max=mean_grad_max,
         ghost=ghost_report,
     )

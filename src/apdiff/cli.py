@@ -7,8 +7,9 @@ Usage:
 with experiments ``convergence``, ``angle``, ``gummel``, ``eps-limit`` and
 ``conditioning``.  The JSON config file carries the keys of
 ``ExperimentConfig`` (``case``, ``meshes``, ``eps_list``, ``alphas``,
-``eta``, ``mu``, ``tol_rel``, ``n_max``, ``solver``, ``thresholds``); omitted
-keys fall back to the experiment's defaults.  Outputs are one CSV of result
+``eta``, ``mu``, ``tol_rel``, ``n_max``, ``solver``, ``thresholds``), where
+``solver`` holds the one key ``tol`` (relative residual of every linear
+solve); omitted keys fall back to the experiment's defaults.  Outputs are one CSV of result
 rows, per-run iteration histories where applicable, and a JSON summary with
 pass/fail checks.  The exit code is 0 only if every threshold check passed.
 """

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,8 +16,6 @@ __all__ = [
     "sample_node",
     "sample_cell",
     "sample_cell_vec",
-    "dump_node_csv",
-    "dump_cell_csv",
 ]
 
 # slice picking the interior part of a node array (indices 0..n) or of a
@@ -101,18 +98,6 @@ class Grid:
         """Meshgrid of cell-center coordinates, boundary ring included."""
         return np.meshgrid(self.cell_xs, self.cell_ys, indexing="ij")
 
-    @cached_property
-    def interior_node_mask(self) -> np.ndarray:
-        m = np.zeros(self.node_shape, dtype=bool)
-        m[INTERIOR] = True
-        return m
-
-    @cached_property
-    def interior_cell_mask(self) -> np.ndarray:
-        m = np.zeros(self.cell_shape, dtype=bool)
-        m[INTERIOR] = True
-        return m
-
 
 def make_grid(bounds, nx: int, ny: int) -> Grid:
     """Build a uniform grid over ``bounds = ((x_min, x_max), (y_min, y_max))``.
@@ -148,11 +133,6 @@ class NodeField:
     def zeros(cls, grid: Grid) -> "NodeField":
         return cls(grid, np.zeros(grid.node_shape))
 
-    @property
-    def interior(self) -> np.ndarray:
-        """View of the interior nodes (logical indices 0..nx, 0..ny)."""
-        return self.values[INTERIOR]
-
     def copy(self) -> "NodeField":
         return NodeField(self.grid, self.values.copy())
 
@@ -171,11 +151,6 @@ class CellField:
     @classmethod
     def zeros(cls, grid: Grid) -> "CellField":
         return cls(grid, np.zeros(grid.cell_shape))
-
-    @property
-    def interior(self) -> np.ndarray:
-        """View of the interior cells (logical indices 0..nx-1, 0..ny-1)."""
-        return self.values[INTERIOR]
 
     def copy(self) -> "CellField":
         return CellField(self.grid, self.values.copy())
@@ -239,25 +214,3 @@ def sample_cell_vec(fn, grid: Grid) -> CellVectorField:
         axis=-1,
     )
     return CellVectorField(grid, out)
-
-
-def dump_node_csv(fld: NodeField, path) -> None:
-    """Write a node field as ``i,j,x,y,value`` rows (logical indices)."""
-    g = fld.grid
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "x", "y", "value"])
-        for ai, i in enumerate(range(-1, g.nx + 2)):
-            for aj, j in enumerate(range(-1, g.ny + 2)):
-                w.writerow([i, j, repr(float(g.node_xs[ai])), repr(float(g.node_ys[aj])), repr(float(fld.values[ai, aj]))])
-
-
-def dump_cell_csv(fld: CellField, path) -> None:
-    """Write a cell field as ``i,j,xc,yc,value`` rows (logical indices)."""
-    g = fld.grid
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "xc", "yc", "value"])
-        for ai, i in enumerate(range(-1, g.nx + 1)):
-            for aj, j in enumerate(range(-1, g.ny + 1)):
-                w.writerow([i, j, repr(float(g.cell_xs[ai])), repr(float(g.cell_ys[aj])), repr(float(fld.values[ai, aj]))])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apcore import LinearProblem, fill_ghost, solve_linear_ap
+from .apcore import LinearProblem, StageError, check_data, fill_ghost, solve_linear_ap
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 from .linsolve import SolverConfig
 from .operators import OperatorContext, apply_dh
@@ -52,10 +52,8 @@ class NonlinearProblem:
     reaction_slope: object  # g' : p -> g'(p), vectorized
 
     def __post_init__(self):
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if not np.all(self.diffusivity_cell.values > 0.0):
-            raise ValueError("diffusivity must be strictly positive")
+        check_data(self, ("diffusivity_cell", "direction", "source_node", "grad_source_cell"),
+                   positive=("diffusivity_cell",))
 
     def context(self) -> OperatorContext:
         return OperatorContext(self.grid, self.direction)
@@ -152,7 +150,9 @@ def gummel_solve(
     ``p0`` must carry ghost values (sample the guess analytically on the full
     lattice, or pass interior values through :func:`apcore.fill_ghost`).
     Returns ``(p, state)``; a diverging correction (growth above 10x over
-    three iterations, or non-finite iterates) aborts with the history kept.
+    three iterations, or non-finite iterates) aborts with the history kept,
+    and so does a linearization that fails validation or a stage that fails
+    (``ValueError`` or :class:`apcore.StageError`); other errors propagate.
     Iterations update interior nodes only; an iterate the loop updated gets
     its ghost ring filled once, on return.
     """
@@ -169,15 +169,15 @@ def gummel_solve(
         state.status = status
         state.detail = detail
         if updated:
-            filled, _ = fill_ghost(p, _with_original_source(problem))
+            filled, _ = fill_ghost(p, problem.grid, problem.direction, problem.grad_source_cell)
             return filled, state
         return p, state
 
     for n in range(stop.n_max):
-        lp = linearize(problem, p)
         try:
+            lp = linearize(problem, p)
             dec = solve_linear_ap(lp, config, fill=False)
-        except Exception as exc:
+        except (StageError, ValueError) as exc:
             # An iterate whose linearized system is no longer solvable has
             # left the workable basin; report it as divergence, not a crash.
             state.n_iterations = n
@@ -217,23 +217,6 @@ def gummel_solve(
             return finish("converged")
 
     return finish("max_iterations")
-
-
-def _with_original_source(problem: NonlinearProblem) -> LinearProblem:
-    """Wrap the nonlinear data so fill_ghost sees the original b.S."""
-    g = problem.grid
-    ones_node = NodeField(g, np.ones(g.node_shape))
-    ones_cell = CellField(g, np.ones(g.cell_shape))
-    return LinearProblem(
-        grid=g,
-        eps=problem.eps,
-        reaction_node=ones_node,
-        reaction_cell=ones_cell,
-        diffusivity_cell=problem.diffusivity_cell,
-        direction=problem.direction,
-        source_node=problem.source_node,
-        grad_source_cell=problem.grad_source_cell,
-    )
 
 
 @dataclass

@@ -3,10 +3,10 @@
 The elliptic systems of the solver are defined through operator applications
 (compositions of the dual stencils); their matrices are recovered by probing
 unit vectors one 3x3 color class at a time, which needs at most nine
-applications for any stencil of radius one.  Solving is done by a sparse
-direct factorization by default (the systems are small enough and the
-accuracy analysis of the scheme presumes near machine-precision residuals),
-with a preconditioned Krylov fallback selectable by configuration.
+applications for any stencil of radius one; the naive baseline's
+rectangular node-to-equation operator is probed the same way.  Solving is
+done by a sparse direct factorization (the systems are small enough and the
+accuracy analysis of the scheme presumes near machine-precision residuals).
 
 :class:`DirectFactor` eliminates unknowns in the order its caller gives.  The
 three cell systems of the solver are radius-1 stencils on the structured
@@ -29,16 +29,12 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "SolverConfig",
-    "SparseSystem",
     "SolveReport",
     "AssemblyError",
-    "SolveError",
     "assemble",
     "DirectFactor",
     "nested_dissection",
-    "solve",
     "estimate_condition",
-    "dump_matrix",
 ]
 
 _TINY = 1e-300
@@ -48,55 +44,39 @@ class AssemblyError(RuntimeError):
     """Probe assembly found the operator inconsistent with a linear stencil."""
 
 
-class SolveError(RuntimeError):
-    """A linear solve failed to meet its residual contract."""
-
-
 @dataclass
 class SolverConfig:
-    kind: str = "direct"  # "direct" | "iterative"
     tol: float = 1e-12
-    max_iter: int = 2000
 
     def __post_init__(self):
         if not (0.0 < self.tol <= 1e-4):
             raise ValueError(f"solver tol must be in (0, 1e-4], got {self.tol}")
-        if self.kind not in ("direct", "iterative"):
-            raise ValueError(f"unknown solver kind {self.kind!r}")
-
-
-@dataclass
-class SparseSystem:
-    """A square sparse system with its right-hand side."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
 class SolveReport:
     x: np.ndarray
     residual: float  # ||Ax - b|| / max(||b||, tiny), recomputed after solving
-    iterations: int  # 0 for the direct path
     wall_time: float
     ok: bool
     method: str
 
 
-def assemble(op_apply, shape: tuple[int, int], verify: bool = True) -> sp.csr_matrix:
+def assemble(op_apply, shape: tuple[int, int],
+             out_shape: tuple[int, int] | None = None) -> sp.csr_matrix:
     """Recover the matrix of a linear stencil operator by 3x3-color probing.
 
-    ``op_apply`` maps an array of the given shape to an array of the same
-    shape and must be linear with stencil radius at most one in each index.
-    Unknowns are ordered row-major.  A final random probe checks that the
-    assembled matrix reproduces the operator action; a mismatch (nonlinear or
-    wider-stencil operator) raises :class:`AssemblyError`.
+    ``op_apply`` maps an array of ``shape`` to an array of ``out_shape``
+    (default ``shape``) and must be linear with stencil radius at most one
+    in each index.  The output grid sits centered in the input grid: output
+    index = input index - ``(shape - out_shape) // 2``.  Unknowns and
+    equations are ordered row-major.  A final random probe checks that the
+    assembled matrix reproduces the operator action; a mismatch (nonlinear
+    or wider-stencil operator) raises :class:`AssemblyError`.
     """
     nx, ny = shape
+    mx, my = out_shape or shape
+    ox, oy = (nx - mx) // 2, (ny - my) // 2
     rows, cols, vals = [], [], []
     for cx in range(3):
         for cy in range(3):
@@ -112,30 +92,28 @@ def assemble(op_apply, shape: tuple[int, int], verify: bool = True) -> sp.csr_ma
             bb = bb.ravel()
             for oi in (-1, 0, 1):
                 for oj in (-1, 0, 1):
-                    ra = aa + oi
-                    rb = bb + oj
-                    m = (ra >= 0) & (ra < nx) & (rb >= 0) & (rb < ny)
-                    rows.append(ra[m] * ny + rb[m])
+                    ra = aa - ox + oi
+                    rb = bb - oy + oj
+                    m = (ra >= 0) & (ra < mx) & (rb >= 0) & (rb < my)
+                    rows.append(ra[m] * my + rb[m])
                     cols.append(aa[m] * ny + bb[m])
                     vals.append(w[ra[m], rb[m]])
-    n = nx * ny
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+        shape=(mx * my, nx * ny),
     ).tocsr()
 
-    if verify:
-        rng = np.random.default_rng(12345)
-        probe = rng.standard_normal(shape)
-        direct = op_apply(probe).ravel()
-        via_matrix = mat @ probe.ravel()
-        scale = max(float(np.linalg.norm(direct)), _TINY)
-        defect = float(np.linalg.norm(via_matrix - direct)) / scale
-        if defect > 1e-12:
-            raise AssemblyError(
-                f"probe-assembled matrix disagrees with operator action "
-                f"(relative defect {defect:.3e}); operator is not a radius-1 linear stencil"
-            )
+    rng = np.random.default_rng(12345)
+    probe = rng.standard_normal(shape)
+    direct = op_apply(probe).ravel()
+    via_matrix = mat @ probe.ravel()
+    scale = max(float(np.linalg.norm(direct)), _TINY)
+    defect = float(np.linalg.norm(via_matrix - direct)) / scale
+    if defect > 1e-12:
+        raise AssemblyError(
+            f"probe-assembled matrix disagrees with operator action "
+            f"(relative defect {defect:.3e}); operator is not a radius-1 linear stencil"
+        )
     return mat
 
 
@@ -218,51 +196,7 @@ class DirectFactor:
             x = x + self._lu_solve(rhs - self.matrix @ x)
             res = float(np.linalg.norm(self.matrix @ x - rhs)) / scale
         ok = bool(np.isfinite(res) and res <= self.tol)
-        return SolveReport(x, res, 0, time.perf_counter() - t0, ok, "direct")
-
-
-def _solve_iterative(system: SparseSystem, config: SolverConfig) -> SolveReport:
-    t0 = time.perf_counter()
-    a = system.matrix.tocsc()
-    try:
-        ilu = spla.spilu(a, drop_tol=1e-6, fill_factor=20.0)
-        precond = spla.LinearOperator(a.shape, ilu.solve)
-    except RuntimeError:
-        precond = None
-    count = {"n": 0}
-
-    def cb(_):
-        count["n"] += 1
-
-    x, _info = spla.bicgstab(
-        system.matrix,
-        system.rhs,
-        rtol=config.tol / 10.0,
-        atol=0.0,
-        maxiter=config.max_iter,
-        M=precond,
-        callback=cb,
-    )
-    scale = max(float(np.linalg.norm(system.rhs)), _TINY)
-    res = float(np.linalg.norm(system.matrix @ x - system.rhs)) / scale
-    ok = bool(np.isfinite(res) and res <= config.tol)
-    return SolveReport(x, res, count["n"], time.perf_counter() - t0, ok, "iterative")
-
-
-def solve(system: SparseSystem, config: SolverConfig | None = None) -> SolveReport:
-    """Solve a sparse system under the residual contract.
-
-    A report with ``ok=False`` carries the best residual achieved; it is the
-    caller's choice whether that is fatal.
-    """
-    config = config or SolverConfig()
-    if config.kind == "iterative":
-        return _solve_iterative(system, config)
-    try:
-        return DirectFactor(system.matrix, np.arange(system.n), tol=config.tol).solve(system.rhs)
-    except RuntimeError as exc:  # singular factorization
-        n = system.n
-        return SolveReport(np.full(n, np.nan), np.inf, 0, 0.0, False, f"direct ({exc})")
+        return SolveReport(x, res, time.perf_counter() - t0, ok, "direct")
 
 
 def estimate_condition(matrix: sp.spmatrix, iters: int = 60, seed: int = 0) -> float:
@@ -304,11 +238,3 @@ def estimate_condition(matrix: sp.spmatrix, iters: int = 60, seed: int = 0) -> f
     if not np.isfinite(inv_sq) or inv_sq <= 0.0:
         return np.inf
     return max(sigma_max * np.sqrt(inv_sq), 1.0)
-
-
-def dump_matrix(matrix: sp.spmatrix, path) -> None:
-    """Write a matrix in plain ``row col value`` coordinate text form."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

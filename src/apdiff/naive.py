@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from .apcore import LinearProblem
 from .grid import INTERIOR, CellField, NodeField
-from .linsolve import SolveReport, SolverConfig, estimate_condition
+from .linsolve import SolveReport, SolverConfig, assemble, estimate_condition
 from .operators import apply_dh, apply_dh_star
 
 __all__ = ["NaiveSystem", "assemble_naive", "solve_naive", "conditioning_sweep"]
@@ -46,7 +46,6 @@ class NaiveSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     grid: object
-    rectangular: bool = True
     degenerate_cells: list = field(default_factory=list)  # ring cells with b.nu ~ 0
 
     @property
@@ -67,7 +66,6 @@ def _interior_rows(problem: LinearProblem):
     """Probe the interior operator: nodes (all) -> equation residuals (interior)."""
     g = problem.grid
     nx, ny = g.nx, g.ny
-    sx, sy = g.node_shape
     ctx = problem.context()
     hcell = problem.diffusivity_cell.values
     gnode = problem.reaction_node.values[INTERIOR]
@@ -78,27 +76,7 @@ def _interior_rows(problem: LinearProblem):
         div = apply_dh_star(flux, ctx)
         return -div.values[INTERIOR] + eps * gnode * v[INTERIOR]
 
-    rows, cols, vals = [], [], []
-    for cx in range(3):
-        for cy in range(3):
-            v = np.zeros((sx, sy))
-            v[cx::3, cy::3] = 1.0
-            w = apply_full(v)
-            aa, bb = np.meshgrid(np.arange(cx, sx, 3), np.arange(cy, sy, 3), indexing="ij")
-            aa = aa.ravel()
-            bb = bb.ravel()
-            for oi in (-1, 0, 1):
-                for oj in (-1, 0, 1):
-                    ra = aa - 1 + oi  # logical interior node index
-                    rb = bb - 1 + oj
-                    m = (ra >= 0) & (ra <= nx) & (rb >= 0) & (rb <= ny)
-                    rows.append(ra[m] * (ny + 1) + rb[m])
-                    cols.append(aa[m] * sy + bb[m])
-                    vals.append(w[ra[m], rb[m]])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=((nx + 1) * (ny + 1), sx * sy),
-    ).tocsr()
+    mat = assemble(apply_full, g.node_shape, (nx + 1, ny + 1))
 
     flux_data = CellField(g, hcell * problem.grad_source_cell.values)
     rhs = (
@@ -193,10 +171,10 @@ def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
             x = x + lu.solve(atb - ata @ x)
         res = float(np.linalg.norm(ata @ x - atb)) / scale
         ok = bool(np.isfinite(res) and res <= max(config.tol, 1e-10))
-        report = SolveReport(x, res, 0, time.perf_counter() - t0, ok, "normal-equations")
+        report = SolveReport(x, res, time.perf_counter() - t0, ok, "normal-equations")
     except RuntimeError as exc:
         x = np.full(a.shape[1], np.nan)
-        report = SolveReport(x, np.inf, 0, time.perf_counter() - t0, False,
+        report = SolveReport(x, np.inf, time.perf_counter() - t0, False,
                              f"normal-equations ({exc})")
     fld = NodeField(problem.grid, report.x.reshape(problem.grid.node_shape))
     return fld, report

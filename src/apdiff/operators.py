@@ -49,16 +49,10 @@ __all__ = [
 
 @dataclass
 class OperatorContext:
-    """Grid plus the cell-centered anisotropy direction (and optional weights).
-
-    The direction vectors must be nonzero everywhere; weights, when used as
-    divisors, must be strictly positive on the interior.
-    """
+    """Grid plus the cell-centered anisotropy direction, nonzero everywhere."""
 
     grid: Grid
     b: CellVectorField
-    cell_weight: CellField | None = None
-    node_weight: NodeField | None = None
 
     def __post_init__(self):
         norms = np.hypot(self.b.x, self.b.y)

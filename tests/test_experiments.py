@@ -171,8 +171,8 @@ def test_cli_exit_code_on_failed_threshold(tmp_path, capsys):
 
 
 def test_config_from_dict_with_solver():
-    cfg = ExperimentConfig.from_dict(
-        {"meshes": [10], "solver": {"kind": "direct", "tol": 1e-11}}
-    )
+    cfg = ExperimentConfig.from_dict({"meshes": [10], "solver": {"tol": 1e-11}})
     assert cfg.meshes == [10]
     assert cfg.solver.tol == 1e-11
+    with pytest.raises(TypeError, match="kind"):
+        ExperimentConfig.from_dict({"solver": {"kind": "direct", "tol": 1e-11}})

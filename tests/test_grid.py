@@ -1,13 +1,10 @@
-import csv
-
 import numpy as np
 import pytest
 
 from apdiff.grid import (
+    INTERIOR,
     CellField,
     NodeField,
-    dump_cell_csv,
-    dump_node_csv,
     make_grid,
     sample_cell,
     sample_cell_vec,
@@ -64,12 +61,14 @@ def test_ghost_nodes_outside_domain():
 
 def test_index_partition():
     g = make_grid(UNIT, 5, 7)
-    ring_nodes = (~g.interior_node_mask).sum()
-    assert ring_nodes == 2 * (g.nx + 3) + 2 * (g.ny + 3) - 4
-    ring_cells = (~g.interior_cell_mask).sum()
-    assert ring_cells == 2 * (g.nx + 2) + 2 * (g.ny + 2) - 4
-    assert g.interior_node_mask.sum() == (g.nx + 1) * (g.ny + 1)
-    assert g.interior_cell_mask.sum() == g.nx * g.ny
+    nodes = np.zeros(g.node_shape, dtype=bool)
+    nodes[INTERIOR] = True
+    cells = np.zeros(g.cell_shape, dtype=bool)
+    cells[INTERIOR] = True
+    assert (~nodes).sum() == 2 * (g.nx + 3) + 2 * (g.ny + 3) - 4
+    assert (~cells).sum() == 2 * (g.nx + 2) + 2 * (g.ny + 2) - 4
+    assert nodes.sum() == g.n_interior_nodes == (g.nx + 1) * (g.ny + 1)
+    assert cells.sum() == g.n_interior_cells == g.nx * g.ny
 
 
 def test_sample_constant_zero():
@@ -112,22 +111,3 @@ def test_field_shape_validation():
         NodeField(g, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         CellField(g, np.zeros(g.node_shape))
-
-
-def test_csv_dumps(tmp_path):
-    g = make_grid(UNIT, 3, 3)
-    npath = tmp_path / "nodes.csv"
-    cpath = tmp_path / "cells.csv"
-    dump_node_csv(sample_node(lambda x, y: x + y, g), npath)
-    dump_cell_csv(sample_cell(lambda x, y: x * y, g), cpath)
-    with open(npath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["i", "j", "x", "y", "value"]
-    assert len(rows) - 1 == (g.nx + 3) * (g.ny + 3)
-    first = rows[1]
-    assert int(first[0]) == -1 and int(first[1]) == -1
-    assert float(first[4]) == pytest.approx(float(first[2]) + float(first[3]))
-    with open(cpath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["i", "j", "xc", "yc", "value"]
-    assert len(rows) - 1 == (g.nx + 2) * (g.ny + 2)

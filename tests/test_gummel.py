@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from apdiff.apcore import fill_ghost, solve_linear_ap
-from apdiff.grid import INTERIOR, NodeField, make_grid, sample_cell, sample_cell_vec, sample_node
+from apdiff import gummel
+from apdiff.apcore import StageError, fill_ghost, solve_linear_ap
+from apdiff.grid import INTERIOR, CellField, NodeField, make_grid, sample_cell, sample_cell_vec, sample_node
 from apdiff.gummel import (
     IterationRecord,
     NonlinearProblem,
     StopRule,
-    _with_original_source,
     error_plateau_check,
     gummel_solve,
     linearize,
@@ -160,6 +162,51 @@ def test_divergence_reported_not_raised():
     assert state.detail
 
 
+def test_problem_rejects_non_finite_data():
+    g = make_grid(UNIT, 5, 5)
+    problem = linear_law_problem(g)
+    with pytest.raises(ValueError, match="diffusivity_cell"):
+        dataclasses.replace(problem, diffusivity_cell=CellField(g, np.full(g.cell_shape, np.inf)))
+    nan_source = problem.source_node.values.copy()
+    nan_source[2, 2] = np.nan
+    with pytest.raises(ValueError, match="source_node"):
+        dataclasses.replace(problem, source_node=NodeField(g, nan_source))
+
+
+def test_slope_overflow_reported_as_divergence():
+    g = unit_square_grid(12)
+    problem = dataclasses.replace(linear_law_problem(g), reaction_law=lambda p: np.exp(1e3 * p),
+                                  reaction_slope=lambda p: 1e3 * np.exp(1e3 * p))
+    p0 = sample_node(lambda x, y: 1.0 + 0.0 * x, g)
+    p, state = gummel_solve(problem, p0, StopRule())
+    assert state.status == "diverged"
+    assert "non-finite" in state.detail
+    np.testing.assert_array_equal(p.values, p0.values)
+
+
+def test_stage_error_reported_as_divergence(monkeypatch):
+    def broken(*args, **kwargs):
+        raise StageError("mean-potential solve failed")
+
+    monkeypatch.setattr(gummel, "solve_linear_ap", broken)
+    g = unit_square_grid(10)
+    p0 = sample_node(lambda x, y: np.cos(x + y), g)
+    _, state = gummel_solve(linear_law_problem(g), p0, StopRule())
+    assert state.status == "diverged"
+    assert "mean-potential" in state.detail
+
+
+def test_programming_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bad call")
+
+    monkeypatch.setattr(gummel, "solve_linear_ap", broken)
+    g = unit_square_grid(10)
+    p0 = sample_node(lambda x, y: np.cos(x + y), g)
+    with pytest.raises(TypeError, match="bad call"):
+        gummel_solve(linear_law_problem(g), p0, StopRule())
+
+
 def test_history_records_fields():
     g = unit_square_grid(20)
     case = case_nonlinear(g, 1e-1)
@@ -184,7 +231,7 @@ def per_iteration_fill_reference(problem, p0, stop, exact):
         p_new.values[INTERIOR] = p.values[INTERIOR] + dec.p.values[INTERIOR]
         corr = float(np.linalg.norm(dec.p.values[INTERIOR])) / float(
             np.linalg.norm(p_new.values[INTERIOR]))
-        p, _ = fill_ghost(p_new, _with_original_source(problem))
+        p, _ = fill_ghost(p_new, problem.grid, problem.direction, problem.grad_source_cell)
         err = float(np.linalg.norm(p.values[INTERIOR] - exact.values[INTERIOR])) / exact_norm
         history.append(IterationRecord(n, corr, err, dec.residuals["h"], dec.residuals["L"],
                                        dec.residuals["l"], lp._slope_floored))

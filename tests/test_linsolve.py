@@ -5,22 +5,19 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apdiff import linsolve
+from apdiff import linsolve, naive
 from apdiff.experiments import unit_square_grid
 from apdiff.grid import INTERIOR, CellField, NodeField, make_grid
 from apdiff.linsolve import (
     AssemblyError,
     DirectFactor,
     SolverConfig,
-    SparseSystem,
     assemble,
-    dump_matrix,
     estimate_condition,
     nested_dissection,
-    solve,
 )
 from apdiff.operators import compose_second_order
-from apdiff.problems import case_linear_variable
+from apdiff.problems import case_angle, case_linear_variable
 
 from test_operators import uniform_ctx
 
@@ -94,6 +91,29 @@ def test_assemble_detects_wide_stencil():
         assemble(op, (7, 7))
 
 
+def test_assemble_rectangular_matches_unit_columns(monkeypatch):
+    # the naive baseline's node -> interior-equation operator, assembled by
+    # colored probes, against one operator application per unknown
+    g = make_grid(UNIT, 5, 4)
+    ops = []
+    monkeypatch.setattr(naive, "assemble", lambda op, *shapes: ops.append(op) or assemble(op, *shapes))
+    for problem in (case_linear_variable(g, 1e-3).problem, case_angle(g, 1e-3, 0.6).problem):
+        mat, _ = naive._interior_rows(problem)
+        n = g.node_shape[0] * g.node_shape[1]
+        dense = np.empty(((g.nx + 1) * (g.ny + 1), n))
+        for j in range(n):
+            unit = np.zeros(n)
+            unit[j] = 1.0
+            dense[:, j] = ops[-1](unit.reshape(g.node_shape)).ravel()
+        np.testing.assert_array_equal(mat.toarray(), dense)
+
+
+def test_assemble_rectangular_detects_wide_stencil():
+    # output (i, j) sits at input (i + 2, j + 2) but reads input (i, j)
+    with pytest.raises(AssemblyError):
+        assemble(lambda v: v[:-4, :-4].copy(), (7, 6), (3, 2))
+
+
 def test_assembled_pattern_symmetric_no_empty_rows():
     g = make_grid(UNIT, 6, 6)
     ctx = uniform_ctx(g, 0.6, -0.8)
@@ -114,8 +134,8 @@ def test_assembled_pattern_symmetric_no_empty_rows():
 
 def test_solve_identity():
     rhs = np.arange(5.0)
-    rep = solve(SparseSystem(sp.eye(5, format="csr"), rhs))
-    assert rep.ok and rep.iterations == 0
+    rep = DirectFactor(sp.eye(5, format="csr"), np.arange(5)).solve(rhs)
+    assert rep.ok
     np.testing.assert_array_equal(rep.x, rhs)
     assert rep.residual == 0.0
 
@@ -126,27 +146,16 @@ def test_solve_1d_poisson_vs_dense_oracle():
     off = -np.ones(n - 1)
     mat = sp.diags([off, main, off], [-1, 0, 1], format="csr")
     rhs = np.ones(n)
-    rep = solve(SparseSystem(mat, rhs))
+    rep = DirectFactor(mat, np.arange(n)).solve(rhs)
     expected = np.linalg.solve(mat.toarray(), rhs)
     assert rep.ok
     np.testing.assert_allclose(rep.x, expected, rtol=1e-12)
 
 
-def test_solve_iterative_path():
-    n = 64
-    main = 2.0 * np.ones(n)
-    off = -np.ones(n - 1)
-    mat = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    rhs = np.sin(np.arange(n))
-    rep = solve(SparseSystem(mat, rhs), SolverConfig(kind="iterative", tol=1e-10))
-    assert rep.ok and rep.method == "iterative"
-    assert rep.residual <= 1e-10
-
-
 def test_solve_reports_singular_failure():
     mat = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    rep = solve(SparseSystem(mat, np.array([1.0, 0.0])))
-    assert not rep.ok
+    with pytest.raises(RuntimeError):
+        DirectFactor(mat, np.arange(2))
 
 
 def test_solver_config_validation():
@@ -154,8 +163,6 @@ def test_solver_config_validation():
         SolverConfig(tol=1e-3)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(kind="magic")
 
 
 def test_solve_determinism():
@@ -163,8 +170,8 @@ def test_solve_determinism():
     dense = rng.standard_normal((30, 30)) + 10.0 * np.eye(30)
     mat = sp.csr_matrix(dense)
     rhs = rng.standard_normal(30)
-    x1 = solve(SparseSystem(mat, rhs)).x
-    x2 = solve(SparseSystem(mat, rhs)).x
+    x1 = DirectFactor(mat, np.arange(30)).solve(rhs).x
+    x2 = DirectFactor(mat, np.arange(30)).solve(rhs).x
     np.testing.assert_array_equal(x1, x2)
 
 
@@ -185,18 +192,9 @@ def test_residual_recomputed_independently():
     mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
                    [-1, 0, 1], format="csr")
     rhs = np.ones(n)
-    rep = solve(SparseSystem(mat, rhs))
+    rep = DirectFactor(mat, np.arange(n)).solve(rhs)
     recomputed = np.linalg.norm(mat @ rep.x - rhs) / np.linalg.norm(rhs)
     assert rep.residual == pytest.approx(recomputed, abs=1e-18)
-
-
-def test_dump_matrix(tmp_path):
-    mat = sp.csr_matrix(np.array([[1.5, 0.0], [0.0, -2.0]]))
-    path = tmp_path / "mat.txt"
-    dump_matrix(mat, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split() == ["0", "0", "1.5"]
-    assert lines[1].split() == ["1", "1", "-2.0"]
 
 
 @settings(max_examples=80, deadline=None)

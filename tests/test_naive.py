@@ -66,7 +66,7 @@ def test_system_is_rectangular_least_squares():
     g = make_grid(UNIT, 8, 8)
     system = assemble_naive(case_linear_variable(g, 1.0).problem)
     rows, cols = system.shape
-    assert system.rectangular and rows > cols
+    assert rows > cols
 
 
 def test_naive_converges_on_smooth_case():

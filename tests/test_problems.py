@@ -150,7 +150,8 @@ def test_angle_case_fluctuation_generator_vanishes_on_ring():
     ay = 2.0 * np.pi / (g.y_max - g.y_min)
     xs, ys = g.cell_coords()
     l = np.sin(ax * (xs - g.x_min)) * np.sin(ay * (ys - g.y_min))
-    ring = ~g.interior_cell_mask
+    ring = np.ones(g.cell_shape, dtype=bool)
+    ring[INTERIOR] = False
     np.testing.assert_allclose(l[ring], 0.0, atol=1e-12)
 
 

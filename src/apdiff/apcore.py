@@ -35,7 +35,8 @@ import scipy.sparse as sp
 
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 from .linsolve import DirectFactor, SolveReport, SolverConfig, assemble, nested_dissection
-from .operators import OperatorContext, apply_dh, apply_dh_star, compose_second_order
+from .operators import (OperatorContext, apply_dh, apply_dh_star, compose_second_order,
+                        ghost_extrapolation, ring_dh)
 
 __all__ = [
     "LinearProblem",
@@ -123,7 +124,6 @@ class GhostFillReport:
     n_unknowns: int
     n_constraints: int
     rank_deficient: bool
-    defect_exceeded: bool = False
 
 
 @dataclass
@@ -170,10 +170,10 @@ def _factor(op_apply, grid: Grid, tol: float, stage: str) -> DirectFactor:
     except RuntimeError:
         # Exactly singular factorization: a gauge mode that cancels out of
         # every reconstruction; a tiny diagonal shift selects one gauge.
+        # Refinement and residuals stay on the unshifted matrix.
         shift = 1e-12 * float(abs(matrix).max())
-        shifted = (matrix + shift * sp.eye(matrix.shape[0], format="csr")).tocsr()
         try:
-            return DirectFactor(shifted, order, tol=tol)
+            return DirectFactor(matrix, order, tol=tol, shift=shift)
         except RuntimeError as exc:
             raise StageError(f"{stage} factorization failed, also after a gauge shift: "
                              f"{exc}") from exc
@@ -235,111 +235,64 @@ def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
 # Ghost filling ---------------------------------------------------------------
 
 
-# Ghost-fill constants: relative singular-value cutoff of the truncated SVD,
-# and the constraint defect above which a fill is flagged in its report.
+# Relative singular-value cutoff of the ghost-fill least-squares solve.
 GHOST_RCOND = 1e-6
-GHOST_DEFECT_WARN = 1e-6
 
 
 def fill_ghost(p: NodeField, grid: Grid, direction: CellVectorField, grad_source: CellField):
     """Fill ghost node values from the flux boundary constraints.
 
     On every boundary ring cell the constraint ``(dh p) = b.S`` is imposed,
-    with ``b`` the anisotropy ``direction`` and ``b.S`` the ``grad_source``.
-    The constraints couple ghost nodes along each edge and across corners, so
-    they are solved as one global least-squares system over all ghost
-    unknowns; four second-order diagonal extrapolation rows close the corner
-    degrees of freedom the ring constraints leave structurally undetermined.
+    with ``b`` the anisotropy ``direction`` and ``b.S`` the ``grad_source``:
+    the ghost columns of the ring rows of ``dh`` (:func:`operators.ring_dh`)
+    form one global least-squares system over all ghost unknowns, and four
+    unit rows pin the corner ghosts, which the ring constraints leave
+    structurally undetermined, to their diagonal extrapolation.
 
     Where the direction runs tangent to the boundary the flux constraint
     carries no information and the system is rank deficient; the averaged
     stencil also couples the ghosts tangentially, which makes parts of the
     spectrum decay fast along each edge.  Both are handled the same way: the
-    solve is centered on a one-sided second-order extrapolation of the
-    interior, constraint directions with singular values above the cutoff
-    correct that prior, and the rest stay on it.  Truncated directions
+    solve is centered on the one-sided second-order extrapolation of the
+    interior (:func:`operators.ghost_extrapolation`), and a minimum-norm
+    correction over the row-equilibrated system, with singular values at or
+    below ``GHOST_RCOND`` times the largest treated as zero (LAPACK
+    ``gelsd``), moves the ghosts off that prior.  Truncated directions
     therefore cost at most the extrapolation error, which has the same
     boundary-consistent order as the constraints themselves; deficiency is
     reported, not fatal.
 
     Interior values are never touched.  Returns ``(filled, report)``.
     """
-    nx, ny = grid.nx, grid.ny
-    dx2, dy2 = 2.0 * grid.dx, 2.0 * grid.dy
-    b = direction.values
-    bs = grad_source.values
-    vals = p.values
+    ctx = OperatorContext(grid, direction)
+    ring, dh_ring = ring_dh(ctx)
+    ghosts, extrapolation = ghost_extrapolation(grid)
+    interior = p.values.flatten()
+    interior[ghosts] = 0.0
+    # a row of E @ p is p_ghost - (2 p_1 - p_2); with the ghosts zeroed, minus
+    # it is the extrapolated ghost value
+    prior = -(extrapolation @ interior)
+    bs = grad_source.values.ravel()[ring]
 
-    ghost_index = {}
-    order = []
-    for ai in range(nx + 3):
-        for aj in range(ny + 3):
-            if 1 <= ai <= nx + 1 and 1 <= aj <= ny + 1:
-                continue
-            ghost_index[(ai, aj)] = len(order)
-            order.append((ai, aj))
-    k = len(order)
+    sx, sy = grid.node_shape
+    corners = np.searchsorted(ghosts, [0, sy - 1, (sx - 1) * sy, sx * sy - 1])
+    corner_rows = sp.csr_matrix((np.ones(4), (np.arange(4), corners)), shape=(4, ghosts.size))
+    a = sp.vstack([dh_ring[:, ghosts], corner_rows]).toarray()
+    rhs = np.concatenate([bs - dh_ring @ interior, prior[corners]])
 
-    ring = [
-        (ci, cj)
-        for ci in range(nx + 2)
-        for cj in range(ny + 2)
-        if ci in (0, nx + 1) or cj in (0, ny + 1)
-    ]
-    m = len(ring)
-
-    a = np.zeros((m + 4, k))
-    rhs = np.zeros(m + 4)
-    for row, (ci, cj) in enumerate(ring):
-        bx, by = b[ci, cj]
-        rhs[row] = bs[ci, cj]
-        for di in (0, 1):
-            for dj in (0, 1):
-                ai, aj = ci + di, cj + dj  # node array index
-                coef = (1.0 if di else -1.0) * bx / dx2 + (1.0 if dj else -1.0) * by / dy2
-                gi = ghost_index.get((ai, aj))
-                if gi is None:
-                    rhs[row] -= coef * vals[ai, aj]
-                else:
-                    a[row, gi] = coef
-
-    for c, ((sx, sy), (di, dj)) in enumerate(
-        zip(((0, 0), (nx + 2, 0), (0, ny + 2), (nx + 2, ny + 2)),
-            ((1, 1), (-1, 1), (1, -1), (-1, -1)))
-    ):
-        row = m + c
-        gi = ghost_index[(sx, sy)]
-        a[row, gi] = 1.0
-        rhs[row] = 2.0 * vals[sx + di, sy + dj] - vals[sx + 2 * di, sy + 2 * dj]
-
-    # extrapolation prior: inward one-sided second-order value per ghost
-    target = np.empty(k)
-    for gi, (ai, aj) in enumerate(order):
-        di = 1 if ai == 0 else (-1 if ai == nx + 2 else 0)
-        dj = 1 if aj == 0 else (-1 if aj == ny + 2 else 0)
-        target[gi] = 2.0 * vals[ai + di, aj + dj] - vals[ai + 2 * di, aj + 2 * dj]
-
-    # row-equilibrated truncated-SVD correction of the prior
     row_norms = np.linalg.norm(a, axis=1)
     scale = np.where(row_norms > 0.0, row_norms, 1.0)
-    u, sig, vt = scipy.linalg.svd(a / scale[:, None], full_matrices=False)
-    rank = int(np.sum(sig > GHOST_RCOND * sig[0])) if sig.size else 0
-    misfit = (rhs - a @ target) / scale
-    inv = np.zeros_like(sig)
-    inv[:rank] = 1.0 / sig[:rank]
-    sol = target + vt[:rank].T @ (inv[:rank] * (u[:, :rank].T @ misfit))
-
+    correction, _, rank, _ = scipy.linalg.lstsq(a / scale[:, None], (rhs - a @ prior) / scale,
+                                                cond=GHOST_RCOND, lapack_driver="gelsd")
     filled = p.copy()
-    for gi, (ai, aj) in enumerate(order):
-        filled.values[ai, aj] = sol[gi]
-    defect = float(np.max(np.abs(a[:m] @ sol - rhs[:m]))) if m else 0.0
+    filled.values.flat[ghosts] = prior + correction
+    defect = apply_dh(filled, ctx).values.ravel()[ring] - bs
     report = GhostFillReport(
-        constraint_defect=defect,
-        rank=rank,
-        n_unknowns=k,
-        n_constraints=m,
-        rank_deficient=bool(rank < k),
-        defect_exceeded=bool(defect > GHOST_DEFECT_WARN),
+        constraint_defect=float(np.max(np.abs(defect))),
+        rank=int(rank),
+        n_unknowns=ghosts.size,
+        n_constraints=ring.size,
+        rank_deficient=bool(rank < ghosts.size),
     )
     return filled, report
 

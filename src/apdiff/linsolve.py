@@ -168,17 +168,21 @@ class DirectFactor:
     """Sparse LU factorization in a given elimination order, reusable across right-hand sides.
 
     ``perm`` is the order in which unknowns are eliminated; the factored
-    matrix is ``matrix[perm][:, perm]``, with no further column reordering.
-    Each solve applies up to two steps of iterative refinement if needed and
-    recomputes the relative residual on the original matrix, independently
-    of the solve path.
+    matrix is ``(matrix + shift I)[perm][:, perm]``, with no further column
+    reordering.  Each solve applies up to two steps of iterative refinement
+    if needed and recomputes the relative residual on ``matrix`` itself,
+    unshifted, independently of the solve path.
     """
 
-    def __init__(self, matrix: sp.spmatrix, perm: np.ndarray, tol: float = 1e-12):
+    def __init__(self, matrix: sp.spmatrix, perm: np.ndarray, tol: float = 1e-12,
+                 shift: float = 0.0):
         self.matrix = matrix.tocsr()
         self.tol = tol
+        self.shift = shift
         self._perm = perm
-        self._lu = spla.splu(self.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        factored = (self.matrix + shift * sp.eye(self.matrix.shape[0], format="csr")
+                    if shift else self.matrix)
+        self._lu = spla.splu(factored[perm][:, perm].tocsc(), permc_spec="NATURAL")
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         x = np.empty_like(rhs)

@@ -2,13 +2,14 @@
 
 The unknown vector holds every node value, ghosts included.  Interior rows
 discretize the full equation at interior nodes; each boundary ring cell
-contributes the flux condition scaled by the direction/normal alignment.
-Those flux rows alone cannot close the system: they under-determine the
-corner ghosts, they carry no information where the direction runs tangent
-to the boundary, and their tangential ghost coupling is an exponentially
-unstable recursion along each edge.  The closure is therefore rectangular:
-every ghost node additionally receives a one-sided second-order
-extrapolation row of unit weight, and the whole system is solved in
+contributes its flux condition, the ``dh`` row of :func:`operators.ring_dh`
+scaled by ``H`` times the direction/normal alignment.  Those flux rows alone
+cannot close the system: they under-determine the corner ghosts, they carry
+no information where the direction runs tangent to the boundary, and their
+tangential ghost coupling is an exponentially unstable recursion along each
+edge.  The closure is therefore rectangular: every ghost node additionally
+receives its one-sided second-order extrapolation row of unit weight
+(:func:`operators.ghost_extrapolation`), and the whole system is solved in
 least-squares mode (via its normal equations).  The flux rows, an order
 1/h heavier, dominate wherever the alignment is O(1), so the extrapolation
 acts only as a weak prior that takes over continuously as the alignment
@@ -32,7 +33,7 @@ import scipy.sparse.linalg as spla
 from .apcore import LinearProblem
 from .grid import INTERIOR, CellField, NodeField
 from .linsolve import SolveReport, SolverConfig, assemble, estimate_condition
-from .operators import apply_dh, apply_dh_star
+from .operators import apply_dh, apply_dh_star, ghost_extrapolation, ring_dh
 
 __all__ = ["NaiveSystem", "assemble_naive", "solve_naive", "conditioning_sweep"]
 
@@ -51,15 +52,6 @@ class NaiveSystem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
-
-
-def _ring_normal(ci: int, cj: int, nx: int, ny: int) -> tuple[float, float]:
-    ix = -1.0 if ci == 0 else (1.0 if ci == nx + 1 else 0.0)
-    iy = -1.0 if cj == 0 else (1.0 if cj == ny + 1 else 0.0)
-    if ix and iy:
-        r = np.sqrt(2.0)
-        return ix / r, iy / r
-    return ix, iy
 
 
 def _interior_rows(problem: LinearProblem):
@@ -87,61 +79,37 @@ def _interior_rows(problem: LinearProblem):
 
 
 def assemble_naive(problem: LinearProblem) -> NaiveSystem:
-    """Build the rectangular direct system over all node unknowns."""
+    """Build the rectangular direct system over all node unknowns.
+
+    Rows: the interior equation at every interior node, then the flux
+    condition ``dh p = b.S`` of every non-degenerate ring cell scaled by
+    ``H (b . nu)`` (``nu`` the outward normal, diagonal at the corners),
+    then the extrapolation row of every ghost node.
+    """
     g = problem.grid
-    nx, ny = g.nx, g.ny
-    sy = g.node_shape[1]
-    n = g.node_shape[0] * sy
-    bvals = problem.direction.values
-    hvals = problem.diffusivity_cell.values
-    bs = problem.grad_source_cell.values
-    dx2, dy2 = 2.0 * g.dx, 2.0 * g.dy
-
     interior, rhs_interior = _interior_rows(problem)
+    ring, dh_ring = ring_dh(problem.context())
+    _, extrapolation = ghost_extrapolation(g)
 
-    rows, cols, vals, rhs_extra = [], [], [], []
-    degenerate = []
-    row = 0
+    ci, cj = np.unravel_index(ring, g.cell_shape)
+    nux = (ci == g.nx + 1).astype(float) - (ci == 0)
+    nuy = (cj == g.ny + 1).astype(float) - (cj == 0)
+    corner = (nux != 0.0) & (nuy != 0.0)
+    nux[corner] /= np.sqrt(2.0)
+    nuy[corner] /= np.sqrt(2.0)
+    align = problem.direction.x[ci, cj] * nux + problem.direction.y[ci, cj] * nuy
+    # where b runs tangent to the boundary the scaled row vanishes: dropped and flagged
+    keep = np.abs(align) >= DEGENERATE_TOL
+    scale = problem.diffusivity_cell.values[ci, cj][keep] * align[keep]
+    # diag(scale) @ dh_ring[keep], scaled in place: a sparse product would drop
+    # stored zeros and leave the column indices of each row unsorted
+    flux = dh_ring[keep]
+    flux.data *= np.repeat(scale, np.diff(flux.indptr))
 
-    # flux condition rows at ring cells
-    for ci in range(nx + 2):
-        for cj in range(ny + 2):
-            if not (ci in (0, nx + 1) or cj in (0, ny + 1)):
-                continue
-            nux, nuy = _ring_normal(ci, cj, nx, ny)
-            bx, by = bvals[ci, cj]
-            align = bx * nux + by * nuy
-            if abs(align) < DEGENERATE_TOL:
-                # identically zero row: the condition is vacuous here
-                degenerate.append((ci - 1, cj - 1))
-                continue
-            scale = hvals[ci, cj] * align
-            for di in (0, 1):
-                for dj in (0, 1):
-                    coef = (1.0 if di else -1.0) * bx / dx2 + (1.0 if dj else -1.0) * by / dy2
-                    rows.append(row)
-                    cols.append((ci + di) * sy + (cj + dj))
-                    vals.append(scale * coef)
-            rhs_extra.append(scale * bs[ci, cj])
-            row += 1
-
-    # unit-weight extrapolation prior for every ghost node
-    for ai in range(nx + 3):
-        for aj in range(ny + 3):
-            if 1 <= ai <= nx + 1 and 1 <= aj <= ny + 1:
-                continue
-            di = 1 if ai == 0 else (-1 if ai == nx + 2 else 0)
-            dj = 1 if aj == 0 else (-1 if aj == ny + 2 else 0)
-            idx = [ai * sy + aj, (ai + di) * sy + (aj + dj), (ai + 2 * di) * sy + (aj + 2 * dj)]
-            rows.extend([row] * 3)
-            cols.extend(idx)
-            vals.extend([1.0, -2.0, 1.0])
-            rhs_extra.append(0.0)
-            row += 1
-
-    extra = sp.coo_matrix((vals, (rows, cols)), shape=(row, n)).tocsr()
-    matrix = sp.vstack([interior, extra], format="csr")
-    rhs = np.concatenate([rhs_interior, np.asarray(rhs_extra)])
+    matrix = sp.vstack([interior, flux, extrapolation], format="csr")
+    rhs = np.concatenate([rhs_interior, scale * problem.grad_source_cell.values[ci, cj][keep],
+                          np.zeros(extrapolation.shape[0])])
+    degenerate = list(zip((ci[~keep] - 1).tolist(), (cj[~keep] - 1).tolist()))
     return NaiveSystem(matrix=matrix, rhs=rhs, grid=g, degenerate_cells=degenerate)
 
 

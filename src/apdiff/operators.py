@@ -28,6 +28,12 @@ and at node (i,j), surrounded by the four cells (i+-1/2, j+-1/2):
 
 Evaluation order is fixed (x pair first, then y pair) so results are bitwise
 reproducible.
+
+The boundary rows are built here too, as sparse matrices over the node
+lattice: :func:`ring_dh` gives the ``dh`` rows of the boundary cell ring,
+where the flux condition ``dh p = b.S`` is imposed, and
+:func:`ghost_extrapolation` the one-sided second-order extrapolation rows
+that close the ghost nodes.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 
@@ -44,6 +51,8 @@ __all__ = [
     "apply_dh_star",
     "compose_second_order",
     "duality_defect",
+    "ring_dh",
+    "ghost_extrapolation",
 ]
 
 
@@ -129,3 +138,57 @@ def duality_defect(theta: NodeField, chi: CellField, ctx: OperatorContext) -> fl
     cell_sum = float(np.sum(apply_dh(theta, ctx).values * chi.values)) * w
     node_sum = float(np.sum(theta.values[INTERIOR] * apply_dh_star(chi, ctx).values[INTERIOR])) * w
     return cell_sum + node_sum
+
+
+def _outer_ring(shape: tuple[int, int]) -> np.ndarray:
+    """Flat row-major indices of the outermost ring of an array of ``shape``, ascending."""
+    mask = np.ones(shape, dtype=bool)
+    mask[INTERIOR] = False
+    return np.flatnonzero(mask)
+
+
+def ring_dh(ctx: OperatorContext) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The ``dh`` stencil of the boundary cell ring as a ring x node matrix.
+
+    Returns ``(ring, matrix)``: ``ring`` holds the flat row-major indices of
+    the ring cells in the cell array, ascending, and row ``r`` of ``matrix``
+    is ``dh`` at cell ``ring[r]`` over all node values, row-major.  Entries
+    equal those of a probed :func:`apply_dh` bit for bit, stored zeros
+    included.
+    """
+    g = ctx.grid
+    ring = _outer_ring(g.cell_shape)
+    ci, cj = np.unravel_index(ring, g.cell_shape)
+    bx, by = ctx.b.x[ci, cj], ctx.b.y[ci, cj]
+    sy = g.node_shape[1]
+    cols, vals = [], []
+    for di in (0, 1):
+        for dj in (0, 1):
+            cols.append((ci + di) * sy + cj + dj)
+            vals.append(bx * ((2 * di - 1) / (2.0 * g.dx)) + by * ((2 * dj - 1) / (2.0 * g.dy)))
+    rows = np.tile(np.arange(ring.size), 4)
+    matrix = sp.csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))),
+                           shape=(ring.size, g.node_shape[0] * sy))
+    return ring, matrix
+
+
+def ghost_extrapolation(grid: Grid) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Inward one-sided second-order extrapolation rows of the ghost nodes.
+
+    Returns ``(ghosts, matrix)``: ``ghosts`` holds the flat row-major indices
+    of the ghost nodes, ascending, and row ``r`` of ``matrix`` is
+    ``[1, -2, 1]`` on ghost ``ghosts[r]`` and its next two nodes inward:
+    normal to its edge, and diagonal at the four corners.  Each row vanishes
+    on affine node fields.
+    """
+    shape = grid.node_shape
+    ghosts = _outer_ring(shape)
+    ai, aj = np.unravel_index(ghosts, shape)
+    di = (ai == 0).astype(int) - (ai == shape[0] - 1)
+    dj = (aj == 0).astype(int) - (aj == shape[1] - 1)
+    step = di * shape[1] + dj
+    cols = np.stack([ghosts, ghosts + step, ghosts + 2 * step], axis=1).ravel()
+    rows = np.repeat(np.arange(ghosts.size), 3)
+    vals = np.tile([1.0, -2.0, 1.0], ghosts.size)
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(ghosts.size, shape[0] * shape[1]))
+    return ghosts, matrix

@@ -293,6 +293,64 @@ def test_fill_ghost_preserves_interior():
     np.testing.assert_array_equal(filled.values[INTERIOR], before)
 
 
+def svd_fill_reference(p, g, direction, grad_source):
+    """Ghost values of the dense truncated-SVD fill, written out stencil by stencil.
+
+    Returns ``(ghost values in row-major order, rank)``.
+    """
+    nx, ny = g.nx, g.ny
+    dx2, dy2 = 2.0 * g.dx, 2.0 * g.dy
+    b, bs, vals = direction.values, grad_source.values, p.values
+    order = [(ai, aj) for ai in range(nx + 3) for aj in range(ny + 3)
+             if not (1 <= ai <= nx + 1 and 1 <= aj <= ny + 1)]
+    index = {node: k for k, node in enumerate(order)}
+    ring = [(ci, cj) for ci in range(nx + 2) for cj in range(ny + 2)
+            if ci in (0, nx + 1) or cj in (0, ny + 1)]
+    a = np.zeros((len(ring) + 4, len(order)))
+    rhs = np.zeros(len(ring) + 4)
+    for row, (ci, cj) in enumerate(ring):
+        bx, by = b[ci, cj]
+        rhs[row] = bs[ci, cj]
+        for di in (0, 1):
+            for dj in (0, 1):
+                coef = (1.0 if di else -1.0) * bx / dx2 + (1.0 if dj else -1.0) * by / dy2
+                if (ci + di, cj + dj) in index:
+                    a[row, index[ci + di, cj + dj]] = coef
+                else:
+                    rhs[row] -= coef * vals[ci + di, cj + dj]
+    target = np.empty(len(order))
+    for k, (ai, aj) in enumerate(order):
+        di = 1 if ai == 0 else (-1 if ai == nx + 2 else 0)
+        dj = 1 if aj == 0 else (-1 if aj == ny + 2 else 0)
+        target[k] = 2.0 * vals[ai + di, aj + dj] - vals[ai + 2 * di, aj + 2 * dj]
+    for row, corner in enumerate([(0, 0), (nx + 2, 0), (0, ny + 2), (nx + 2, ny + 2)]):
+        a[len(ring) + row, index[corner]] = 1.0
+        rhs[len(ring) + row] = target[index[corner]]
+    scale = np.linalg.norm(a, axis=1)
+    scale[scale == 0.0] = 1.0
+    u, sig, vt = np.linalg.svd(a / scale[:, None], full_matrices=False)
+    rank = int(np.sum(sig > 1e-6 * sig[0]))
+    misfit = (rhs - a @ target) / scale
+    return target + vt[:rank].T @ ((u[:, :rank].T @ misfit) / sig[:rank]), rank
+
+
+@pytest.mark.parametrize("kind, value", [("linear", 0.1), ("angle", 0), ("angle", 33),
+                                         ("angle", 45), ("angle", 90)])
+def test_fill_ghost_matches_svd_reference(kind, value):
+    g = unit_square_grid(64)
+    if kind == "linear":
+        problem = case_linear_variable(g, value).problem
+    else:
+        problem = case_angle(g, 1e-3, math.radians(value)).problem
+    p = solve_linear_ap(problem, fill=False).p
+    filled, report = fill_ghost(p, g, problem.direction, problem.grad_source_cell)
+    want, rank = svd_fill_reference(p, g, problem.direction, problem.grad_source_cell)
+    got = filled.values[ghost_ring(g)]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert (report.rank, report.rank_deficient) == (rank, rank < want.size)
+    assert report.n_unknowns == want.size
+
+
 def test_residuals_reported():
     g = make_grid(UNIT, 10, 10)
     case = case_linear_variable(g, 0.5)
@@ -367,14 +425,17 @@ def test_gauge_shift_retry_solves_consistent_rhs():
     with pytest.raises(RuntimeError):  # exactly singular without the shift
         apcore.DirectFactor(apcore.assemble(op, (g.nx, g.ny)), np.arange(g.n_interior_cells))
     factor = apcore._factor(op, g, 1e-12, "mean-potential")
-    k = cell[0] * g.ny + cell[1]
-    assert factor.matrix[k, k] > 0.0  # the shift fired
+    assert factor.shift > 0.0  # the retry fired
 
     x_true = np.random.default_rng(5).standard_normal((g.nx, g.ny))
     x_true[cell] = 0.0
     rhs = op(x_true)  # in the range of the singular matrix
     field, report = apcore._solve(factor, rhs, g, 1e-12, "mean-potential")
     assert report.ok and report.residual <= 1e-12
+    # the reported residual is that of the unshifted system, not of the factored one
+    matrix = apcore.assemble(op, (g.nx, g.ny))
+    unshifted = np.linalg.norm(matrix @ report.x - rhs.ravel()) / np.linalg.norm(rhs)
+    assert report.residual == pytest.approx(unshifted, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(field.values[INTERIOR], x_true, rtol=0, atol=1e-8)
 
 

@@ -6,6 +6,8 @@ from apdiff.naive import assemble_naive, conditioning_sweep, naive_condition, so
 from apdiff.problems import case_angle, case_linear_variable
 from apdiff.experiments import rel_error, unit_square_grid
 
+from _oracles import dense_dh
+
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
 
@@ -50,15 +52,43 @@ def test_constant_solution_is_exact():
     np.testing.assert_allclose(p.values, 3.0, atol=1e-8)
 
 
+def flux_rows_reference(problem):
+    """Ring flux rows ``diag(H b.nu) dh``, and the degenerate cells, cell by cell."""
+    g = problem.grid
+    nx, ny = g.nx, g.ny
+    dh = dense_dh(g, problem.direction.values)
+    rows, degenerate = [], []
+    for ci in range(nx + 2):
+        for cj in range(ny + 2):
+            if not (ci in (0, nx + 1) or cj in (0, ny + 1)):
+                continue
+            nu = np.array([-1.0 if ci == 0 else (1.0 if ci == nx + 1 else 0.0),
+                           -1.0 if cj == 0 else (1.0 if cj == ny + 1 else 0.0)])
+            nu /= np.linalg.norm(nu)
+            align = float(problem.direction.values[ci, cj] @ nu)
+            if abs(align) < 1e-12:
+                degenerate.append((ci - 1, cj - 1))
+                continue
+            rows.append(problem.diffusivity_cell.values[ci, cj] * align * dh[ci * (ny + 2) + cj])
+    return np.array(rows), degenerate
+
+
 def test_degenerate_rows_flagged():
     g = make_grid(UNIT, 10, 10)
+    ni = (g.nx + 1) * (g.ny + 1)
+    problems = [case_linear_variable(g, 1.0).problem]
+    problems += [case_angle(g, 1.0, np.radians(degrees)).problem for degrees in (0.0, 33.0, 90.0)]
+    systems = [assemble_naive(problem) for problem in problems]
+    for problem, system in zip(problems, systems):
+        want, degenerate = flux_rows_reference(problem)
+        assert system.degenerate_cells == degenerate  # content and order
+        got = system.matrix[ni:ni + len(want)].toarray()
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
     # circular direction is exactly tangent at the two diagonal corners
-    system = assemble_naive(case_linear_variable(g, 1.0).problem)
-    assert set(system.degenerate_cells) == {(-1, -1), (g.nx, g.ny)}
+    assert set(systems[0].degenerate_cells) == {(-1, -1), (g.nx, g.ny)}
     # uniform vertical direction: tangent along the whole left and right edges
-    system = assemble_naive(case_angle(g, 1.0, 0.0).problem)
-    lefts = [(ci, cj) for ci, cj in system.degenerate_cells if ci == -1]
-    rights = [(ci, cj) for ci, cj in system.degenerate_cells if ci == g.nx]
+    lefts = [(ci, cj) for ci, cj in systems[1].degenerate_cells if ci == -1]
+    rights = [(ci, cj) for ci, cj in systems[1].degenerate_cells if ci == g.nx]
     assert len(lefts) == g.ny and len(rights) == g.ny
 
 

@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from apdiff.grid import CellField, CellVectorField, NodeField, make_grid, sample_cell_vec, sample_node
-from apdiff.operators import OperatorContext, apply_dh, apply_dh_star, compose_second_order, duality_defect
+from apdiff.linsolve import assemble
+from apdiff.operators import (
+    OperatorContext,
+    apply_dh,
+    apply_dh_star,
+    compose_second_order,
+    duality_defect,
+    ghost_extrapolation,
+    ring_dh,
+)
 
-from _oracles import dense_second_order
+from _oracles import dense_dh, dense_second_order
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
@@ -183,3 +192,39 @@ def test_context_rejects_zero_direction():
     g = make_grid(UNIT, 5, 5)
     with pytest.raises(ValueError):
         uniform_ctx(g, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("direction", ["swirl", "45"])
+def test_ring_dh_matches_probed_and_dense_dh(direction):
+    # unit mesh squares: at 45 degrees two of the four coefficients cancel to 0
+    g = make_grid(((1.0, 35.0), (1.0, 19.0)), 33, 17)
+    s = 1.0 / np.sqrt(2.0)
+    ctx = swirl_ctx(g) if direction == "swirl" else uniform_ctx(g, s, s)
+    ring, mat = ring_dh(ctx)
+    mask = np.ones(g.cell_shape, dtype=bool)
+    mask[1:-1, 1:-1] = False
+    np.testing.assert_array_equal(ring, np.flatnonzero(mask))
+    got = mat.toarray()
+    probed = assemble(lambda t: apply_dh(NodeField(g, t), ctx).values, g.node_shape, g.cell_shape)
+    assert np.array_equal(got, probed[ring].toarray())
+    want = dense_dh(g, ctx.b.values)[ring]
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    if direction == "45":
+        assert np.all(np.count_nonzero(got, axis=1) == 2)
+
+
+def test_ghost_extrapolation_annihilates_affine_fields():
+    g = make_grid(((1.0, 2.0), (1.0, 1.5)), 12, 7)
+    ghosts, mat = ghost_extrapolation(g)
+    mask = np.ones(g.node_shape, dtype=bool)
+    mask[1:-1, 1:-1] = False
+    np.testing.assert_array_equal(ghosts, np.flatnonzero(mask))
+    assert mat.shape == (ghosts.size, mask.size)
+    # one unit entry per row, on its own ghost; corners included
+    np.testing.assert_array_equal(mat[np.arange(ghosts.size), ghosts].A1, 1.0)
+    np.testing.assert_array_equal(np.diff(mat.indptr), 3)
+    affine = sample_node(lambda x, y: 0.4 + 1.7 * x - 0.9 * y, g)
+    np.testing.assert_allclose(mat @ affine.values.ravel(), 0.0, atol=1e-13)
+    # rows do not vanish on a quadratic along the normal, corners included
+    quad = sample_node(lambda x, y: (x - 1.5) ** 2 + (y - 1.25) ** 2, g)
+    assert np.all(np.abs(mat @ quad.values.ravel()) > 1e-6)

@@ -1,4 +1,4 @@
-"""Experiment runners: convergence, angle sweep, nonlinear iteration, eps limit.
+"""Experiment runners: convergence, angle sweep, nonlinear iteration, eps limit, conditioning.
 
 Each study produces an :class:`ExperimentReport` holding per-run rows (one
 CSV schema for all experiments), derived log-log slope fits, and a summary
@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .apcore import solve_linear_ap
+from .apcore import StageError, solve_linear_ap
 from .grid import INTERIOR, NodeField, make_grid, sample_node
 from .gummel import StopRule, error_plateau_check, gummel_solve
 from .linsolve import SolverConfig
-from .naive import conditioning_sweep
+from .naive import assemble_naive, naive_condition, solve_naive
 from .problems import case_angle, case_ap_limit, case_linear_variable, case_nonlinear
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 ROW_FIELDS = [
     "case", "N_x", "N_y", "h", "eps", "alpha", "norm", "error",
     "iterations", "residual_h", "residual_L", "residual_l",
-    "cond_estimate", "runtime_ms",
+    "cond_estimate", "runtime_ms", "status",
 ]
 
 HISTORY_FIELDS = ["N", "correction_rel", "error_rel_l2", "residual_h", "residual_L", "residual_l"]
@@ -75,7 +75,6 @@ def fit_loglog_slope(xs, ys) -> float:
 
 @dataclass
 class ExperimentConfig:
-    case: str = "linear-variable"
     meshes: list = field(default_factory=lambda: [25, 50, 100, 200])  # cells per side
     eps_list: list = field(default_factory=lambda: [1e-1, 1e-9, 0.0])
     alphas: list = field(default_factory=lambda: list(np.linspace(0.0, np.pi / 2, 19)))
@@ -162,20 +161,44 @@ class ExperimentReport:
         self.write_summary(out / f"{self.experiment}-summary.json")
 
 
-def _base_row(case: str, grid, eps: float, alpha=np.nan) -> dict:
-    return {
-        "case": case, "N_x": grid.nx, "N_y": grid.ny, "h": grid.h,
-        "eps": eps, "alpha": alpha, "norm": "", "error": np.nan,
-        "iterations": 0, "residual_h": np.nan, "residual_L": np.nan,
-        "residual_l": np.nan, "cond_estimate": np.nan, "runtime_ms": np.nan,
-    }
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and its wall time in milliseconds."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, 1e3 * (time.perf_counter() - t0)
+
+
+def _add_rows(report: ExperimentReport, case, norms, p: NodeField | None = None,
+              **fields) -> list:
+    """Append one row per norm for a run on ``case`` and return them.
+
+    Name, grid, eps and alpha come from the case; the error is that of ``p``
+    against the exact solution, or nan without ``p``.  ``fields`` set or
+    override the remaining columns.
+    """
+    grid = case.grid
+    exact = case.exact_field() if p is not None else None
+    rows = [
+        {
+            "case": case.name, "N_x": grid.nx, "N_y": grid.ny, "h": grid.h,
+            "eps": case.eps, "alpha": case.params.get("alpha", np.nan), "norm": norm,
+            "error": np.nan if p is None else rel_error(exact, p, norm),
+            "iterations": 0, "residual_h": np.nan, "residual_L": np.nan,
+            "residual_l": np.nan, "cond_estimate": np.nan, "runtime_ms": np.nan,
+            **fields,
+        }
+        for norm in norms
+    ]
+    report.rows.extend(rows)
+    return rows
 
 
 def convergence_study(config: ExperimentConfig | None = None) -> ExperimentReport:
     """Error decay under mesh refinement, for several anisotropy strengths.
 
     Also records the along-direction gradient of the reconstructed mean part
-    (the kernel property diagnostic) per run.
+    (the kernel property diagnostic) per run.  A solve that fails a stage
+    leaves one ``failed`` row whose status names the stage.
     """
     config = config or ExperimentConfig()
     report = ExperimentReport("convergence")
@@ -184,29 +207,14 @@ def convergence_study(config: ExperimentConfig | None = None) -> ExperimentRepor
         grid = unit_square_grid(cells)
         for eps in config.eps_list:
             case = case_linear_variable(grid, eps)
-            t0 = time.perf_counter()
             try:
-                dec = solve_linear_ap(case.problem, config.solver)
-            except Exception as exc:
-                row = _base_row(case.name, grid, eps)
-                row.update(norm="failed", error=np.nan)
-                row["status"] = str(exc)
-                report.rows.append(row)
+                dec, ms = _timed(solve_linear_ap, case.problem, config.solver)
+            except StageError as exc:
+                _add_rows(report, case, ["failed"], status=str(exc))
                 continue
-            ms = 1e3 * (time.perf_counter() - t0)
-            exact = case.exact_field()
-            for norm in (2, "inf"):
-                row = _base_row(case.name, grid, eps)
-                row.update(
-                    norm=norm,
-                    error=rel_error(exact, dec.p, norm),
-                    residual_h=dec.residuals["h"],
-                    residual_L=dec.residuals["L"],
-                    residual_l=dec.residuals["l"],
-                    runtime_ms=ms,
-                )
-                report.rows.append(row)
-                errors[(eps, norm, cells)] = row["error"]
+            residuals = {f"residual_{k}": dec.residuals[k] for k in "hLl"}
+            for row in _add_rows(report, case, (2, "inf"), dec.p, runtime_ms=ms, **residuals):
+                errors[(eps, row["norm"], cells)] = row["error"]
             report.extras.setdefault("mean_gradient_l2", {})[f"{cells}:{eps}"] = dec.mean_gradient_l2
 
     for eps in config.eps_list:
@@ -240,30 +248,17 @@ def convergence_study(config: ExperimentConfig | None = None) -> ExperimentRepor
 def angle_sweep(config: ExperimentConfig | None = None) -> ExperimentReport:
     """Accuracy as a function of the anisotropy angle on a fixed mesh."""
     if config is None:
-        config = ExperimentConfig(case="angle", meshes=[200], eps_list=[1e-3, 1e-8])
+        config = ExperimentConfig(meshes=[200], eps_list=[1e-3, 1e-8])
     report = ExperimentReport("angle")
-    cells = config.meshes[0]
-    grid = unit_square_grid(cells)
+    grid = unit_square_grid(config.meshes[0])
     per_norm: dict = {}
     for eps in config.eps_list:
         for alpha in config.alphas:
             case = case_angle(grid, eps, alpha)
-            t0 = time.perf_counter()
-            dec = solve_linear_ap(case.problem, config.solver)
-            ms = 1e3 * (time.perf_counter() - t0)
-            exact = case.exact_field()
-            for norm in (1, 2, "inf"):
-                row = _base_row(case.name, grid, eps, alpha)
-                row.update(
-                    norm=norm,
-                    error=rel_error(exact, dec.p, norm),
-                    residual_h=dec.residuals["h"],
-                    residual_L=dec.residuals["L"],
-                    residual_l=dec.residuals["l"],
-                    runtime_ms=ms,
-                )
-                report.rows.append(row)
-                per_norm.setdefault((eps, norm), []).append(row["error"])
+            dec, ms = _timed(solve_linear_ap, case.problem, config.solver)
+            residuals = {f"residual_{k}": dec.residuals[k] for k in "hLl"}
+            for row in _add_rows(report, case, (1, 2, "inf"), dec.p, runtime_ms=ms, **residuals):
+                per_norm.setdefault((eps, row["norm"]), []).append(row["error"])
 
     var_12 = config.thresholds.get("variation_l1_l2", 0.06)
     var_inf = config.thresholds.get("variation_linf", 0.10)
@@ -280,8 +275,7 @@ def angle_sweep(config: ExperimentConfig | None = None) -> ExperimentReport:
 def gummel_study(config: ExperimentConfig | None = None) -> ExperimentReport:
     """Nonlinear-iteration behavior: convergence speed, plateau, error table."""
     if config is None:
-        config = ExperimentConfig(case="nonlinear-spline", meshes=[100, 200],
-                                  eps_list=[1e-1, 1e-12, 0.0])
+        config = ExperimentConfig(meshes=[100, 200], eps_list=[1e-1, 1e-12, 0.0])
     report = ExperimentReport("gummel")
     stop = StopRule(tol_rel=config.tol_rel, n_max=config.n_max)
     max_iters = config.thresholds.get("max_iterations", 6)
@@ -290,38 +284,24 @@ def gummel_study(config: ExperimentConfig | None = None) -> ExperimentReport:
         grid = unit_square_grid(cells)
         for eps in config.eps_list:
             case = case_nonlinear(grid, eps, eta=config.eta, mu=config.mu)
-            exact = case.exact_field()
             p0 = sample_node(case.initial_guess, grid)
-            t0 = time.perf_counter()
-            p, state = gummel_solve(case.problem, p0, stop, config.solver, exact=exact)
-            ms = 1e3 * (time.perf_counter() - t0)
-            label = f"M{cells}-eps{eps:g}"
-            report.histories[label] = state.history
+            (p, state), ms = _timed(gummel_solve, case.problem, p0, stop, config.solver,
+                                    exact=case.exact_field())
+            report.histories[f"M{cells}-eps{eps:g}"] = state.history
             last = state.history[-1] if state.history else None
-            for norm in (1, 2, "inf"):
-                row = _base_row(case.name, grid, eps)
-                row.update(
-                    norm=norm,
-                    error=rel_error(exact, p, norm) if state.status == "converged" else np.nan,
-                    iterations=state.n_iterations,
-                    residual_h=last.residual_h if last else np.nan,
-                    residual_L=last.residual_L if last else np.nan,
-                    residual_l=last.residual_l if last else np.nan,
-                    runtime_ms=ms,
-                )
-                row["status"] = state.status
-                report.rows.append(row)
+            residuals = {f"residual_{k}": getattr(last, f"residual_{k}", np.nan) for k in "hLl"}
+            converged = state.status == "converged"
+            _add_rows(report, case, (1, 2, "inf"), p if converged else None,
+                      iterations=state.n_iterations, runtime_ms=ms, status=state.status,
+                      **residuals)
             report.add_check(
-                f"converged M{cells} eps={eps:g}",
-                state.status,
-                "converged",
-                state.status == "converged",
+                f"converged M{cells} eps={eps:g}", state.status, "converged", converged
             )
             report.add_check(
                 f"iterations M{cells} eps={eps:g}",
                 state.n_iterations,
                 f"<= {max_iters}",
-                state.status == "converged" and state.n_iterations <= max_iters,
+                converged and state.n_iterations <= max_iters,
             )
             plateau = error_plateau_check(state.history, plateau_tol)
             report.add_check(
@@ -342,49 +322,32 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
     """
     if config is None:
         config = ExperimentConfig(
-            case="ap-limit",
-            meshes=[100, 200],
-            eps_list=sorted(np.logspace(-8, -1, 8)) + [0.0],
+            meshes=[100, 200], eps_list=sorted(np.logspace(-8, -1, 8)) + [0.0]
         )
     report = ExperimentReport("eps-limit")
     stop = StopRule(tol_rel=config.tol_rel, n_max=config.n_max)
-    plateau_by_mesh = {}
+    plateau_by_mesh = report.extras.setdefault("e0", {})
     for cells in config.meshes:
         grid = unit_square_grid(cells)
         base = case_ap_limit(grid, 0.0, eta=config.eta, mu=config.mu)
-        limit_field = sample_node(base.limit_exact, grid)
-        limit_norm = float(np.linalg.norm(limit_field.values[INTERIOR]))
-        solutions = {}
+        limit = sample_node(base.limit_exact, grid).values[INTERIOR]
+        limit_norm = float(np.linalg.norm(limit))
+        cases, solutions, errors = {}, {}, {}
         for eps in sorted(config.eps_list):
-            case = case_ap_limit(grid, eps, eta=config.eta, mu=config.mu)
+            case = cases[eps] = case_ap_limit(grid, eps, eta=config.eta, mu=config.mu)
             p0 = sample_node(case.initial_guess, grid)
-            t0 = time.perf_counter()
-            p, state = gummel_solve(case.problem, p0, stop, config.solver)
-            ms = 1e3 * (time.perf_counter() - t0)
-            solutions[eps] = p
-            err_limit = float(
-                np.linalg.norm(p.values[INTERIOR] - limit_field.values[INTERIOR])
-            ) / limit_norm
-            row = _base_row(case.name, grid, eps)
-            row.update(norm="E_eps", error=err_limit, iterations=state.n_iterations, runtime_ms=ms)
-            row["status"] = state.status
-            report.rows.append(row)
+            (p, state), ms = _timed(gummel_solve, case.problem, p0, stop, config.solver)
+            solutions[eps] = p.values[INTERIOR]
+            errors[eps] = float(np.linalg.norm(solutions[eps] - limit)) / limit_norm
+            _add_rows(report, case, ["E_eps"], error=errors[eps], iterations=state.n_iterations,
+                      runtime_ms=ms, status=state.status)
 
-        p0_app = solutions[0.0]
-        e0 = float(
-            np.linalg.norm(p0_app.values[INTERIOR] - limit_field.values[INTERIOR])
-        ) / limit_norm
-        plateau_by_mesh[cells] = e0
-        report.extras.setdefault("e0", {})[str(cells)] = e0
-        eps_pos, eapp = [], []
-        for eps in sorted(e for e in config.eps_list if e > 0):
-            diff = float(
-                np.linalg.norm(solutions[eps].values[INTERIOR] - p0_app.values[INTERIOR])
-            ) / limit_norm
-            row = _base_row("ap-limit", grid, eps)
-            row.update(norm="E_eps_app", error=diff)
-            report.rows.append(row)
-            eps_pos.append(eps)
+        e0 = plateau_by_mesh[str(cells)] = errors[0.0]
+        eps_pos = sorted(e for e in config.eps_list if e > 0)
+        eapp = []
+        for eps in eps_pos:
+            diff = float(np.linalg.norm(solutions[eps] - solutions[0.0])) / limit_norm
+            _add_rows(report, cases[eps], ["E_eps_app"], error=diff)
             eapp.append(diff)
 
         floor = 100.0 * max(e0 * 1e-9, 1e-13)
@@ -396,18 +359,14 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
             lo, hi = config.thresholds.get("eps_slope_range", (0.8, 1.2))
             report.add_check(f"eps slope M{cells}", slope, f"[{lo}, {hi}]", lo <= slope <= hi)
 
-        err_small = [
-            r["error"] for r in report.rows
-            if r["norm"] == "E_eps" and r["N_x"] == grid.nx and 0 < r["eps"] <= min(e for e in config.eps_list if e > 0)
-        ]
-        if err_small:
-            drift = abs(err_small[0] - e0) / e0
+        if eps_pos:
+            drift = abs(errors[eps_pos[0]] - e0) / e0
             tol = config.thresholds.get("plateau_match", 0.05)
             report.add_check(f"plateau matches e0 M{cells}", drift, f"<= {tol}", drift <= tol)
 
     if len(config.meshes) >= 2:
         c1, c2 = sorted(config.meshes)[-2:]
-        ratio = plateau_by_mesh[c1] / plateau_by_mesh[c2]
+        ratio = plateau_by_mesh[str(c1)] / plateau_by_mesh[str(c2)]
         expected = (c2 / c1) ** 2
         lo, hi = expected / 2.0, expected * 2.0
         report.add_check(
@@ -417,24 +376,34 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
 
 
 def conditioning_study(config: ExperimentConfig | None = None) -> ExperimentReport:
-    """Condition growth of the direct discretization as eps decreases."""
+    """Condition growth of the direct discretization as eps decreases.
+
+    Runs the naive baseline of :mod:`naive` on ``linear-variable`` over the
+    eps list in descending order.  ``extras["sweep"]`` holds one entry per
+    eps with ``eps``, ``cond_estimate``, ``solve_residual``, ``status`` and
+    ``runtime_ms``.
+    """
     if config is None:
-        config = ExperimentConfig(case="linear-variable", meshes=[50], eps_list=[1.0, 1e-3, 1e-6])
+        config = ExperimentConfig(meshes=[50], eps_list=[1.0, 1e-3, 1e-6])
     report = ExperimentReport("conditioning")
     grid = unit_square_grid(config.meshes[0])
-    sweep = conditioning_sweep(config.case, sorted(config.eps_list, reverse=True), grid,
-                               config.solver)
-    conds = []
-    for entry in sweep:
-        row = _base_row(config.case, grid, entry["eps"])
-        row.update(norm="cond", error=np.nan, cond_estimate=entry["cond_estimate"],
-                   runtime_ms=entry["runtime_ms"])
-        row["status"] = entry["status"]
-        row["residual_h"] = entry["solve_residual"]
-        report.rows.append(row)
-        conds.append(entry["cond_estimate"])
-    report.extras["sweep"] = sweep
+    sweep = report.extras["sweep"] = []
+    for eps in sorted(config.eps_list, reverse=True):
+        t0 = time.perf_counter()
+        case = case_linear_variable(grid, eps)
+        cond = naive_condition(assemble_naive(case.problem))
+        _, solve = solve_naive(case.problem, config.solver)
+        ms = 1e3 * (time.perf_counter() - t0)
+        if not np.isfinite(cond):
+            status = ">= overflow-threshold"
+        else:
+            status = "ok" if solve.ok else "ill-conditioned"
+        _add_rows(report, case, ["cond"], cond_estimate=cond, residual_h=solve.residual,
+                  runtime_ms=ms, status=status)
+        sweep.append({"eps": eps, "cond_estimate": cond, "solve_residual": solve.residual,
+                      "status": status, "runtime_ms": ms})
 
+    conds = [entry["cond_estimate"] for entry in sweep]
     increasing = all(a < b or not np.isfinite(b) for a, b in zip(conds, conds[1:]))
     report.add_check("condition growth as eps decreases", conds, "monotone", increasing)
     if np.isfinite(conds[0]) and len(conds) >= 2:

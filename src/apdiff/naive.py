@@ -35,7 +35,7 @@ from .grid import INTERIOR, CellField, NodeField
 from .linsolve import SolveReport, SolverConfig, assemble, estimate_condition
 from .operators import apply_dh, apply_dh_star, ghost_extrapolation, ring_dh
 
-__all__ = ["NaiveSystem", "assemble_naive", "solve_naive", "conditioning_sweep"]
+__all__ = ["NaiveSystem", "assemble_naive", "solve_naive"]
 
 DEGENERATE_TOL = 1e-12
 
@@ -157,35 +157,3 @@ def naive_condition(system: NaiveSystem, seed: int = 0) -> float:
     ata = (system.matrix.T @ system.matrix).tocsr()
     kappa = estimate_condition(ata, seed=seed)
     return float(np.sqrt(kappa)) if np.isfinite(kappa) else np.inf
-
-
-def conditioning_sweep(case, eps_list, grid, config: SolverConfig | None = None) -> list:
-    """Condition estimates of the direct system over a descending eps list.
-
-    ``case`` is a registry name or a ``(grid, eps) -> ManufacturedCase``
-    constructor of a linear case.  Returns one dict per eps with keys
-    ``eps``, ``cond_estimate``, ``solve_residual``, ``status``.
-    """
-    from .problems import CASES
-
-    builder = CASES[case] if isinstance(case, str) else case
-    out = []
-    for eps in eps_list:
-        t0 = time.perf_counter()
-        problem = builder(grid, eps).problem
-        system = assemble_naive(problem)
-        cond = naive_condition(system)
-        _, report = solve_naive(problem, config)
-        status = "ok" if report.ok and np.isfinite(cond) else "ill-conditioned"
-        if not np.isfinite(cond):
-            status = ">= overflow-threshold"
-        out.append(
-            {
-                "eps": eps,
-                "cond_estimate": cond,
-                "solve_residual": report.residual,
-                "status": status,
-                "runtime_ms": 1e3 * (time.perf_counter() - t0),
-            }
-        )
-    return out

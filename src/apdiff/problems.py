@@ -31,38 +31,25 @@ __all__ = [
 ]
 
 
-def spline(z, variant: str = "bspline"):
-    """Centered piecewise cubic bump, supported on ``|z| <= 2``.
+def spline(z):
+    """Centered cubic B-spline, supported on ``|z| <= 2``.
 
-    The default variant is the classical cubic B-spline: value 2/3 at 0,
-    1/6 at ``|z| = 1``, zero value and slope at ``|z| = 2``, twice
-    continuously differentiable.  The ``"unsmoothed"`` variant replaces the
-    outer branch by ``(2 - |z|^3)/6``, which drops to -1 at ``|z| = 2``
-    before the cutoff and is kept only for reference.
+    Value 2/3 at 0, 1/6 at ``|z| = 1``, zero value and slope at ``|z| = 2``,
+    twice continuously differentiable.
     """
     z = np.asarray(z, dtype=float)
     az = np.abs(z)
-    if variant == "bspline":
-        outer = (2.0 - az) ** 3 / 6.0
-    elif variant == "unsmoothed":
-        outer = (2.0 - az**3) / 6.0
-    else:
-        raise ValueError(f"unknown spline variant {variant!r}")
+    outer = (2.0 - az) ** 3 / 6.0
     inner = 2.0 / 3.0 - az**2 + az**3 / 2.0
     return np.where(az < 1.0, inner, np.where(az <= 2.0, outer, 0.0))
 
 
-def spline_deriv(z, variant: str = "bspline"):
+def spline_deriv(z):
     """Derivative of :func:`spline`."""
     z = np.asarray(z, dtype=float)
     az = np.abs(z)
     sgn = np.sign(z)
-    if variant == "bspline":
-        outer = -0.5 * sgn * (2.0 - az) ** 2
-    elif variant == "unsmoothed":
-        outer = -0.5 * sgn * az**2
-    else:
-        raise ValueError(f"unknown spline variant {variant!r}")
+    outer = -0.5 * sgn * (2.0 - az) ** 2
     inner = -2.0 * z + 1.5 * z * az
     return np.where(az < 1.0, inner, np.where(az <= 2.0, outer, 0.0))
 

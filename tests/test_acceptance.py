@@ -67,7 +67,6 @@ def announce(request):
 @pytest.fixture(scope="module")
 def convergence_report():
     cfg = ExperimentConfig(
-        case="linear-variable",
         meshes=[25, 50, 100, 200],
         eps_list=[1e-1, 1e-9, 0.0],
         solver=SolverConfig(tol=1e-12),
@@ -148,7 +147,6 @@ def test_criterion_4_iteration_speed_and_plateau(nonlinear_runs, announce):
 
 def test_criterion_5_angle_robustness(announce):
     cfg = ExperimentConfig(
-        case="angle",
         meshes=[200],
         eps_list=[1e-3, 1e-8],
         alphas=list(np.linspace(0.0, np.pi / 2, 19)),
@@ -166,7 +164,6 @@ def test_criterion_5_angle_robustness(announce):
 
 def test_criterion_6_vanishing_eps_limit(announce):
     cfg = ExperimentConfig(
-        case="ap-limit",
         meshes=[100, 200],
         eps_list=sorted(np.logspace(-8, -1, 8)) + [0.0],
         thresholds={"eps_slope_range": (0.8, 1.2), "plateau_match": 0.05},
@@ -255,7 +252,6 @@ def test_criterion_7_structural_properties(announce):
 
 def test_criterion_8_conditioning_blowup(announce):
     cfg = ExperimentConfig(
-        case="linear-variable",
         meshes=[50],
         eps_list=[1.0, 1e-3, 1e-6],
         thresholds={"blowup_ratio": 1e3},

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from apdiff import experiments
+from apdiff.apcore import StageError
 from apdiff.experiments import (
     ExperimentConfig,
     angle_sweep,
@@ -86,7 +88,7 @@ def test_convergence_study_deterministic(tmp_path):
 
 
 def test_angle_sweep_small():
-    cfg = ExperimentConfig(case="angle", meshes=[24], eps_list=[1e-3],
+    cfg = ExperimentConfig(meshes=[24], eps_list=[1e-3],
                            alphas=list(np.linspace(0.0, np.pi / 2, 5)))
     report = angle_sweep(cfg)
     errs = {
@@ -101,7 +103,7 @@ def test_angle_sweep_small():
 
 
 def test_gummel_study_small(tmp_path):
-    cfg = ExperimentConfig(case="nonlinear-spline", meshes=[20], eps_list=[1e-1, 0.0])
+    cfg = ExperimentConfig(meshes=[20], eps_list=[1e-1, 0.0])
     report = gummel_study(cfg)
     assert report.passed
     assert report.histories
@@ -113,9 +115,41 @@ def test_gummel_study_small(tmp_path):
     assert header == "N,correction_rel,error_rel_l2,residual_h,residual_L,residual_l"
 
 
+def test_gummel_status_reaches_csv(tmp_path):
+    cfg = ExperimentConfig(meshes=[20], eps_list=[0.1], n_max=1)
+    gummel_study(cfg).write_outputs(tmp_path)
+    with open(tmp_path / "gummel.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert {row["status"] for row in rows} == {"max_iterations"}
+
+
+def test_convergence_stage_failure_is_a_failed_row(tmp_path, monkeypatch):
+    def fail(problem, config):
+        raise StageError("mean-potential solve failed: residual 1e-3")
+
+    monkeypatch.setattr(experiments, "solve_linear_ap", fail)
+    report = convergence_study(small_config(meshes=[8], eps_list=[0.1]))
+    assert [row["norm"] for row in report.rows] == ["failed"]
+    assert "mean-potential" in report.rows[0]["status"]
+    report.write_outputs(tmp_path)
+    with open(tmp_path / "convergence.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["norm"] == "failed" and "mean-potential" in row["status"]
+
+
+def test_convergence_propagates_untyped_errors(monkeypatch):
+    def broken(problem, config):
+        raise TypeError("a bug, not a failed stage")
+
+    monkeypatch.setattr(experiments, "solve_linear_ap", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        convergence_study(small_config(meshes=[8], eps_list=[0.1]))
+
+
 def test_epsilon_limit_study_small():
     cfg = ExperimentConfig(
-        case="ap-limit", meshes=[12, 24],
+        meshes=[12, 24],
         eps_list=[1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 0.0],
     )
     report = epsilon_limit_study(cfg)
@@ -128,7 +162,7 @@ def test_epsilon_limit_study_small():
 
 
 def test_conditioning_study_small(tmp_path):
-    cfg = ExperimentConfig(case="linear-variable", meshes=[20], eps_list=[1.0, 1e-3, 1e-6])
+    cfg = ExperimentConfig(meshes=[20], eps_list=[1.0, 1e-3, 1e-6])
     report = conditioning_study(cfg)
     assert report.passed
     report.write_outputs(tmp_path)
@@ -141,7 +175,6 @@ def test_conditioning_study_small(tmp_path):
 
 def test_cli_runs_and_reports(tmp_path, capsys):
     cfg = {
-        "case": "linear-variable",
         "meshes": [20],
         "eps_list": [1.0, 1e-3, 1e-6],
     }
@@ -158,7 +191,6 @@ def test_cli_runs_and_reports(tmp_path, capsys):
 
 def test_cli_exit_code_on_failed_threshold(tmp_path, capsys):
     cfg = {
-        "case": "linear-variable",
         "meshes": [20],
         "eps_list": [1.0, 1e-3, 1e-6],
         "thresholds": {"blowup_ratio": 1e30},  # unreachable on purpose
@@ -176,3 +208,8 @@ def test_config_from_dict_with_solver():
     assert cfg.solver.tol == 1e-11
     with pytest.raises(TypeError, match="kind"):
         ExperimentConfig.from_dict({"solver": {"kind": "direct", "tol": 1e-11}})
+
+
+def test_config_rejects_case_key():
+    with pytest.raises(TypeError, match="case"):
+        ExperimentConfig.from_dict({"case": "linear-variable"})

@@ -2,9 +2,9 @@ import numpy as np
 
 from apdiff.apcore import LinearProblem, solve_linear_ap
 from apdiff.grid import INTERIOR, make_grid, sample_node
-from apdiff.naive import assemble_naive, conditioning_sweep, naive_condition, solve_naive
+from apdiff.naive import assemble_naive, naive_condition, solve_naive
 from apdiff.problems import case_angle, case_linear_variable
-from apdiff.experiments import rel_error, unit_square_grid
+from apdiff.experiments import ExperimentConfig, conditioning_study, rel_error, unit_square_grid
 
 from _oracles import dense_dh
 
@@ -126,8 +126,8 @@ def test_agreement_with_decomposition_solver_at_moderate_eps():
 
 
 def test_conditioning_sweep_blowup():
-    g = unit_square_grid(30)
-    rows = conditioning_sweep("linear-variable", [1.0, 1e-3, 1e-6], g)
+    cfg = ExperimentConfig(meshes=[30], eps_list=[1.0, 1e-3, 1e-6])
+    rows = conditioning_study(cfg).extras["sweep"]
     conds = [r["cond_estimate"] for r in rows]
     assert conds[0] < conds[1] < conds[2]
     assert conds[2] / conds[0] >= 1e3

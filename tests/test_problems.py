@@ -41,14 +41,6 @@ def test_spline_branch_agreement_at_one():
     assert abs((-2.0 + 3.0) - (2.0 - 1.0)) <= 1e-14
 
 
-def test_unsmoothed_variant_is_discontinuous_at_two():
-    # the alternative outer branch evaluates (2 - |z|^3)/6, which reaches -1
-    # at |z| = 2 before the cutoff zeroes it
-    assert spline(2.0, variant="unsmoothed") == pytest.approx(-1.0)
-    assert spline(2.0 + 1e-9, variant="unsmoothed") == 0.0
-    assert spline(1.0, variant="unsmoothed") == pytest.approx(1.0 / 6.0)
-
-
 def test_spline_deriv_matches_central_difference():
     rng = np.random.default_rng(0)
     zs = rng.uniform(-2.5, 2.5, size=200)
@@ -56,11 +48,6 @@ def test_spline_deriv_matches_central_difference():
     step = 1e-6
     num = (spline(zs + step) - spline(zs - step)) / (2 * step)
     np.testing.assert_allclose(spline_deriv(zs), num, atol=1e-7)
-
-
-def test_spline_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        spline(0.5, variant="cubicish")
 
 
 # shared case properties ---------------------------------------------------------

@@ -34,7 +34,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
-from .linsolve import DirectFactor, SolveReport, SolverConfig, assemble, nested_dissection
+from .linsolve import DirectFactor, SolverConfig, assemble, nested_dissection
 from .operators import (OperatorContext, apply_dh, apply_dh_star, compose_second_order,
                         ghost_extrapolation, ring_dh)
 
@@ -122,7 +122,6 @@ class GhostFillReport:
     constraint_defect: float  # max |flux constraint residual| over ring cells
     rank: int
     n_unknowns: int
-    n_constraints: int
     rank_deficient: bool
 
 
@@ -180,15 +179,15 @@ def _factor(op_apply, grid: Grid, tol: float, stage: str) -> DirectFactor:
 
 
 def _solve(factor: DirectFactor, rhs_interior: np.ndarray, grid: Grid, tol: float,
-           stage: str) -> tuple[CellField, SolveReport]:
-    """Solve one right-hand side on the interior cells; the ring stays zero."""
+           stage: str) -> tuple[CellField, float]:
+    """Solve on the interior cells, ring held at zero; returns the field and its residual."""
     report = factor.solve(rhs_interior.ravel())
     if not report.ok:
         raise StageError(f"{stage} solve failed: residual {report.residual:.3e} "
                          f"above tolerance {tol:.1e}")
     out = CellField.zeros(grid)
     out.values[INTERIOR] = report.x.reshape(grid.nx, grid.ny)
-    return out, report
+    return out, report.residual
 
 
 def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
@@ -205,15 +204,14 @@ def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
 def solve_L(problem: LinearProblem, config: SolverConfig | None = None):
     """Flux-scale potential; the only eps-dependent system.
 
-    At eps = 0 the right-hand side vanishes identically and the solve is
-    skipped (L = 0 exactly).
+    Returns ``(L, residual)``, the relative residual of the solve.  At
+    eps = 0 the right-hand side vanishes identically and the solve is
+    skipped: ``L = 0`` exactly, with residual 0.
     """
     config = config or SolverConfig()
     grid = problem.grid
     if problem.eps == 0.0:
-        return CellField.zeros(grid), SolveReport(
-            np.zeros(grid.n_interior_cells), 0.0, 0.0, True, "skipped (eps = 0)"
-        )
+        return CellField.zeros(grid), 0.0
     ctx = problem.context()
     rhs = -problem.eps * (
         _rhs_mean(problem, ctx).values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
@@ -291,7 +289,6 @@ def fill_ghost(p: NodeField, grid: Grid, direction: CellVectorField, grad_source
         constraint_defect=float(np.max(np.abs(defect))),
         rank=int(rank),
         n_unknowns=ghosts.size,
-        n_constraints=ring.size,
         rank_deficient=bool(rank < ghosts.size),
     )
     return filled, report
@@ -310,16 +307,16 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     grid = problem.grid
     ctx = problem.context()
 
-    L, rep_L = solve_L(problem, config)
+    L, res_L = solve_L(problem, config)
 
     op_mean = _cell_operator(problem, ctx, problem.reaction_cell)
     factor = _factor(op_mean, grid, config.tol, "mean-potential")
-    h, rep_h = _solve(factor, _rhs_mean(problem, ctx).values[INTERIOR], grid, config.tol,
+    h, res_h = _solve(factor, _rhs_mean(problem, ctx).values[INTERIOR], grid, config.tol,
                       "mean-potential")
     pi = reconstruct_pi(problem, h)
 
     rhs_l = L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
-    l, rep_l = _solve(factor, rhs_l, grid, config.tol, "fluctuation-potential")
+    l, res_l = _solve(factor, rhs_l, grid, config.tol, "fluctuation-potential")
     q = reconstruct_q(problem, l)
 
     p = NodeField.zeros(grid)
@@ -340,7 +337,7 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
         pi=pi,
         q=q,
         p=p,
-        residuals={"h": rep_h.residual, "L": rep_L.residual, "l": rep_l.residual},
+        residuals={"h": res_h, "L": res_L, "l": res_l},
         mean_gradient_l2=mean_grad_l2,
         ghost=ghost_report,
     )

@@ -242,6 +242,8 @@ def convergence_study(config: ExperimentConfig | None = None) -> ExperimentRepor
     kernel_tol = config.thresholds.get("mean_gradient", 1e-9)
     worst = max(report.extras.get("mean_gradient_l2", {0: 0.0}).values())
     report.add_check("mean-part gradient ratio", worst, f"<= {kernel_tol}", worst <= kernel_tol)
+    failed = sum(row["norm"] == "failed" for row in report.rows)
+    report.add_check("failed solves", failed, "== 0", failed == 0)
     return report
 
 
@@ -318,12 +320,15 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
 
     Two regimes: a linear-in-eps decay while the eps-part dominates, then a
     plateau at the discretization error of the limit solution, which shrinks
-    quadratically with the mesh step.
+    quadratically with the mesh step.  Both are measured against the eps = 0
+    solve, so ``eps_list`` must contain 0.
     """
     if config is None:
         config = ExperimentConfig(
             meshes=[100, 200], eps_list=sorted(np.logspace(-8, -1, 8)) + [0.0]
         )
+    if 0.0 not in config.eps_list:
+        raise ValueError(f"eps_list must contain 0, got {config.eps_list}")
     report = ExperimentReport("eps-limit")
     stop = StopRule(tol_rel=config.tol_rel, n_max=config.n_max)
     plateau_by_mesh = report.extras.setdefault("e0", {})
@@ -332,7 +337,7 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
         base = case_ap_limit(grid, 0.0, eta=config.eta, mu=config.mu)
         limit = sample_node(base.limit_exact, grid).values[INTERIOR]
         limit_norm = float(np.linalg.norm(limit))
-        cases, solutions, errors = {}, {}, {}
+        cases, solutions, errors, unconverged = {}, {}, {}, 0
         for eps in sorted(config.eps_list):
             case = cases[eps] = case_ap_limit(grid, eps, eta=config.eta, mu=config.mu)
             p0 = sample_node(case.initial_guess, grid)
@@ -341,6 +346,8 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
             errors[eps] = float(np.linalg.norm(solutions[eps] - limit)) / limit_norm
             _add_rows(report, case, ["E_eps"], error=errors[eps], iterations=state.n_iterations,
                       runtime_ms=ms, status=state.status)
+            unconverged += state.status != "converged"
+        report.add_check(f"unconverged runs M{cells}", unconverged, "== 0", unconverged == 0)
 
         e0 = plateau_by_mesh[str(cells)] = errors[0.0]
         eps_pos = sorted(e for e in config.eps_list if e > 0)

@@ -67,10 +67,6 @@ class Grid:
         return (self.nx + 2, self.ny + 2)
 
     @property
-    def n_interior_nodes(self) -> int:
-        return (self.nx + 1) * (self.ny + 1)
-
-    @property
     def n_interior_cells(self) -> int:
         return self.nx * self.ny
 

@@ -222,7 +222,6 @@ def gummel_solve(
 @dataclass
 class PlateauReport:
     plateau_start: int  # first iteration whose error is within 1% of the final one
-    plateau_error: float
     max_rel_change: float  # largest relative error change after the start
     ok: bool
 
@@ -235,7 +234,7 @@ def error_plateau_check(history: list, change_tol: float = 0.01) -> PlateauRepor
     """
     errs = [r.error_rel_l2 for r in history if np.isfinite(r.error_rel_l2)]
     if not errs:
-        return PlateauReport(0, np.nan, np.nan, False)
+        return PlateauReport(0, np.nan, False)
     final = errs[-1]
     start = len(errs) - 1
     for i, e in enumerate(errs):
@@ -244,4 +243,4 @@ def error_plateau_check(history: list, change_tol: float = 0.01) -> PlateauRepor
             break
     tail = errs[start:]
     max_change = max(abs(e - final) / final for e in tail) if final > 0 else 0.0
-    return PlateauReport(start, final, max_change, max_change <= change_tol)
+    return PlateauReport(start, max_change, max_change <= change_tol)

@@ -33,6 +33,7 @@ __all__ = [
     "AssemblyError",
     "assemble",
     "DirectFactor",
+    "refine",
     "nested_dissection",
     "estimate_condition",
 ]
@@ -164,14 +165,31 @@ def nested_dissection(nx: int, ny: int) -> np.ndarray:
     return order(np.arange(nx * ny).reshape(nx, ny))
 
 
+def refine(matrix: sp.spmatrix, lu_solve, rhs: np.ndarray, tol: float):
+    """Solve ``matrix x = rhs`` by ``lu_solve`` (a possibly shifted factorization of it).
+
+    Up to two steps of iterative refinement, until the relative residual
+    ``||matrix x - rhs|| / ||rhs||``, recomputed on ``matrix`` itself, is at
+    most ``tol`` or not finite.  Returns ``(x, residual)``.
+    """
+    x = lu_solve(rhs)
+    scale = max(float(np.linalg.norm(rhs)), _TINY)
+    res = float(np.linalg.norm(matrix @ x - rhs)) / scale
+    for _ in range(2):
+        if res <= tol or not np.isfinite(res):
+            break
+        x = x + lu_solve(rhs - matrix @ x)
+        res = float(np.linalg.norm(matrix @ x - rhs)) / scale
+    return x, res
+
+
 class DirectFactor:
     """Sparse LU factorization in a given elimination order, reusable across right-hand sides.
 
     ``perm`` is the order in which unknowns are eliminated; the factored
     matrix is ``(matrix + shift I)[perm][:, perm]``, with no further column
-    reordering.  Each solve applies up to two steps of iterative refinement
-    if needed and recomputes the relative residual on ``matrix`` itself,
-    unshifted, independently of the solve path.
+    reordering.  Each solve is refined by :func:`refine` on ``matrix``
+    itself, unshifted.
     """
 
     def __init__(self, matrix: sp.spmatrix, perm: np.ndarray, tol: float = 1e-12,
@@ -191,19 +209,16 @@ class DirectFactor:
 
     def solve(self, rhs: np.ndarray) -> SolveReport:
         t0 = time.perf_counter()
-        x = self._lu_solve(rhs)
-        scale = max(float(np.linalg.norm(rhs)), _TINY)
-        res = float(np.linalg.norm(self.matrix @ x - rhs)) / scale
-        for _ in range(2):
-            if res <= self.tol or not np.isfinite(res):
-                break
-            x = x + self._lu_solve(rhs - self.matrix @ x)
-            res = float(np.linalg.norm(self.matrix @ x - rhs)) / scale
+        x, res = refine(self.matrix, self._lu_solve, rhs, self.tol)
         ok = bool(np.isfinite(res) and res <= self.tol)
         return SolveReport(x, res, time.perf_counter() - t0, ok, "direct")
 
 
-def estimate_condition(matrix: sp.spmatrix, iters: int = 60, seed: int = 0) -> float:
+# Power-iteration steps of each of the two estimates of estimate_condition.
+_CONDITION_ITERS = 60
+
+
+def estimate_condition(matrix: sp.spmatrix, seed: int = 0) -> float:
     """2-norm condition estimate by power iteration on ``A`` and on ``A^-1``.
 
     Accurate to roughly a factor of two.  A singular factorization (or
@@ -216,7 +231,7 @@ def estimate_condition(matrix: sp.spmatrix, iters: int = 60, seed: int = 0) -> f
 
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    for _ in range(iters):
+    for _ in range(_CONDITION_ITERS):
         w = a.T @ (a @ v)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
@@ -230,7 +245,7 @@ def estimate_condition(matrix: sp.spmatrix, iters: int = 60, seed: int = 0) -> f
         return np.inf
     u = rng.standard_normal(n)
     u /= np.linalg.norm(u)
-    for _ in range(iters):
+    for _ in range(_CONDITION_ITERS):
         t = lu.solve(u, trans="T")
         t = lu.solve(t)
         nrm = np.linalg.norm(t)

@@ -32,10 +32,10 @@ import scipy.sparse.linalg as spla
 
 from .apcore import LinearProblem
 from .grid import INTERIOR, CellField, NodeField
-from .linsolve import SolveReport, SolverConfig, assemble, estimate_condition
+from .linsolve import SolveReport, SolverConfig, assemble, estimate_condition, refine
 from .operators import apply_dh, apply_dh_star, ghost_extrapolation, ring_dh
 
-__all__ = ["NaiveSystem", "assemble_naive", "solve_naive"]
+__all__ = ["NaiveSystem", "assemble_naive", "solve_naive", "naive_condition"]
 
 DEGENERATE_TOL = 1e-12
 
@@ -46,12 +46,7 @@ class NaiveSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    grid: object
     degenerate_cells: list = field(default_factory=list)  # ring cells with b.nu ~ 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def _interior_rows(problem: LinearProblem):
@@ -110,17 +105,18 @@ def assemble_naive(problem: LinearProblem) -> NaiveSystem:
     rhs = np.concatenate([rhs_interior, scale * problem.grad_source_cell.values[ci, cj][keep],
                           np.zeros(extrapolation.shape[0])])
     degenerate = list(zip((ci[~keep] - 1).tolist(), (cj[~keep] - 1).tolist()))
-    return NaiveSystem(matrix=matrix, rhs=rhs, grid=g, degenerate_cells=degenerate)
+    return NaiveSystem(matrix=matrix, rhs=rhs, degenerate_cells=degenerate)
 
 
 def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
     """Least-squares solve of the direct system; ``(NodeField, SolveReport)``.
 
-    Solves the normal equations with a sparse direct factorization.  The
-    reported residual is the relative normal-equation defect (the data
+    Factors the normal equations in COLAMD order and refines with
+    :func:`linsolve.refine` at ``config.tol``; ok means a relative
+    normal-equation defect of at most ``max(config.tol, 1e-10)`` (the data
     misfit itself is dominated by the truncation of the flux rows and does
-    not vanish).  Expected to work at moderate eps and to degrade as
-    eps -> 0; robustness at small eps is not a goal here.
+    not vanish).  A singular factorization yields nan.  Expected to work at
+    moderate eps and to degrade as eps -> 0.
     """
     config = config or SolverConfig()
     system = assemble_naive(problem)
@@ -128,16 +124,9 @@ def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
     a = system.matrix
     ata = (a.T @ a).tocsc()
     atb = a.T @ system.rhs
-    scale = max(float(np.linalg.norm(atb)), 1e-300)
     try:
         lu = spla.splu(ata, permc_spec="COLAMD")
-        x = lu.solve(atb)
-        for _ in range(2):
-            res = float(np.linalg.norm(ata @ x - atb)) / scale
-            if res <= config.tol or not np.isfinite(res):
-                break
-            x = x + lu.solve(atb - ata @ x)
-        res = float(np.linalg.norm(ata @ x - atb)) / scale
+        x, res = refine(ata, lu.solve, atb, config.tol)
         ok = bool(np.isfinite(res) and res <= max(config.tol, 1e-10))
         report = SolveReport(x, res, time.perf_counter() - t0, ok, "normal-equations")
     except RuntimeError as exc:

@@ -4,9 +4,6 @@ Every case back-computes its data (scalar source and along-direction
 gradient offset) from an analytically chosen exact solution, so errors can
 be measured exactly.  All derivatives are closed-form; the tests validate
 them against central finite differences at random points.
-
-Registry names: ``linear-variable``, ``angle``, ``nonlinear-spline``,
-``ap-limit``.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ __all__ = [
     "case_angle",
     "case_nonlinear",
     "case_ap_limit",
-    "CASES",
 ]
 
 
@@ -68,10 +64,6 @@ class ManufacturedCase:
     limit_exact: object = None  # exact solution of the eps -> 0 limit
     initial_guess: object = None  # callable, for the nonlinear iteration
     params: dict = field(default_factory=dict)
-
-    @property
-    def is_nonlinear(self) -> bool:
-        return isinstance(self.problem, NonlinearProblem)
 
     def exact_field(self) -> NodeField:
         return sample_node(self.p_exact, self.grid)
@@ -312,11 +304,3 @@ def case_ap_limit(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) ->
         initial_guess=initial_guess,
         params={"eta": eta, "mu": mu},
     )
-
-
-CASES = {
-    "linear-variable": case_linear_variable,
-    "angle": case_angle,
-    "nonlinear-spline": case_nonlinear,
-    "ap-limit": case_ap_limit,
-}

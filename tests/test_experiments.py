@@ -138,6 +138,17 @@ def test_convergence_stage_failure_is_a_failed_row(tmp_path, monkeypatch):
     assert row["norm"] == "failed" and "mean-potential" in row["status"]
 
 
+def test_convergence_fails_when_every_solve_fails(monkeypatch):
+    def fail(problem, config):
+        raise StageError("mean-potential solve failed: residual 1e-3")
+
+    monkeypatch.setattr(experiments, "solve_linear_ap", fail)
+    report = convergence_study(small_config())
+    assert not report.passed
+    (check,) = [c for c in report.checks if c["name"] == "failed solves"]
+    assert check["value"] == 6 and not check["passed"]
+
+
 def test_convergence_propagates_untyped_errors(monkeypatch):
     def broken(problem, config):
         raise TypeError("a bug, not a failed stage")
@@ -159,6 +170,25 @@ def test_epsilon_limit_study_small():
     ]
     assert zero_rows[0]["error"] == pytest.approx(e0)  # by definition at eps = 0
     assert any("plateau mesh scaling" in c["name"] for c in report.checks)
+
+
+def test_epsilon_limit_study_fails_on_unconverged_runs():
+    cfg = ExperimentConfig(meshes=[24, 32], eps_list=[1e-4, 1e-3, 1e-2, 1e-1, 0.0], n_max=1)
+    report = epsilon_limit_study(cfg)
+    assert {r["status"] for r in report.rows if r["norm"] == "E_eps"} == {"max_iterations"}
+    assert not report.passed
+    counts = {c["name"]: (c["value"], c["passed"]) for c in report.checks}
+    assert counts["unconverged runs M24"] == (5, False)
+    assert counts["unconverged runs M32"] == (5, False)
+
+
+def test_epsilon_limit_study_requires_eps_zero(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(experiments, "gummel_solve", no_solve)
+    with pytest.raises(ValueError, match="eps_list must contain 0"):
+        epsilon_limit_study(ExperimentConfig(meshes=[12], eps_list=[1e-2, 1e-1]))
 
 
 def test_conditioning_study_small(tmp_path):

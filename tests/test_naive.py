@@ -95,7 +95,7 @@ def test_degenerate_rows_flagged():
 def test_system_is_rectangular_least_squares():
     g = make_grid(UNIT, 8, 8)
     system = assemble_naive(case_linear_variable(g, 1.0).problem)
-    rows, cols = system.shape
+    rows, cols = system.matrix.shape
     assert rows > cols
 
 

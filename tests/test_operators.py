@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apdiff.grid import CellField, CellVectorField, NodeField, make_grid, sample_cell_vec, sample_node
 from apdiff.linsolve import assemble
@@ -228,3 +230,57 @@ def test_ghost_extrapolation_annihilates_affine_fields():
     # rows do not vanish on a quadratic along the normal, corners included
     quad = sample_node(lambda x, y: (x - 1.5) ** 2 + (y - 1.25) ** 2, g)
     assert np.all(np.abs(mat @ quad.values.ravel()) > 1e-6)
+
+
+# property tests over random grids and unit direction fields ----------------------
+
+
+@st.composite
+def random_directions(draw):
+    """A grid with 3-20 cells per side, a unit direction field on it and a seed for data."""
+    g = make_grid(UNIT, draw(st.integers(3, 20)), draw(st.integers(3, 20)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    angle = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, g.cell_shape)
+    b = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    return OperatorContext(g, CellVectorField(g, b)), seed
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_directions())
+def test_duality_defect_property(drawn):
+    ctx, seed = drawn
+    g = ctx.grid
+    rng = np.random.default_rng(seed)
+    theta = NodeField(g, rng.standard_normal(g.node_shape))
+    chi = CellField.zeros(g)
+    chi.values[1:-1, 1:-1] = rng.standard_normal((g.nx, g.ny))
+    defect = duality_defect(theta, chi, ctx)
+    # the bound of acceptance criterion 7
+    assert abs(defect) <= 1e-12 * np.linalg.norm(theta.values) * np.linalg.norm(chi.values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_directions())
+def test_unit_cell_weight_operator_is_symmetric(drawn):
+    # with cell weight 1 the operator is Dh N^-1 Dh^T by summation by parts
+    ctx, seed = drawn
+    g = ctx.grid
+    ones = CellField(g, np.ones(g.cell_shape))
+    node_w = NodeField(g, np.random.default_rng(seed).uniform(0.5, 2.0, g.node_shape))
+
+    def op(v):
+        chi = CellField.zeros(g)
+        chi.values[1:-1, 1:-1] = v
+        return compose_second_order(chi, ones, node_w, ctx).values[1:-1, 1:-1]
+
+    mat = assemble(op, (g.nx, g.ny)).toarray()
+    assert np.abs(mat - mat.T).max() <= 1e-14 * np.abs(mat).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_directions())
+def test_ring_dh_matches_dense_oracle_property(drawn):
+    ctx, _ = drawn
+    ring, mat = ring_dh(ctx)
+    want = dense_dh(ctx.grid, ctx.b.values)[ring]
+    assert np.linalg.norm(mat.toarray() - want) <= 1e-15 * np.linalg.norm(want)

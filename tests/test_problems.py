@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from apdiff.grid import INTERIOR, CellField, make_grid, sample_node
+from apdiff.gummel import NonlinearProblem
 from apdiff.operators import OperatorContext, apply_dh, apply_dh_star
 from apdiff.problems import (
-    CASES,
     case_angle,
     case_ap_limit,
     case_linear_variable,
@@ -101,7 +101,7 @@ def test_source_consistent_with_reaction_balance(name, builder):
     case = builder(g)
     xs, ys = g.node_coords()
     p = case.p_exact(xs, ys)
-    if case.is_nonlinear:
+    if isinstance(case.problem, NonlinearProblem):
         expected = p**6
     else:
         expected = (1.0 + np.sin(xs) ** 2 * np.sin(ys) ** 2) * p
@@ -185,10 +185,6 @@ def test_ap_limit_case_values():
     assert case.p_exact(1.5, 1.5) - case.limit_exact(1.5, 1.5) == pytest.approx(1e-2)
 
 
-def test_registry_names():
-    assert set(CASES) == {"linear-variable", "angle", "nonlinear-spline", "ap-limit"}
-
-
 # discrete consistency oracle -----------------------------------------------------
 
 
@@ -202,7 +198,7 @@ def discrete_residual_mean(case):
         g, prob.diffusivity_cell.values * (apply_dh(pex, ctx).values - prob.grad_source_cell.values)
     )
     div = apply_dh_star(flux, ctx)
-    if case.is_nonlinear:
+    if isinstance(case.problem, NonlinearProblem):
         react = prob.reaction_law(pex.values[INTERIOR]) - prob.source_node.values[INTERIOR]
     else:
         react = prob.reaction_node.values[INTERIOR] * pex.values[INTERIOR] - prob.source_node.values[INTERIOR]

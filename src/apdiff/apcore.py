@@ -33,7 +33,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
+from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, sample_cell,
+                   sample_cell_vec, sample_node)
 from .linsolve import DirectFactor, SolverConfig, assemble, nested_dissection
 from .operators import (OperatorContext, apply_dh, apply_dh_star, compose_second_order,
                         ghost_extrapolation, ring_dh)
@@ -100,8 +101,6 @@ class LinearProblem:
     @classmethod
     def from_functions(cls, grid: Grid, eps, reaction, diffusivity, direction, source, grad_source):
         """Sample analytically known coefficient functions on the lattices."""
-        from .grid import sample_cell, sample_cell_vec, sample_node
-
         return cls(
             grid=grid,
             eps=float(eps),

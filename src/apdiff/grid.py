@@ -66,10 +66,6 @@ class Grid:
     def cell_shape(self) -> tuple[int, int]:
         return (self.nx + 2, self.ny + 2)
 
-    @property
-    def n_interior_cells(self) -> int:
-        return self.nx * self.ny
-
     @cached_property
     def node_xs(self) -> np.ndarray:
         return self.x_min + (np.arange(-1, self.nx + 2) + 0.5) * self.dx

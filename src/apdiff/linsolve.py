@@ -63,46 +63,37 @@ class SolveReport:
     method: str
 
 
-def assemble(op_apply, shape: tuple[int, int],
-             out_shape: tuple[int, int] | None = None) -> sp.csr_matrix:
+def _class_neighbor(color: int, n_in: int, n_out: int) -> np.ndarray:
+    """Per output index, the input index congruent to ``color`` mod 3 within radius one."""
+    center = np.arange(n_out) + (n_in - n_out) // 2
+    return center + (color - center + 1) % 3 - 1
+
+
+def assemble(op_apply, shape: tuple[int, int]) -> sp.csr_matrix:
     """Recover the matrix of a linear stencil operator by 3x3-color probing.
 
-    ``op_apply`` maps an array of ``shape`` to an array of ``out_shape``
-    (default ``shape``) and must be linear with stencil radius at most one
-    in each index.  The output grid sits centered in the input grid: output
-    index = input index - ``(shape - out_shape) // 2``.  Unknowns and
-    equations are ordered row-major.  A final random probe checks that the
-    assembled matrix reproduces the operator action; a mismatch (nonlinear
-    or wider-stencil operator) raises :class:`AssemblyError`.
+    ``op_apply`` must be linear with stencil radius at most one in each
+    index.  Its output grid sits centered in the input grid of ``shape``:
+    output index = input index - ``(shape - output shape) // 2``.  Each
+    output reads the one unknown of each probed color class within radius
+    one.  Unknowns and equations are ordered row-major.  A final random
+    probe checks that the assembled matrix reproduces the operator action; a
+    mismatch (nonlinear or wider-stencil operator) raises :class:`AssemblyError`.
     """
     nx, ny = shape
-    mx, my = out_shape or shape
-    ox, oy = (nx - mx) // 2, (ny - my) // 2
     rows, cols, vals = [], [], []
     for cx in range(3):
         for cy in range(3):
             v = np.zeros(shape)
             v[cx::3, cy::3] = 1.0
             w = op_apply(v)
-            ax = np.arange(cx, nx, 3)
-            ay = np.arange(cy, ny, 3)
-            if ax.size == 0 or ay.size == 0:
-                continue
-            aa, bb = np.meshgrid(ax, ay, indexing="ij")
-            aa = aa.ravel()
-            bb = bb.ravel()
-            for oi in (-1, 0, 1):
-                for oj in (-1, 0, 1):
-                    ra = aa - ox + oi
-                    rb = bb - oy + oj
-                    m = (ra >= 0) & (ra < mx) & (rb >= 0) & (rb < my)
-                    rows.append(ra[m] * my + rb[m])
-                    cols.append(aa[m] * ny + bb[m])
-                    vals.append(w[ra[m], rb[m]])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mx * my, nx * ny),
-    ).tocsr()
+            ax, ay = (_class_neighbor(c, n, m) for c, n, m in zip((cx, cy), shape, w.shape))
+            m = ((ax >= 0) & (ax < nx))[:, None] & ((ay >= 0) & (ay < ny))
+            rows.append(np.flatnonzero(m))
+            cols.append((ax[:, None] * ny + ay)[m])
+            vals.append(w[m])
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(w.size, nx * ny))
 
     rng = np.random.default_rng(12345)
     probe = rng.standard_normal(shape)

@@ -52,7 +52,6 @@ class NaiveSystem:
 def _interior_rows(problem: LinearProblem):
     """Probe the interior operator: nodes (all) -> equation residuals (interior)."""
     g = problem.grid
-    nx, ny = g.nx, g.ny
     ctx = problem.context()
     hcell = problem.diffusivity_cell.values
     gnode = problem.reaction_node.values[INTERIOR]
@@ -63,7 +62,7 @@ def _interior_rows(problem: LinearProblem):
         div = apply_dh_star(flux, ctx)
         return -div.values[INTERIOR] + eps * gnode * v[INTERIOR]
 
-    mat = assemble(apply_full, g.node_shape, (nx + 1, ny + 1))
+    mat = assemble(apply_full, g.node_shape)
 
     flux_data = CellField(g, hcell * problem.grad_source_cell.values)
     rhs = (

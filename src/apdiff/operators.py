@@ -111,11 +111,8 @@ def compose_second_order(
     if not np.all(nw > 0.0):
         raise ValueError("node weight must be strictly positive on interior nodes")
 
-    chi0 = chi.values.copy()
-    chi0[0, :] = 0.0
-    chi0[-1, :] = 0.0
-    chi0[:, 0] = 0.0
-    chi0[:, -1] = 0.0
+    chi0 = np.zeros_like(chi.values)
+    chi0[INTERIOR] = chi.values[INTERIOR]
     inner = apply_dh_star(CellField(g, cell_w.values * chi0), ctx)
 
     scaled = NodeField.zeros(g)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .apcore import LinearProblem
-from .grid import Grid, NodeField, sample_node
+from .grid import Grid, NodeField, sample_cell, sample_cell_vec, sample_node
 from .gummel import NonlinearProblem
 
 __all__ = [
@@ -243,8 +243,6 @@ def case_nonlinear(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) -
 
 
 def _spline_family_problem(grid: Grid, eps: float, grad_source, p_exact) -> NonlinearProblem:
-    from .grid import sample_cell, sample_cell_vec, sample_node
-
     return NonlinearProblem(
         grid=grid,
         eps=float(eps),

@@ -229,7 +229,7 @@ def test_criterion_7_structural_properties(announce):
     )
     a_fluct = dense_second_order(
         g8, b, case.problem.diffusivity_cell.values, case.problem.reaction_node.values
-    ) + case.eps * np.eye(g8.n_interior_cells)
+    ) + case.eps * np.eye(g8.nx * g8.ny)
     from apdiff.operators import apply_dh
 
     ratio = NodeField(g8, case.problem.source_node.values / case.problem.reaction_node.values)

@@ -160,7 +160,7 @@ def test_three_solves_match_dense_oracle():
     b = problem.direction.values
     a_mean = dense_second_order(g, b, problem.reaction_cell.values, problem.reaction_node.values)
     a_fluct = dense_second_order(g, b, problem.diffusivity_cell.values, problem.reaction_node.values)
-    a_fluct += problem.eps * np.eye(g.n_interior_cells)
+    a_fluct += problem.eps * np.eye(g.nx * g.ny)
 
     ratio = NodeField(g, problem.source_node.values / problem.reaction_node.values)
     rhs_mean = apply_dh(ratio, problem.context()).values[INTERIOR].ravel()
@@ -340,8 +340,12 @@ def svd_fill_reference(p, g, direction, grad_source):
     return target + vt[:rank].T @ ((u[:, :rank].T @ misfit) / sig[:rank]), rank
 
 
-@pytest.mark.parametrize("kind, value", [("linear", 0.1), ("angle", 0), ("angle", 33),
-                                         ("angle", 45), ("angle", 90)])
+# At 10 and 80 degrees the row-equilibrated ghost system has no spectral gap: its
+# singular values decay through GHOST_RCOND, so the fill depends on the cutoff.
+# An LSQR fill, which does not truncate, misses there by 0.26 and 0.35 of max |ghost|.
+@pytest.mark.parametrize("kind, value", [("linear", 0.1), ("angle", 0), ("angle", 10),
+                                         ("angle", 33), ("angle", 45), ("angle", 80),
+                                         ("angle", 90)])
 def test_fill_ghost_matches_svd_reference(kind, value):
     g = unit_square_grid(64)
     if kind == "linear":
@@ -429,7 +433,7 @@ def test_gauge_shift_retry_solves_consistent_rhs():
     cell = (3, 4)
     op = singular_mean_operator(g, cell)
     with pytest.raises(RuntimeError):  # exactly singular without the shift
-        apcore.DirectFactor(apcore.assemble(op, (g.nx, g.ny)), np.arange(g.n_interior_cells))
+        apcore.DirectFactor(apcore.assemble(op, (g.nx, g.ny)), np.arange(g.nx * g.ny))
     factor = apcore._factor(op, g, 1e-12, "mean-potential")
     assert factor.shift > 0.0  # the retry fired
 

@@ -68,7 +68,7 @@ def test_index_partition():
     assert (~nodes).sum() == 2 * (g.nx + 3) + 2 * (g.ny + 3) - 4
     assert (~cells).sum() == 2 * (g.nx + 2) + 2 * (g.ny + 2) - 4
     assert nodes.sum() == (g.nx + 1) * (g.ny + 1)
-    assert cells.sum() == g.n_interior_cells == g.nx * g.ny
+    assert cells.sum() == g.nx * g.ny
 
 
 def test_sample_constant_zero():

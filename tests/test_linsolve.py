@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apdiff import linsolve, naive
+from apdiff import apcore, linsolve, naive
 from apdiff.experiments import unit_square_grid
 from apdiff.grid import INTERIOR, CellField, NodeField, make_grid
 from apdiff.linsolve import (
@@ -16,7 +16,7 @@ from apdiff.linsolve import (
     estimate_condition,
     nested_dissection,
 )
-from apdiff.operators import compose_second_order
+from apdiff.operators import apply_dh, compose_second_order
 from apdiff.problems import case_angle, case_linear_variable
 
 from test_operators import uniform_ctx
@@ -96,7 +96,7 @@ def test_assemble_rectangular_matches_unit_columns(monkeypatch):
     # colored probes, against one operator application per unknown
     g = make_grid(UNIT, 5, 4)
     ops = []
-    monkeypatch.setattr(naive, "assemble", lambda op, *shapes: ops.append(op) or assemble(op, *shapes))
+    monkeypatch.setattr(naive, "assemble", lambda op, shape: ops.append(op) or assemble(op, shape))
     for problem in (case_linear_variable(g, 1e-3).problem, case_angle(g, 1e-3, 0.6).problem):
         mat, _ = naive._interior_rows(problem)
         n = g.node_shape[0] * g.node_shape[1]
@@ -111,7 +111,71 @@ def test_assemble_rectangular_matches_unit_columns(monkeypatch):
 def test_assemble_rectangular_detects_wide_stencil():
     # output (i, j) sits at input (i + 2, j + 2) but reads input (i, j)
     with pytest.raises(AssemblyError):
-        assemble(lambda v: v[:-4, :-4].copy(), (7, 6), (3, 2))
+        assemble(lambda v: v[:-4, :-4].copy(), (7, 6))
+
+
+def _assemble_by_offsets(op_apply, shape, out_shape):
+    """Reference: for each color class, place its response at all 9 offsets, masked."""
+    nx, ny = shape
+    mx, my = out_shape
+    ox, oy = (nx - mx) // 2, (ny - my) // 2
+    rows, cols, vals = [], [], []
+    for cx in range(3):
+        for cy in range(3):
+            v = np.zeros(shape)
+            v[cx::3, cy::3] = 1.0
+            w = op_apply(v)
+            aa, bb = np.meshgrid(np.arange(cx, nx, 3), np.arange(cy, ny, 3), indexing="ij")
+            aa, bb = aa.ravel(), bb.ravel()
+            for oi in (-1, 0, 1):
+                for oj in (-1, 0, 1):
+                    ra, rb = aa - ox + oi, bb - oy + oj
+                    m = (ra >= 0) & (ra < mx) & (rb >= 0) & (rb < my)
+                    rows.append(ra[m] * my + rb[m])
+                    cols.append(aa[m] * ny + bb[m])
+                    vals.append(w[ra[m], rb[m]])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mx * my, nx * ny),
+    ).tocsr()
+
+
+def _assert_csr_identical(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 3), (4, 5), (7, 7), (16, 9)])
+@pytest.mark.parametrize("kind, value", [("linear", 0.1), ("angle", 0), ("angle", 45)])
+def test_assemble_cell_systems_bitwise_equal_to_offset_loop(kind, value, nx, ny):
+    g = make_grid(UNIT, nx, ny)
+    if kind == "linear":
+        problem = case_linear_variable(g, value).problem
+    else:
+        problem = case_angle(g, 1e-3, np.radians(value)).problem
+    ctx = problem.context()
+    for op in (apcore._cell_operator(problem, ctx, problem.diffusivity_cell, problem.eps),
+               apcore._cell_operator(problem, ctx, problem.reaction_cell)):
+        _assert_csr_identical(assemble(op, (nx, ny)),
+                              _assemble_by_offsets(op, (nx, ny), (nx, ny)))
+
+
+@pytest.mark.parametrize("grid", [make_grid(UNIT, 5, 4), unit_square_grid(8)])
+def test_assemble_naive_rows_and_dh_bitwise_equal_to_offset_loop(grid, monkeypatch):
+    ops = []
+    monkeypatch.setattr(naive, "assemble", lambda op, shape: ops.append(op) or assemble(op, shape))
+    for eps in (1.0, 1e-6):
+        mat, _ = naive._interior_rows(case_linear_variable(grid, eps).problem)
+        _assert_csr_identical(mat, _assemble_by_offsets(ops[-1], grid.node_shape,
+                                                        (grid.nx + 1, grid.ny + 1)))
+    ctx = case_angle(grid, 1e-3, 0.6).problem.context()
+
+    def dh(t):
+        return apply_dh(NodeField(grid, t), ctx).values
+
+    _assert_csr_identical(assemble(dh, grid.node_shape),
+                          _assemble_by_offsets(dh, grid.node_shape, grid.cell_shape))
 
 
 def test_assembled_pattern_symmetric_no_empty_rows():

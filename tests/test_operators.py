@@ -207,7 +207,7 @@ def test_ring_dh_matches_probed_and_dense_dh(direction):
     mask[1:-1, 1:-1] = False
     np.testing.assert_array_equal(ring, np.flatnonzero(mask))
     got = mat.toarray()
-    probed = assemble(lambda t: apply_dh(NodeField(g, t), ctx).values, g.node_shape, g.cell_shape)
+    probed = assemble(lambda t: apply_dh(NodeField(g, t), ctx).values, g.node_shape)
     assert np.array_equal(got, probed[ring].toarray())
     want = dense_dh(g, ctx.b.values)[ring]
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)

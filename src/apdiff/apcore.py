@@ -20,7 +20,11 @@ all with homogeneous values on the boundary cell ring, followed by
     pi = (f + dh*(G h)) / G ,   q = dh*(G l) / G             on interior nodes.
 
 Only the L system carries eps, and it degenerates gracefully (L = 0 at
-eps = 0), so cost and accuracy are uniform in the anisotropy strength.
+eps = 0), so cost and accuracy are uniform in the anisotropy strength.  The h
+and l systems share one matrix A, which is the only one assembled and
+factored: with ``C = diag(G)`` and ``y = H L`` the L system reads
+``(A C^-1 + eps H^-1) y = rhs``, and conjugate gradients preconditioned by
+the factor of A solve it in a few steps for moderate eps (:func:`solve_L`).
 Ghost node values of p never feed back into the solution; they are filled in
 a final least-squares pass from the flux boundary condition.
 """
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, sample_cell,
                    sample_cell_vec, sample_node)
@@ -137,6 +142,9 @@ class SolutionDecomposition:
     residuals: dict = field(default_factory=dict)  # per-stage relative residuals
     mean_gradient_l2: float = 0.0  # ||dh pi||_l2(cells) / ||p||_l2(nodes)
     ghost: GhostFillReport | None = None
+    # CG steps of the L stage: 0 when L was not solved for (eps = 0), None
+    # when the direct fallback factored the L system
+    cg_iterations: int | None = 0
 
 
 def _rhs_mean(problem: LinearProblem, ctx: OperatorContext) -> CellField:
@@ -200,24 +208,70 @@ def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
     return pi
 
 
-def solve_L(problem: LinearProblem, config: SolverConfig | None = None):
+# Step cap of the conjugate-gradient solve of the flux-potential system; a
+# solve that misses the tolerance within it factors the system instead.
+FLUX_CG_MAX_STEPS = 30
+
+
+def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
+            config: SolverConfig | None = None):
     """Flux-scale potential; the only eps-dependent system.
 
-    Returns ``(L, residual)``, the relative residual of the solve.  At
-    eps = 0 the right-hand side vanishes identically and the solve is
-    skipped: ``L = 0`` exactly, with residual 0.
+    With ``C = diag(G)`` on the cells and ``y = H L``, the system reads
+    ``(S + eps H^-1) y = rhs``, where ``S = A C^-1`` is symmetric positive
+    definite and A is the mean-potential matrix that ``mean_factor``
+    factors.  Conjugate gradients solve it, preconditioned by
+    ``S^-1 = C A^-1`` through ``mean_factor`` (gauge-shifted or not), so the
+    preconditioned operator is ``I + eps S^-1 H^-1``.  CG runs until its
+    recursive residual falls to ``1e-3 tol`` relative; the reported residual
+    is then recomputed on the unshifted system.  If that misses ``tol``
+    within ``FLUX_CG_MAX_STEPS`` steps, as it does for large eps, the system
+    is assembled and factored on its own instead.
+
+    Returns ``(L, residual, cg_iterations)``: the field, the relative
+    residual of the solve, and the CG steps taken, or ``None`` when the
+    direct fallback ran.  At eps = 0 the right-hand side vanishes
+    identically and the solve is skipped: ``L = 0`` exactly, with residual 0
+    and no CG step.  A right-hand side that vanishes at eps > 0 returns the
+    same.
     """
     config = config or SolverConfig()
     grid = problem.grid
-    if problem.eps == 0.0:
-        return CellField.zeros(grid), 0.0
+    eps = problem.eps
+    if eps == 0.0:
+        return CellField.zeros(grid), 0.0, 0
     ctx = problem.context()
-    rhs = -problem.eps * (
+    rhs = -eps * (
         _rhs_mean(problem, ctx).values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
-    )
-    op = _cell_operator(problem, ctx, problem.diffusivity_cell, problem.eps)
+    ).ravel()
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return CellField.zeros(grid), 0.0, 0
+
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    hc = problem.diffusivity_cell.values[INTERIOR].ravel()
+    a = mean_factor.matrix
+
+    def system(y):
+        return a @ (y / gc) + eps * y / hc
+
+    shape = (rhs.size, rhs.size)
+    steps = []
+    y, _ = spla.cg(spla.LinearOperator(shape, system, dtype=float), rhs,
+                   rtol=1e-3 * config.tol, atol=0.0, maxiter=FLUX_CG_MAX_STEPS,
+                   M=spla.LinearOperator(shape, lambda r: gc * mean_factor.lu_solve(r),
+                                         dtype=float),
+                   callback=steps.append)
+    residual = float(np.linalg.norm(system(y) - rhs)) / rhs_norm
+    if residual <= config.tol:
+        L = CellField.zeros(grid)
+        L.values[INTERIOR] = (y / hc).reshape(grid.nx, grid.ny)
+        return L, residual, len(steps)
+
+    op = _cell_operator(problem, ctx, problem.diffusivity_cell, eps)
     factor = _factor(op, grid, config.tol, "flux-potential")
-    return _solve(factor, rhs, grid, config.tol, "flux-potential")
+    L, residual = _solve(factor, rhs, grid, config.tol, "flux-potential")
+    return L, residual, None
 
 
 def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
@@ -298,18 +352,20 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     """Full pipeline: L, then h -> pi and l -> q, then p = pi + q and ghost fill.
 
     Well-posed and second-order accurate uniformly in eps, down to and
-    including eps = 0.  The mean and fluctuation systems share one matrix and
-    one factorization.  L does not depend on h and is solved first, so its
-    factorization is freed before the shared one is built.
+    including eps = 0.  The mean and fluctuation systems share one matrix,
+    which is factored first; that factor also preconditions the CG solve of
+    L (:func:`solve_L`), so one factorization serves the whole solve.  Only
+    when CG misses the tolerance is the L system factored as well, while the
+    shared factor is held.
     """
     config = config or SolverConfig()
     grid = problem.grid
     ctx = problem.context()
 
-    L, res_L = solve_L(problem, config)
-
     op_mean = _cell_operator(problem, ctx, problem.reaction_cell)
     factor = _factor(op_mean, grid, config.tol, "mean-potential")
+    L, res_L, cg_iterations = solve_L(problem, factor, config)
+
     h, res_h = _solve(factor, _rhs_mean(problem, ctx).values[INTERIOR], grid, config.tol,
                       "mean-potential")
     pi = reconstruct_pi(problem, h)
@@ -339,4 +395,5 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
         residuals={"h": res_h, "L": res_L, "l": res_l},
         mean_gradient_l2=mean_grad_l2,
         ghost=ghost_report,
+        cg_iterations=cg_iterations,
     )

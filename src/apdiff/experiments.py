@@ -248,7 +248,11 @@ def convergence_study(config: ExperimentConfig | None = None) -> ExperimentRepor
 
 
 def angle_sweep(config: ExperimentConfig | None = None) -> ExperimentReport:
-    """Accuracy as a function of the anisotropy angle on a fixed mesh."""
+    """Accuracy as a function of the anisotropy angle on a fixed mesh.
+
+    A solve that fails a stage leaves one ``failed`` row whose status names
+    the stage, and the sweep goes on with the next angle.
+    """
     if config is None:
         config = ExperimentConfig(meshes=[200], eps_list=[1e-3, 1e-8])
     report = ExperimentReport("angle")
@@ -257,7 +261,11 @@ def angle_sweep(config: ExperimentConfig | None = None) -> ExperimentReport:
     for eps in config.eps_list:
         for alpha in config.alphas:
             case = case_angle(grid, eps, alpha)
-            dec, ms = _timed(solve_linear_ap, case.problem, config.solver)
+            try:
+                dec, ms = _timed(solve_linear_ap, case.problem, config.solver)
+            except StageError as exc:
+                _add_rows(report, case, ["failed"], status=str(exc))
+                continue
             residuals = {f"residual_{k}": dec.residuals[k] for k in "hLl"}
             for row in _add_rows(report, case, (1, 2, "inf"), dec.p, runtime_ms=ms, **residuals):
                 per_norm.setdefault((eps, row["norm"]), []).append(row["error"])
@@ -271,6 +279,8 @@ def angle_sweep(config: ExperimentConfig | None = None) -> ExperimentReport:
         report.add_check(
             f"angle variation eps={eps} l{norm}", variation, f"<= {limit}", variation <= limit
         )
+    failed = sum(row["norm"] == "failed" for row in report.rows)
+    report.add_check("failed solves", failed, "== 0", failed == 0)
     return report
 
 

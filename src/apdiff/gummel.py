@@ -80,6 +80,7 @@ class IterationRecord:
     residual_L: float
     residual_l: float
     slope_floored: int  # number of samples where g' fell below the safeguard
+    cg_iterations: int | None  # of the L stage; None when its direct fallback ran
 
 
 @dataclass
@@ -204,6 +205,7 @@ def gummel_solve(
                 residual_L=dec.residuals["L"],
                 residual_l=dec.residuals["l"],
                 slope_floored=getattr(lp, "_slope_floored", 0),
+                cg_iterations=dec.cg_iterations,
             )
         )
         state.n_iterations = n + 1

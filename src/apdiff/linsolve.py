@@ -6,11 +6,13 @@ unit vectors one 3x3 color class at a time, which needs at most nine
 applications for any stencil of radius one; the naive baseline's
 rectangular node-to-equation operator is probed the same way.  Solving is
 done by a sparse direct factorization (the systems are small enough and the
-accuracy analysis of the scheme presumes near machine-precision residuals).
+accuracy analysis of the scheme presumes near machine-precision residuals);
+its unrefined inverse, :meth:`DirectFactor.lu_solve`, also serves as a
+preconditioner.
 
 :class:`DirectFactor` eliminates unknowns in the order its caller gives.  The
-three cell systems of the solver are radius-1 stencils on the structured
-cell grid, and are factored in the geometric nested-dissection order of
+cell systems of the solver are radius-1 stencils on the structured cell
+grid, and are factored in the geometric nested-dissection order of
 :func:`nested_dissection`; at 400 cells per side that leaves 14 M nonzeros
 in L+U where COLAMD leaves 25 M.  The naive baseline's normal equations and
 :func:`estimate_condition` stay on COLAMD: their unknowns include the ghost
@@ -193,14 +195,15 @@ class DirectFactor:
                     if shift else self.matrix)
         self._lu = spla.splu(factored[perm][:, perm].tocsc(), permc_spec="NATURAL")
 
-    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+    def lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply the (possibly shifted) factorization's inverse, without refinement."""
         x = np.empty_like(rhs)
         x[self._perm] = self._lu.solve(rhs[self._perm])
         return x
 
     def solve(self, rhs: np.ndarray) -> SolveReport:
         t0 = time.perf_counter()
-        x, res = refine(self.matrix, self._lu_solve, rhs, self.tol)
+        x, res = refine(self.matrix, self.lu_solve, rhs, self.tol)
         ok = bool(np.isfinite(res) and res <= self.tol)
         return SolveReport(x, res, time.perf_counter() - t0, ok, "direct")
 

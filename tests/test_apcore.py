@@ -16,7 +16,7 @@ from apdiff.apcore import (
     solve_linear_ap,
 )
 from apdiff.grid import INTERIOR, CellField, NodeField, make_grid, sample_node
-from apdiff.linsolve import SolveReport, SolverConfig
+from apdiff.linsolve import DirectFactor, SolveReport, SolverConfig, assemble, nested_dissection
 from apdiff.operators import apply_dh
 from apdiff.problems import case_angle, case_linear_variable
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
@@ -101,13 +101,19 @@ def no_factor(*args, **kwargs):
     raise AssertionError("no system may be factored")
 
 
+def mean_factor(problem, tol=1e-12):
+    """The factor of the mean-potential system, as solve_linear_ap builds it."""
+    op = apcore._cell_operator(problem, problem.context(), problem.reaction_cell)
+    return apcore._factor(op, problem.grid, tol, "mean-potential")
+
+
 def test_solve_L_skipped_at_eps_zero(monkeypatch):
     g = make_grid(UNIT, 8, 8)
     case = case_linear_variable(g, 0.0)
     with monkeypatch.context() as m:
         m.setattr(apcore, "_factor", no_factor)
-        L, residual = solve_L(case.problem)
-    assert residual == 0.0
+        L, residual, cg_iterations = solve_L(case.problem, None)
+    assert residual == 0.0 and cg_iterations == 0
     assert np.all(L.values == 0.0)
 
 
@@ -117,7 +123,7 @@ def test_solve_L_vanishes_when_sources_balance():
     # prescribe b.S = dh(f/G) pointwise so the right-hand side cancels exactly
     ratio = NodeField(g, problem.source_node.values / problem.reaction_node.values)
     problem.grad_source_cell = CellField(g, apply_dh(ratio, problem.context()).values)
-    L, rep = solve_L(problem)
+    L, rep, _ = solve_L(problem, mean_factor(problem))
     np.testing.assert_allclose(L.values, 0.0, atol=1e-10)
 
 
@@ -377,6 +383,9 @@ class ColamdFactor:
         self.tol = tol
         self._lu = spla.splu(self.matrix.tocsc(), permc_spec="COLAMD")
 
+    def lu_solve(self, rhs):
+        return self._lu.solve(rhs)
+
     def solve(self, rhs):
         x = self._lu.solve(rhs)
         scale = max(float(np.linalg.norm(rhs)), 1e-300)
@@ -389,28 +398,125 @@ class ColamdFactor:
         return SolveReport(x, res, 0.0, bool(np.isfinite(res) and res <= self.tol), "colamd")
 
 
+def pinned_problem(kind, value, cells=64):
+    """``linear-variable`` at eps ``value``, or ``angle`` at eps 1e-3 and ``value`` degrees.
+
+    0 and 90 degrees are the axis-aligned directions.
+    """
+    g = unit_square_grid(cells)
+    if kind == "linear":
+        return case_linear_variable(g, value).problem
+    return case_angle(g, 1e-3, math.radians(value)).problem
+
+
+def assert_same_decomposition(dec, oracle):
+    """h, L, l, pi, q and p agree within 1e-10 relative on the interior."""
+    for name in ("h", "L", "l", "pi", "q", "p"):
+        got = getattr(dec, name).values[INTERIOR]
+        want = getattr(oracle, name).values[INTERIOR]
+        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300), name
+
+
 @pytest.mark.parametrize(
     "kind, value",
     [("linear", 0.1), ("linear", 1e-3), ("linear", 0.0), ("angle", 0), ("angle", 45), ("angle", 90)],
 )
 def test_nested_dissection_matches_colamd_oracle(kind, value, monkeypatch):
-    # eps for the linear case, degrees for the angle case (0 and 90 are the
-    # axis-aligned directions)
-    g = unit_square_grid(64)
-    if kind == "linear":
-        case = case_linear_variable(g, value)
-    else:
-        case = case_angle(g, 1e-3, math.radians(value))
+    problem = pinned_problem(kind, value)
     config = SolverConfig()
-    dec = solve_linear_ap(case.problem, config)
+    dec = solve_linear_ap(problem, config)
     with monkeypatch.context() as m:
         m.setattr(apcore, "DirectFactor", ColamdFactor)
-        oracle = solve_linear_ap(case.problem, config)
+        oracle = solve_linear_ap(problem, config)
     assert all(r <= config.tol for r in dec.residuals.values())
-    for name in ("h", "L", "l", "pi", "q", "p"):
-        got = getattr(dec, name).values[INTERIOR]
-        want = getattr(oracle, name).values[INTERIOR]
-        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300), name
+    assert_same_decomposition(dec, oracle)
+
+
+def flux_system(problem):
+    """The probe-assembled flux-potential matrix and its right-hand side."""
+    g = problem.grid
+    ctx = problem.context()
+    op = apcore._cell_operator(problem, ctx, problem.diffusivity_cell, problem.eps)
+    ratio = NodeField(g, problem.source_node.values / problem.reaction_node.values)
+    rhs = -problem.eps * (apply_dh(ratio, ctx).values[INTERIOR]
+                          - problem.grad_source_cell.values[INTERIOR])
+    return assemble(op, (g.nx, g.ny)), rhs.ravel()
+
+
+def direct_solve_L(problem, mean_factor, config=None):
+    """Oracle: the flux-potential system assembled and factored on its own."""
+    config = config or SolverConfig()
+    g = problem.grid
+    L = CellField.zeros(g)
+    if problem.eps == 0.0:
+        return L, 0.0, None
+    matrix, rhs = flux_system(problem)
+    report = DirectFactor(matrix, nested_dissection(g.nx, g.ny), tol=config.tol).solve(rhs)
+    L.values[INTERIOR] = report.x.reshape(g.nx, g.ny)
+    return L, report.residual, None
+
+
+@pytest.mark.parametrize(
+    "kind, value",
+    [("linear", 1.0), ("linear", 0.1), ("linear", 1e-3), ("linear", 0.0),
+     ("angle", 0), ("angle", 45), ("angle", 90)],
+)
+def test_cg_flux_solve_matches_direct_path(kind, value, monkeypatch):
+    problem = pinned_problem(kind, value)
+    config = SolverConfig()
+    dec = solve_linear_ap(problem, config)
+    with monkeypatch.context() as m:
+        m.setattr(apcore, "solve_L", direct_solve_L)
+        oracle = solve_linear_ap(problem, config)
+    assert dec.cg_iterations is not None  # no fallback
+    assert (dec.cg_iterations > 0) == (problem.eps > 0.0)
+    assert all(r <= config.tol for r in dec.residuals.values())
+    assert_same_decomposition(dec, oracle)
+    if problem.eps > 0.0:
+        # the residual gate as measured on the assembled system
+        matrix, rhs = flux_system(problem)
+        L = dec.L.values[INTERIOR].ravel()
+        assert np.linalg.norm(matrix @ L - rhs) <= config.tol * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("eps, factorizations, cg_ran", [(0.1, 1, True), (0.0, 1, True),
+                                                          (100.0, 2, False)])
+def test_one_factorization_unless_cg_falls_back(eps, factorizations, cg_ran, monkeypatch):
+    # at eps 100, 30 CG steps reach only about 1e-9: the L system is factored
+    problem = pinned_problem("linear", eps, cells=32)
+    with monkeypatch.context() as m:
+        m.setattr(apcore, "solve_L", direct_solve_L)
+        oracle = solve_linear_ap(problem)
+    built = []
+
+    class CountingFactor(DirectFactor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.matrix.shape)
+
+    with monkeypatch.context() as m:
+        m.setattr(apcore, "DirectFactor", CountingFactor)
+        dec = solve_linear_ap(problem)
+    assert len(built) == factorizations
+    assert (dec.cg_iterations is not None) == cg_ran
+    assert all(r <= SolverConfig().tol for r in dec.residuals.values())
+    assert_same_decomposition(dec, oracle)
+
+
+def test_cg_preconditioned_by_gauge_shifted_factor():
+    g = make_grid(UNIT, 8, 8)
+    factor = apcore._factor(singular_mean_operator(g, (3, 4)), g, 1e-12, "mean-potential")
+    assert factor.shift > 0.0
+    problem = case_linear_variable(g, 0.1).problem
+    L, residual, cg_iterations = solve_L(problem, factor)
+    assert cg_iterations is not None and residual <= 1e-12
+    # the residual is that of the unshifted system the factor's matrix defines
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    hc = problem.diffusivity_cell.values[INTERIOR].ravel()
+    y = hc * L.values[INTERIOR].ravel()
+    _, rhs = flux_system(problem)
+    unshifted = np.linalg.norm(factor.matrix @ (y / gc) + 0.1 * y / hc - rhs) / np.linalg.norm(rhs)
+    assert residual == pytest.approx(unshifted, rel=1e-6, abs=0.0)
 
 
 def singular_mean_operator(g, cell):

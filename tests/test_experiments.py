@@ -149,6 +149,34 @@ def test_convergence_fails_when_every_solve_fails(monkeypatch):
     assert check["value"] == 6 and not check["passed"]
 
 
+def test_angle_sweep_stage_failure_is_a_failed_row(tmp_path, monkeypatch):
+    solve = experiments.solve_linear_ap
+    calls = []
+
+    def fail_second(problem, config):
+        calls.append(problem)
+        if len(calls) == 2:
+            raise StageError("flux-potential solve failed: residual 1e-3")
+        return solve(problem, config)
+
+    monkeypatch.setattr(experiments, "solve_linear_ap", fail_second)
+    cfg = ExperimentConfig(meshes=[12], eps_list=[1e-3],
+                           alphas=list(np.linspace(0.0, np.pi / 2, 4)))
+    report = angle_sweep(cfg)
+    assert len(calls) == 4  # the sweep goes on past the failed angle
+    failed = [row for row in report.rows if row["norm"] == "failed"]
+    assert len(failed) == 1 and "flux-potential" in failed[0]["status"]
+    assert failed[0]["alpha"] == pytest.approx(np.pi / 6)
+    assert not report.passed
+    (check,) = [c for c in report.checks if c["name"] == "failed solves"]
+    assert check["value"] == 1 and not check["passed"]
+    report.write_outputs(tmp_path)
+    with open(tmp_path / "angle.csv") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh) if row["norm"] == "failed"]
+    assert len(statuses) == 1 and "flux-potential" in statuses[0]
+    assert (tmp_path / "angle-summary.json").exists()
+
+
 def test_convergence_propagates_untyped_errors(monkeypatch):
     def broken(problem, config):
         raise TypeError("a bug, not a failed stage")

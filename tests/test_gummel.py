@@ -234,7 +234,8 @@ def per_iteration_fill_reference(problem, p0, stop, exact):
         p, _ = fill_ghost(p_new, problem.grid, problem.direction, problem.grad_source_cell)
         err = float(np.linalg.norm(p.values[INTERIOR] - exact.values[INTERIOR])) / exact_norm
         history.append(IterationRecord(n, corr, err, dec.residuals["h"], dec.residuals["L"],
-                                       dec.residuals["l"], lp._slope_floored))
+                                       dec.residuals["l"], lp._slope_floored,
+                                       dec.cg_iterations))
         if corr <= stop.tol_rel:
             return p, history
     raise AssertionError("reference loop did not converge")

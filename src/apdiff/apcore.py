@@ -41,8 +41,7 @@ import scipy.sparse.linalg as spla
 from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, sample_cell,
                    sample_cell_vec, sample_node)
 from .linsolve import DirectFactor, SolverConfig, assemble, nested_dissection
-from .operators import (OperatorContext, apply_dh, apply_dh_star, compose_second_order,
-                        ghost_extrapolation, ring_dh)
+from .operators import apply_dh, apply_dh_star, compose_second_order, ghost_extrapolation, ring_dh
 
 __all__ = [
     "LinearProblem",
@@ -61,11 +60,18 @@ class StageError(RuntimeError):
     """A stage of the solve pipeline failed; the message names the stage."""
 
 
+def _check_direction(direction: CellVectorField) -> None:
+    """Reject an anisotropy direction with a zero vector at any cell."""
+    if not np.all(np.hypot(direction.x, direction.y) > 0.0):
+        raise ValueError("anisotropy direction has zero vectors")
+
+
 def check_data(problem, names, positive) -> None:
     """Reject a negative or non-finite eps, non-finite fields and non-positive coefficients.
 
     ``names`` lists the field attributes of ``problem`` to check for
     finiteness, ``positive`` those of them that must be strictly positive.
+    The ``direction`` of ``problem`` must also have no zero vector.
     """
     if not (np.isfinite(problem.eps) and problem.eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {problem.eps}")
@@ -75,6 +81,7 @@ def check_data(problem, names, positive) -> None:
             raise ValueError(f"{name} has non-finite values")
         if name in positive and not np.all(values > 0.0):
             raise ValueError(f"{name} must be strictly positive")
+    _check_direction(problem.direction)
 
 
 @dataclass
@@ -117,9 +124,6 @@ class LinearProblem:
             grad_source_cell=sample_cell(grad_source, grid),
         )
 
-    def context(self) -> OperatorContext:
-        return OperatorContext(self.grid, self.direction)
-
 
 @dataclass
 class GhostFillReport:
@@ -147,21 +151,20 @@ class SolutionDecomposition:
     cg_iterations: int | None = 0
 
 
-def _rhs_mean(problem: LinearProblem, ctx: OperatorContext) -> CellField:
+def _rhs_mean(problem: LinearProblem) -> CellField:
     """dh(f/G), defined on all cells."""
     ratio = NodeField(problem.grid, problem.source_node.values / problem.reaction_node.values)
-    return apply_dh(ratio, ctx)
+    return apply_dh(ratio, problem.direction)
 
 
-def _cell_operator(problem: LinearProblem, ctx: OperatorContext, cell_weight: CellField,
-                   shift: float = 0.0):
+def _cell_operator(problem: LinearProblem, cell_weight: CellField, shift: float = 0.0):
     """``-dh((1/G) dh*(cell_weight chi)) + shift chi`` on interior cells, ring held at zero."""
     grid = problem.grid
 
     def op(v: np.ndarray) -> np.ndarray:
         chi = CellField.zeros(grid)
         chi.values[INTERIOR] = v
-        out = compose_second_order(chi, cell_weight, problem.reaction_node, ctx)
+        out = compose_second_order(chi, cell_weight, problem.reaction_node, problem.direction)
         return out.values[INTERIOR] + shift * v
 
     return op
@@ -199,8 +202,8 @@ def _solve(factor: DirectFactor, rhs_interior: np.ndarray, grid: Grid, tol: floa
 
 def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
     """Mean part on interior nodes: ``pi = (f + dh*(G h)) / G``."""
-    ctx = problem.context()
-    div = apply_dh_star(CellField(problem.grid, problem.reaction_cell.values * h.values), ctx)
+    div = apply_dh_star(CellField(problem.grid, problem.reaction_cell.values * h.values),
+                        problem.direction)
     pi = NodeField.zeros(problem.grid)
     pi.values[INTERIOR] = (
         problem.source_node.values[INTERIOR] + div.values[INTERIOR]
@@ -240,9 +243,8 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
     eps = problem.eps
     if eps == 0.0:
         return CellField.zeros(grid), 0.0, 0
-    ctx = problem.context()
     rhs = -eps * (
-        _rhs_mean(problem, ctx).values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
+        _rhs_mean(problem).values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
     ).ravel()
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
@@ -268,7 +270,7 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
         L.values[INTERIOR] = (y / hc).reshape(grid.nx, grid.ny)
         return L, residual, len(steps)
 
-    op = _cell_operator(problem, ctx, problem.diffusivity_cell, eps)
+    op = _cell_operator(problem, problem.diffusivity_cell, eps)
     factor = _factor(op, grid, config.tol, "flux-potential")
     L, residual = _solve(factor, rhs, grid, config.tol, "flux-potential")
     return L, residual, None
@@ -276,8 +278,8 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
 
 def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
     """Fluctuation part on interior nodes: ``q = dh*(G l) / G``."""
-    ctx = problem.context()
-    div = apply_dh_star(CellField(problem.grid, problem.reaction_cell.values * l.values), ctx)
+    div = apply_dh_star(CellField(problem.grid, problem.reaction_cell.values * l.values),
+                        problem.direction)
     q = NodeField.zeros(problem.grid)
     q.values[INTERIOR] = div.values[INTERIOR] / problem.reaction_node.values[INTERIOR]
     return q
@@ -290,11 +292,12 @@ def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
 GHOST_RCOND = 1e-6
 
 
-def fill_ghost(p: NodeField, grid: Grid, direction: CellVectorField, grad_source: CellField):
+def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField):
     """Fill ghost node values from the flux boundary constraints.
 
-    On every boundary ring cell the constraint ``(dh p) = b.S`` is imposed,
-    with ``b`` the anisotropy ``direction`` and ``b.S`` the ``grad_source``:
+    On every boundary ring cell of ``p.grid`` the constraint ``(dh p) = b.S``
+    is imposed, with ``b`` the anisotropy ``direction``, which must have no
+    zero vector (``ValueError`` otherwise), and ``b.S`` the ``grad_source``:
     the ghost columns of the ring rows of ``dh`` (:func:`operators.ring_dh`)
     form one global least-squares system over all ghost unknowns, and four
     unit rows pin the corner ghosts, which the ring constraints leave
@@ -315,8 +318,9 @@ def fill_ghost(p: NodeField, grid: Grid, direction: CellVectorField, grad_source
 
     Interior values are never touched.  Returns ``(filled, report)``.
     """
-    ctx = OperatorContext(grid, direction)
-    ring, dh_ring = ring_dh(ctx)
+    _check_direction(direction)
+    grid = p.grid
+    ring, dh_ring = ring_dh(direction)
     ghosts, extrapolation = ghost_extrapolation(grid)
     interior = p.values.flatten()
     interior[ghosts] = 0.0
@@ -337,7 +341,7 @@ def fill_ghost(p: NodeField, grid: Grid, direction: CellVectorField, grad_source
                                                 cond=GHOST_RCOND, lapack_driver="gelsd")
     filled = p.copy()
     filled.values.flat[ghosts] = prior + correction
-    defect = apply_dh(filled, ctx).values.ravel()[ring] - bs
+    defect = apply_dh(filled, direction).values.ravel()[ring] - bs
     report = GhostFillReport(
         constraint_defect=float(np.max(np.abs(defect))),
         rank=int(rank),
@@ -360,13 +364,12 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     """
     config = config or SolverConfig()
     grid = problem.grid
-    ctx = problem.context()
 
-    op_mean = _cell_operator(problem, ctx, problem.reaction_cell)
+    op_mean = _cell_operator(problem, problem.reaction_cell)
     factor = _factor(op_mean, grid, config.tol, "mean-potential")
     L, res_L, cg_iterations = solve_L(problem, factor, config)
 
-    h, res_h = _solve(factor, _rhs_mean(problem, ctx).values[INTERIOR], grid, config.tol,
+    h, res_h = _solve(factor, _rhs_mean(problem).values[INTERIOR], grid, config.tol,
                       "mean-potential")
     pi = reconstruct_pi(problem, h)
 
@@ -379,10 +382,10 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
 
     ghost_report = None
     if fill:
-        p, ghost_report = fill_ghost(p, grid, problem.direction, problem.grad_source_cell)
+        p, ghost_report = fill_ghost(p, problem.direction, problem.grad_source_cell)
 
     p_norm = float(np.linalg.norm(p.values[INTERIOR]))
-    dh_pi = apply_dh(pi, ctx).values[INTERIOR]
+    dh_pi = apply_dh(pi, problem.direction).values[INTERIOR]
     mean_grad_l2 = float(np.linalg.norm(dh_pi)) / max(p_norm, 1e-300)
 
     return SolutionDecomposition(

@@ -23,7 +23,7 @@ import numpy as np
 from .apcore import LinearProblem, StageError, check_data, fill_ghost, solve_linear_ap
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 from .linsolve import SolverConfig
-from .operators import OperatorContext, apply_dh
+from .operators import apply_dh
 
 __all__ = [
     "NonlinearProblem",
@@ -55,9 +55,6 @@ class NonlinearProblem:
         check_data(self, ("diffusivity_cell", "direction", "source_node", "grad_source_cell"),
                    positive=("diffusivity_cell",))
 
-    def context(self) -> OperatorContext:
-        return OperatorContext(self.grid, self.direction)
-
 
 @dataclass
 class StopRule:
@@ -65,10 +62,10 @@ class StopRule:
     n_max: int = 30
 
     def __post_init__(self):
-        if self.tol_rel <= 0.0:
-            raise ValueError("tol_rel must be positive")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        if not (np.isfinite(self.tol_rel) and self.tol_rel > 0.0):
+            raise ValueError(f"tol_rel must be finite and positive, got {self.tol_rel}")
+        if not (isinstance(self.n_max, (int, np.integer)) and self.n_max >= 1):
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
 
 @dataclass
@@ -124,7 +121,7 @@ def linearize(problem: NonlinearProblem, p: NodeField) -> LinearProblem:
         slope_node = np.maximum(slope_node, SLOPE_FLOOR)
         slope_cell = np.maximum(slope_cell, SLOPE_FLOOR)
 
-    grad_iter = apply_dh(p, problem.context())
+    grad_iter = apply_dh(p, problem.direction)
     lp = LinearProblem(
         grid=g,
         eps=problem.eps,
@@ -170,7 +167,7 @@ def gummel_solve(
         state.status = status
         state.detail = detail
         if updated:
-            filled, _ = fill_ghost(p, problem.grid, problem.direction, problem.grad_source_cell)
+            filled, _ = fill_ghost(p, problem.direction, problem.grad_source_cell)
             return filled, state
         return p, state
 

@@ -52,14 +52,14 @@ class NaiveSystem:
 def _interior_rows(problem: LinearProblem):
     """Probe the interior operator: nodes (all) -> equation residuals (interior)."""
     g = problem.grid
-    ctx = problem.context()
+    b = problem.direction
     hcell = problem.diffusivity_cell.values
     gnode = problem.reaction_node.values[INTERIOR]
     eps = problem.eps
 
     def apply_full(v: np.ndarray) -> np.ndarray:
-        flux = CellField(g, hcell * apply_dh(NodeField(g, v), ctx).values)
-        div = apply_dh_star(flux, ctx)
+        flux = CellField(g, hcell * apply_dh(NodeField(g, v), b).values)
+        div = apply_dh_star(flux, b)
         return -div.values[INTERIOR] + eps * gnode * v[INTERIOR]
 
     mat = assemble(apply_full, g.node_shape)
@@ -67,7 +67,7 @@ def _interior_rows(problem: LinearProblem):
     flux_data = CellField(g, hcell * problem.grad_source_cell.values)
     rhs = (
         eps * problem.source_node.values[INTERIOR]
-        - apply_dh_star(flux_data, ctx).values[INTERIOR]
+        - apply_dh_star(flux_data, b).values[INTERIOR]
     ).ravel()
     return mat, rhs
 
@@ -82,7 +82,7 @@ def assemble_naive(problem: LinearProblem) -> NaiveSystem:
     """
     g = problem.grid
     interior, rhs_interior = _interior_rows(problem)
-    ring, dh_ring = ring_dh(problem.context())
+    ring, dh_ring = ring_dh(problem.direction)
     _, extrapolation = ghost_extrapolation(g)
 
     ci, cj = np.unravel_index(ring, g.cell_shape)

@@ -26,8 +26,10 @@ and at node (i,j), surrounded by the four cells (i+-1/2, j+-1/2):
               + [ (by chi)(i+1/2,j+1/2) - (by chi)(i+1/2,j-1/2)
                 + (by chi)(i-1/2,j+1/2) - (by chi)(i-1/2,j-1/2) ] / (2 dy)
 
-Evaluation order is fixed (x pair first, then y pair) so results are bitwise
-reproducible.
+Every stencil takes the direction b as a :class:`grid.CellVectorField` and
+reads the grid from it; the problem types check that b has no zero vector
+when they are built.  Evaluation order is fixed (x pair first, then y pair)
+so results are bitwise reproducible.
 
 The boundary rows are built here too, as sparse matrices over the node
 lattice: :func:`ring_dh` gives the ``dh`` rows of the boundary cell ring,
@@ -38,15 +40,12 @@ that close the ghost nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 
 __all__ = [
-    "OperatorContext",
     "apply_dh",
     "apply_dh_star",
     "compose_second_order",
@@ -56,37 +55,24 @@ __all__ = [
 ]
 
 
-@dataclass
-class OperatorContext:
-    """Grid plus the cell-centered anisotropy direction, nonzero everywhere."""
-
-    grid: Grid
-    b: CellVectorField
-
-    def __post_init__(self):
-        norms = np.hypot(self.b.x, self.b.y)
-        if not np.all(norms > 0.0):
-            raise ValueError("anisotropy direction has zero vectors")
-
-
-def apply_dh(theta: NodeField, ctx: OperatorContext) -> CellField:
+def apply_dh(theta: NodeField, b: CellVectorField) -> CellField:
     """Directional derivative of a node field, at every cell center."""
-    g = ctx.grid
+    g = b.grid
     t = theta.values
     dxa = (t[1:, 1:] - t[:-1, 1:] + t[1:, :-1] - t[:-1, :-1]) / (2.0 * g.dx)
     dya = (t[1:, 1:] - t[1:, :-1] + t[:-1, 1:] - t[:-1, :-1]) / (2.0 * g.dy)
-    return CellField(g, ctx.b.x * dxa + ctx.b.y * dya)
+    return CellField(g, b.x * dxa + b.y * dya)
 
 
-def apply_dh_star(chi: CellField, ctx: OperatorContext) -> NodeField:
+def apply_dh_star(chi: CellField, b: CellVectorField) -> NodeField:
     """Weighted divergence of a cell field, at interior nodes.
 
     The result is only defined on nodes whose four surrounding cells exist,
     i.e. the interior node set; the ghost ring of the output is left at zero.
     """
-    g = ctx.grid
-    cx = ctx.b.x * chi.values
-    cy = ctx.b.y * chi.values
+    g = b.grid
+    cx = b.x * chi.values
+    cy = b.y * chi.values
     xp = (cx[1:, 1:] - cx[:-1, 1:] + cx[1:, :-1] - cx[:-1, :-1]) / (2.0 * g.dx)
     yp = (cy[1:, 1:] - cy[1:, :-1] + cy[:-1, 1:] - cy[:-1, :-1]) / (2.0 * g.dy)
     out = NodeField.zeros(g)
@@ -98,7 +84,7 @@ def compose_second_order(
     chi: CellField,
     cell_w: CellField,
     node_w: NodeField,
-    ctx: OperatorContext,
+    b: CellVectorField,
 ) -> CellField:
     """Second-order operator ``-dh( (1/node_w) dh*( cell_w * chi ) )``.
 
@@ -106,34 +92,34 @@ def compose_second_order(
     divergence is taken (the homogeneous condition of the auxiliary systems),
     and the output is restricted to interior cells, ring zeroed.
     """
-    g = ctx.grid
+    g = b.grid
     nw = node_w.values[INTERIOR]
     if not np.all(nw > 0.0):
         raise ValueError("node weight must be strictly positive on interior nodes")
 
     chi0 = np.zeros_like(chi.values)
     chi0[INTERIOR] = chi.values[INTERIOR]
-    inner = apply_dh_star(CellField(g, cell_w.values * chi0), ctx)
+    inner = apply_dh_star(CellField(g, cell_w.values * chi0), b)
 
     scaled = NodeField.zeros(g)
     scaled.values[INTERIOR] = inner.values[INTERIOR] / nw
-    out = apply_dh(scaled, ctx)
+    out = apply_dh(scaled, b)
 
     result = CellField.zeros(g)
     result.values[INTERIOR] = -out.values[INTERIOR]
     return result
 
 
-def duality_defect(theta: NodeField, chi: CellField, ctx: OperatorContext) -> float:
+def duality_defect(theta: NodeField, chi: CellField, b: CellVectorField) -> float:
     """Summation-by-parts defect; vanishes to rounding for ``chi = 0`` on the ring.
 
     Returns ``sum_cells (dh theta) chi dx dy + sum_nodes theta (dh* chi) dx dy``
     with the node sum over the interior node set.
     """
-    g = ctx.grid
+    g = b.grid
     w = g.dx * g.dy
-    cell_sum = float(np.sum(apply_dh(theta, ctx).values * chi.values)) * w
-    node_sum = float(np.sum(theta.values[INTERIOR] * apply_dh_star(chi, ctx).values[INTERIOR])) * w
+    cell_sum = float(np.sum(apply_dh(theta, b).values * chi.values)) * w
+    node_sum = float(np.sum(theta.values[INTERIOR] * apply_dh_star(chi, b).values[INTERIOR])) * w
     return cell_sum + node_sum
 
 
@@ -144,7 +130,7 @@ def _outer_ring(shape: tuple[int, int]) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def ring_dh(ctx: OperatorContext) -> tuple[np.ndarray, sp.csr_matrix]:
+def ring_dh(b: CellVectorField) -> tuple[np.ndarray, sp.csr_matrix]:
     """The ``dh`` stencil of the boundary cell ring as a ring x node matrix.
 
     Returns ``(ring, matrix)``: ``ring`` holds the flat row-major indices of
@@ -153,10 +139,10 @@ def ring_dh(ctx: OperatorContext) -> tuple[np.ndarray, sp.csr_matrix]:
     equal those of a probed :func:`apply_dh` bit for bit, stored zeros
     included.
     """
-    g = ctx.grid
+    g = b.grid
     ring = _outer_ring(g.cell_shape)
     ci, cj = np.unravel_index(ring, g.cell_shape)
-    bx, by = ctx.b.x[ci, cj], ctx.b.y[ci, cj]
+    bx, by = b.x[ci, cj], b.y[ci, cj]
     sy = g.node_shape[1]
     cols, vals = [], []
     for di in (0, 1):

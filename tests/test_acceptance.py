@@ -28,7 +28,7 @@ from apdiff.experiments import (
 )
 
 from test_gummel import linear_law_problem
-from test_operators import swirl_ctx
+from test_operators import swirl_direction
 from _oracles import dense_second_order
 
 # reference relative errors of the converged nonlinear runs (regression
@@ -184,24 +184,24 @@ def test_criterion_7_structural_properties(announce):
     # discrete summation-by-parts on both stated grids
     for nx, ny in ((8, 8), (33, 17)):
         g = make_grid(((1.0, 2.0), (1.0, 2.0)), nx, ny)
-        ctx = swirl_ctx(g)
+        b = swirl_direction(g)
         theta = NodeField(g, rng.standard_normal(g.node_shape))
         chi = CellField.zeros(g)
         chi.values[INTERIOR] = rng.standard_normal((nx, ny))
-        defect = abs(duality_defect(theta, chi, ctx))
+        defect = abs(duality_defect(theta, chi, b))
         bound = 1e-12 * np.linalg.norm(theta.values) * np.linalg.norm(chi.values)
         checks.append(("duality", defect <= bound))
 
     # probe-assembled matrix reproduces the operator action
     g = make_grid(((1.0, 2.0), (1.0, 2.0)), 12, 12)
     problem = case_linear_variable(g, 0.3).problem
-    ctx = problem.context()
+    b = problem.direction
 
     def op(v):
         chi = CellField.zeros(g)
         chi.values[INTERIOR] = v
         return compose_second_order(
-            chi, problem.reaction_cell, problem.reaction_node, ctx
+            chi, problem.reaction_cell, problem.reaction_node, b
         ).values[INTERIOR]
 
     mat = assemble(op, (g.nx, g.ny))
@@ -233,7 +233,7 @@ def test_criterion_7_structural_properties(announce):
     from apdiff.operators import apply_dh
 
     ratio = NodeField(g8, case.problem.source_node.values / case.problem.reaction_node.values)
-    rhs_mean = apply_dh(ratio, case.problem.context()).values[INTERIOR].ravel()
+    rhs_mean = apply_dh(ratio, case.problem.direction).values[INTERIOR].ravel()
     h_dense = np.linalg.solve(a_mean, rhs_mean)
     rhs_L = -case.eps * (rhs_mean - case.problem.grad_source_cell.values[INTERIOR].ravel())
     L_dense = np.linalg.solve(a_fluct, rhs_L)

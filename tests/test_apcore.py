@@ -15,13 +15,14 @@ from apdiff.apcore import (
     solve_L,
     solve_linear_ap,
 )
-from apdiff.grid import INTERIOR, CellField, NodeField, make_grid, sample_node
+from apdiff.grid import INTERIOR, CellField, CellVectorField, NodeField, make_grid, sample_node
 from apdiff.linsolve import DirectFactor, SolveReport, SolverConfig, assemble, nested_dissection
 from apdiff.operators import apply_dh
 from apdiff.problems import case_angle, case_linear_variable
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
 
 from _oracles import dense_second_order
+from test_gummel import linear_law_problem
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
@@ -64,6 +65,20 @@ def test_problem_validation():
         dataclasses.replace(problem, eps=np.inf)
 
 
+def test_problems_and_fill_ghost_reject_zero_direction():
+    g = make_grid(UNIT, 5, 5)
+    problem = swirl_problem(g, 0.1)
+    values = problem.direction.values.copy()
+    values[2, 3] = 0.0
+    zero = CellVectorField(g, values)
+    with pytest.raises(ValueError, match="zero vectors"):
+        dataclasses.replace(problem, direction=zero)
+    with pytest.raises(ValueError, match="zero vectors"):
+        dataclasses.replace(linear_law_problem(g), direction=zero)
+    with pytest.raises(ValueError, match="zero vectors"):
+        fill_ghost(NodeField.zeros(g), zero, problem.grad_source_cell)
+
+
 def ghost_ring(g):
     """Mask of the ghost node ring."""
     mask = np.ones(g.node_shape, dtype=bool)
@@ -103,7 +118,7 @@ def no_factor(*args, **kwargs):
 
 def mean_factor(problem, tol=1e-12):
     """The factor of the mean-potential system, as solve_linear_ap builds it."""
-    op = apcore._cell_operator(problem, problem.context(), problem.reaction_cell)
+    op = apcore._cell_operator(problem, problem.reaction_cell)
     return apcore._factor(op, problem.grid, tol, "mean-potential")
 
 
@@ -122,7 +137,7 @@ def test_solve_L_vanishes_when_sources_balance():
     problem = swirl_problem(g, 0.3, source=lambda x, y: np.sin(x) * np.cos(y))
     # prescribe b.S = dh(f/G) pointwise so the right-hand side cancels exactly
     ratio = NodeField(g, problem.source_node.values / problem.reaction_node.values)
-    problem.grad_source_cell = CellField(g, apply_dh(ratio, problem.context()).values)
+    problem.grad_source_cell = CellField(g, apply_dh(ratio, problem.direction).values)
     L, rep, _ = solve_L(problem, mean_factor(problem))
     np.testing.assert_allclose(L.values, 0.0, atol=1e-10)
 
@@ -152,7 +167,7 @@ def test_reconstruct_q_trivial_and_impulse():
     from apdiff.operators import apply_dh_star
 
     q1 = reconstruct_q(problem1, l)
-    expected = apply_dh_star(l, problem1.context())
+    expected = apply_dh_star(l, problem1.direction)
     np.testing.assert_allclose(q1.values, expected.values, atol=1e-14)
 
 
@@ -169,7 +184,7 @@ def test_three_solves_match_dense_oracle():
     a_fluct += problem.eps * np.eye(g.nx * g.ny)
 
     ratio = NodeField(g, problem.source_node.values / problem.reaction_node.values)
-    rhs_mean = apply_dh(ratio, problem.context()).values[INTERIOR].ravel()
+    rhs_mean = apply_dh(ratio, problem.direction).values[INTERIOR].ravel()
     h_dense = np.linalg.solve(a_mean, rhs_mean)
     np.testing.assert_allclose(dec.h.values[INTERIOR].ravel(), h_dense, atol=1e-12)
 
@@ -262,7 +277,7 @@ def test_fill_ghost_affine_exactness():
     p = NodeField.zeros(g)
     exact = sample_node(lambda x, y: c0 + c1 * x + c2 * y, g)
     p.values[INTERIOR] = exact.values[INTERIOR]
-    filled, report = fill_ghost(p, g, problem.direction, problem.grad_source_cell)
+    filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
     assert report.constraint_defect <= 1e-12
     mask = ghost_ring(g)
     np.testing.assert_allclose(filled.values[mask], exact.values[mask], atol=1e-10)
@@ -273,7 +288,7 @@ def test_fill_ghost_constant():
     problem = swirl_problem(g, 0.2)
     p = NodeField.zeros(g)
     p.values[INTERIOR] = 2.5
-    filled, report = fill_ghost(p, g, problem.direction, problem.grad_source_cell)
+    filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
     mask = ghost_ring(g)
     np.testing.assert_allclose(filled.values[mask], 2.5, atol=1e-12)
     assert report.constraint_defect <= 1e-12
@@ -287,7 +302,7 @@ def test_fill_ghost_second_order_on_manufactured_case():
         exact = case.exact_field()
         p = NodeField.zeros(g)
         p.values[INTERIOR] = exact.values[INTERIOR]
-        filled, report = fill_ghost(p, g, case.problem.direction, case.problem.grad_source_cell)
+        filled, report = fill_ghost(p, case.problem.direction, case.problem.grad_source_cell)
         assert report.rank_deficient  # tangential corners: reported, not fatal
         mask = ghost_ring(g)
         errs.append(np.abs(filled.values - exact.values)[mask].max())
@@ -301,7 +316,7 @@ def test_fill_ghost_preserves_interior():
     p = NodeField.zeros(g)
     p.values[INTERIOR] = rng.standard_normal((g.nx + 1, g.ny + 1))
     before = p.values[INTERIOR].copy()
-    filled, _ = fill_ghost(p, g, case.problem.direction, case.problem.grad_source_cell)
+    filled, _ = fill_ghost(p, case.problem.direction, case.problem.grad_source_cell)
     np.testing.assert_array_equal(filled.values[INTERIOR], before)
 
 
@@ -359,7 +374,7 @@ def test_fill_ghost_matches_svd_reference(kind, value):
     else:
         problem = case_angle(g, 1e-3, math.radians(value)).problem
     p = solve_linear_ap(problem, fill=False).p
-    filled, report = fill_ghost(p, g, problem.direction, problem.grad_source_cell)
+    filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
     want, rank = svd_fill_reference(p, g, problem.direction, problem.grad_source_cell)
     got = filled.values[ghost_ring(g)]
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -435,10 +450,10 @@ def test_nested_dissection_matches_colamd_oracle(kind, value, monkeypatch):
 def flux_system(problem):
     """The probe-assembled flux-potential matrix and its right-hand side."""
     g = problem.grid
-    ctx = problem.context()
-    op = apcore._cell_operator(problem, ctx, problem.diffusivity_cell, problem.eps)
+    b = problem.direction
+    op = apcore._cell_operator(problem, problem.diffusivity_cell, problem.eps)
     ratio = NodeField(g, problem.source_node.values / problem.reaction_node.values)
-    rhs = -problem.eps * (apply_dh(ratio, ctx).values[INTERIOR]
+    rhs = -problem.eps * (apply_dh(ratio, b).values[INTERIOR]
                           - problem.grad_source_cell.values[INTERIOR])
     return assemble(op, (g.nx, g.ny)), rhs.ravel()
 
@@ -522,7 +537,7 @@ def test_cg_preconditioned_by_gauge_shifted_factor():
 def singular_mean_operator(g, cell):
     """The mean-potential operator with one cell's row and column zeroed."""
     problem = swirl_problem(g, 0.1)
-    base = apcore._cell_operator(problem, problem.context(), problem.reaction_cell)
+    base = apcore._cell_operator(problem, problem.reaction_cell)
 
     def op(v):
         v = v.copy()

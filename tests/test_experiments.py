@@ -260,6 +260,17 @@ def test_cli_exit_code_on_failed_threshold(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("experiment", ["gummel", "eps-limit"])
+@pytest.mark.parametrize("bad", ['"tol_rel": NaN', '"tol_rel": Infinity', '"n_max": 2.5'],
+                         ids=["nan-tol", "inf-tol", "fractional-n_max"])
+def test_cli_rejects_bad_stop_rule(tmp_path, experiment, bad):
+    # json reads NaN and Infinity, and the config passes both limits through
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"meshes": [8], "eps_list": [0.1, 0.0], ' + bad + "}")
+    with pytest.raises(ValueError, match="tol_rel|n_max"):
+        cli.main([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+
+
 def test_config_from_dict_with_solver():
     cfg = ExperimentConfig.from_dict({"meshes": [10], "solver": {"tol": 1e-11}})
     assert cfg.meshes == [10]

@@ -80,7 +80,7 @@ def test_linearize_gradient_offset():
     lp = linearize(problem, p)
     from apdiff.operators import apply_dh
 
-    expected = problem.grad_source_cell.values - apply_dh(p, problem.context()).values
+    expected = problem.grad_source_cell.values - apply_dh(p, problem.direction).values
     np.testing.assert_allclose(lp.grad_source_cell.values, expected)
 
 
@@ -231,7 +231,7 @@ def per_iteration_fill_reference(problem, p0, stop, exact):
         p_new.values[INTERIOR] = p.values[INTERIOR] + dec.p.values[INTERIOR]
         corr = float(np.linalg.norm(dec.p.values[INTERIOR])) / float(
             np.linalg.norm(p_new.values[INTERIOR]))
-        p, _ = fill_ghost(p_new, problem.grid, problem.direction, problem.grad_source_cell)
+        p, _ = fill_ghost(p_new, problem.direction, problem.grad_source_cell)
         err = float(np.linalg.norm(p.values[INTERIOR] - exact.values[INTERIOR])) / exact_norm
         history.append(IterationRecord(n, corr, err, dec.residuals["h"], dec.residuals["L"],
                                        dec.residuals["l"], lp._slope_floored,
@@ -272,3 +272,10 @@ def test_stop_rule_validation():
         StopRule(tol_rel=0.0)
     with pytest.raises(ValueError):
         StopRule(n_max=0)
+    # nan would never stop the loop, inf would stop it at once, and a
+    # fractional limit would fail later inside range()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol_rel"):
+            StopRule(tol_rel=bad)
+    with pytest.raises(ValueError, match="n_max"):
+        StopRule(n_max=2.5)

@@ -19,7 +19,7 @@ from apdiff.linsolve import (
 from apdiff.operators import apply_dh, compose_second_order
 from apdiff.problems import case_angle, case_linear_variable
 
-from test_operators import uniform_ctx
+from test_operators import uniform_direction
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
@@ -31,14 +31,14 @@ def test_assemble_identity():
 
 def test_assemble_1d_like_tridiagonal_rows():
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), 6, 6)
-    ctx = uniform_ctx(g, 1.0, 0.0)
+    b = uniform_direction(g, 1.0, 0.0)
     ones_c = CellField(g, np.ones(g.cell_shape))
     ones_n = NodeField(g, np.ones(g.node_shape))
 
     def op(v):
         chi = CellField.zeros(g)
         chi.values[1:-1, 1:-1] = v
-        return compose_second_order(chi, ones_c, ones_n, ctx).values[1:-1, 1:-1]
+        return compose_second_order(chi, ones_c, ones_n, b).values[1:-1, 1:-1]
 
     mat = assemble(op, (g.nx, g.ny)).toarray()
     # acting on y-constant data, rows away from the ring reduce to the
@@ -154,9 +154,8 @@ def test_assemble_cell_systems_bitwise_equal_to_offset_loop(kind, value, nx, ny)
         problem = case_linear_variable(g, value).problem
     else:
         problem = case_angle(g, 1e-3, np.radians(value)).problem
-    ctx = problem.context()
-    for op in (apcore._cell_operator(problem, ctx, problem.diffusivity_cell, problem.eps),
-               apcore._cell_operator(problem, ctx, problem.reaction_cell)):
+    for op in (apcore._cell_operator(problem, problem.diffusivity_cell, problem.eps),
+               apcore._cell_operator(problem, problem.reaction_cell)):
         _assert_csr_identical(assemble(op, (nx, ny)),
                               _assemble_by_offsets(op, (nx, ny), (nx, ny)))
 
@@ -169,10 +168,10 @@ def test_assemble_naive_rows_and_dh_bitwise_equal_to_offset_loop(grid, monkeypat
         mat, _ = naive._interior_rows(case_linear_variable(grid, eps).problem)
         _assert_csr_identical(mat, _assemble_by_offsets(ops[-1], grid.node_shape,
                                                         (grid.nx + 1, grid.ny + 1)))
-    ctx = case_angle(grid, 1e-3, 0.6).problem.context()
+    b = case_angle(grid, 1e-3, 0.6).problem.direction
 
     def dh(t):
-        return apply_dh(NodeField(grid, t), ctx).values
+        return apply_dh(NodeField(grid, t), b).values
 
     _assert_csr_identical(assemble(dh, grid.node_shape),
                           _assemble_by_offsets(dh, grid.node_shape, grid.cell_shape))
@@ -180,7 +179,7 @@ def test_assemble_naive_rows_and_dh_bitwise_equal_to_offset_loop(grid, monkeypat
 
 def test_assembled_pattern_symmetric_no_empty_rows():
     g = make_grid(UNIT, 6, 6)
-    ctx = uniform_ctx(g, 0.6, -0.8)
+    b = uniform_direction(g, 0.6, -0.8)
     rng = np.random.default_rng(1)
     cell_w = CellField(g, 1.0 + rng.random(g.cell_shape))
     node_w = NodeField(g, 1.0 + rng.random(g.node_shape))
@@ -188,7 +187,7 @@ def test_assembled_pattern_symmetric_no_empty_rows():
     def op(v):
         chi = CellField.zeros(g)
         chi.values[1:-1, 1:-1] = v
-        return compose_second_order(chi, cell_w, node_w, ctx).values[1:-1, 1:-1]
+        return compose_second_order(chi, cell_w, node_w, b).values[1:-1, 1:-1]
 
     mat = assemble(op, (g.nx, g.ny))
     assert np.all(np.diff(mat.indptr) > 0)  # no structurally empty rows
@@ -298,13 +297,13 @@ def test_nested_dissection_separates_halves(nx, ny):
 def test_nested_dissection_fills_less_than_colamd():
     g = unit_square_grid(128)
     problem = case_linear_variable(g, 0.1).problem
-    ctx = problem.context()
+    b = problem.direction
 
     def op(v):
         chi = CellField.zeros(g)
         chi.values[INTERIOR] = v
         return compose_second_order(
-            chi, problem.reaction_cell, problem.reaction_node, ctx
+            chi, problem.reaction_cell, problem.reaction_node, b
         ).values[INTERIOR]
 
     mat = assemble(op, (g.nx, g.ny))

@@ -26,7 +26,9 @@ factored: with ``C = diag(G)`` and ``y = H L`` the L system reads
 ``(A C^-1 + eps H^-1) y = rhs``, and conjugate gradients preconditioned by
 the factor of A solve it in a few steps for moderate eps (:func:`solve_L`).
 Ghost node values of p never feed back into the solution; they are filled in
-a final least-squares pass from the flux boundary condition.
+a final truncated least-squares pass from the flux boundary condition
+(:func:`fill_ghost`), sparse throughout: the few small singular values of the
+ghost system are deflated and the rest is one sparse LU solve.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, sample_cell,
                    sample_cell_vec, sample_node)
@@ -131,6 +134,7 @@ class GhostFillReport:
     rank: int
     n_unknowns: int
     rank_deficient: bool
+    deflated: int  # small singular values solved for one by one, kept or truncated
 
 
 @dataclass
@@ -290,6 +294,91 @@ def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
 
 # Relative singular-value cutoff of the ghost-fill least-squares solve.
 GHOST_RCOND = 1e-6
+# Singular values below this fraction of the largest are deflated one by one;
+# the rest of the row-equilibrated ghost spectrum is solved for by sparse LU.
+_GHOST_CLUSTER = 1e-3
+# Block inverse iteration that finds the deflated values: start width (it
+# doubles until the block holds them, up to the dense SVD), step count, and
+# shift off zero relative to the largest singular value.
+GHOST_BLOCK = 8
+_GHOST_STEPS = 12
+_GHOST_SHIFT = 1e-9
+
+
+def _largest_singular_value(a: sp.csr_matrix) -> float:
+    """Largest singular value of ``a``, from ``a^T a`` banded in reverse Cuthill-McKee order."""
+    ata = (a.T @ a).tocsr()
+    n = ata.shape[0]
+    order = reverse_cuthill_mckee(ata, symmetric_mode=True)
+    lower = sp.tril(ata[order][:, order]).tocoo()
+    offset = lower.row - lower.col
+    band = np.zeros((offset.max() + 1, n))
+    band[offset, lower.col] = lower.data
+    top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
+                                  select_range=(n - 1, n - 1))
+    return float(np.sqrt(top[0]))
+
+
+def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float):
+    """Singular triplets ``(u, s, v)`` of ``a`` below ``_GHOST_CLUSTER * sigma_max``.
+
+    Block inverse iteration on ``[[0, a], [a^T, 0]]``, shifted just off zero
+    so that exactly singular ``a`` factors, brings the small values'
+    singular vectors into a block of ``GHOST_BLOCK`` columns.  One-sided Ritz
+    values, from the SVDs of ``a Q_v`` and ``a^T Q_u``, bound the singular
+    values from above and count the small ones on each side.  The block
+    holds them all when both counts agree and stay below half its width;
+    otherwise the width doubles, and at full width ``Q_u = Q_v = I`` and the
+    counts come from the dense SVD.  The triplets are the SVD of the small
+    values' projection ``U_s^T a V_s``.
+    """
+    k = a.shape[0]
+    cut = _GHOST_CLUSTER * sigma_max
+    block = GHOST_BLOCK
+    while True:
+        full = block >= 2 * k
+        if full:
+            qu = qv = np.eye(k)
+        else:
+            shift = _GHOST_SHIFT * sigma_max * sp.identity(k)
+            lu = spla.splu(sp.bmat([[-shift, a], [a.T, -shift]], format="csc"))
+            y = np.random.default_rng(0).standard_normal((2 * k, block))
+            for _ in range(_GHOST_STEPS):
+                y, _ = np.linalg.qr(lu.solve(y))
+            qu, _ = np.linalg.qr(y[:k])
+            qv, _ = np.linalg.qr(y[k:])
+        _, sv, wv = np.linalg.svd(a @ qv, full_matrices=False)
+        _, su, wu = np.linalg.svd(a.T @ qu, full_matrices=False)
+        n_small = int(np.count_nonzero(sv < cut))
+        if full or (n_small == np.count_nonzero(su < cut) and 2 * n_small < block):
+            break
+        block *= 2
+    us = qu @ wu[su.size - n_small:].T
+    vs = qv @ wv[sv.size - n_small:].T
+    x, s, yt = np.linalg.svd(us.T @ (a @ vs))
+    return us @ x, s, vs @ yt.T
+
+
+def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Minimum-norm least squares over the singular values above ``GHOST_RCOND`` times the largest.
+
+    The few small singular triplets are deflated: the bordered system
+    ``[[a, U_s], [V_s^T, 0]]`` solves the rest of the spectrum by sparse LU,
+    and the small values above the cutoff are added back one by one.
+    Returns ``(x, rank, deflated)``.
+    """
+    k = a.shape[0]
+    sigma_max = _largest_singular_value(a)
+    u, s, v = _small_singular_triplets(a, sigma_max)
+    deflated = s.size
+    border = sp.bmat([[a, u], [v.T, None]], format="csc")
+    # COLAMD pivots on the dense border rows early and fills the factor (956k
+    # nonzeros at M400); a minimum-degree order of a + a^T keeps it sparse (17k)
+    x = spla.splu(border, permc_spec="MMD_AT_PLUS_A").solve(
+        np.concatenate([rhs, np.zeros(deflated)]))[:k]
+    kept = s > GHOST_RCOND * sigma_max
+    x += v[:, kept] @ ((u[:, kept].T @ rhs) / s[kept])
+    return x, k - deflated + int(np.count_nonzero(kept)), deflated
 
 
 def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField):
@@ -305,16 +394,18 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
 
     Where the direction runs tangent to the boundary the flux constraint
     carries no information and the system is rank deficient; the averaged
-    stencil also couples the ghosts tangentially, which makes parts of the
-    spectrum decay fast along each edge.  Both are handled the same way: the
-    solve is centered on the one-sided second-order extrapolation of the
-    interior (:func:`operators.ghost_extrapolation`), and a minimum-norm
-    correction over the row-equilibrated system, with singular values at or
-    below ``GHOST_RCOND`` times the largest treated as zero (LAPACK
-    ``gelsd``), moves the ghosts off that prior.  Truncated directions
-    therefore cost at most the extrapolation error, which has the same
-    boundary-consistent order as the constraints themselves; deficiency is
-    reported, not fatal.
+    stencil also couples the ghosts tangentially, which makes a few singular
+    values small near the axes.  Both are handled the same way: the solve is
+    centered on the one-sided second-order extrapolation of the interior
+    (:func:`operators.ghost_extrapolation`), and a minimum-norm correction
+    over the row-equilibrated system, with singular values at or below
+    ``GHOST_RCOND`` times the largest treated as zero, moves the ghosts off
+    that prior.  The system stays sparse: the few singular values below
+    ``1e-3`` times the largest are found by block inverse iteration and
+    deflated, and the rest is one sparse LU solve (``_truncated_solve``).
+    Truncated directions therefore cost at most the extrapolation error,
+    which has the same boundary-consistent order as the constraints
+    themselves; deficiency is reported, not fatal.
 
     Interior values are never touched.  Returns ``(filled, report)``.
     """
@@ -332,21 +423,22 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
     sx, sy = grid.node_shape
     corners = np.searchsorted(ghosts, [0, sy - 1, (sx - 1) * sy, sx * sy - 1])
     corner_rows = sp.csr_matrix((np.ones(4), (np.arange(4), corners)), shape=(4, ghosts.size))
-    a = sp.vstack([dh_ring[:, ghosts], corner_rows]).toarray()
-    rhs = np.concatenate([bs - dh_ring @ interior, prior[corners]])
+    a = sp.vstack([dh_ring[:, ghosts], corner_rows], format="csr")
+    rhs = np.concatenate([bs - dh_ring @ interior, prior[corners]]) - a @ prior
 
-    row_norms = np.linalg.norm(a, axis=1)
+    row_norms = spla.norm(a, axis=1)
     scale = np.where(row_norms > 0.0, row_norms, 1.0)
-    correction, _, rank, _ = scipy.linalg.lstsq(a / scale[:, None], (rhs - a @ prior) / scale,
-                                                cond=GHOST_RCOND, lapack_driver="gelsd")
+    a.data /= np.repeat(scale, np.diff(a.indptr))
+    correction, rank, deflated = _truncated_solve(a, rhs / scale)
     filled = p.copy()
     filled.values.flat[ghosts] = prior + correction
     defect = apply_dh(filled, direction).values.ravel()[ring] - bs
     report = GhostFillReport(
         constraint_defect=float(np.max(np.abs(defect))),
-        rank=int(rank),
+        rank=rank,
         n_unknowns=ghosts.size,
         rank_deficient=bool(rank < ghosts.size),
+        deflated=deflated,
     )
     return filled, report
 

@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apdiff import apcore
 from apdiff.apcore import (
+    GHOST_RCOND,
     LinearProblem,
     fill_ghost,
     reconstruct_pi,
@@ -18,7 +22,7 @@ from apdiff.apcore import (
 from apdiff.grid import INTERIOR, CellField, CellVectorField, NodeField, make_grid, sample_node
 from apdiff.linsolve import DirectFactor, SolveReport, SolverConfig, assemble, nested_dissection
 from apdiff.operators import apply_dh
-from apdiff.problems import case_angle, case_linear_variable
+from apdiff.problems import case_angle, case_linear_variable, case_nonlinear
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
 
 from _oracles import dense_second_order
@@ -320,10 +324,11 @@ def test_fill_ghost_preserves_interior():
     np.testing.assert_array_equal(filled.values[INTERIOR], before)
 
 
-def svd_fill_reference(p, g, direction, grad_source):
-    """Ghost values of the dense truncated-SVD fill, written out stencil by stencil.
+def svd_fill_spectrum(p, g, direction, grad_source):
+    """The dense truncated-SVD fill, written out stencil by stencil.
 
-    Returns ``(ghost values in row-major order, rank)``.
+    Returns ``(ghost values in row-major order, rank, singular values)``, the
+    singular values of the row-equilibrated system relative to the largest.
     """
     nx, ny = g.nx, g.ny
     dx2, dy2 = 2.0 * g.dx, 2.0 * g.dy
@@ -358,7 +363,13 @@ def svd_fill_reference(p, g, direction, grad_source):
     u, sig, vt = np.linalg.svd(a / scale[:, None], full_matrices=False)
     rank = int(np.sum(sig > 1e-6 * sig[0]))
     misfit = (rhs - a @ target) / scale
-    return target + vt[:rank].T @ ((u[:, :rank].T @ misfit) / sig[:rank]), rank
+    return target + vt[:rank].T @ ((u[:, :rank].T @ misfit) / sig[:rank]), rank, sig / sig[0]
+
+
+def svd_fill_reference(p, g, direction, grad_source):
+    """Ghost values of the dense truncated-SVD fill in row-major order, and its rank."""
+    values, rank, _ = svd_fill_spectrum(p, g, direction, grad_source)
+    return values, rank
 
 
 # At 10 and 80 degrees the row-equilibrated ghost system has no spectral gap: its
@@ -380,6 +391,107 @@ def test_fill_ghost_matches_svd_reference(kind, value):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert (report.rank, report.rank_deficient) == (rank, rank < want.size)
     assert report.n_unknowns == want.size
+
+
+# Bounds: the worst deviation of a LAPACK gelsd fill from the dense SVD
+# fill, over every integer angle at M16 (at 21 degrees) and over 3-5 and 85-87
+# degrees at M64 (at 5 degrees).  Where a kept singular value is small the dense
+# oracle itself is off by up to that much; elsewhere it is accurate to rounding.
+ANGLE_SWEEP = ([(16, degrees, 1.6e-7) for degrees in range(91)]
+               + [(64, degrees, 5.1e-9) for degrees in (3, 4, 5, 85, 86, 87)])
+
+
+@pytest.mark.parametrize("cells, degrees, bound", ANGLE_SWEEP)
+def test_fill_ghost_angle_sweep_against_svd_reference(cells, degrees, bound):
+    g = unit_square_grid(cells)
+    problem = case_angle(g, 1e-3, math.radians(degrees)).problem
+    p = solve_linear_ap(problem, fill=False).p
+    filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    want, rank, sig = svd_fill_spectrum(p, g, problem.direction, problem.grad_source_cell)
+    assert report.rank == rank
+    assert report.deflated <= 3
+    kept = sig[sig > GHOST_RCOND]
+    tol = 1e-12 if kept.min() >= 1e-3 else bound
+    got = filled.values[ghost_ring(g)]
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("cells", [16, 64, 400])
+@pytest.mark.parametrize("case", [case_linear_variable, case_nonlinear])
+def test_fill_ghost_deflates_few_directions(case, cells):
+    g = unit_square_grid(cells)
+    manufactured = case(g, 0.1)
+    p = NodeField.zeros(g)
+    p.values[INTERIOR] = manufactured.exact_field().values[INTERIOR]
+    _, report = fill_ghost(p, manufactured.problem.direction, manufactured.problem.grad_source_cell)
+    # two tangential corners, each with a singular value at rounding level
+    assert report.deflated == 2
+    assert report.rank == report.n_unknowns - 2
+
+
+def test_fill_ghost_forms_no_dense_system():
+    # one dense k x k float64 matrix of the M400 ghost system takes 20.6 MB; the
+    # fill peaks at about 8 MB, a dense least-squares solve at 65 MB
+    g = unit_square_grid(400)
+    manufactured = case_linear_variable(g, 0.1)
+    p = NodeField.zeros(g)
+    p.values[INTERIOR] = manufactured.exact_field().values[INTERIOR]
+    tracemalloc.start()
+    try:
+        _, report = fill_ghost(p, manufactured.problem.direction,
+                               manufactured.problem.grad_source_cell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < report.n_unknowns**2 * 8
+
+
+@pytest.mark.parametrize("block", [2, 10**6])
+def test_fill_ghost_block_doubling_and_dense_svd(block, monkeypatch):
+    # block 2 cannot hold the two small values: it doubles twice, to the default
+    # width 8; a block of at least twice the unknowns is the dense SVD at once
+    g = unit_square_grid(64)
+    problem = case_linear_variable(g, 0.1).problem
+    p = solve_linear_ap(problem, fill=False).p
+    default, default_report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    with monkeypatch.context() as m:
+        m.setattr(apcore, "GHOST_BLOCK", block)
+        filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    assert default_report.deflated == 2
+    assert (report.rank, report.deflated) == (default_report.rank, default_report.deflated)
+    want, rank = svd_fill_reference(p, g, problem.direction, problem.grad_source_cell)
+    got = filled.values[ghost_ring(g)]
+    assert report.rank == rank
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(got - default.values[ghost_ring(g)]) <= 1e-12 * np.linalg.norm(want)
+
+
+@st.composite
+def random_ghost_data(draw):
+    """A small square or non-square grid, a random unit direction field and random data."""
+    nx = draw(st.integers(2, 14))
+    ny = nx if draw(st.booleans()) else draw(st.integers(2, 14).filter(lambda n: n != nx))
+    g = make_grid(UNIT, nx, ny)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angle = rng.uniform(0.0, 2.0 * np.pi, g.cell_shape)
+    direction = CellVectorField(g, np.stack([np.cos(angle), np.sin(angle)], axis=-1))
+    p = NodeField(g, rng.standard_normal(g.node_shape))
+    return p, direction, CellField(g, rng.standard_normal(g.cell_shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_ghost_data())
+def test_fill_ghost_random_directions_property(drawn):
+    p, direction, grad_source = drawn
+    before = p.values.copy()
+    filled, report = fill_ghost(p, direction, grad_source)
+    again, again_report = fill_ghost(p, direction, grad_source)
+    np.testing.assert_array_equal(p.values, before)
+    np.testing.assert_array_equal(filled.values[INTERIOR], before[INTERIOR])
+    assert np.array_equal(filled.values, again.values) and report == again_report
+    _, rank, sig = svd_fill_spectrum(p, p.grid, direction, grad_source)
+    if not np.any((sig > 0.5 * GHOST_RCOND) & (sig < 2.0 * GHOST_RCOND)):
+        assert report.rank == rank
 
 
 def test_residuals_reported():

@@ -20,7 +20,7 @@ from .grid import (
     sample_node,
 )
 from .gummel import NonlinearProblem, StopRule, gummel_solve, linearize
-from .linsolve import SolverConfig, assemble, estimate_condition
+from .linsolve import SolverConfig, assemble
 from .operators import apply_dh, apply_dh_star, compose_second_order, duality_defect
 from .problems import case_angle, case_ap_limit, case_linear_variable, case_nonlinear, spline
 

@@ -21,10 +21,10 @@ all with homogeneous values on the boundary cell ring, followed by
 
 Only the L system carries eps, and it degenerates gracefully (L = 0 at
 eps = 0), so cost and accuracy are uniform in the anisotropy strength.  The h
-and l systems share one matrix A, which is the only one assembled and
-factored: with ``C = diag(G)`` and ``y = H L`` the L system reads
-``(A C^-1 + eps H^-1) y = rhs``, and conjugate gradients preconditioned by
-the factor of A solve it in a few steps for moderate eps (:func:`solve_L`).
+and l systems share one matrix A, the only one assembled: with ``C = diag(G)``
+and ``y = H L`` the L system reads ``(A C^-1 + eps H^-1) y = rhs``; conjugate
+gradients preconditioned by the factor of A solve it for moderate eps, and for
+large eps its matrix is built from A and factored (:func:`solve_L`).
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
@@ -161,22 +161,21 @@ def _rhs_mean(problem: LinearProblem) -> CellField:
     return apply_dh(ratio, problem.direction)
 
 
-def _cell_operator(problem: LinearProblem, cell_weight: CellField, shift: float = 0.0):
-    """``-dh((1/G) dh*(cell_weight chi)) + shift chi`` on interior cells, ring held at zero."""
+def _cell_operator(problem: LinearProblem):
+    """Mean-potential operator ``-dh((1/G) dh*(G chi))`` on interior cells, ring held at zero."""
     grid = problem.grid
 
     def op(v: np.ndarray) -> np.ndarray:
         chi = CellField.zeros(grid)
         chi.values[INTERIOR] = v
-        out = compose_second_order(chi, cell_weight, problem.reaction_node, problem.direction)
-        return out.values[INTERIOR] + shift * v
+        return compose_second_order(chi, problem.reaction_cell, problem.reaction_node,
+                                    problem.direction).values[INTERIOR]
 
     return op
 
 
-def _factor(op_apply, grid: Grid, tol: float, stage: str) -> DirectFactor:
-    """Assemble a cell system and factor it in nested-dissection order."""
-    matrix = assemble(op_apply, (grid.nx, grid.ny))
+def _factor(matrix: sp.csr_matrix, grid: Grid, tol: float, stage: str) -> DirectFactor:
+    """Factor a cell system in nested-dissection order."""
     order = nested_dissection(grid.nx, grid.ny)
     try:
         return DirectFactor(matrix, order, tol=tol)
@@ -232,21 +231,18 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
     preconditioned operator is ``I + eps S^-1 H^-1``.  CG runs until its
     recursive residual falls to ``1e-3 tol`` relative; the reported residual
     is then recomputed on the unshifted system.  If that misses ``tol``
-    within ``FLUX_CG_MAX_STEPS`` steps, as it does for large eps, the system
-    is assembled and factored on its own instead.
+    within ``FLUX_CG_MAX_STEPS`` steps, as it does for large eps, the matrix
+    of that operator is built from the unshifted A and factored instead.
 
     Returns ``(L, residual, cg_iterations)``: the field, the relative
-    residual of the solve, and the CG steps taken, or ``None`` when the
-    direct fallback ran.  At eps = 0 the right-hand side vanishes
-    identically and the solve is skipped: ``L = 0`` exactly, with residual 0
-    and no CG step.  A right-hand side that vanishes at eps > 0 returns the
-    same.
+    residual of the solve in ``y``, and the CG steps taken, or ``None`` when
+    the direct fallback ran.  A right-hand side that vanishes, as it does
+    identically at eps = 0, skips the solve: ``L = 0`` exactly, with
+    residual 0 and no CG step.
     """
     config = config or SolverConfig()
     grid = problem.grid
     eps = problem.eps
-    if eps == 0.0:
-        return CellField.zeros(grid), 0.0, 0
     rhs = -eps * (
         _rhs_mean(problem).values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
     ).ravel()
@@ -274,10 +270,9 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
         L.values[INTERIOR] = (y / hc).reshape(grid.nx, grid.ny)
         return L, residual, len(steps)
 
-    op = _cell_operator(problem, problem.diffusivity_cell, eps)
-    factor = _factor(op, grid, config.tol, "flux-potential")
-    L, residual = _solve(factor, rhs, grid, config.tol, "flux-potential")
-    return L, residual, None
+    factor = _factor(a @ sp.diags(1 / gc) + sp.diags(eps / hc), grid, config.tol, "flux-potential")
+    y, residual = _solve(factor, rhs, grid, config.tol, "flux-potential")
+    return CellField(grid, y.values / problem.diffusivity_cell.values), residual, None
 
 
 def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
@@ -457,8 +452,8 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     config = config or SolverConfig()
     grid = problem.grid
 
-    op_mean = _cell_operator(problem, problem.reaction_cell)
-    factor = _factor(op_mean, grid, config.tol, "mean-potential")
+    matrix = assemble(_cell_operator(problem), (grid.nx, grid.ny))
+    factor = _factor(matrix, grid, config.tol, "mean-potential")
     L, res_L, cg_iterations = solve_L(problem, factor, config)
 
     h, res_h = _solve(factor, _rhs_mean(problem).values[INTERIOR], grid, config.tol,

@@ -98,10 +98,10 @@ def make_grid(bounds, nx: int, ny: int) -> Grid:
     mesh of ``k x k`` squares is obtained with ``nx = ny = k - 1``.
     """
     (x_min, x_max), (y_min, y_max) = bounds
-    if not (x_max > x_min and y_max > y_min):
-        raise ValueError(f"domain extents must be positive, got {bounds}")
-    if nx < 2 or ny < 2:
-        raise ValueError(f"need nx, ny >= 2, got nx={nx}, ny={ny}")
+    if not (np.all(np.isfinite(bounds)) and x_max > x_min and y_max > y_min):
+        raise ValueError(f"domain bounds must be finite with positive extents, got {bounds}")
+    if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (nx, ny)):
+        raise ValueError(f"need integer nx, ny >= 2, got nx={nx!r}, ny={ny!r}")
     return Grid(float(x_min), float(x_max), float(y_min), float(y_max), int(nx), int(ny))
 
 

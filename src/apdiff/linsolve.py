@@ -1,4 +1,4 @@
-"""Sparse assembly by stencil probing, residual-checked solves, conditioning.
+"""Sparse assembly by stencil probing and residual-checked direct solves.
 
 The elliptic systems of the solver are defined through operator applications
 (compositions of the dual stencils); their matrices are recovered by probing
@@ -14,10 +14,7 @@ preconditioner.
 cell systems of the solver are radius-1 stencils on the structured cell
 grid, and are factored in the geometric nested-dissection order of
 :func:`nested_dissection`; at 400 cells per side that leaves 14 M nonzeros
-in L+U where COLAMD leaves 25 M.  The naive baseline's normal equations and
-:func:`estimate_condition` stay on COLAMD: their unknowns include the ghost
-ring, their stencil has radius two, and the baseline's condition gate is
-sensitive to rounding at eps = 1e-6.
+in L+U where COLAMD leaves 25 M.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ __all__ = [
     "DirectFactor",
     "refine",
     "nested_dissection",
-    "estimate_condition",
 ]
 
 _TINY = 1e-300
@@ -206,48 +202,3 @@ class DirectFactor:
         x, res = refine(self.matrix, self.lu_solve, rhs, self.tol)
         ok = bool(np.isfinite(res) and res <= self.tol)
         return SolveReport(x, res, time.perf_counter() - t0, ok, "direct")
-
-
-# Power-iteration steps of each of the two estimates of estimate_condition.
-_CONDITION_ITERS = 60
-
-
-def estimate_condition(matrix: sp.spmatrix, seed: int = 0) -> float:
-    """2-norm condition estimate by power iteration on ``A`` and on ``A^-1``.
-
-    Accurate to roughly a factor of two.  A singular factorization (or
-    non-finite iterates, the signature of extreme ill-conditioning) yields
-    ``inf``.
-    """
-    a = matrix.tocsr()
-    n = a.shape[0]
-    rng = np.random.default_rng(seed)
-
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(_CONDITION_ITERS):
-        w = a.T @ (a @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return np.inf
-        v = w / nrm
-    sigma_max = float(np.linalg.norm(a @ v))
-
-    try:
-        lu = spla.splu(a.tocsc(), permc_spec="COLAMD")
-    except RuntimeError:
-        return np.inf
-    u = rng.standard_normal(n)
-    u /= np.linalg.norm(u)
-    for _ in range(_CONDITION_ITERS):
-        t = lu.solve(u, trans="T")
-        t = lu.solve(t)
-        nrm = np.linalg.norm(t)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            return np.inf
-        u = t / nrm
-    t = lu.solve(lu.solve(u, trans="T"))
-    inv_sq = float(np.linalg.norm(t))  # ~ 1 / sigma_min^2
-    if not np.isfinite(inv_sq) or inv_sq <= 0.0:
-        return np.inf
-    return max(sigma_max * np.sqrt(inv_sq), 1.0)

@@ -15,6 +15,10 @@ least-squares mode (via its normal equations).  The flux rows, an order
 acts only as a weak prior that takes over continuously as the alignment
 vanishes; rows with exactly zero alignment are dropped and flagged.
 
+The normal equations are factored in COLAMD order, not the solver's nested
+dissection: their unknowns include the ghost ring, their stencil has radius
+two, and the baseline's condition gate is sensitive to rounding at eps = 1e-6.
+
 As eps decreases the normal equations inherit the singular limit of the
 equation and the condition number blows up; demonstrating that failure
 mode is this module's purpose.  The decomposition solver avoids it
@@ -32,7 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .apcore import LinearProblem
 from .grid import INTERIOR, CellField, NodeField
-from .linsolve import SolveReport, SolverConfig, assemble, estimate_condition, refine
+from .linsolve import SolveReport, SolverConfig, assemble, refine
 from .operators import apply_dh, apply_dh_star, ghost_extrapolation, ring_dh
 
 __all__ = ["NaiveSystem", "assemble_naive", "solve_naive", "naive_condition"]
@@ -107,6 +111,12 @@ def assemble_naive(problem: LinearProblem) -> NaiveSystem:
     return NaiveSystem(matrix=matrix, rhs=rhs, degenerate_cells=degenerate)
 
 
+def _normal_equations(system: NaiveSystem):
+    """The normal equations ``A^T A`` (CSR) and their COLAMD ``splu``; singular raises."""
+    ata = (system.matrix.T @ system.matrix).tocsr()
+    return ata, spla.splu(ata.tocsc(), permc_spec="COLAMD")
+
+
 def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
     """Least-squares solve of the direct system; ``(NodeField, SolveReport)``.
 
@@ -120,16 +130,14 @@ def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
     config = config or SolverConfig()
     system = assemble_naive(problem)
     t0 = time.perf_counter()
-    a = system.matrix
-    ata = (a.T @ a).tocsc()
-    atb = a.T @ system.rhs
+    atb = system.matrix.T @ system.rhs
     try:
-        lu = spla.splu(ata, permc_spec="COLAMD")
+        ata, lu = _normal_equations(system)
         x, res = refine(ata, lu.solve, atb, config.tol)
         ok = bool(np.isfinite(res) and res <= max(config.tol, 1e-10))
         report = SolveReport(x, res, time.perf_counter() - t0, ok, "normal-equations")
     except RuntimeError as exc:
-        x = np.full(a.shape[1], np.nan)
+        x = np.full(system.matrix.shape[1], np.nan)
         report = SolveReport(x, np.inf, time.perf_counter() - t0, False,
                              f"normal-equations ({exc})")
     fld = NodeField(problem.grid, report.x.reshape(problem.grid.node_shape))
@@ -142,6 +150,48 @@ def naive_condition(system: NaiveSystem, seed: int = 0) -> float:
     Estimated as the square root of the normal-equation condition number;
     overflow or a singular factorization reports ``inf``.
     """
-    ata = (system.matrix.T @ system.matrix).tocsr()
-    kappa = estimate_condition(ata, seed=seed)
+    try:
+        ata, lu = _normal_equations(system)
+    except RuntimeError:
+        return np.inf
+    kappa = estimate_condition(ata, lu, seed=seed)
     return float(np.sqrt(kappa)) if np.isfinite(kappa) else np.inf
+
+
+# Power-iteration steps of each of the two estimates of estimate_condition.
+_CONDITION_ITERS = 60
+
+
+def estimate_condition(matrix: sp.csr_matrix, lu, seed: int = 0) -> float:
+    """2-norm condition estimate by power iteration on ``matrix`` and on its inverse.
+
+    ``lu``, the ``splu`` of ``matrix``, applies the inverse.  Accurate to
+    roughly a factor of two; non-finite iterates yield ``inf``.
+    """
+    n = matrix.shape[0]
+    rng = np.random.default_rng(seed)
+
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    for _ in range(_CONDITION_ITERS):
+        w = matrix.T @ (matrix @ v)
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0:
+            return np.inf
+        v = w / nrm
+    sigma_max = float(np.linalg.norm(matrix @ v))
+
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    for _ in range(_CONDITION_ITERS):
+        t = lu.solve(u, trans="T")
+        t = lu.solve(t)
+        nrm = np.linalg.norm(t)
+        if not np.isfinite(nrm) or nrm == 0.0:
+            return np.inf
+        u = t / nrm
+    t = lu.solve(lu.solve(u, trans="T"))
+    inv_sq = float(np.linalg.norm(t))  # ~ 1 / sigma_min^2
+    if not np.isfinite(inv_sq) or inv_sq <= 0.0:
+        return np.inf
+    return max(sigma_max * np.sqrt(inv_sq), 1.0)

@@ -201,12 +201,29 @@ def _cosiny(x, y):
     return 1.0 + np.cos(x) ** 2 * np.cos(y) ** 2
 
 
-def _bump_geometry(grid: Grid):
+def _spline_bump(grid: Grid, eta: float, mu: float):
+    """Bump ``1 + B((x - xm) / lx) B((y - ym) / ly)`` around the center, a tenth of the domain wide.
+
+    Returns ``(bump, gradient, cap, (xm, ym, lx, ly))``: ``gradient`` gives ``(px, py)``, and
+    ``cap`` is the initial guess's offset ``eta max(0, 1 - mu |(x - xm, y - ym)|^2)``.
+    """
     xm = 0.5 * (grid.x_min + grid.x_max)
     ym = 0.5 * (grid.y_min + grid.y_max)
     lx = (grid.x_max - grid.x_min) / 10.0
     ly = (grid.y_max - grid.y_min) / 10.0
-    return xm, ym, lx, ly
+
+    def bump(x, y):
+        return 1.0 + spline((x - xm) / lx) * spline((y - ym) / ly)
+
+    def gradient(x, y):
+        px = spline_deriv((x - xm) / lx) * spline((y - ym) / ly) / lx
+        py = spline((x - xm) / lx) * spline_deriv((y - ym) / ly) / ly
+        return px, py
+
+    def cap(x, y):
+        return eta * np.maximum(0.0, 1.0 - mu * (x - xm) ** 2 - mu * (y - ym) ** 2)
+
+    return bump, gradient, cap, (xm, ym, lx, ly)
 
 
 def case_nonlinear(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) -> ManufacturedCase:
@@ -215,20 +232,12 @@ def case_nonlinear(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) -
     The iteration starts from the exact solution plus a paraboloid-cap
     perturbation of magnitude ``eta`` and support controlled by ``mu``.
     """
-    xm, ym, lx, ly = _bump_geometry(grid)
-
-    def p_exact(x, y):
-        return 1.0 + spline((x - xm) / lx) * spline((y - ym) / ly)
+    p_exact, gradient, cap, _ = _spline_bump(grid, eta, mu)
 
     def grad_source(x, y):
         bx, by = _swirl_direction(x, y)
-        px = spline_deriv((x - xm) / lx) * spline((y - ym) / ly) / lx
-        py = spline((x - xm) / lx) * spline_deriv((y - ym) / ly) / ly
+        px, py = gradient(x, y)
         return bx * px + by * py
-
-    def initial_guess(x, y):
-        cap = 1.0 - mu * (x - xm) ** 2 - mu * (y - ym) ** 2
-        return p_exact(x, y) + eta * np.maximum(0.0, cap)
 
     problem = _spline_family_problem(grid, eps, grad_source, p_exact)
     return ManufacturedCase(
@@ -237,7 +246,7 @@ def case_nonlinear(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) -
         eps=eps,
         problem=problem,
         p_exact=p_exact,
-        initial_guess=initial_guess,
+        initial_guess=lambda x, y: p_exact(x, y) + cap(x, y),
         params={"eta": eta, "mu": mu},
     )
 
@@ -262,12 +271,9 @@ def case_ap_limit(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) ->
     truncated cosine product; the exact limit is available separately so the
     vanishing-eps behavior of the scheme can be measured directly.
     """
-    xm, ym, lx, ly = _bump_geometry(grid)
+    limit_exact, gradient, cap, (xm, ym, lx, ly) = _spline_bump(grid, eta, mu)
     ax = 2.0 * np.pi / lx
     ay = 2.0 * np.pi / ly
-
-    def limit_exact(x, y):
-        return 1.0 + spline((x - xm) / lx) * spline((y - ym) / ly)
 
     def _ripple(x, y):
         return np.cos(ax * (x - xm)) * np.cos(ay * (y - ym))
@@ -280,16 +286,11 @@ def case_ap_limit(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) ->
 
     def grad_source(x, y):
         bx, by = _swirl_direction(x, y)
-        px = spline_deriv((x - xm) / lx) * spline((y - ym) / ly) / lx
-        py = spline((x - xm) / lx) * spline_deriv((y - ym) / ly) / ly
+        px, py = gradient(x, y)
         active = _ripple(x, y) > 0.0
         rx = np.where(active, -ax * np.sin(ax * (x - xm)) * np.cos(ay * (y - ym)), 0.0)
         ry = np.where(active, -ay * np.cos(ax * (x - xm)) * np.sin(ay * (y - ym)), 0.0)
         return bx * (px + eps * rx) + by * (py + eps * ry)
-
-    def initial_guess(x, y):
-        cap = 1.0 - mu * (x - xm) ** 2 - mu * (y - ym) ** 2
-        return p_exact(x, y) + eta * np.maximum(0.0, cap)
 
     problem = _spline_family_problem(grid, eps, grad_source, p_exact)
     return ManufacturedCase(
@@ -299,6 +300,6 @@ def case_ap_limit(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) ->
         problem=problem,
         p_exact=p_exact,
         limit_exact=limit_exact,
-        initial_guess=initial_guess,
+        initial_guess=lambda x, y: p_exact(x, y) + cap(x, y),
         params={"eta": eta, "mu": mu},
     )

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from apdiff.apcore import (
 )
 from apdiff.grid import INTERIOR, CellField, CellVectorField, NodeField, make_grid, sample_node
 from apdiff.linsolve import DirectFactor, SolveReport, SolverConfig, assemble, nested_dissection
-from apdiff.operators import apply_dh
+from apdiff.operators import apply_dh, compose_second_order
 from apdiff.problems import case_angle, case_linear_variable, case_nonlinear
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
 
@@ -122,8 +123,9 @@ def no_factor(*args, **kwargs):
 
 def mean_factor(problem, tol=1e-12):
     """The factor of the mean-potential system, as solve_linear_ap builds it."""
-    op = apcore._cell_operator(problem, problem.reaction_cell)
-    return apcore._factor(op, problem.grid, tol, "mean-potential")
+    g = problem.grid
+    matrix = assemble(apcore._cell_operator(problem), (g.nx, g.ny))
+    return apcore._factor(matrix, g, tol, "mean-potential")
 
 
 def test_solve_L_skipped_at_eps_zero(monkeypatch):
@@ -559,11 +561,25 @@ def test_nested_dissection_matches_colamd_oracle(kind, value, monkeypatch):
     assert_same_decomposition(dec, oracle)
 
 
+def flux_operator(problem):
+    """The flux-potential operator in L: ``-dh((1/G) dh*(H chi)) + eps chi`` on interior cells."""
+    g = problem.grid
+
+    def op(v):
+        chi = CellField.zeros(g)
+        chi.values[INTERIOR] = v
+        out = compose_second_order(chi, problem.diffusivity_cell, problem.reaction_node,
+                                   problem.direction)
+        return out.values[INTERIOR] + problem.eps * v
+
+    return op
+
+
 def flux_system(problem):
     """The probe-assembled flux-potential matrix and its right-hand side."""
     g = problem.grid
     b = problem.direction
-    op = apcore._cell_operator(problem, problem.diffusivity_cell, problem.eps)
+    op = flux_operator(problem)
     ratio = NodeField(g, problem.source_node.values / problem.reaction_node.values)
     rhs = -problem.eps * (apply_dh(ratio, b).values[INTERIOR]
                           - problem.grad_source_cell.values[INTERIOR])
@@ -630,9 +646,32 @@ def test_one_factorization_unless_cg_falls_back(eps, factorizations, cg_ran, mon
     assert_same_decomposition(dec, oracle)
 
 
+def test_flux_fallback_factors_the_cg_operator_without_assembling(monkeypatch):
+    # at eps 100 CG misses the tolerance: the fallback factors A C^-1 + eps H^-1
+    # from the assembled mean matrix, so only the mean system is probed
+    problem = pinned_problem("linear", 100.0, cells=32)
+    config = SolverConfig()
+    with monkeypatch.context() as m:
+        m.setattr(apcore, "solve_L", direct_solve_L)
+        oracle = solve_linear_ap(problem, config)
+    shapes = []
+    with monkeypatch.context() as m:
+        m.setattr(apcore, "assemble", lambda op, shape: shapes.append(shape) or assemble(op, shape))
+        dec = solve_linear_ap(problem, config)
+    assert shapes == [(problem.grid.nx, problem.grid.ny)]
+    assert dec.cg_iterations is None  # the fallback ran
+    assert dec.residuals["L"] <= config.tol
+    # the residual gate as measured on the probe-assembled system in L
+    matrix, rhs = flux_system(problem)
+    L = dec.L.values[INTERIOR].ravel()
+    assert np.linalg.norm(matrix @ L - rhs) <= config.tol * np.linalg.norm(rhs)
+    assert_same_decomposition(dec, oracle)
+
+
 def test_cg_preconditioned_by_gauge_shifted_factor():
     g = make_grid(UNIT, 8, 8)
-    factor = apcore._factor(singular_mean_operator(g, (3, 4)), g, 1e-12, "mean-potential")
+    matrix = assemble(singular_mean_operator(g, (3, 4)), (g.nx, g.ny))
+    factor = apcore._factor(matrix, g, 1e-12, "mean-potential")
     assert factor.shift > 0.0
     problem = case_linear_variable(g, 0.1).problem
     L, residual, cg_iterations = solve_L(problem, factor)
@@ -649,7 +688,7 @@ def test_cg_preconditioned_by_gauge_shifted_factor():
 def singular_mean_operator(g, cell):
     """The mean-potential operator with one cell's row and column zeroed."""
     problem = swirl_problem(g, 0.1)
-    base = apcore._cell_operator(problem, problem.reaction_cell)
+    base = apcore._cell_operator(problem)
 
     def op(v):
         v = v.copy()
@@ -667,7 +706,7 @@ def test_gauge_shift_retry_solves_consistent_rhs():
     op = singular_mean_operator(g, cell)
     with pytest.raises(RuntimeError):  # exactly singular without the shift
         apcore.DirectFactor(apcore.assemble(op, (g.nx, g.ny)), np.arange(g.nx * g.ny))
-    factor = apcore._factor(op, g, 1e-12, "mean-potential")
+    factor = apcore._factor(apcore.assemble(op, (g.nx, g.ny)), g, 1e-12, "mean-potential")
     assert factor.shift > 0.0  # the retry fired
 
     x_true = np.random.default_rng(5).standard_normal((g.nx, g.ny))
@@ -686,4 +725,4 @@ def test_gauge_shift_retry_solves_consistent_rhs():
 def test_gauge_shift_failure_names_stage():
     g = make_grid(UNIT, 6, 6)
     with pytest.raises(StageError, match="flux-potential"):
-        apcore._factor(lambda v: np.zeros_like(v), g, 1e-12, "flux-potential")
+        apcore._factor(sp.csr_matrix((g.nx * g.ny, g.nx * g.ny)), g, 1e-12, "flux-potential")

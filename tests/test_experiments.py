@@ -271,6 +271,14 @@ def test_cli_rejects_bad_stop_rule(tmp_path, experiment, bad):
         cli.main([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
 
 
+def test_cli_rejects_fractional_mesh(tmp_path):
+    # truncated, 25.5 cells per side would run a 25-cell mesh
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"meshes": [25.5], "eps_list": [1.0, 1e-3, 1e-6]}')
+    with pytest.raises(ValueError, match="integer"):
+        cli.main(["conditioning", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+
+
 def test_config_from_dict_with_solver():
     cfg = ExperimentConfig.from_dict({"meshes": [10], "solver": {"tol": 1e-11}})
     assert cfg.meshes == [10]

@@ -44,6 +44,27 @@ def test_make_grid_rejects_bad_input():
         make_grid(UNIT, 10, 0)
 
 
+@pytest.mark.parametrize("nx, ny", [(2.7, 3.9), (24.0, 24), (5, 5.5), (np.float64(5.0), 5)])
+def test_make_grid_rejects_non_integer_sizes(nx, ny):
+    # truncating would build a different mesh than the one asked for
+    with pytest.raises(ValueError, match="integer"):
+        make_grid(UNIT, nx, ny)
+
+
+def test_make_grid_accepts_numpy_integers():
+    g = make_grid(UNIT, np.int64(9), np.int32(4))
+    assert (g.nx, g.ny) == (9, 4)
+    assert type(g.nx) is int and type(g.ny) is int
+    assert g.dx == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("bounds", [((1.0, np.inf), (1.0, 2.0)), ((-np.inf, 2.0), (1.0, 2.0)),
+                                    ((1.0, 2.0), (np.nan, 2.0)), ((1.0, 2.0), (1.0, np.inf))])
+def test_make_grid_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        make_grid(bounds, 5, 5)
+
+
 def test_coordinate_round_trip():
     g = make_grid(((0.3, 1.7), (2.0, 5.0)), 13, 7)
     mid_x = 0.5 * (g.node_xs[:-1] + g.node_xs[1:])

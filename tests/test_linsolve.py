@@ -13,12 +13,12 @@ from apdiff.linsolve import (
     DirectFactor,
     SolverConfig,
     assemble,
-    estimate_condition,
     nested_dissection,
 )
 from apdiff.operators import apply_dh, compose_second_order
 from apdiff.problems import case_angle, case_linear_variable
 
+from test_apcore import flux_operator
 from test_operators import uniform_direction
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
@@ -154,8 +154,7 @@ def test_assemble_cell_systems_bitwise_equal_to_offset_loop(kind, value, nx, ny)
         problem = case_linear_variable(g, value).problem
     else:
         problem = case_angle(g, 1e-3, np.radians(value)).problem
-    for op in (apcore._cell_operator(problem, problem.diffusivity_cell, problem.eps),
-               apcore._cell_operator(problem, problem.reaction_cell)):
+    for op in (flux_operator(problem), apcore._cell_operator(problem)):
         _assert_csr_identical(assemble(op, (nx, ny)),
                               _assemble_by_offsets(op, (nx, ny), (nx, ny)))
 
@@ -236,16 +235,6 @@ def test_solve_determinism():
     x1 = DirectFactor(mat, np.arange(30)).solve(rhs).x
     x2 = DirectFactor(mat, np.arange(30)).solve(rhs).x
     np.testing.assert_array_equal(x1, x2)
-
-
-def test_estimate_condition_identity():
-    assert estimate_condition(sp.eye(10, format="csr")) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_estimate_condition_known_spectrum():
-    mat = sp.diags([1.0, 1e6], format="csr")
-    est = estimate_condition(mat)
-    assert 0.5e6 <= est <= 2e6
 
 
 def test_residual_recomputed_independently():

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from apdiff.apcore import LinearProblem, solve_linear_ap
 from apdiff.grid import INTERIOR, make_grid, sample_node
-from apdiff.naive import assemble_naive, naive_condition, solve_naive
+from apdiff.naive import assemble_naive, estimate_condition, naive_condition, solve_naive
 from apdiff.problems import case_angle, case_linear_variable
 from apdiff.experiments import ExperimentConfig, conditioning_study, rel_error, unit_square_grid
 
@@ -167,3 +170,14 @@ def test_naive_condition_reports_inf_on_breakdown():
     system = assemble_naive(case_linear_variable(g, 0.0).problem)
     cond = naive_condition(system)
     assert cond > 1e8 or not np.isfinite(cond)
+
+
+def test_estimate_condition_identity():
+    mat = sp.eye(10, format="csr")
+    assert estimate_condition(mat, spla.splu(mat.tocsc())) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_estimate_condition_known_spectrum():
+    mat = sp.diags([1.0, 1e6], format="csr")
+    est = estimate_condition(mat, spla.splu(mat.tocsc()))
+    assert 0.5e6 <= est <= 2e6

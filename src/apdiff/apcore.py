@@ -25,6 +25,14 @@ and l systems share one matrix A, the only one assembled: with ``C = diag(G)``
 and ``y = H L`` the L system reads ``(A C^-1 + eps H^-1) y = rhs``; conjugate
 gradients preconditioned by the factor of A solve it for moderate eps, and for
 large eps its matrix is built from A and factored (:func:`solve_L`).
+Related solves, such as the iterations of the Gummel loop, can hold the
+factor of A from one solve to the next (:class:`HeldFactor`).  While G stays
+within ``HOLD_DRIFT`` (relative) of the G that factor was built from, all
+three systems are solved by CG on their symmetric positive definite forms
+``S y = r``, ``y = C x``: the current A is applied through its stencils and
+the held factor preconditions, so nothing is assembled or factored.  A
+drifted G, or a stage that misses the tolerance, drops the held factor, and
+the solve factors anew as it does without one.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
@@ -50,6 +58,7 @@ __all__ = [
     "LinearProblem",
     "SolutionDecomposition",
     "GhostFillReport",
+    "HeldFactor",
     "StageError",
     "reconstruct_pi",
     "solve_L",
@@ -150,9 +159,11 @@ class SolutionDecomposition:
     residuals: dict = field(default_factory=dict)  # per-stage relative residuals
     mean_gradient_l2: float = 0.0  # ||dh pi||_l2(cells) / ||p||_l2(nodes)
     ghost: GhostFillReport | None = None
-    # CG steps of the L stage: 0 when L was not solved for (eps = 0), None
-    # when the direct fallback factored the L system
+    # CG steps of the solve: those of the L stage on a new factor, of all
+    # three stages on a held one; 0 when no stage ran CG (eps = 0 on a new
+    # factor), None when the direct fallback factored the L system
     cg_iterations: int | None = 0
+    factored: bool = True  # False when a held mean factor served the solve
 
 
 def _rhs_mean(problem: LinearProblem) -> CellField:
@@ -162,12 +173,15 @@ def _rhs_mean(problem: LinearProblem) -> CellField:
 
 
 def _cell_operator(problem: LinearProblem):
-    """Mean-potential operator ``-dh((1/G) dh*(G chi))`` on interior cells, ring held at zero."""
+    """Mean-potential operator ``-dh((1/G) dh*(G chi))`` on interior cells, ring held at zero.
+
+    Takes the interior values flat or as an ``nx x ny`` array; returns an array.
+    """
     grid = problem.grid
 
     def op(v: np.ndarray) -> np.ndarray:
         chi = CellField.zeros(grid)
-        chi.values[INTERIOR] = v
+        chi.values[INTERIOR] = v.reshape(grid.nx, grid.ny)
         return compose_second_order(chi, problem.reaction_cell, problem.reaction_node,
                                     problem.direction).values[INTERIOR]
 
@@ -214,25 +228,72 @@ def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
     return pi
 
 
-# Step cap of the conjugate-gradient solve of the flux-potential system; a
-# solve that misses the tolerance within it factors the system instead.
+# Step cap of the conjugate-gradient solves; a solve that misses the tolerance
+# within it takes the direct path instead.
 FLUX_CG_MAX_STEPS = 30
+# From this step on CG gives up once its observed contraction would miss the cap.
+_CG_JUDGE_FROM = 4
+
+
+def _pcg(system, gc: np.ndarray, factor: DirectFactor, rhs: np.ndarray,
+         tol: float) -> tuple[np.ndarray, float, int]:
+    """Conjugate gradients on a cell system in its symmetric positive definite form.
+
+    ``system`` applies ``S = A C^-1`` (plus, for L, ``eps H^-1``) to
+    ``y = C x``, with ``C = diag(gc)`` and A the mean-potential matrix.  The
+    preconditioner is ``C A^-1`` through ``factor.lu_solve``, where the factor
+    may be of A itself, gauge-shifted or not, or of an earlier A.  CG starts
+    from zero and runs until its recursive residual falls below ``1e-3 tol``
+    relative.  It gives up at ``FLUX_CG_MAX_STEPS`` steps, or from step
+    ``_CG_JUDGE_FROM`` on as soon as the mean contraction per step so far,
+    kept up to the cap, would leave the residual above ``tol``.  Returns
+    ``(y, residual, steps)``, the relative residual recomputed on ``system``.
+    """
+    rhs_norm = float(np.linalg.norm(rhs))
+    y = np.zeros_like(rhs)
+    if rhs_norm == 0.0:
+        return y, 0.0, 0
+    target = 1e-3 * tol * rhs_norm
+    r = rhs.copy()
+    steps = 0
+    while steps < FLUX_CG_MAX_STEPS:
+        r_norm = np.linalg.norm(r)
+        if r_norm < target or (steps >= _CG_JUDGE_FROM and
+                               (r_norm / rhs_norm) ** (FLUX_CG_MAX_STEPS / steps) > tol):
+            break
+        z = gc * factor.lu_solve(r)
+        rho = np.dot(r, z)
+        if steps:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = system(p)
+        alpha = rho / np.dot(p, q)
+        y += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        steps += 1
+    return y, float(np.linalg.norm(system(y) - rhs)) / rhs_norm, steps
 
 
 def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
-            config: SolverConfig | None = None):
+            config: SolverConfig | None = None, held: bool = False):
     """Flux-scale potential; the only eps-dependent system.
 
     With ``C = diag(G)`` on the cells and ``y = H L``, the system reads
     ``(S + eps H^-1) y = rhs``, where ``S = A C^-1`` is symmetric positive
     definite and A is the mean-potential matrix that ``mean_factor``
-    factors.  Conjugate gradients solve it, preconditioned by
+    factors.  Conjugate gradients solve it (:func:`_pcg`), preconditioned by
     ``S^-1 = C A^-1`` through ``mean_factor`` (gauge-shifted or not), so the
-    preconditioned operator is ``I + eps S^-1 H^-1``.  CG runs until its
-    recursive residual falls to ``1e-3 tol`` relative; the reported residual
-    is then recomputed on the unshifted system.  If that misses ``tol``
-    within ``FLUX_CG_MAX_STEPS`` steps, as it does for large eps, the matrix
-    of that operator is built from the unshifted A and factored instead.
+    preconditioned operator is ``I + eps S^-1 H^-1``.  The reported residual
+    is recomputed on the unshifted system.  If it misses ``tol``, as it does
+    for large eps, the matrix of that operator is built from the unshifted A
+    and factored instead.
+
+    ``held`` marks ``mean_factor`` as a factor of an earlier problem's A:
+    CG then applies this problem's A through its stencils, and a miss is
+    returned as it stands, with no fallback, for the caller to factor anew.
 
     Returns ``(L, residual, cg_iterations)``: the field, the relative
     residual of the solve in ``y``, and the CG steps taken, or ``None`` when
@@ -246,30 +307,23 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
     rhs = -eps * (
         _rhs_mean(problem).values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
     ).ravel()
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
+    if not np.any(rhs):
         return CellField.zeros(grid), 0.0, 0
 
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     hc = problem.diffusivity_cell.values[INTERIOR].ravel()
-    a = mean_factor.matrix
+    mean = _cell_operator(problem) if held else mean_factor.matrix.dot
 
     def system(y):
-        return a @ (y / gc) + eps * y / hc
+        return mean(y / gc).ravel() + eps * y / hc
 
-    shape = (rhs.size, rhs.size)
-    steps = []
-    y, _ = spla.cg(spla.LinearOperator(shape, system, dtype=float), rhs,
-                   rtol=1e-3 * config.tol, atol=0.0, maxiter=FLUX_CG_MAX_STEPS,
-                   M=spla.LinearOperator(shape, lambda r: gc * mean_factor.lu_solve(r),
-                                         dtype=float),
-                   callback=steps.append)
-    residual = float(np.linalg.norm(system(y) - rhs)) / rhs_norm
-    if residual <= config.tol:
+    y, residual, steps = _pcg(system, gc, mean_factor, rhs, config.tol)
+    if held or residual <= config.tol:
         L = CellField.zeros(grid)
         L.values[INTERIOR] = (y / hc).reshape(grid.nx, grid.ny)
-        return L, residual, len(steps)
+        return L, residual, steps
 
+    a = mean_factor.matrix
     factor = _factor(a @ sp.diags(1 / gc) + sp.diags(eps / hc), grid, config.tol, "flux-potential")
     y, residual = _solve(factor, rhs, grid, config.tol, "flux-potential")
     return CellField(grid, y.values / problem.diffusivity_cell.values), residual, None
@@ -438,8 +492,59 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
     return filled, report
 
 
+# A held mean factor preconditions the solves of a problem whose cell reaction
+# coefficient G is within this relative 2-norm distance of the one it was built from.
+HOLD_DRIFT = 1e-3
+
+
+@dataclass
+class HeldFactor:
+    """A mean-potential factor held across related solves, as Gummel's iterations are.
+
+    ``factor`` factors the A built from the cell reaction coefficient
+    ``reaction_cell``; both are ``None`` while nothing is held.
+    """
+
+    factor: DirectFactor | None = None
+    reaction_cell: np.ndarray | None = None
+
+    def fits(self, reaction_cell: np.ndarray) -> bool:
+        """Whether a factor is held and ``reaction_cell`` is within ``HOLD_DRIFT`` of its own."""
+        return (self.factor is not None and reaction_cell.shape == self.reaction_cell.shape
+                and bool(np.linalg.norm(reaction_cell - self.reaction_cell)
+                         <= HOLD_DRIFT * np.linalg.norm(reaction_cell)))
+
+    def drop(self) -> None:
+        self.factor = self.reaction_cell = None
+
+
+def _held_stages(problem: LinearProblem, factor: DirectFactor, config: SolverConfig):
+    """h, L and l by CG preconditioned with a factor of an earlier A; ``None`` once one misses."""
+    grid = problem.grid
+    L, res_L, steps = solve_L(problem, factor, config, held=True)
+    if not res_L <= config.tol:
+        return None
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    mean = _cell_operator(problem)
+
+    def system(y):
+        return mean(y / gc).ravel()
+
+    solved = []
+    for rhs in (_rhs_mean(problem).values[INTERIOR],
+                L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]):
+        y, residual, n = _pcg(system, gc, factor, rhs.ravel(), config.tol)
+        if not residual <= config.tol:
+            return None
+        field = CellField.zeros(grid)
+        field.values[INTERIOR] = (y / gc).reshape(grid.nx, grid.ny)
+        solved.append((field, residual))
+        steps += n
+    return solved[0], (L, res_L), solved[1], steps
+
+
 def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
-                    fill: bool = True) -> SolutionDecomposition:
+                    fill: bool = True, held: HeldFactor | None = None) -> SolutionDecomposition:
     """Full pipeline: L, then h -> pi and l -> q, then p = pi + q and ghost fill.
 
     Well-posed and second-order accurate uniformly in eps, down to and
@@ -448,20 +553,37 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     L (:func:`solve_L`), so one factorization serves the whole solve.  Only
     when CG misses the tolerance is the L system factored as well, while the
     shared factor is held.
+
+    ``held`` carries a mean factor from one solve to the next.  While it
+    fits the problem (:meth:`HeldFactor.fits`), nothing is assembled or
+    factored: all three stages run CG on their symmetric positive definite
+    forms, with this problem's A applied through its stencils and the held
+    factor as preconditioner.  When it does not fit, or a stage misses
+    ``tol``, the held factor is dropped first, and the solve assembles and
+    factors anew as without ``held`` and leaves that factor held.
     """
     config = config or SolverConfig()
     grid = problem.grid
 
-    matrix = assemble(_cell_operator(problem), (grid.nx, grid.ny))
-    factor = _factor(matrix, grid, config.tol, "mean-potential")
-    L, res_L, cg_iterations = solve_L(problem, factor, config)
-
-    h, res_h = _solve(factor, _rhs_mean(problem).values[INTERIOR], grid, config.tol,
-                      "mean-potential")
+    stages = None
+    if held is not None and held.fits(problem.reaction_cell.values):
+        stages = _held_stages(problem, held.factor, config)
+    factored = stages is None
+    if factored:
+        if held is not None:
+            held.drop()
+        matrix = assemble(_cell_operator(problem), (grid.nx, grid.ny))
+        factor = _factor(matrix, grid, config.tol, "mean-potential")
+        L, res_L, cg_iterations = solve_L(problem, factor, config)
+        h, res_h = _solve(factor, _rhs_mean(problem).values[INTERIOR], grid, config.tol,
+                          "mean-potential")
+        rhs_l = L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
+        l, res_l = _solve(factor, rhs_l, grid, config.tol, "fluctuation-potential")
+        if held is not None:
+            held.factor, held.reaction_cell = factor, problem.reaction_cell.values
+    else:
+        (h, res_h), (L, res_L), (l, res_l), cg_iterations = stages
     pi = reconstruct_pi(problem, h)
-
-    rhs_l = L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
-    l, res_l = _solve(factor, rhs_l, grid, config.tol, "fluctuation-potential")
     q = reconstruct_q(problem, l)
 
     p = NodeField.zeros(grid)
@@ -486,4 +608,5 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
         mean_gradient_l2=mean_grad_l2,
         ghost=ghost_report,
         cg_iterations=cg_iterations,
+        factored=factored,
     )

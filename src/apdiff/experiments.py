@@ -43,7 +43,8 @@ ROW_FIELDS = [
     "cond_estimate", "runtime_ms", "status",
 ]
 
-HISTORY_FIELDS = ["N", "correction_rel", "error_rel_l2", "residual_h", "residual_L", "residual_l"]
+HISTORY_FIELDS = ["N", "correction_rel", "error_rel_l2", "residual_h", "residual_L", "residual_l",
+                  "cg_iterations", "factored"]
 
 
 def unit_square_grid(cells: int):
@@ -131,8 +132,10 @@ class ExperimentReport:
             w = csv.writer(fh)
             w.writerow(HISTORY_FIELDS)
             for rec in self.histories[label]:
+                # a cg_iterations of None (the L fallback ran) is an empty cell
                 w.writerow([rec.n, repr(rec.correction_rel), repr(rec.error_rel_l2),
-                            repr(rec.residual_h), repr(rec.residual_L), repr(rec.residual_l)])
+                            repr(rec.residual_h), repr(rec.residual_L), repr(rec.residual_l),
+                            rec.cg_iterations, rec.factored])
 
     def write_summary(self, path) -> None:
         payload = {

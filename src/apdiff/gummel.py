@@ -11,6 +11,16 @@ values never read ghost values, so the ghost ring is filled from the flux
 boundary condition once, when the loop hands back its iterate.  For a linear
 reaction law the first correction is exact, so the loop converges in one
 iteration up to solver residuals.
+
+The loop holds the factor of the mean-potential matrix across iterations
+(:class:`apcore.HeldFactor`), a lagged preconditioner (Knoll & Keyes, J.
+Comput. Phys. 193, 2004; Kelley, SIAM 1995, ch. 5).  While the cell slope G
+stays within ``apcore.HOLD_DRIFT`` (relative) of the G that factor was built
+from, an iteration assembles and factors nothing and its stages run
+preconditioned CG; a larger drift, or a stage that misses the tolerance,
+factors anew.  At most one mean factor is alive at a time, none after the
+loop returns, and ``IterationRecord.factored`` records which iterations
+factored.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apcore import LinearProblem, StageError, check_data, fill_ghost, solve_linear_ap
+from .apcore import HeldFactor, LinearProblem, StageError, check_data, fill_ghost, solve_linear_ap
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 from .linsolve import SolverConfig
 from .operators import apply_dh
@@ -77,7 +87,8 @@ class IterationRecord:
     residual_L: float
     residual_l: float
     slope_floored: int  # number of samples where g' fell below the safeguard
-    cg_iterations: int | None  # of the L stage; None when its direct fallback ran
+    cg_iterations: int | None  # of the solve; None when the L stage's direct fallback ran
+    factored: bool  # whether the iteration assembled and factored a new mean matrix
 
 
 @dataclass
@@ -159,6 +170,7 @@ def gummel_solve(
     state = GummelState()
     p = p0.copy()
     updated = False
+    held = HeldFactor()
     exact_norm = None
     if exact is not None:
         exact_norm = float(np.linalg.norm(exact.values[INTERIOR]))
@@ -166,6 +178,7 @@ def gummel_solve(
     def finish(status: str, detail: str = ""):
         state.status = status
         state.detail = detail
+        held.drop()
         if updated:
             filled, _ = fill_ghost(p, problem.direction, problem.grad_source_cell)
             return filled, state
@@ -174,7 +187,7 @@ def gummel_solve(
     for n in range(stop.n_max):
         try:
             lp = linearize(problem, p)
-            dec = solve_linear_ap(lp, config, fill=False)
+            dec = solve_linear_ap(lp, config, fill=False, held=held)
         except (StageError, ValueError) as exc:
             # An iterate whose linearized system is no longer solvable has
             # left the workable basin; report it as divergence, not a crash.
@@ -203,6 +216,7 @@ def gummel_solve(
                 residual_l=dec.residuals["l"],
                 slope_floored=getattr(lp, "_slope_floored", 0),
                 cg_iterations=dec.cg_iterations,
+                factored=dec.factored,
             )
         )
         state.n_iterations = n + 1

@@ -4,11 +4,14 @@ The elliptic systems of the solver are defined through operator applications
 (compositions of the dual stencils); their matrices are recovered by probing
 unit vectors one 3x3 color class at a time, which needs at most nine
 applications for any stencil of radius one; the naive baseline's
-rectangular node-to-equation operator is probed the same way.  Solving is
-done by a sparse direct factorization (the systems are small enough and the
-accuracy analysis of the scheme presumes near machine-precision residuals);
-its unrefined inverse, :meth:`DirectFactor.lu_solve`, also serves as a
-preconditioner.
+rectangular node-to-equation operator is probed the same way.  Each linear
+solve factors the mean-potential matrix once, by a sparse direct
+factorization (the systems are small enough and the accuracy analysis of the
+scheme presumes near machine-precision residuals), and solves with it by
+:func:`refine`.  Its unrefined inverse, :meth:`DirectFactor.lu_solve`, also
+preconditions conjugate gradients: for the flux potential in every solve,
+and for all three cell systems while a Gummel run holds a factor of an
+earlier iteration's matrix (``apcore.HeldFactor``).
 
 :class:`DirectFactor` eliminates unknowns in the order its caller gives.  The
 cell systems of the solver are radius-1 stencils on the structured cell

@@ -112,7 +112,15 @@ def test_gummel_study_small(tmp_path):
     assert hist_files
     with open(hist_files[0]) as fh:
         header = fh.readline().strip()
-    assert header == "N,correction_rel,error_rel_l2,residual_h,residual_L,residual_l"
+    assert header == ("N,correction_rel,error_rel_l2,residual_h,residual_L,residual_l,"
+                      "cg_iterations,factored")
+    label = hist_files[0].name[len("gummel-history-"):-len(".csv")]
+    with open(hist_files[0]) as fh:
+        rows = list(csv.DictReader(fh))
+    history = report.histories[label]
+    assert [row["factored"] for row in rows] == [str(r.factored) for r in history]
+    assert [int(row["cg_iterations"]) for row in rows] == [r.cg_iterations for r in history]
+    assert rows[0]["factored"] == "True"
 
 
 def test_gummel_status_reaches_csv(tmp_path):

@@ -1,10 +1,11 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
-from apdiff import gummel
-from apdiff.apcore import StageError, fill_ghost, solve_linear_ap
+from apdiff import apcore, gummel
+from apdiff.apcore import HeldFactor, StageError, fill_ghost, solve_linear_ap
 from apdiff.grid import INTERIOR, CellField, NodeField, make_grid, sample_cell, sample_cell_vec, sample_node
 from apdiff.gummel import (
     IterationRecord,
@@ -220,13 +221,17 @@ def test_history_records_fields():
 
 
 def per_iteration_fill_reference(problem, p0, stop, exact):
-    """The Gummel loop with a ghost fill after every update, for converging runs."""
+    """The Gummel loop with a ghost fill after every update, for converging runs.
+
+    It holds the mean factor across iterations as :func:`gummel_solve` does.
+    """
     p = p0.copy()
     history = []
+    held = HeldFactor()
     exact_norm = np.linalg.norm(exact.values[INTERIOR])
     for n in range(stop.n_max):
         lp = linearize(problem, p)
-        dec = solve_linear_ap(lp, fill=False)
+        dec = solve_linear_ap(lp, fill=False, held=held)
         p_new = p.copy()
         p_new.values[INTERIOR] = p.values[INTERIOR] + dec.p.values[INTERIOR]
         corr = float(np.linalg.norm(dec.p.values[INTERIOR])) / float(
@@ -235,7 +240,7 @@ def per_iteration_fill_reference(problem, p0, stop, exact):
         err = float(np.linalg.norm(p.values[INTERIOR] - exact.values[INTERIOR])) / exact_norm
         history.append(IterationRecord(n, corr, err, dec.residuals["h"], dec.residuals["L"],
                                        dec.residuals["l"], lp._slope_floored,
-                                       dec.cg_iterations))
+                                       dec.cg_iterations, dec.factored))
         if corr <= stop.tol_rel:
             return p, history
     raise AssertionError("reference loop did not converge")
@@ -279,3 +284,72 @@ def test_stop_rule_validation():
             StopRule(tol_rel=bad)
     with pytest.raises(ValueError, match="n_max"):
         StopRule(n_max=2.5)
+
+
+def new_factor_every_iteration(lp, config=None, fill=True, held=None):
+    """``solve_linear_ap`` with no factor held across iterations."""
+    return apcore.solve_linear_ap(lp, config, fill)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-6, 0.0])
+def test_held_factor_matches_new_factor_every_iteration(eps, monkeypatch):
+    g = unit_square_grid(64)
+    case = case_nonlinear(g, eps)
+    exact = case.exact_field()
+    p0 = sample_node(case.initial_guess, g)
+    p, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12), exact=exact)
+    with monkeypatch.context() as m:
+        m.setattr(gummel, "solve_linear_ap", new_factor_every_iteration)
+        p_ref, state_ref = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12), exact=exact)
+    assert state.status == state_ref.status == "converged"
+    assert state.n_iterations == state_ref.n_iterations
+    assert not all(r.factored for r in state.history)
+    assert all(r.factored for r in state_ref.history)
+    assert np.linalg.norm(p.values - p_ref.values) <= 1e-10 * np.linalg.norm(p_ref.values)
+    for rec in state.history:
+        assert max(rec.residual_h, rec.residual_L, rec.residual_l) <= 1e-12
+
+
+def test_run_factors_while_the_slope_moves():
+    # the cell slope changes by 1.7e-1, 1.3e-2, then 1e-4 and less between
+    # iterations: iterations 0-2 factor, 3 and 4 reuse the factor of 2
+    g = unit_square_grid(64)
+    case = case_nonlinear(g, 0.0)
+    p0 = sample_node(case.initial_guess, g)
+    _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+    assert state.status == "converged"
+    assert [r.factored for r in state.history] == [True, True, True, False, False]
+    # at eps 0 L = 0 on a new factor; on the held one h and l run CG
+    assert [r.cg_iterations > 0 for r in state.history] == [False, False, False, True, True]
+
+
+def test_at_most_one_mean_factor_alive(monkeypatch):
+    alive = [0]
+    peak = [0]
+    at_fill = []
+
+    def released():
+        alive[0] -= 1
+
+    class LiveFactor(apcore.DirectFactor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+            weakref.finalize(self, released)
+
+    def counted_fill(*args, **kwargs):
+        at_fill.append(alive[0])
+        return fill_ghost(*args, **kwargs)
+
+    monkeypatch.setattr(apcore, "DirectFactor", LiveFactor)
+    monkeypatch.setattr(gummel, "fill_ghost", counted_fill)
+    g = unit_square_grid(32)
+    case = case_nonlinear(g, 0.1)
+    p0 = sample_node(case.initial_guess, g)
+    _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+    assert state.status == "converged"
+    assert sum(r.factored for r in state.history) >= 2
+    assert peak[0] == 1
+    assert at_fill == [0]  # dropped before the final ghost fill
+    assert alive[0] == 0

@@ -21,18 +21,19 @@ all with homogeneous values on the boundary cell ring, followed by
 
 Only the L system carries eps, and it degenerates gracefully (L = 0 at
 eps = 0), so cost and accuracy are uniform in the anisotropy strength.  The h
-and l systems share one matrix A, the only one assembled: with ``C = diag(G)``
-and ``y = H L`` the L system reads ``(A C^-1 + eps H^-1) y = rhs``; conjugate
-gradients preconditioned by the factor of A solve it for moderate eps, and for
-large eps its matrix is built from A and factored (:func:`solve_L`).
-Related solves, such as the iterations of the Gummel loop, can hold the
-factor of A from one solve to the next (:class:`HeldFactor`).  While G stays
-within ``HOLD_DRIFT`` (relative) of the G that factor was built from, all
-three systems are solved by CG on their symmetric positive definite forms
-``S y = r``, ``y = C x``: the current A is applied through its stencils and
-the held factor preconditions, so nothing is assembled or factored.  A
-drifted G, or a stage that misses the tolerance, drops the held factor, and
-the solve factors anew as it does without one.
+and l systems share one matrix A, the only one assembled; with ``x = H L / G``
+the L system reads ``(A + diag(eps G/H)) x = rhs``.  All three systems are
+self-adjoint in the G-weighted inner product, and one conjugate-gradient
+routine (:func:`_cg`) solves each of them, preconditioned by the factor of A.
+On a new factor h and l take one step each, and for large eps, where CG
+misses the tolerance, the L system is built from A and factored
+(:func:`solve_L`).  Related solves, such as the iterations of the Gummel
+loop, can hold the factor of A from one solve to the next
+(:class:`HeldFactor`).  While G stays within ``HOLD_DRIFT`` (relative) of the
+G that factor was built from, the same stages apply the current A through
+its stencils, so nothing is assembled or factored.  A drifted G, or a stage
+that misses the tolerance, drops the held factor, and the solve factors anew
+as it does without one.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
@@ -159,9 +160,8 @@ class SolutionDecomposition:
     residuals: dict = field(default_factory=dict)  # per-stage relative residuals
     mean_gradient_l2: float = 0.0  # ||dh pi||_l2(cells) / ||p||_l2(nodes)
     ghost: GhostFillReport | None = None
-    # CG steps of the solve: those of the L stage on a new factor, of all
-    # three stages on a held one; 0 when no stage ran CG (eps = 0 on a new
-    # factor), None when the direct fallback factored the L system
+    # CG steps of the solve over all three stages (2 at eps = 0 on a new
+    # factor, where L = 0); None when the L system was factored
     cg_iterations: int | None = 0
     factored: bool = True  # False when a held mean factor served the solve
 
@@ -188,33 +188,21 @@ def _cell_operator(problem: LinearProblem):
     return op
 
 
-def _factor(matrix: sp.csr_matrix, grid: Grid, tol: float, stage: str) -> DirectFactor:
+def _factor(matrix: sp.csr_matrix, grid: Grid, stage: str) -> DirectFactor:
     """Factor a cell system in nested-dissection order."""
     order = nested_dissection(grid.nx, grid.ny)
     try:
-        return DirectFactor(matrix, order, tol=tol)
+        return DirectFactor(matrix, order)
     except RuntimeError:
         # Exactly singular factorization: a gauge mode that cancels out of
         # every reconstruction; a tiny diagonal shift selects one gauge.
-        # Refinement and residuals stay on the unshifted matrix.
+        # CG and its residuals stay on the unshifted matrix.
         shift = 1e-12 * float(abs(matrix).max())
         try:
-            return DirectFactor(matrix, order, tol=tol, shift=shift)
+            return DirectFactor(matrix, order, shift=shift)
         except RuntimeError as exc:
             raise StageError(f"{stage} factorization failed, also after a gauge shift: "
                              f"{exc}") from exc
-
-
-def _solve(factor: DirectFactor, rhs_interior: np.ndarray, grid: Grid, tol: float,
-           stage: str) -> tuple[CellField, float]:
-    """Solve on the interior cells, ring held at zero; returns the field and its residual."""
-    report = factor.solve(rhs_interior.ravel())
-    if not report.ok:
-        raise StageError(f"{stage} solve failed: residual {report.residual:.3e} "
-                         f"above tolerance {tol:.1e}")
-    out = CellField.zeros(grid)
-    out.values[INTERIOR] = report.x.reshape(grid.nx, grid.ny)
-    return out, report.residual
 
 
 def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
@@ -228,76 +216,104 @@ def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
     return pi
 
 
-# Step cap of the conjugate-gradient solves; a solve that misses the tolerance
-# within it takes the direct path instead.
+# Step cap of the conjugate-gradient solves; an L solve on a new factor that
+# misses the tolerance within it factors its system instead.
 FLUX_CG_MAX_STEPS = 30
 # From this step on CG gives up once its observed contraction would miss the cap.
 _CG_JUDGE_FROM = 4
 
 
-def _pcg(system, gc: np.ndarray, factor: DirectFactor, rhs: np.ndarray,
-         tol: float) -> tuple[np.ndarray, float, int]:
-    """Conjugate gradients on a cell system in its symmetric positive definite form.
+def _cg(apply, gc: np.ndarray, factor: DirectFactor, rhs: np.ndarray,
+        tol: float) -> tuple[np.ndarray, float, int]:
+    """Preconditioned conjugate gradients on a cell system ``A_s x = rhs``.
 
-    ``system`` applies ``S = A C^-1`` (plus, for L, ``eps H^-1``) to
-    ``y = C x``, with ``C = diag(gc)`` and A the mean-potential matrix.  The
-    preconditioner is ``C A^-1`` through ``factor.lu_solve``, where the factor
-    may be of A itself, gauge-shifted or not, or of an earlier A.  CG starts
-    from zero and runs until its recursive residual falls below ``1e-3 tol``
-    relative.  It gives up at ``FLUX_CG_MAX_STEPS`` steps, or from step
-    ``_CG_JUDGE_FROM`` on as soon as the mean contraction per step so far,
-    kept up to the cap, would leave the residual above ``tol``.  Returns
-    ``(y, residual, steps)``, the relative residual recomputed on ``system``.
+    ``apply`` applies ``A_s``, which is self-adjoint in the inner product
+    weighted by ``gc`` (the cell G), as A and ``A + diag(eps G/H)`` are; CG
+    runs in that inner product.  ``factor.lu_solve`` preconditions, where the
+    factor may be of ``A_s`` itself, gauge-shifted or not, of A, or of an
+    earlier A.  CG starts from zero and runs until its recursive residual
+    falls below ``1e-3 tol`` relative, or below ``tol`` after step 1, where
+    the recursive residual is the true one up to rounding.  It gives up at
+    ``FLUX_CG_MAX_STEPS`` steps, or from step ``_CG_JUDGE_FROM`` on as soon
+    as the mean contraction per step so far, kept up to the cap, would leave
+    the residual above ``tol``.  Returns ``(x, residual, steps)``, the
+    relative residual recomputed by ``apply``.
     """
     rhs_norm = float(np.linalg.norm(rhs))
-    y = np.zeros_like(rhs)
+    x = np.zeros_like(rhs)
     if rhs_norm == 0.0:
-        return y, 0.0, 0
+        return x, 0.0, 0
     target = 1e-3 * tol * rhs_norm
     r = rhs.copy()
     steps = 0
     while steps < FLUX_CG_MAX_STEPS:
         r_norm = np.linalg.norm(r)
-        if r_norm < target or (steps >= _CG_JUDGE_FROM and
-                               (r_norm / rhs_norm) ** (FLUX_CG_MAX_STEPS / steps) > tol):
+        if (r_norm < target or (steps == 1 and r_norm <= tol * rhs_norm)
+                or (steps >= _CG_JUDGE_FROM
+                    and (r_norm / rhs_norm) ** (FLUX_CG_MAX_STEPS / steps) > tol)):
             break
-        z = gc * factor.lu_solve(r)
-        rho = np.dot(r, z)
+        z = factor.lu_solve(r)
+        rho = np.dot(r, gc * z)
         if steps:
             p *= rho / rho_prev
             p += z
         else:
             p = z.copy()
-        q = system(p)
-        alpha = rho / np.dot(p, q)
-        y += alpha * p
+        q = apply(p)
+        alpha = rho / np.dot(p, gc * q)
+        x += alpha * p
         r -= alpha * q
         rho_prev = rho
         steps += 1
-    return y, float(np.linalg.norm(system(y) - rhs)) / rhs_norm, steps
+    return x, float(np.linalg.norm(apply(x) - rhs)) / rhs_norm, steps
+
+
+def _stage(problem: LinearProblem, factor: DirectFactor, held: bool, rhs: np.ndarray,
+           tol: float, stage: str, diag: np.ndarray | None = None):
+    """One cell system ``(A + diag(diag)) x = rhs`` on the interior cells, by :func:`_cg`.
+
+    A, this problem's mean-potential matrix, is applied from ``factor.matrix``
+    on a new factor and through the stencils on a ``held`` one, and
+    ``factor`` preconditions.  A miss on a held factor is returned as it
+    stands, for the caller to factor anew.  On a new factor, a system with a
+    ``diag`` is built from ``factor.matrix``, factored and solved again by
+    :func:`_cg`; a miss without one, or a second miss, raises
+    :class:`StageError` naming ``stage``.  Returns ``(x, residual, steps)``,
+    ``steps`` ``None`` when the system was factored.
+    """
+    mean = _cell_operator(problem) if held else None
+
+    def apply(v):
+        out = mean(v).ravel() if held else factor.matrix @ v
+        return out if diag is None else out + diag * v
+
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    x, residual, steps = _cg(apply, gc, factor, rhs, tol)
+    if not (held or residual <= tol) and diag is not None:
+        matrix = factor.matrix + sp.diags(diag)
+        x, residual, _ = _cg(matrix.dot, gc, _factor(matrix, problem.grid, stage), rhs, tol)
+        steps = None
+    if not (held or residual <= tol):
+        raise StageError(f"{stage} solve failed: residual {residual:.3e} "
+                         f"above tolerance {tol:.1e}")
+    return x, residual, steps
 
 
 def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
             config: SolverConfig | None = None, held: bool = False):
     """Flux-scale potential; the only eps-dependent system.
 
-    With ``C = diag(G)`` on the cells and ``y = H L``, the system reads
-    ``(S + eps H^-1) y = rhs``, where ``S = A C^-1`` is symmetric positive
-    definite and A is the mean-potential matrix that ``mean_factor``
-    factors.  Conjugate gradients solve it (:func:`_pcg`), preconditioned by
-    ``S^-1 = C A^-1`` through ``mean_factor`` (gauge-shifted or not), so the
-    preconditioned operator is ``I + eps S^-1 H^-1``.  The reported residual
-    is recomputed on the unshifted system.  If it misses ``tol``, as it does
-    for large eps, the matrix of that operator is built from the unshifted A
-    and factored instead.
-
-    ``held`` marks ``mean_factor`` as a factor of an earlier problem's A:
-    CG then applies this problem's A through its stencils, and a miss is
-    returned as it stands, with no fallback, for the caller to factor anew.
+    With ``x = H L / G`` on the cells, the system reads
+    ``(A + diag(eps G/H)) x = rhs``, where A is the mean-potential matrix
+    that ``mean_factor`` factors, gauge-shifted or not (``held``: factors
+    an earlier problem's A).  :func:`_stage` solves it by CG preconditioned
+    by that factor; for large eps, where CG misses ``tol``, it factors the
+    system instead.  The reported residual is recomputed on the unshifted
+    system.
 
     Returns ``(L, residual, cg_iterations)``: the field, the relative
-    residual of the solve in ``y``, and the CG steps taken, or ``None`` when
-    the direct fallback ran.  A right-hand side that vanishes, as it does
+    residual of the solve, and the CG steps taken, or ``None`` when the
+    system was factored.  A right-hand side that vanishes, as it does
     identically at eps = 0, skips the solve: ``L = 0`` exactly, with
     residual 0 and no CG step.
     """
@@ -312,21 +328,11 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
 
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     hc = problem.diffusivity_cell.values[INTERIOR].ravel()
-    mean = _cell_operator(problem) if held else mean_factor.matrix.dot
-
-    def system(y):
-        return mean(y / gc).ravel() + eps * y / hc
-
-    y, residual, steps = _pcg(system, gc, mean_factor, rhs, config.tol)
-    if held or residual <= config.tol:
-        L = CellField.zeros(grid)
-        L.values[INTERIOR] = (y / hc).reshape(grid.nx, grid.ny)
-        return L, residual, steps
-
-    a = mean_factor.matrix
-    factor = _factor(a @ sp.diags(1 / gc) + sp.diags(eps / hc), grid, config.tol, "flux-potential")
-    y, residual = _solve(factor, rhs, grid, config.tol, "flux-potential")
-    return CellField(grid, y.values / problem.diffusivity_cell.values), residual, None
+    x, residual, steps = _stage(problem, mean_factor, held, rhs, config.tol, "flux-potential",
+                                diag=eps * gc / hc)
+    L = CellField.zeros(grid)
+    L.values[INTERIOR] = (gc * x / hc).reshape(grid.nx, grid.ny)
+    return L, residual, steps
 
 
 def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
@@ -518,29 +524,29 @@ class HeldFactor:
         self.factor = self.reaction_cell = None
 
 
-def _held_stages(problem: LinearProblem, factor: DirectFactor, config: SolverConfig):
-    """h, L and l by CG preconditioned with a factor of an earlier A; ``None`` once one misses."""
+def _stages(problem: LinearProblem, factor: DirectFactor, config: SolverConfig,
+            held: bool = False):
+    """L, then h and l, each by :func:`_stage`; ``None`` once one on a ``held`` factor misses.
+
+    Returns ``(fields, residuals, steps)``: the fields and their residuals by
+    name, and the CG steps of all three stages, ``None`` when L was factored.
+    """
     grid = problem.grid
-    L, res_L, steps = solve_L(problem, factor, config, held=True)
+    L, res_L, steps = solve_L(problem, factor, config, held)
     if not res_L <= config.tol:
         return None
-    gc = problem.reaction_cell.values[INTERIOR].ravel()
-    mean = _cell_operator(problem)
-
-    def system(y):
-        return mean(y / gc).ravel()
-
-    solved = []
-    for rhs in (_rhs_mean(problem).values[INTERIOR],
-                L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]):
-        y, residual, n = _pcg(system, gc, factor, rhs.ravel(), config.tol)
-        if not residual <= config.tol:
+    fields, residuals = {"L": L}, {"L": res_L}
+    for name, stage, rhs in (
+            ("h", "mean-potential", _rhs_mean(problem).values[INTERIOR]),
+            ("l", "fluctuation-potential",
+             L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR])):
+        x, residuals[name], n = _stage(problem, factor, held, rhs.ravel(), config.tol, stage)
+        if not residuals[name] <= config.tol:
             return None
-        field = CellField.zeros(grid)
-        field.values[INTERIOR] = (y / gc).reshape(grid.nx, grid.ny)
-        solved.append((field, residual))
-        steps += n
-    return solved[0], (L, res_L), solved[1], steps
+        fields[name] = CellField.zeros(grid)
+        fields[name].values[INTERIOR] = x.reshape(grid.nx, grid.ny)
+        steps = None if steps is None else steps + n
+    return fields, residuals, steps
 
 
 def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
@@ -549,40 +555,35 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
 
     Well-posed and second-order accurate uniformly in eps, down to and
     including eps = 0.  The mean and fluctuation systems share one matrix,
-    which is factored first; that factor also preconditions the CG solve of
-    L (:func:`solve_L`), so one factorization serves the whole solve.  Only
-    when CG misses the tolerance is the L system factored as well, while the
-    shared factor is held.
+    which is factored first; that factor preconditions the CG solves of all
+    three stages (:func:`_stages`), so one factorization serves the whole
+    solve.  Only when CG misses the tolerance on L is the L system factored
+    as well, while the shared factor is held.
 
     ``held`` carries a mean factor from one solve to the next.  While it
     fits the problem (:meth:`HeldFactor.fits`), nothing is assembled or
-    factored: all three stages run CG on their symmetric positive definite
-    forms, with this problem's A applied through its stencils and the held
-    factor as preconditioner.  When it does not fit, or a stage misses
-    ``tol``, the held factor is dropped first, and the solve assembles and
-    factors anew as without ``held`` and leaves that factor held.
+    factored: the same stages run with this problem's A applied through its
+    stencils.  When it does not fit, or a stage misses ``tol``, the held
+    factor is dropped first, and the solve assembles and factors anew as
+    without ``held`` and leaves that factor held.
     """
     config = config or SolverConfig()
     grid = problem.grid
 
     stages = None
     if held is not None and held.fits(problem.reaction_cell.values):
-        stages = _held_stages(problem, held.factor, config)
+        stages = _stages(problem, held.factor, config, held=True)
     factored = stages is None
     if factored:
         if held is not None:
             held.drop()
         matrix = assemble(_cell_operator(problem), (grid.nx, grid.ny))
-        factor = _factor(matrix, grid, config.tol, "mean-potential")
-        L, res_L, cg_iterations = solve_L(problem, factor, config)
-        h, res_h = _solve(factor, _rhs_mean(problem).values[INTERIOR], grid, config.tol,
-                          "mean-potential")
-        rhs_l = L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
-        l, res_l = _solve(factor, rhs_l, grid, config.tol, "fluctuation-potential")
+        factor = _factor(matrix, grid, "mean-potential")
+        stages = _stages(problem, factor, config)
         if held is not None:
             held.factor, held.reaction_cell = factor, problem.reaction_cell.values
-    else:
-        (h, res_h), (L, res_L), (l, res_l), cg_iterations = stages
+    fields, residuals, cg_iterations = stages
+    h, L, l = fields["h"], fields["L"], fields["l"]
     pi = reconstruct_pi(problem, h)
     q = reconstruct_q(problem, l)
 
@@ -604,7 +605,7 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
         pi=pi,
         q=q,
         p=p,
-        residuals={"h": res_h, "L": res_L, "l": res_l},
+        residuals=residuals,
         mean_gradient_l2=mean_grad_l2,
         ghost=ghost_report,
         cg_iterations=cg_iterations,

@@ -87,7 +87,7 @@ class IterationRecord:
     residual_L: float
     residual_l: float
     slope_floored: int  # number of samples where g' fell below the safeguard
-    cg_iterations: int | None  # of the solve; None when the L stage's direct fallback ran
+    cg_iterations: int | None  # of the solve, over its three stages; None when L was factored
     factored: bool  # whether the iteration assembled and factored a new mean matrix
 
 

@@ -1,4 +1,4 @@
-"""Sparse assembly by stencil probing and residual-checked direct solves.
+"""Sparse assembly by stencil probing, and sparse direct factors.
 
 The elliptic systems of the solver are defined through operator applications
 (compositions of the dual stencils); their matrices are recovered by probing
@@ -7,11 +7,11 @@ applications for any stencil of radius one; the naive baseline's
 rectangular node-to-equation operator is probed the same way.  Each linear
 solve factors the mean-potential matrix once, by a sparse direct
 factorization (the systems are small enough and the accuracy analysis of the
-scheme presumes near machine-precision residuals), and solves with it by
-:func:`refine`.  Its unrefined inverse, :meth:`DirectFactor.lu_solve`, also
-preconditions conjugate gradients: for the flux potential in every solve,
-and for all three cell systems while a Gummel run holds a factor of an
-earlier iteration's matrix (``apcore.HeldFactor``).
+scheme presumes near machine-precision residuals).  The factor's inverse,
+:meth:`DirectFactor.lu_solve`, preconditions the conjugate-gradient solves of
+all three cell systems (``apcore``), also while a Gummel run holds a factor
+of an earlier iteration's matrix (``apcore.HeldFactor``).  :func:`refine`
+is the naive baseline's refinement loop.
 
 :class:`DirectFactor` eliminates unknowns in the order its caller gives.  The
 cell systems of the solver are radius-1 stencils on the structured cell
@@ -22,7 +22,6 @@ in L+U where COLAMD leaves 25 M.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,7 @@ class SolverConfig:
 class SolveReport:
     x: np.ndarray
     residual: float  # ||Ax - b|| / max(||b||, tiny), recomputed after solving
-    wall_time: float
     ok: bool
-    method: str
 
 
 def _class_neighbor(color: int, n_in: int, n_out: int) -> np.ndarray:
@@ -180,14 +177,11 @@ class DirectFactor:
 
     ``perm`` is the order in which unknowns are eliminated; the factored
     matrix is ``(matrix + shift I)[perm][:, perm]``, with no further column
-    reordering.  Each solve is refined by :func:`refine` on ``matrix``
-    itself, unshifted.
+    reordering.  ``matrix`` itself, unshifted, is kept for the solves.
     """
 
-    def __init__(self, matrix: sp.spmatrix, perm: np.ndarray, tol: float = 1e-12,
-                 shift: float = 0.0):
+    def __init__(self, matrix: sp.spmatrix, perm: np.ndarray, shift: float = 0.0):
         self.matrix = matrix.tocsr()
-        self.tol = tol
         self.shift = shift
         self._perm = perm
         factored = (self.matrix + shift * sp.eye(self.matrix.shape[0], format="csr")
@@ -199,9 +193,3 @@ class DirectFactor:
         x = np.empty_like(rhs)
         x[self._perm] = self._lu.solve(rhs[self._perm])
         return x
-
-    def solve(self, rhs: np.ndarray) -> SolveReport:
-        t0 = time.perf_counter()
-        x, res = refine(self.matrix, self.lu_solve, rhs, self.tol)
-        ok = bool(np.isfinite(res) and res <= self.tol)
-        return SolveReport(x, res, time.perf_counter() - t0, ok, "direct")

@@ -27,7 +27,6 @@ entirely.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,17 +128,14 @@ def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
     """
     config = config or SolverConfig()
     system = assemble_naive(problem)
-    t0 = time.perf_counter()
     atb = system.matrix.T @ system.rhs
     try:
         ata, lu = _normal_equations(system)
         x, res = refine(ata, lu.solve, atb, config.tol)
         ok = bool(np.isfinite(res) and res <= max(config.tol, 1e-10))
-        report = SolveReport(x, res, time.perf_counter() - t0, ok, "normal-equations")
-    except RuntimeError as exc:
-        x = np.full(system.matrix.shape[1], np.nan)
-        report = SolveReport(x, np.inf, time.perf_counter() - t0, False,
-                             f"normal-equations ({exc})")
+        report = SolveReport(x, res, ok)
+    except RuntimeError:
+        report = SolveReport(np.full(system.matrix.shape[1], np.nan), np.inf, False)
     fld = NodeField(problem.grid, report.x.reshape(problem.grid.node_shape))
     return fld, report
 

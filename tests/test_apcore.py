@@ -22,13 +22,13 @@ from apdiff.apcore import (
 )
 from apdiff.grid import (INTERIOR, CellField, CellVectorField, NodeField, make_grid, sample_cell,
                          sample_node)
-from apdiff.linsolve import DirectFactor, SolveReport, SolverConfig, assemble, nested_dissection
+from apdiff.linsolve import DirectFactor, SolverConfig, assemble, nested_dissection, refine
 from apdiff.operators import apply_dh, compose_second_order
 from apdiff.problems import case_angle, case_linear_variable, case_nonlinear
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
 
 from _oracles import dense_second_order, truncated_lstsq_40_digits
-from test_gummel import linear_law_problem
+from test_gummel import count_lu_solves, linear_law_problem
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
@@ -122,11 +122,11 @@ def no_factor(*args, **kwargs):
     raise AssertionError("no system may be factored")
 
 
-def mean_factor(problem, tol=1e-12):
+def mean_factor(problem):
     """The factor of the mean-potential system, as solve_linear_ap builds it."""
     g = problem.grid
     matrix = assemble(apcore._cell_operator(problem), (g.nx, g.ny))
-    return apcore._factor(matrix, g, tol, "mean-potential")
+    return apcore._factor(matrix, g, "mean-potential")
 
 
 def test_solve_L_skipped_at_eps_zero(monkeypatch):
@@ -528,26 +528,14 @@ def test_residuals_reported():
 
 
 class ColamdFactor:
-    """Oracle: the factorization in COLAMD column order, refined as DirectFactor refines."""
+    """Oracle: the factorization in COLAMD column order, in place of nested dissection."""
 
-    def __init__(self, matrix, perm, tol=1e-12):
+    def __init__(self, matrix, perm):
         self.matrix = matrix.tocsr()
-        self.tol = tol
         self._lu = spla.splu(self.matrix.tocsc(), permc_spec="COLAMD")
 
     def lu_solve(self, rhs):
         return self._lu.solve(rhs)
-
-    def solve(self, rhs):
-        x = self._lu.solve(rhs)
-        scale = max(float(np.linalg.norm(rhs)), 1e-300)
-        res = float(np.linalg.norm(self.matrix @ x - rhs)) / scale
-        for _ in range(2):
-            if res <= self.tol or not np.isfinite(res):
-                break
-            x = x + self._lu.solve(rhs - self.matrix @ x)
-            res = float(np.linalg.norm(self.matrix @ x - rhs)) / scale
-        return SolveReport(x, res, 0.0, bool(np.isfinite(res) and res <= self.tol), "colamd")
 
 
 def pinned_problem(kind, value, cells=64):
@@ -609,7 +597,7 @@ def flux_system(problem):
     return assemble(op, (g.nx, g.ny)), rhs.ravel()
 
 
-def direct_solve_L(problem, mean_factor, config=None):
+def direct_solve_L(problem, mean_factor, config=None, held=False):
     """Oracle: the flux-potential system assembled and factored on its own."""
     config = config or SolverConfig()
     g = problem.grid
@@ -617,9 +605,10 @@ def direct_solve_L(problem, mean_factor, config=None):
     if problem.eps == 0.0:
         return L, 0.0, None
     matrix, rhs = flux_system(problem)
-    report = DirectFactor(matrix, nested_dissection(g.nx, g.ny), tol=config.tol).solve(rhs)
-    L.values[INTERIOR] = report.x.reshape(g.nx, g.ny)
-    return L, report.residual, None
+    factor = DirectFactor(matrix, nested_dissection(g.nx, g.ny))
+    x, residual = refine(matrix, factor.lu_solve, rhs, config.tol)
+    L.values[INTERIOR] = x.reshape(g.nx, g.ny)
+    return L, residual, None
 
 
 @pytest.mark.parametrize(
@@ -635,7 +624,8 @@ def test_cg_flux_solve_matches_direct_path(kind, value, monkeypatch):
         m.setattr(apcore, "solve_L", direct_solve_L)
         oracle = solve_linear_ap(problem, config)
     assert dec.cg_iterations is not None  # no fallback
-    assert (dec.cg_iterations > 0) == (problem.eps > 0.0)
+    # one CG step each for h and l, and those of L unless eps = 0
+    assert (dec.cg_iterations > 2) == (problem.eps > 0.0)
     assert all(r <= config.tol for r in dec.residuals.values())
     assert_same_decomposition(dec, oracle)
     if problem.eps > 0.0:
@@ -669,8 +659,22 @@ def test_one_factorization_unless_cg_falls_back(eps, factorizations, cg_ran, mon
     assert_same_decomposition(dec, oracle)
 
 
+@pytest.mark.parametrize(
+    "kind, value, lu_solves",
+    [("linear", 0.1, 8), ("linear", 1e-3, 6), ("linear", 0.0, 2), ("linear", 1.0, 11),
+     ("linear", 10.0, 20), ("angle", 0, 8), ("angle", 21, 6), ("angle", 45, 6), ("angle", 90, 8)],
+)
+def test_new_factor_solve_costs_the_L_steps_plus_two(kind, value, lu_solves, monkeypatch):
+    # on a new factor h and l take one CG step each, one lu_solve apiece
+    problem = pinned_problem(kind, value)
+    _, _, L_steps = solve_L(problem, mean_factor(problem))
+    calls = count_lu_solves(monkeypatch)
+    dec = solve_linear_ap(problem)
+    assert len(calls) == dec.cg_iterations == L_steps + 2 == lu_solves
+
+
 def test_flux_fallback_factors_the_cg_operator_without_assembling(monkeypatch):
-    # at eps 100 CG misses the tolerance: the fallback factors A C^-1 + eps H^-1
+    # at eps 100 CG misses the tolerance: the fallback factors A + diag(eps G/H)
     # from the assembled mean matrix, so only the mean system is probed
     problem = pinned_problem("linear", 100.0, cells=32)
     config = SolverConfig()
@@ -692,19 +696,21 @@ def test_flux_fallback_factors_the_cg_operator_without_assembling(monkeypatch):
 
 
 def test_cg_preconditioned_by_gauge_shifted_factor():
+    # the flux-potential stage on a gauge-shifted factor of A; CG starts from
+    # zero, since the preconditioned guess carries about 1/shift of the gauge mode
     g = make_grid(UNIT, 8, 8)
     matrix = assemble(singular_mean_operator(g, (3, 4)), (g.nx, g.ny))
-    factor = apcore._factor(matrix, g, 1e-12, "mean-potential")
+    factor = apcore._factor(matrix, g, "mean-potential")
     assert factor.shift > 0.0
     problem = case_linear_variable(g, 0.1).problem
-    L, residual, cg_iterations = solve_L(problem, factor)
-    assert cg_iterations is not None and residual <= 1e-12
-    # the residual is that of the unshifted system the factor's matrix defines
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     hc = problem.diffusivity_cell.values[INTERIOR].ravel()
-    y = hc * L.values[INTERIOR].ravel()
+    diag = 0.1 * gc / hc
     _, rhs = flux_system(problem)
-    unshifted = np.linalg.norm(factor.matrix @ (y / gc) + 0.1 * y / hc - rhs) / np.linalg.norm(rhs)
+    x, residual, steps = apcore._stage(problem, factor, False, rhs, 1e-12, "flux-potential", diag)
+    assert steps is not None and residual <= 1e-12
+    # the residual is that of the unshifted system the factor's matrix defines
+    unshifted = np.linalg.norm(factor.matrix @ x + diag * x - rhs) / np.linalg.norm(rhs)
     assert residual == pytest.approx(unshifted, rel=1e-6, abs=0.0)
 
 
@@ -729,26 +735,40 @@ def test_gauge_shift_retry_solves_consistent_rhs():
     op = singular_mean_operator(g, cell)
     with pytest.raises(RuntimeError):  # exactly singular without the shift
         apcore.DirectFactor(apcore.assemble(op, (g.nx, g.ny)), np.arange(g.nx * g.ny))
-    factor = apcore._factor(apcore.assemble(op, (g.nx, g.ny)), g, 1e-12, "mean-potential")
+    factor = apcore._factor(apcore.assemble(op, (g.nx, g.ny)), g, "mean-potential")
     assert factor.shift > 0.0  # the retry fired
 
     x_true = np.random.default_rng(5).standard_normal((g.nx, g.ny))
     x_true[cell] = 0.0
-    rhs = op(x_true)  # in the range of the singular matrix
-    field, residual = apcore._solve(factor, rhs, g, 1e-12, "mean-potential")
+    rhs = op(x_true).ravel()  # in the range of the singular matrix
+    # the stage of the problem whose operator was made singular, on a new factor
+    x, residual, _ = apcore._stage(swirl_problem(g, 0.1), factor, False, rhs, 1e-12,
+                                   "mean-potential")
     assert residual <= 1e-12
     # the reported residual is that of the unshifted system, not of the factored one
     matrix = apcore.assemble(op, (g.nx, g.ny))
-    x = field.values[INTERIOR].ravel()
-    unshifted = np.linalg.norm(matrix @ x - rhs.ravel()) / np.linalg.norm(rhs)
+    unshifted = np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
     assert residual == pytest.approx(unshifted, rel=1e-12, abs=0.0)
-    np.testing.assert_allclose(field.values[INTERIOR], x_true, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(x, x_true.ravel(), rtol=0, atol=1e-8)
+
+
+def test_new_factor_miss_raises_naming_the_stage():
+    # no x solves the singular system when the zeroed cell's equation is not 0 = 0
+    g = make_grid(UNIT, 8, 8)
+    cell = (3, 4)
+    op = singular_mean_operator(g, cell)
+    factor = apcore._factor(apcore.assemble(op, (g.nx, g.ny)), g, "mean-potential")
+    rhs = op(np.random.default_rng(5).standard_normal((g.nx, g.ny)))
+    rhs[cell] = 1.0
+    with pytest.raises(StageError, match="fluctuation-potential solve failed"):
+        apcore._stage(swirl_problem(g, 0.1), factor, False, rhs.ravel(), 1e-12,
+                      "fluctuation-potential")
 
 
 def test_gauge_shift_failure_names_stage():
     g = make_grid(UNIT, 6, 6)
     with pytest.raises(StageError, match="flux-potential"):
-        apcore._factor(sp.csr_matrix((g.nx * g.ny, g.nx * g.ny)), g, 1e-12, "flux-potential")
+        apcore._factor(sp.csr_matrix((g.nx * g.ny, g.nx * g.ny)), g, "flux-potential")
 
 
 def scipy_cg_solve_L(problem, factor, tol=1e-12):
@@ -774,14 +794,15 @@ def scipy_cg_solve_L(problem, factor, tol=1e-12):
 
 @pytest.mark.parametrize("eps", [1e-3, 0.1, 1.0, 3.0, 10.0])
 def test_flux_cg_takes_the_steps_of_scipy_cg(eps):
-    # the shared CG helper repeats scipy's recurrence: same steps, same bits
+    # the shared CG helper repeats scipy's recurrence, run in x = y/G: the
+    # same steps, and the same values up to rounding
     problem = pinned_problem("linear", eps)
     factor = mean_factor(problem)
     L, residual, cg_iterations = solve_L(problem, factor)
     L_ref, steps_ref = scipy_cg_solve_L(problem, factor)
     assert cg_iterations == steps_ref < apcore.FLUX_CG_MAX_STEPS
     assert residual <= 1e-12
-    np.testing.assert_array_equal(L.values[INTERIOR], L_ref)
+    assert np.linalg.norm(L.values[INTERIOR] - L_ref) <= 1e-13 * np.linalg.norm(L_ref)
 
 
 @pytest.mark.parametrize("eps", [100.0, 1000.0])

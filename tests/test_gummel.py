@@ -37,6 +37,14 @@ def linear_law_problem(grid, eps=0.1, coeff=2.0):
     )
 
 
+def count_lu_solves(monkeypatch):
+    """The list that every later ``DirectFactor.lu_solve`` call appends to."""
+    calls = []
+    lu_solve = apcore.DirectFactor.lu_solve
+    monkeypatch.setattr(apcore.DirectFactor, "lu_solve", lambda self, r: calls.append(1) or lu_solve(self, r))
+    return calls
+
+
 def test_linearize_linear_law():
     g = make_grid(UNIT, 8, 8)
     problem = linear_law_problem(g, coeff=2.0)
@@ -319,8 +327,21 @@ def test_run_factors_while_the_slope_moves():
     _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
     assert state.status == "converged"
     assert [r.factored for r in state.history] == [True, True, True, False, False]
-    # at eps 0 L = 0 on a new factor; on the held one h and l run CG
-    assert [r.cg_iterations > 0 for r in state.history] == [False, False, False, True, True]
+    # at eps 0 L = 0: on a new factor h and l take one CG step each, on the
+    # held one four each
+    assert [r.cg_iterations for r in state.history] == [2, 2, 2, 8, 8]
+
+
+@pytest.mark.parametrize("eps, lu_solves", [(0.1, 62), (0.0, 22)])
+def test_held_factor_run_keeps_its_lu_solve_count(eps, lu_solves, monkeypatch):
+    calls = count_lu_solves(monkeypatch)
+    g = unit_square_grid(64)
+    case = case_nonlinear(g, eps)
+    p0 = sample_node(case.initial_guess, g)
+    _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+    assert state.status == "converged"
+    assert not all(r.factored for r in state.history)
+    assert len(calls) == sum(r.cg_iterations for r in state.history) == lu_solves
 
 
 def test_at_most_one_mean_factor_alive(monkeypatch):

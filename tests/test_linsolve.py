@@ -14,6 +14,7 @@ from apdiff.linsolve import (
     SolverConfig,
     assemble,
     nested_dissection,
+    refine,
 )
 from apdiff.operators import apply_dh, compose_second_order
 from apdiff.problems import case_angle, case_linear_variable
@@ -194,12 +195,16 @@ def test_assembled_pattern_symmetric_no_empty_rows():
     assert (pattern != pattern.T).nnz == 0
 
 
+def factor_solve(mat, perm, rhs, tol=1e-12):
+    """``refine`` on ``mat`` with the ``lu_solve`` of its ``DirectFactor``: ``(x, residual)``."""
+    return refine(mat, DirectFactor(mat, perm).lu_solve, rhs, tol)
+
+
 def test_solve_identity():
     rhs = np.arange(5.0)
-    rep = DirectFactor(sp.eye(5, format="csr"), np.arange(5)).solve(rhs)
-    assert rep.ok
-    np.testing.assert_array_equal(rep.x, rhs)
-    assert rep.residual == 0.0
+    x, residual = factor_solve(sp.eye(5, format="csr"), np.arange(5), rhs)
+    np.testing.assert_array_equal(x, rhs)
+    assert residual == 0.0
 
 
 def test_solve_1d_poisson_vs_dense_oracle():
@@ -208,10 +213,10 @@ def test_solve_1d_poisson_vs_dense_oracle():
     off = -np.ones(n - 1)
     mat = sp.diags([off, main, off], [-1, 0, 1], format="csr")
     rhs = np.ones(n)
-    rep = DirectFactor(mat, np.arange(n)).solve(rhs)
+    x, residual = factor_solve(mat, np.arange(n), rhs)
     expected = np.linalg.solve(mat.toarray(), rhs)
-    assert rep.ok
-    np.testing.assert_allclose(rep.x, expected, rtol=1e-12)
+    assert residual <= 1e-12
+    np.testing.assert_allclose(x, expected, rtol=1e-12)
 
 
 def test_solve_reports_singular_failure():
@@ -232,8 +237,8 @@ def test_solve_determinism():
     dense = rng.standard_normal((30, 30)) + 10.0 * np.eye(30)
     mat = sp.csr_matrix(dense)
     rhs = rng.standard_normal(30)
-    x1 = DirectFactor(mat, np.arange(30)).solve(rhs).x
-    x2 = DirectFactor(mat, np.arange(30)).solve(rhs).x
+    x1, _ = factor_solve(mat, np.arange(30), rhs)
+    x2, _ = factor_solve(mat, np.arange(30), rhs)
     np.testing.assert_array_equal(x1, x2)
 
 
@@ -244,9 +249,9 @@ def test_residual_recomputed_independently():
     mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
                    [-1, 0, 1], format="csr")
     rhs = np.ones(n)
-    rep = DirectFactor(mat, np.arange(n)).solve(rhs)
-    recomputed = np.linalg.norm(mat @ rep.x - rhs) / np.linalg.norm(rhs)
-    assert rep.residual == pytest.approx(recomputed, abs=1e-18)
+    x, residual = factor_solve(mat, np.arange(n), rhs)
+    recomputed = np.linalg.norm(mat @ x - rhs) / np.linalg.norm(rhs)
+    assert residual == pytest.approx(recomputed, abs=1e-18)
 
 
 @settings(max_examples=80, deadline=None)
@@ -306,6 +311,6 @@ def test_direct_factor_unpermutes_solution():
     n = 40
     mat = sp.random(n, n, density=0.1, random_state=4, format="csr") + 5.0 * sp.eye(n)
     rhs = rng.standard_normal(n)
-    rep = DirectFactor(mat, rng.permutation(n)).solve(rhs)
-    assert rep.ok
-    np.testing.assert_allclose(rep.x, np.linalg.solve(mat.toarray(), rhs), rtol=1e-12)
+    x, residual = factor_solve(mat, rng.permutation(n), rhs)
+    assert residual <= 1e-12
+    np.testing.assert_allclose(x, np.linalg.solve(mat.toarray(), rhs), rtol=1e-12)

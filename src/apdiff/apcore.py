@@ -125,7 +125,13 @@ class LinearProblem:
 
     @classmethod
     def from_functions(cls, grid: Grid, eps, reaction, diffusivity, direction, source, grad_source):
-        """Sample analytically known coefficient functions on the lattices."""
+        """Sample analytically known coefficient functions on the lattices.
+
+        Each closed form is called as ``fn(x, y)`` with an ``(n, 1)`` x column
+        and a ``(1, m)`` y row of its lattice and returns a scalar or a 2-d
+        array broadcastable to the lattice; ``direction`` returns a pair of
+        them.  A 1-d result raises ``ValueError`` (see ``grid.sample_node``).
+        """
         return cls(
             grid=grid,
             eps=float(eps),

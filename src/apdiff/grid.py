@@ -68,27 +68,25 @@ class Grid:
 
     @cached_property
     def node_xs(self) -> np.ndarray:
-        return self.x_min + (np.arange(-1, self.nx + 2) + 0.5) * self.dx
+        return _read_only(self.x_min + (np.arange(-1, self.nx + 2) + 0.5) * self.dx)
 
     @cached_property
     def node_ys(self) -> np.ndarray:
-        return self.y_min + (np.arange(-1, self.ny + 2) + 0.5) * self.dy
+        return _read_only(self.y_min + (np.arange(-1, self.ny + 2) + 0.5) * self.dy)
 
     @cached_property
     def cell_xs(self) -> np.ndarray:
-        return self.x_min + (np.arange(-1, self.nx + 1) + 1.0) * self.dx
+        return _read_only(self.x_min + (np.arange(-1, self.nx + 1) + 1.0) * self.dx)
 
     @cached_property
     def cell_ys(self) -> np.ndarray:
-        return self.y_min + (np.arange(-1, self.ny + 1) + 1.0) * self.dy
+        return _read_only(self.y_min + (np.arange(-1, self.ny + 1) + 1.0) * self.dy)
 
-    def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid of node coordinates, ghost ring included."""
-        return np.meshgrid(self.node_xs, self.node_ys, indexing="ij")
 
-    def cell_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid of cell-center coordinates, boundary ring included."""
-        return np.meshgrid(self.cell_xs, self.cell_ys, indexing="ij")
+def _read_only(axis: np.ndarray) -> np.ndarray:
+    """Freeze a cached axis: every sample on the grid reads it."""
+    axis.flags.writeable = False
+    return axis
 
 
 def make_grid(bounds, nx: int, ny: int) -> Grid:
@@ -168,41 +166,60 @@ class CellVectorField:
         return self.values[..., 1]
 
 
-def _evaluate(fn, xs: np.ndarray, ys: np.ndarray, what: str) -> np.ndarray:
-    out = np.asarray(fn(xs, ys), dtype=float)
-    if out.ndim == 0:
-        out = np.full(xs.shape, float(out))
-    if out.shape != xs.shape:
-        raise ValueError(f"{what} sampler returned shape {out.shape}, expected {xs.shape}")
+def _axes(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh broadcast axes for a closed form: an ``(n, 1)`` x column and a ``(1, m)`` y row."""
+    return xs[:, None].copy(), ys[None, :].copy()
+
+
+def _lattice(values, xs: np.ndarray, ys: np.ndarray, what: str) -> np.ndarray:
+    """Broadcast a closed form's result to the ``(len(xs), len(ys))`` lattice and check it.
+
+    The result may be a scalar or a 2-d array broadcastable to the lattice.  A
+    1-d result is rejected: on a square grid it would silently read as a row.
+    """
+    shape = (xs.size, ys.size)
+    out = np.asarray(values, dtype=float)
+    if out.ndim not in (0, 2) or any(k not in (1, n) for k, n in zip(out.shape, shape)):
+        raise ValueError(
+            f"{what} sampler returned shape {out.shape}, expected a scalar or a 2-d array "
+            f"broadcastable to {shape}"
+        )
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
     if not np.all(np.isfinite(out)):
         i, j = np.argwhere(~np.isfinite(out))[0]
-        raise ValueError(
-            f"{what} sampler returned {out[i, j]} at (x={xs[i, j]:.6g}, y={ys[i, j]:.6g})"
-        )
+        raise ValueError(f"{what} sampler returned {out[i, j]} at (x={xs[i]:.6g}, y={ys[j]:.6g})")
     return out
 
 
 def sample_node(fn, grid: Grid) -> NodeField:
-    """Evaluate ``fn(x, y)`` at every node, ghosts included."""
-    xs, ys = grid.node_coords()
-    return NodeField(grid, _evaluate(fn, xs, ys, "node"))
+    """Evaluate ``fn(x, y)`` at every node, ghosts included.
+
+    ``fn`` receives an ``(n, 1)`` column of node x and a ``(1, m)`` row of node
+    y, both fresh copies, and returns a scalar or a 2-d array broadcastable to
+    ``grid.node_shape``; a 1-d result raises ``ValueError``.
+    """
+    xs, ys = grid.node_xs, grid.node_ys
+    return NodeField(grid, _lattice(fn(*_axes(xs, ys)), xs, ys, "node"))
 
 
 def sample_cell(fn, grid: Grid) -> CellField:
-    """Evaluate ``fn(x, y)`` at every cell center, boundary ring included."""
-    xs, ys = grid.cell_coords()
-    return CellField(grid, _evaluate(fn, xs, ys, "cell"))
+    """Evaluate ``fn(x, y)`` at every cell center, boundary ring included.
+
+    ``fn`` is called as in :func:`sample_node`, on the cell axes.
+    """
+    xs, ys = grid.cell_xs, grid.cell_ys
+    return CellField(grid, _lattice(fn(*_axes(xs, ys)), xs, ys, "cell"))
 
 
 def sample_cell_vec(fn, grid: Grid) -> CellVectorField:
-    """Evaluate a vector function ``fn(x, y) -> (vx, vy)`` at cell centers."""
-    xs, ys = grid.cell_coords()
-    vx, vy = fn(xs, ys)
+    """Evaluate a vector function ``fn(x, y) -> (vx, vy)`` at cell centers.
+
+    ``fn`` is called as in :func:`sample_cell`, and each component is checked alike.
+    """
+    xs, ys = grid.cell_xs, grid.cell_ys
+    vx, vy = fn(*_axes(xs, ys))
     out = np.stack(
-        [
-            _evaluate(lambda x, y: vx, xs, ys, "cell vector x"),
-            _evaluate(lambda x, y: vy, xs, ys, "cell vector y"),
-        ],
-        axis=-1,
+        [_lattice(vx, xs, ys, "cell vector x"), _lattice(vy, xs, ys, "cell vector y")], axis=-1
     )
     return CellVectorField(grid, out)

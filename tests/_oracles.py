@@ -80,6 +80,26 @@ def dense_second_order(grid, b_values, cell_w, node_w):
     return e_cells.T @ full  # restrict rows to interior cells
 
 
+def lattice(grid, kind):
+    """Full ``indexing="ij"`` meshgrid of the ``"node"`` or the ``"cell"`` lattice."""
+    if kind == "node":
+        return np.meshgrid(grid.node_xs, grid.node_ys, indexing="ij")
+    return np.meshgrid(grid.cell_xs, grid.cell_ys, indexing="ij")
+
+
+def full_lattice_sample(fn, grid, kind):
+    """``fn`` evaluated on the full lattice meshgrid, the way sampling worked before broadcast axes.
+
+    ``kind`` is ``"node"``, ``"cell"`` or ``"cell vector"``; a vector ``fn``
+    returns ``(vx, vy)`` and the result stacks them on a last axis.
+    """
+    xs, ys = lattice(grid, "node" if kind == "node" else "cell")
+    full = lambda v: np.broadcast_to(np.asarray(v, dtype=float), xs.shape).copy()
+    if kind == "cell vector":
+        return np.stack([full(v) for v in fn(xs, ys)], axis=-1)
+    return full(fn(xs, ys))
+
+
 def central_difference(fn, x, y, step=1e-5):
     """Gradient of a scalar function by central differences."""
     gx = (fn(x + step, y) - fn(x - step, y)) / (2.0 * step)

@@ -11,6 +11,8 @@ from apdiff.grid import (
     sample_node,
 )
 
+from _oracles import full_lattice_sample, lattice
+
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
 
@@ -117,6 +119,91 @@ def test_sample_reports_nonfinite_with_coordinate():
     g = make_grid(UNIT, 5, 5)
     with pytest.raises(ValueError, match=r"x=.*y="):
         sample_node(lambda x, y: np.where(x > 1.5, np.inf, 1.0), g)
+
+
+@pytest.mark.parametrize("sampler, kind", [(sample_node, "node"), (sample_cell, "cell")])
+def test_sample_nonfinite_message_names_the_first_offending_point(sampler, kind):
+    g = make_grid(((0.0, 1.0), (0.0, 2.0)), 6, 9)
+    fn = lambda x, y: np.where((x > 0.4) & (y > 1.1), np.nan, 1.0)
+    xs, ys = lattice(g, kind)
+    i, j = np.argwhere(np.isnan(fn(xs, ys)))[0]
+    with pytest.raises(ValueError, match=rf"nan at \(x={xs[i, j]:.6g}, y={ys[i, j]:.6g}\)"):
+        sampler(fn, g)
+
+
+def test_sample_passes_an_x_column_and_a_y_row():
+    g = make_grid(UNIT, 6, 4)
+    seen = []
+    sample_node(lambda x, y: seen.append((x.shape, y.shape)) or 0.0, g)
+    sample_cell(lambda x, y: seen.append((x.shape, y.shape)) or 0.0, g)
+    assert seen == [((g.nx + 3, 1), (1, g.ny + 3)), ((g.nx + 2, 1), (1, g.ny + 2))]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [lambda x, y: 2.5, lambda x, y: np.float64(-1.0), lambda x, y: x, lambda x, y: y ** 2,
+     lambda x, y: np.sin(x) * np.cos(y), lambda x, y: np.zeros_like(x)],
+    ids=["float", "numpy-scalar", "column", "row", "product", "zeros-like-column"],
+)
+@pytest.mark.parametrize("sampler, kind", [(sample_node, "node"), (sample_cell, "cell")])
+def test_sample_broadcasts_scalars_columns_and_rows(sampler, kind, fn):
+    g = make_grid(((0.0, 1.0), (0.0, 2.0)), 6, 9)
+    values = sampler(fn, g).values
+    assert values.shape == (g.node_shape if kind == "node" else g.cell_shape)
+    assert values.flags.writeable and values.flags.c_contiguous
+    assert np.array_equal(values, full_lattice_sample(fn, g, kind))
+
+
+def test_sample_cell_vec_broadcasts_each_component():
+    g = make_grid(((0.0, 1.0), (0.0, 2.0)), 6, 9)
+    fn = lambda x, y: (0.6, y / np.hypot(x, y + 1.0))
+    assert np.array_equal(sample_cell_vec(fn, g).values, full_lattice_sample(fn, g, "cell vector"))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [lambda x, y: x.ravel(), lambda x, y: (x * y).ravel(), lambda x, y: np.zeros((3, 3)),
+     lambda x, y: (x + y)[:-1], lambda x, y: np.zeros((1, 1, 1))],
+    ids=["1d-column", "1d-flat", "wrong-2d", "short-2d", "3d"],
+)
+def test_sample_rejects_results_that_do_not_fit_the_lattice(fn):
+    g = make_grid(UNIT, 5, 5)  # square: a 1-d column would otherwise broadcast as a row
+    for sampler in (sample_node, sample_cell):
+        with pytest.raises(ValueError, match="sampler returned shape"):
+            sampler(fn, g)
+    with pytest.raises(ValueError, match="cell vector y sampler returned shape"):
+        sample_cell_vec(lambda x, y: (1.0, fn(x, y)), g)
+
+
+def test_sample_rejects_a_transposed_axis_on_a_rectangular_grid():
+    g = make_grid(((0.0, 1.0), (0.0, 2.0)), 6, 9)
+    with pytest.raises(ValueError, match=r"shape \(1, 9\), expected .* \(9, 12\)"):
+        sample_node(lambda x, y: x.T, g)
+
+
+def test_grid_axes_are_read_only():
+    g = make_grid(UNIT, 5, 5)
+    for axis in (g.node_xs, g.node_ys, g.cell_xs, g.cell_ys):
+        with pytest.raises(ValueError, match="read-only"):
+            axis[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.node_xs += 1.0
+
+
+def test_closed_form_writing_into_its_axes_leaves_later_samples_unchanged():
+    g = make_grid(UNIT, 5, 5)
+
+    def scribble(x, y):
+        x += 10.0
+        y *= 0.0
+        return x + y
+
+    first = sample_node(scribble, g).values
+    assert np.array_equal(sample_node(scribble, g).values, first)
+    assert np.array_equal(sample_node(lambda x, y: x + y, g).values,
+                          full_lattice_sample(lambda x, y: x + y, g, "node"))
+    assert np.array_equal(sample_cell(lambda x, y: x * y, g).values,
+                          full_lattice_sample(lambda x, y: x * y, g, "cell"))
 
 
 def test_sample_cell_vec_shapes():

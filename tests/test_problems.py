@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from apdiff.grid import INTERIOR, CellField, make_grid, sample_node
+from apdiff import apcore, problems
+from apdiff.grid import INTERIOR, CellField, CellVectorField, NodeField, make_grid, sample_node
 from apdiff.gummel import NonlinearProblem
 from apdiff.operators import apply_dh, apply_dh_star
 from apdiff.problems import (
@@ -14,7 +17,7 @@ from apdiff.problems import (
 )
 from apdiff.experiments import fit_loglog_slope, unit_square_grid
 
-from _oracles import central_difference
+from _oracles import central_difference, full_lattice_sample, lattice
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
@@ -77,7 +80,7 @@ def test_grad_source_matches_central_differences(name, builder):
     g = make_grid(UNIT, 15, 13)
     case = builder(g)
     prob = case.problem
-    xs, ys = g.cell_coords()
+    xs, ys = lattice(g, "cell")
     gx, gy = central_difference(case.p_exact, xs, ys)
     expected = prob.direction.x * gx + prob.direction.y * gy
     sampled = prob.grad_source_cell.values
@@ -99,13 +102,62 @@ def test_grad_source_matches_central_differences(name, builder):
 def test_source_consistent_with_reaction_balance(name, builder):
     g = make_grid(UNIT, 12, 12)
     case = builder(g)
-    xs, ys = g.node_coords()
+    xs, ys = lattice(g, "node")
     p = case.p_exact(xs, ys)
     if isinstance(case.problem, NonlinearProblem):
         expected = p**6
     else:
         expected = (1.0 + np.sin(xs) ** 2 * np.sin(ys) ** 2) * p
     np.testing.assert_allclose(case.problem.source_node.values, expected, rtol=1e-12)
+
+
+# sampling on broadcast axes -------------------------------------------------------
+
+
+BITWISE_CASES = [
+    ("linear-variable", lambda g: case_linear_variable(g, 0.1)),
+    *[(f"angle-{deg}deg", lambda g, deg=deg: case_angle(g, 1e-3, np.deg2rad(deg)))
+      for deg in (0, 17, 45, 90)],
+    ("nonlinear-spline", lambda g: case_nonlinear(g, 0.1)),
+    ("ap-limit-eps1e-3", lambda g: case_ap_limit(g, 1e-3)),
+    ("ap-limit-eps0", lambda g: case_ap_limit(g, 0.0)),
+]
+
+FIELD_KINDS = {NodeField: "node", CellField: "cell", CellVectorField: "cell vector"}
+
+
+def _sampled_fields(problem):
+    return {f.name: getattr(problem, f.name) for f in dataclasses.fields(problem)
+            if type(getattr(problem, f.name)) in FIELD_KINDS}
+
+
+def _full_lattice_sampler(field_type):
+    kind = FIELD_KINDS[field_type]
+    return lambda fn, grid: field_type(grid, full_lattice_sample(fn, grid, kind))
+
+
+@pytest.mark.parametrize("cells", [16, 100])
+@pytest.mark.parametrize("name,builder", BITWISE_CASES, ids=[c[0] for c in BITWISE_CASES])
+def test_case_data_bitwise_equal_to_full_lattice_sampling(monkeypatch, name, builder, cells):
+    # sampling closed forms on an x column and a y row must reproduce, bit
+    # for bit, the same closed forms evaluated on the full meshgrid lattice
+    g = unit_square_grid(cells)
+    case = builder(g)
+    with monkeypatch.context() as m:
+        for module in (apcore, problems):
+            m.setattr(module, "sample_node", _full_lattice_sampler(NodeField))
+            m.setattr(module, "sample_cell", _full_lattice_sampler(CellField))
+            m.setattr(module, "sample_cell_vec", _full_lattice_sampler(CellVectorField))
+        reference = builder(g)
+    fields, expected = _sampled_fields(case.problem), _sampled_fields(reference.problem)
+    assert len(fields) == (6 if isinstance(case.problem, apcore.LinearProblem) else 4)
+    for key, fld in fields.items():
+        assert np.array_equal(fld.values, expected[key].values), key
+    assert np.array_equal(case.exact_field().values, full_lattice_sample(case.p_exact, g, "node"))
+    for closed_form in (case.initial_guess, case.limit_exact):
+        if closed_form is not None:
+            assert np.array_equal(sample_node(closed_form, g).values,
+                                  full_lattice_sample(closed_form, g, "node"))
 
 
 # individual cases ----------------------------------------------------------------
@@ -127,7 +179,7 @@ def test_angle_case_alpha_zero():
     b = case.problem.direction
     np.testing.assert_allclose(b.x, 0.0, atol=1e-15)
     np.testing.assert_allclose(b.y, -1.0, atol=1e-15)
-    xs, ys = g.node_coords()
+    xs, ys = lattice(g, "node")
     np.testing.assert_allclose(case.pi_exact(xs, ys), np.sin(xs), atol=1e-14)
 
 
@@ -135,7 +187,7 @@ def test_angle_case_fluctuation_generator_vanishes_on_ring():
     g = make_grid(UNIT, 14, 9)
     ax = 2.0 * np.pi / (g.x_max - g.x_min)
     ay = 2.0 * np.pi / (g.y_max - g.y_min)
-    xs, ys = g.cell_coords()
+    xs, ys = lattice(g, "cell")
     l = np.sin(ax * (xs - g.x_min)) * np.sin(ay * (ys - g.y_min))
     ring = np.ones(g.cell_shape, dtype=bool)
     ring[INTERIOR] = False
@@ -178,7 +230,7 @@ def test_nonlinear_case_values():
 def test_ap_limit_case_values():
     g = make_grid(UNIT, 10, 10)
     case0 = case_ap_limit(g, 0.0)
-    xs, ys = g.node_coords()
+    xs, ys = lattice(g, "node")
     np.testing.assert_allclose(case0.p_exact(xs, ys), case0.limit_exact(xs, ys))
     case = case_ap_limit(g, 1e-2)
     assert case.p_exact(1.5, 1.5) == pytest.approx(13.0 / 9.0 + 1e-2)

@@ -178,7 +178,7 @@ def _lattice(values, xs: np.ndarray, ys: np.ndarray, what: str) -> np.ndarray:
     1-d result is rejected: on a square grid it would silently read as a row.
     """
     shape = (xs.size, ys.size)
-    out = np.asarray(values, dtype=float)
+    out = np.array(values, dtype=float, order="C")  # a fresh copy: never alias the result
     if out.ndim not in (0, 2) or any(k not in (1, n) for k, n in zip(out.shape, shape)):
         raise ValueError(
             f"{what} sampler returned shape {out.shape}, expected a scalar or a 2-d array "

@@ -18,6 +18,9 @@ vanishes; rows with exactly zero alignment are dropped and flagged.
 The normal equations are factored in COLAMD order, not the solver's nested
 dissection: their unknowns include the ghost ring, their stencil has radius
 two, and the baseline's condition gate is sensitive to rounding at eps = 1e-6.
+:func:`naive_condition` leaves its factor in a one-entry slot with a private
+copy of A; a :func:`solve_naive` whose A is bitwise equal reuses it.  Every
+call empties the slot first: at most one factor is alive, none after a solve.
 
 As eps decreases the normal equations inherit the singular limit of the
 equation and the condition number blows up; demonstrating that failure
@@ -110,16 +113,34 @@ def assemble_naive(problem: LinearProblem) -> NaiveSystem:
     return NaiveSystem(matrix=matrix, rhs=rhs, degenerate_cells=degenerate)
 
 
-def _normal_equations(system: NaiveSystem):
-    """The normal equations ``A^T A`` (CSR) and their COLAMD ``splu``; singular raises."""
-    ata = (system.matrix.T @ system.matrix).tocsr()
-    return ata, spla.splu(ata.tocsc(), permc_spec="COLAMD")
+_handoff: list = []  # at most one (copy of A's parts, A^T A, splu)
+
+
+def _normal_equations(system: NaiveSystem, keep: bool = False):
+    """The normal equations ``A^T A`` (CSR) and their COLAMD ``splu``; singular raises.
+
+    Empties the hand-off slot, reusing its entry if A is bitwise equal to its
+    copy of A; ``keep`` stores the result there for the next call.
+    """
+    a = system.matrix
+    parts = (a.shape, a.indptr, a.indices, a.data)
+    held = _handoff.pop() if _handoff else None
+    if held is not None and all(map(np.array_equal, held[0], parts)):
+        _, ata, lu = held
+    else:
+        held = None  # release a stale factor before building the next
+        ata = (a.T @ a).tocsr()
+        lu = spla.splu(ata.tocsc(), permc_spec="COLAMD")
+    if keep:
+        _handoff.append((tuple(map(np.array, parts)), ata, lu))
+    return ata, lu
 
 
 def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
     """Least-squares solve of the direct system; ``(NodeField, SolveReport)``.
 
-    Factors the normal equations in COLAMD order and refines with
+    Factors the normal equations in COLAMD order, or takes the factor
+    :func:`naive_condition` left for the same matrix, and refines with
     :func:`linsolve.refine` at ``config.tol``; ok means a relative
     normal-equation defect of at most ``max(config.tol, 1e-10)`` (the data
     misfit itself is dominated by the truncation of the flux rows and does
@@ -144,10 +165,11 @@ def naive_condition(system: NaiveSystem, seed: int = 0) -> float:
     """2-norm condition estimate of the rectangular system.
 
     Estimated as the square root of the normal-equation condition number;
-    overflow or a singular factorization reports ``inf``.
+    overflow or a singular factorization reports ``inf``.  The factor is left
+    for a following :func:`solve_naive` of the same matrix.
     """
     try:
-        ata, lu = _normal_equations(system)
+        ata, lu = _normal_equations(system, keep=True)
     except RuntimeError:
         return np.inf
     kappa = estimate_condition(ata, lu, seed=seed)

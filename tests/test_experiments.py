@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from apdiff import experiments
+from apdiff import experiments, naive
 from apdiff.apcore import StageError
 from apdiff.experiments import (
     ExperimentConfig,
@@ -237,6 +237,27 @@ def test_conditioning_study_small(tmp_path):
     with open(sweep_csv) as fh:
         header = fh.readline().strip()
     assert header == "eps,cond_estimate,solve_residual,status"
+
+
+def test_conditioning_study_factors_once_per_eps(monkeypatch):
+    cfg = ExperimentConfig(meshes=[16], eps_list=[1.0, 1e-3, 1e-6])
+
+    def comparable(report):  # exact float reprs, nan included, runtimes left out
+        rows = [{k: v for k, v in r.items() if k != "runtime_ms"} for r in report.rows]
+        return json.dumps([rows, report.checks], sort_keys=True, default=float)
+
+    def condition_without_handoff(system):
+        cond = real_condition(system)
+        naive._handoff.clear()
+        return cond
+
+    real_condition, real_splu, calls = experiments.naive_condition, naive.spla.splu, []
+    monkeypatch.setattr(naive.spla, "splu", lambda *a, **k: calls.append(1) or real_splu(*a, **k))
+    shared = comparable(conditioning_study(cfg))
+    assert len(calls) == 3
+    monkeypatch.setattr(experiments, "naive_condition", condition_without_handoff)
+    assert comparable(conditioning_study(cfg)) == shared
+    assert len(calls) == 9
 
 
 def test_cli_runs_and_reports(tmp_path, capsys):

@@ -206,6 +206,27 @@ def test_closed_form_writing_into_its_axes_leaves_later_samples_unchanged():
                           full_lattice_sample(lambda x, y: x * y, g, "cell"))
 
 
+KEEP = np.arange(64, dtype=float).reshape(8, 8)  # the node shape of make_grid(UNIT, 5, 5)
+
+
+def test_sampled_field_does_not_alias_a_full_shaped_result():
+    g = make_grid(UNIT, 5, 5)
+    values = sample_node(lambda x, y: KEEP, g).values
+    values += 1.0
+    assert np.array_equal(KEEP, np.arange(64, dtype=float).reshape(8, 8))
+
+
+def test_sampled_field_of_a_read_only_result_is_writable():
+    g = make_grid(UNIT, 5, 5)
+    fields = [sample_node(lambda x, y: np.broadcast_to(x + y, g.node_shape), g),
+              sample_cell(lambda x, y: np.broadcast_to(x * y, g.cell_shape), g)]
+    for fld in fields:
+        assert fld.values.flags.writeable and fld.values.flags.owndata
+        fld.values[0, 0] = -1.0
+    assert np.array_equal(sample_node(lambda x, y: np.broadcast_to(x + y, g.node_shape), g).values,
+                          full_lattice_sample(lambda x, y: x + y, g, "node"))
+
+
 def test_sample_cell_vec_shapes():
     g = make_grid(UNIT, 5, 5)
     fld = sample_cell_vec(lambda x, y: (np.ones_like(x), -np.ones_like(y)), g)

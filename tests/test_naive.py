@@ -1,8 +1,12 @@
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from apdiff import naive
 from apdiff.apcore import LinearProblem, solve_linear_ap
 from apdiff.grid import INTERIOR, make_grid, sample_node
 from apdiff.naive import assemble_naive, estimate_condition, naive_condition, solve_naive
@@ -181,3 +185,101 @@ def test_estimate_condition_known_spectrum():
     mat = sp.diags([1.0, 1e6], format="csr")
     est = estimate_condition(mat, spla.splu(mat.tocsc()))
     assert 0.5e6 <= est <= 2e6
+
+
+class TrackedFactor:
+    """A ``splu`` factor behind a proxy that ``weakref.finalize`` can watch."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, *args, **kwargs):
+        return self.lu.solve(*args, **kwargs)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Track every naive ``splu``: ``made`` counts calls, ``alive()`` live factors."""
+    real = spla.splu
+    made, live = [], set()
+
+    def tracked(*args, **kwargs):
+        assert not live, "a new factor is built while an older one is alive"
+        factor = TrackedFactor(real(*args, **kwargs))
+        made.append(len(made))
+        live.add(made[-1])
+        weakref.finalize(factor, live.discard, made[-1])
+        return factor
+
+    naive._handoff.clear()
+    monkeypatch.setattr(naive.spla, "splu", tracked)
+    yield SimpleNamespace(made=made, alive=lambda: len(live))
+    naive._handoff.clear()
+
+
+def fresh_solve(problem):
+    """``solve_naive`` with nothing handed off."""
+    naive._handoff.clear()
+    return solve_naive(problem)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
+def test_handed_off_factor_gives_bitwise_equal_results(eps):
+    problem = case_linear_variable(unit_square_grid(32), eps).problem
+    want_p, want = fresh_solve(problem)
+    want_cond = naive_condition(assemble_naive(problem))
+    naive._handoff.clear()
+
+    cond = naive_condition(assemble_naive(problem))
+    p, rep = solve_naive(problem)
+    assert cond == want_cond
+    assert np.array_equal(p.values, want_p.values)
+    assert rep.residual == want.residual and rep.ok == want.ok
+    assert not naive._handoff
+
+
+def test_condition_then_solve_factors_once_and_frees_the_factor(factors):
+    problem = case_linear_variable(unit_square_grid(16), 1e-3).problem
+    naive_condition(assemble_naive(problem))
+    assert len(factors.made) == 1 and factors.alive() == 1
+    solve_naive(problem)
+    assert len(factors.made) == 1 and factors.alive() == 0
+
+
+def test_other_eps_misses(factors):
+    g = unit_square_grid(16)
+    naive_condition(assemble_naive(case_linear_variable(g, 1.0).problem))
+    p, rep = solve_naive(case_linear_variable(g, 1e-3).problem)
+    assert len(factors.made) == 2 and factors.alive() == 0
+    want_p, want = fresh_solve(case_linear_variable(g, 1e-3).problem)
+    assert np.array_equal(p.values, want_p.values) and rep.residual == want.residual
+
+
+def test_other_grid_misses(factors):
+    naive_condition(assemble_naive(case_linear_variable(unit_square_grid(16), 1.0).problem))
+    solve_naive(case_linear_variable(unit_square_grid(12), 1.0).problem)
+    assert len(factors.made) == 2 and factors.alive() == 0
+
+
+def test_matrix_edited_in_place_misses(factors, monkeypatch):
+    # solve_naive is handed the very system that was conditioned, then edited:
+    # a comparison by reference would reuse the factor of the unedited matrix
+    problem = case_linear_variable(unit_square_grid(16), 1.0).problem
+    system = assemble_naive(problem)
+    monkeypatch.setattr(naive, "assemble_naive", lambda problem: system)
+    naive_condition(system)
+    system.matrix.data[0] += 1.0
+    p, rep = solve_naive(problem)
+    assert len(factors.made) == 2 and factors.alive() == 0
+    want_p, want = fresh_solve(problem)
+    assert np.array_equal(p.values, want_p.values) and rep.residual == want.residual
+
+
+def test_failed_factor_leaves_the_slot_empty():
+    system = assemble_naive(case_linear_variable(unit_square_grid(8), 1.0).problem)
+    naive._handoff.clear()
+    naive_condition(system)
+    assert naive._handoff
+    system.matrix.data[:] = 0.0  # A^T A = 0: splu raises
+    assert naive_condition(system) == np.inf
+    assert not naive._handoff

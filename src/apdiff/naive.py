@@ -119,8 +119,8 @@ _handoff: list = []  # at most one (copy of A's parts, A^T A, splu)
 def _normal_equations(system: NaiveSystem, keep: bool = False):
     """The normal equations ``A^T A`` (CSR) and their COLAMD ``splu``; singular raises.
 
-    Empties the hand-off slot, reusing its entry if A is bitwise equal to its
-    copy of A; ``keep`` stores the result there for the next call.
+    Empties the hand-off slot, reusing its entry if A is bitwise equal to the
+    entry's copy; ``keep`` stores the result there for the next call.
     """
     a = system.matrix
     parts = (a.shape, a.indptr, a.indices, a.data)

@@ -187,6 +187,40 @@ def test_estimate_condition_known_spectrum():
     assert 0.5e6 <= est <= 2e6
 
 
+@pytest.mark.parametrize("eps", [1.0, 1e-3])
+def test_naive_condition_matches_dense_svd(eps):
+    # eps = 1e-6 is left out: there the dense condition number is set by rounding
+    system = assemble_naive(case_linear_variable(unit_square_grid(16), eps).problem)
+    dense = np.linalg.cond(system.matrix.toarray())
+    assert naive_condition(system) == pytest.approx(dense, rel=1e-3)
+
+
+class CountingFactor:
+    """A factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, *args, **kwargs):
+        self.solves += 1
+        return self.lu.solve(*args, **kwargs)
+
+
+def test_estimate_condition_solve_count():
+    system = assemble_naive(case_linear_variable(unit_square_grid(32), 1e-3).problem)
+    ata, lu = naive._normal_equations(system)
+    factor = CountingFactor(lu)
+    assert np.isfinite(estimate_condition(ata, factor))
+    assert 0 < factor.solves <= 30  # two 60-step power iterations took 122
+
+
+@pytest.mark.parametrize("value", [np.nan, 0.0])
+def test_estimate_condition_reports_inf_on_a_broken_factor(value):
+    mat = sp.diags(np.arange(1.0, 41.0), format="csr")
+    broken = SimpleNamespace(solve=lambda b, trans="N": np.full_like(b, value))
+    assert estimate_condition(mat, broken) == np.inf
+
+
 class TrackedFactor:
     """A ``splu`` factor behind a proxy that ``weakref.finalize`` can watch."""
 

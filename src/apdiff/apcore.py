@@ -21,8 +21,9 @@ all with homogeneous values on the boundary cell ring, followed by
 
 Only the L system carries eps, and it degenerates gracefully (L = 0 at
 eps = 0), so cost and accuracy are uniform in the anisotropy strength.  The h
-and l systems share one matrix A, the only one assembled; with ``x = H L / G``
-the L system reads ``(A + diag(eps G/H)) x = rhs``.  All three systems are
+and l systems share one matrix A, the only one assembled (:func:`assemble`,
+from its stencil coefficients); with ``x = H L / G`` the L system reads
+``(A + diag(eps G/H)) x = rhs``.  All three systems are
 self-adjoint in the G-weighted inner product, and one conjugate-gradient
 routine (:func:`_cg`) solves each of them, preconditioned by the factor of A.
 On a new factor h and l take one step each, and for large eps, where CG
@@ -52,8 +53,10 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, sample_cell,
                    sample_cell_vec, sample_node)
-from .linsolve import DirectFactor, SolverConfig, assemble, nested_dissection
-from .operators import apply_dh, apply_dh_star, compose_second_order, ghost_extrapolation, ring_dh
+from .linsolve import (DirectFactor, SolverConfig, check_assembly, factor_order,
+                       nested_dissection, stencil_matrix)
+from .operators import (apply_dh, apply_dh_star, compose_second_order, ghost_extrapolation,
+                        ring_dh, second_order_stencil)
 
 __all__ = [
     "LinearProblem",
@@ -194,21 +197,35 @@ def _cell_operator(problem: LinearProblem):
     return op
 
 
-def _factor(matrix: sp.csr_matrix, grid: Grid, stage: str) -> DirectFactor:
-    """Factor a cell system in nested-dissection order."""
-    order = nested_dissection(grid.nx, grid.ny)
+def assemble(problem: LinearProblem) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+    """The mean-potential matrix A of :func:`_cell_operator`, built from its stencil coefficients.
+
+    Returns ``(matrix, ordered)``: A in natural order as CSR, which CG
+    applies, and in nested-dissection order as CSC, which
+    :class:`linsolve.DirectFactor` factors.  Every entry equals a probe of
+    the operator bit for bit (:func:`operators.second_order_stencil`), and
+    a random probe checks the matrix (:func:`linsolve.check_assembly`).
+    """
+    grid = problem.grid
+    shape = (grid.nx, grid.ny)
+    matrix = stencil_matrix(second_order_stencil(problem.reaction_cell, problem.reaction_node,
+                                                 problem.direction))
+    check_assembly(matrix, _cell_operator(problem), shape)
+    return matrix, factor_order(matrix, nested_dissection(*shape))
+
+
+def _factor(system: tuple, grid: Grid, stage: str) -> DirectFactor:
+    """Factor a cell system, ``(matrix, ordered)`` as :func:`assemble` gives it.
+
+    A singular matrix raises :class:`StageError` naming ``stage``.  A is
+    nonsingular for a positive G with the ring held at zero, unless b is
+    exactly parallel to ``(dx, dy)`` at some cells and to ``(dx, -dy)`` at
+    others, and ``A + diag(eps G/H)`` is nonsingular for every eps > 0.
+    """
     try:
-        return DirectFactor(matrix, order)
-    except RuntimeError:
-        # Exactly singular factorization: a gauge mode that cancels out of
-        # every reconstruction; a tiny diagonal shift selects one gauge.
-        # CG and its residuals stay on the unshifted matrix.
-        shift = 1e-12 * float(abs(matrix).max())
-        try:
-            return DirectFactor(matrix, order, shift=shift)
-        except RuntimeError as exc:
-            raise StageError(f"{stage} factorization failed, also after a gauge shift: "
-                             f"{exc}") from exc
+        return DirectFactor(*system, nested_dissection(grid.nx, grid.ny))
+    except RuntimeError as exc:
+        raise StageError(f"{stage} factorization failed: {exc}") from exc
 
 
 def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
@@ -236,14 +253,14 @@ def _cg(apply, gc: np.ndarray, factor: DirectFactor, rhs: np.ndarray,
     ``apply`` applies ``A_s``, which is self-adjoint in the inner product
     weighted by ``gc`` (the cell G), as A and ``A + diag(eps G/H)`` are; CG
     runs in that inner product.  ``factor.lu_solve`` preconditions, where the
-    factor may be of ``A_s`` itself, gauge-shifted or not, of A, or of an
-    earlier A.  CG starts from zero and runs until its recursive residual
-    falls below ``1e-3 tol`` relative, or below ``tol`` after step 1, where
-    the recursive residual is the true one up to rounding.  It gives up at
-    ``FLUX_CG_MAX_STEPS`` steps, or from step ``_CG_JUDGE_FROM`` on as soon
-    as the mean contraction per step so far, kept up to the cap, would leave
-    the residual above ``tol``.  Returns ``(x, residual, steps)``, the
-    relative residual recomputed by ``apply``.
+    factor may be of ``A_s`` itself, of A, or of an earlier A.  CG starts
+    from zero and runs until its recursive residual falls below ``1e-3 tol``
+    relative, or below ``tol`` after step 1, where the recursive residual is
+    the true one up to rounding.  It gives up at ``FLUX_CG_MAX_STEPS`` steps,
+    or from step ``_CG_JUDGE_FROM`` on as soon as the mean contraction per
+    step so far, kept up to the cap, would leave the residual above ``tol``.
+    Returns ``(x, residual, steps)``, the relative residual recomputed by
+    ``apply``.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     x = np.zeros_like(rhs)
@@ -282,10 +299,10 @@ def _stage(problem: LinearProblem, factor: DirectFactor, held: bool, rhs: np.nda
     on a new factor and through the stencils on a ``held`` one, and
     ``factor`` preconditions.  A miss on a held factor is returned as it
     stands, for the caller to factor anew.  On a new factor, a system with a
-    ``diag`` is built from ``factor.matrix``, factored and solved again by
-    :func:`_cg`; a miss without one, or a second miss, raises
-    :class:`StageError` naming ``stage``.  Returns ``(x, residual, steps)``,
-    ``steps`` ``None`` when the system was factored.
+    ``diag`` adds it to both orders of A that the factor keeps, is factored,
+    and is solved again by :func:`_cg`; a miss without one, or a second
+    miss, raises :class:`StageError` naming ``stage``.  Returns
+    ``(x, residual, steps)``, ``steps`` ``None`` when the system was factored.
     """
     mean = _cell_operator(problem) if held else None
 
@@ -296,8 +313,10 @@ def _stage(problem: LinearProblem, factor: DirectFactor, held: bool, rhs: np.nda
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     x, residual, steps = _cg(apply, gc, factor, rhs, tol)
     if not (held or residual <= tol) and diag is not None:
-        matrix = factor.matrix + sp.diags(diag)
-        x, residual, _ = _cg(matrix.dot, gc, _factor(matrix, problem.grid, stage), rhs, tol)
+        grid = problem.grid
+        system = (factor.matrix + sp.diags(diag),
+                  factor.ordered + sp.diags(diag[nested_dissection(grid.nx, grid.ny)]))
+        x, residual, _ = _cg(system[0].dot, gc, _factor(system, grid, stage), rhs, tol)
         steps = None
     if not (held or residual <= tol):
         raise StageError(f"{stage} solve failed: residual {residual:.3e} "
@@ -311,11 +330,10 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
 
     With ``x = H L / G`` on the cells, the system reads
     ``(A + diag(eps G/H)) x = rhs``, where A is the mean-potential matrix
-    that ``mean_factor`` factors, gauge-shifted or not (``held``: factors
-    an earlier problem's A).  :func:`_stage` solves it by CG preconditioned
-    by that factor; for large eps, where CG misses ``tol``, it factors the
-    system instead.  The reported residual is recomputed on the unshifted
-    system.
+    that ``mean_factor`` factors (``held``: factors an earlier problem's A).
+    :func:`_stage` solves it by CG preconditioned by that factor; for large
+    eps, where CG misses ``tol``, it factors the system instead.  The
+    reported residual is recomputed on the system itself.
 
     Returns ``(L, residual, cg_iterations)``: the field, the relative
     residual of the solve, and the CG steps taken, or ``None`` when the
@@ -583,8 +601,7 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     if factored:
         if held is not None:
             held.drop()
-        matrix = assemble(_cell_operator(problem), (grid.nx, grid.ny))
-        factor = _factor(matrix, grid, "mean-potential")
+        factor = _factor(assemble(problem), grid, "mean-potential")
         stages = _stages(problem, factor, config)
         if held is not None:
             held.factor, held.reaction_cell = factor, problem.reaction_cell.values

@@ -1,28 +1,26 @@
-"""Sparse assembly by stencil probing, and sparse direct factors.
+"""Sparse assembly of stencil systems, and sparse direct factors.
 
-The elliptic systems of the solver are defined through operator applications
-(compositions of the dual stencils); their matrices are recovered by probing
-unit vectors one 3x3 color class at a time, which needs at most nine
-applications for any stencil of radius one; the naive baseline's
-rectangular node-to-equation operator is probed the same way.  Each linear
-solve factors the mean-potential matrix once, by a sparse direct
-factorization (the systems are small enough and the accuracy analysis of the
-scheme presumes near machine-precision residuals).  The factor's inverse,
-:meth:`DirectFactor.lu_solve`, preconditions the conjugate-gradient solves of
-all three cell systems (``apcore``), also while a Gummel run holds a factor
-of an earlier iteration's matrix (``apcore.HeldFactor``).  :func:`refine`
-is the naive baseline's refinement loop.
+The cell systems of the solver are radius-1 stencils on the structured cell
+grid, built from their stencil coefficients: :func:`stencil_matrix` gives
+the natural-order CSR matrix that the conjugate-gradient solves apply, and
+:func:`factor_order` its CSC copy in the nested-dissection order of
+:func:`nested_dissection`, which :class:`DirectFactor` factors (at 400 cells
+per side 14 M nonzeros in L+U, where COLAMD leaves 25 M).  The order and the
+natural-order index arrays depend on the grid only; those of the last grid
+shape are kept and shared read-only.  The naive baseline's rectangular
+operator is still probed one 3x3 color class at a time (:func:`assemble`).
+:func:`check_assembly` is the random-probe check of both ways.
 
-:class:`DirectFactor` eliminates unknowns in the order its caller gives.  The
-cell systems of the solver are radius-1 stencils on the structured cell
-grid, and are factored in the geometric nested-dissection order of
-:func:`nested_dissection`; at 400 cells per side that leaves 14 M nonzeros
-in L+U where COLAMD leaves 25 M.
+The factor's inverse, :meth:`DirectFactor.lu_solve`, preconditions the CG
+solves of all three cell systems (``apcore``), also while a Gummel run holds
+a factor of an earlier iteration's matrix (``apcore.HeldFactor``).
+:func:`refine` is the naive baseline's refinement loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +31,9 @@ __all__ = [
     "SolveReport",
     "AssemblyError",
     "assemble",
+    "check_assembly",
+    "stencil_matrix",
+    "factor_order",
     "DirectFactor",
     "refine",
     "nested_dissection",
@@ -42,7 +43,7 @@ _TINY = 1e-300
 
 
 class AssemblyError(RuntimeError):
-    """Probe assembly found the operator inconsistent with a linear stencil."""
+    """An assembled matrix disagrees with the action of its operator."""
 
 
 @dataclass
@@ -92,19 +93,76 @@ def assemble(op_apply, shape: tuple[int, int]) -> sp.csr_matrix:
             vals.append(w[m])
     mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                         shape=(w.size, nx * ny))
+    check_assembly(mat, op_apply, shape)
+    return mat
 
-    rng = np.random.default_rng(12345)
-    probe = rng.standard_normal(shape)
+
+def check_assembly(matrix: sp.spmatrix, op_apply, shape: tuple[int, int]) -> None:
+    """Check that ``matrix`` reproduces ``op_apply`` on one random probe of ``shape``.
+
+    Raises :class:`AssemblyError` when the relative defect exceeds 1e-12: a
+    nonlinear or wider-stencil operator, or a matrix built wrong.
+    """
+    probe = np.random.default_rng(12345).standard_normal(shape)
     direct = op_apply(probe).ravel()
-    via_matrix = mat @ probe.ravel()
+    via_matrix = matrix @ probe.ravel()
     scale = max(float(np.linalg.norm(direct)), _TINY)
     defect = float(np.linalg.norm(via_matrix - direct)) / scale
     if defect > 1e-12:
         raise AssemblyError(
-            f"probe-assembled matrix disagrees with operator action "
-            f"(relative defect {defect:.3e}); operator is not a radius-1 linear stencil"
+            f"assembled matrix disagrees with operator action (relative defect "
+            f"{defect:.3e}): the operator is not a radius-1 linear stencil, or the "
+            f"matrix was built wrong"
         )
-    return mat
+
+
+@lru_cache(maxsize=1)
+def _stencil_structure(nx: int, ny: int):
+    """Read-only ``(in_range, indptr, indices)`` of :func:`stencil_matrix` on an ``nx x ny`` grid.
+
+    ``in_range[i, j, k]``: whether weight ``k`` of equation ``(i, j)`` is on
+    the grid; ``indptr`` and ``indices`` (int32) list those unknowns.
+    """
+    rx = np.ones((nx, 3), dtype=bool)
+    ry = np.ones((ny, 3), dtype=bool)
+    rx[0, 0] = rx[-1, 2] = ry[0, 0] = ry[-1, 2] = False
+    in_range = (rx[:, None, :, None] & ry[None, :, None, :]).reshape(nx, ny, 9)
+    cells = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny, 1)
+    steps = np.array([di * ny + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)], dtype=np.int32)
+    indices = (cells + steps)[in_range]
+    indptr = np.zeros(nx * ny + 1, dtype=np.int32)
+    np.cumsum(in_range.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
+    for array in (in_range, indptr, indices):
+        array.setflags(write=False)
+    return in_range, indptr, indices
+
+
+def stencil_matrix(planes: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of a radius-1 stencil on a row-major ``nx x ny`` grid.
+
+    ``planes`` has shape ``(9, nx, ny)``: ``planes[3 * (di + 1) + (dj + 1), i, j]``
+    is the weight of unknown ``(i + di, j + dj)`` in equation ``(i, j)``.
+    Every weight whose unknown lies on the grid is stored, zeros included,
+    in ascending column order; the others are ignored.  The index arrays are
+    shared read-only with every matrix of the same grid shape.
+    """
+    _, nx, ny = planes.shape
+    in_range, indptr, indices = _stencil_structure(nx, ny)
+    return sp.csr_matrix((planes.transpose(1, 2, 0)[in_range], indices, indptr),
+                         shape=(nx * ny, nx * ny))
+
+
+def factor_order(matrix: sp.csr_matrix, perm: np.ndarray) -> sp.csc_matrix:
+    """``matrix[perm][:, perm]`` as a CSC matrix with sorted row indices, entries bit for bit.
+
+    A row gather, a relabel of the column indices by the inverse of
+    ``perm``, and one counting-sort transpose to CSC; stored zeros stay.
+    """
+    inverse = np.empty(perm.size, dtype=matrix.indices.dtype)
+    inverse[perm] = np.arange(perm.size, dtype=inverse.dtype)
+    rows = matrix[perm]
+    rows.indices = inverse[rows.indices]
+    return rows.tocsc()
 
 
 # Blocks with fewer cells than this along both sides are leaves, ordered row by
@@ -129,13 +187,15 @@ def _bisect(block: np.ndarray):
     return block[:, :mid], block[:, mid + 1:], block[:, mid]
 
 
+@lru_cache(maxsize=1)
 def nested_dissection(nx: int, ny: int) -> np.ndarray:
     """Elimination order for radius-1 stencils on a row-major ``nx x ny`` grid.
 
     Geometric nested dissection (George 1973): each block is bisected
     recursively along its longer side, and both halves are ordered before the
     separator between them, so eliminating one half never fills into the
-    other.  Returns a permutation of ``range(nx * ny)``.
+    other.  Returns a permutation of ``range(nx * ny)``, read-only: the order
+    of the last grid shape is kept and shared.
     """
     offsets = {}  # order within a block, relative to its first cell, by shape
 
@@ -151,11 +211,13 @@ def nested_dissection(nx: int, ny: int) -> np.ndarray:
             offsets[block.shape] = whole - first_cell
         return first_cell + offsets[block.shape]
 
-    return order(np.arange(nx * ny).reshape(nx, ny))
+    perm = order(np.arange(nx * ny).reshape(nx, ny))
+    perm.setflags(write=False)
+    return perm
 
 
 def refine(matrix: sp.spmatrix, lu_solve, rhs: np.ndarray, tol: float):
-    """Solve ``matrix x = rhs`` by ``lu_solve`` (a possibly shifted factorization of it).
+    """Solve ``matrix x = rhs`` by ``lu_solve``, a factorization of it.
 
     Up to two steps of iterative refinement, until the relative residual
     ``||matrix x - rhs|| / ||rhs||``, recomputed on ``matrix`` itself, is at
@@ -175,21 +237,21 @@ def refine(matrix: sp.spmatrix, lu_solve, rhs: np.ndarray, tol: float):
 class DirectFactor:
     """Sparse LU factorization in a given elimination order, reusable across right-hand sides.
 
-    ``perm`` is the order in which unknowns are eliminated; the factored
-    matrix is ``(matrix + shift I)[perm][:, perm]``, with no further column
-    reordering.  ``matrix`` itself, unshifted, is kept for the solves.
+    ``matrix`` (CSR) is kept for the solves.  ``ordered`` is the same matrix
+    in the elimination order ``perm``, ``matrix[perm][:, perm]`` as CSC (see
+    :func:`factor_order`); it is factored with no further column
+    reordering, and kept for a caller that builds a related system in both
+    orders.  An exactly singular matrix raises ``RuntimeError``.
     """
 
-    def __init__(self, matrix: sp.spmatrix, perm: np.ndarray, shift: float = 0.0):
-        self.matrix = matrix.tocsr()
-        self.shift = shift
+    def __init__(self, matrix: sp.csr_matrix, ordered: sp.csc_matrix, perm: np.ndarray):
+        self.matrix = matrix
+        self.ordered = ordered
         self._perm = perm
-        factored = (self.matrix + shift * sp.eye(self.matrix.shape[0], format="csr")
-                    if shift else self.matrix)
-        self._lu = spla.splu(factored[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        self._lu = spla.splu(ordered, permc_spec="NATURAL")
 
     def lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the (possibly shifted) factorization's inverse, without refinement."""
+        """Apply the factorization's inverse, without refinement."""
         x = np.empty_like(rhs)
         x[self._perm] = self._lu.solve(rhs[self._perm])
         return x

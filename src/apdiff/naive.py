@@ -180,17 +180,27 @@ def estimate_condition(matrix: sp.csr_matrix, lu, seed: int = 0) -> float:
     """2-norm condition number of the symmetric positive definite ``matrix``, by Lanczos.
 
     Two implicitly restarted Lanczos runs (ARPACK ``eigsh``, relative tolerance
-    1e-4) find the largest eigenvalue of ``matrix`` and the largest of its
-    inverse, which ``lu``, the ``splu`` of ``matrix``, applies; ``seed`` draws
-    both start vectors.  Returns their product, at least 1.  About 20 solves
-    by ``lu``; an ARPACK failure (non-finite or zero iterates, no convergence)
-    yields ``inf``.
+    1e-4, six Lanczos vectors) find the largest eigenvalue of ``matrix`` and
+    the largest of its inverse, which ``lu``, the ``splu`` of ``matrix``,
+    applies; ``seed`` draws both start vectors.  Returns their product, at
+    least 1.  About seven solves by ``lu``; an ARPACK failure (zero iterates,
+    no convergence) or a non-finite solve, which is caught before ARPACK
+    sees it, yields ``inf``.
     """
     v0, u0 = np.random.default_rng(seed).standard_normal((2, matrix.shape[0]))
-    inverse = spla.LinearOperator(matrix.shape, matvec=lu.solve, dtype=float)
+
+    def solve(rhs):
+        x = lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError("non-finite solve by the factor")
+        return x
+
+    inverse = spla.LinearOperator(matrix.shape, matvec=solve, dtype=float)
     try:
-        lam = spla.eigsh(matrix, k=1, which="LA", tol=1e-4, v0=v0, return_eigenvectors=False)
-        mu = spla.eigsh(inverse, k=1, which="LM", tol=1e-4, v0=u0, return_eigenvectors=False)
-    except spla.ArpackError:
+        lam = spla.eigsh(matrix, k=1, which="LA", ncv=6, tol=1e-4, v0=v0,
+                         return_eigenvectors=False)
+        mu = spla.eigsh(inverse, k=1, which="LM", ncv=6, tol=1e-4, v0=u0,
+                        return_eigenvectors=False)
+    except (spla.ArpackError, FloatingPointError):
         return np.inf
     return max(float(lam[0] * abs(mu[0])), 1.0)

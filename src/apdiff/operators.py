@@ -31,6 +31,9 @@ reads the grid from it; the problem types check that b has no zero vector
 when they are built.  Evaluation order is fixed (x pair first, then y pair)
 so results are bitwise reproducible.
 
+:func:`second_order_stencil` gives the nine stencil coefficients of
+:func:`compose_second_order` per interior cell, evaluated in the operation
+order of the operator itself, so that they equal a probe of it bit for bit.
 The boundary rows are built here too, as sparse matrices over the node
 lattice: :func:`ring_dh` gives the ``dh`` rows of the boundary cell ring,
 where the flux condition ``dh p = b.S`` is imposed, and
@@ -49,18 +52,44 @@ __all__ = [
     "apply_dh",
     "apply_dh_star",
     "compose_second_order",
+    "second_order_stencil",
     "duality_defect",
     "ring_dh",
     "ghost_extrapolation",
 ]
 
 
+# Offsets of a cell's four corner nodes, and of a node's four cells plus (1, 1),
+# in the order 11, 01, 10, 00 of the pair sums.
+_CORNERS = ((1, 1), (0, 1), (1, 0), (0, 0))
+
+
+def _corners(a: np.ndarray) -> list:
+    """The four views of ``a`` one row and one column shorter, in ``_CORNERS`` order."""
+    m, n = a.shape[0] - 1, a.shape[1] - 1
+    return [a[ci:ci + m, cj:cj + n] for ci, cj in _CORNERS]
+
+
+def _pair_sum(t: list, two_d: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``(((t11 - t01) + t10) - t00) / two_d``, with t01 and t10 swapped for ``axis`` 1.
+
+    The difference pairs of both stencils, in the one evaluation order that
+    every stencil here and :func:`second_order_stencil` share.
+    """
+    first, second = (t[1], t[2]) if axis == 0 else (t[2], t[1])
+    out = np.subtract(t[0], first, out=out)
+    out += second
+    out -= t[3]
+    out /= two_d
+    return out
+
+
 def apply_dh(theta: NodeField, b: CellVectorField) -> CellField:
     """Directional derivative of a node field, at every cell center."""
     g = b.grid
-    t = theta.values
-    dxa = (t[1:, 1:] - t[:-1, 1:] + t[1:, :-1] - t[:-1, :-1]) / (2.0 * g.dx)
-    dya = (t[1:, 1:] - t[1:, :-1] + t[:-1, 1:] - t[:-1, :-1]) / (2.0 * g.dy)
+    t = _corners(theta.values)
+    dxa = _pair_sum(t, 2.0 * g.dx, 0)
+    dya = _pair_sum(t, 2.0 * g.dy, 1)
     return CellField(g, b.x * dxa + b.y * dya)
 
 
@@ -71,10 +100,8 @@ def apply_dh_star(chi: CellField, b: CellVectorField) -> NodeField:
     i.e. the interior node set; the ghost ring of the output is left at zero.
     """
     g = b.grid
-    cx = b.x * chi.values
-    cy = b.y * chi.values
-    xp = (cx[1:, 1:] - cx[:-1, 1:] + cx[1:, :-1] - cx[:-1, :-1]) / (2.0 * g.dx)
-    yp = (cy[1:, 1:] - cy[1:, :-1] + cy[:-1, 1:] - cy[:-1, :-1]) / (2.0 * g.dy)
+    xp = _pair_sum(_corners(b.x * chi.values), 2.0 * g.dx, 0)
+    yp = _pair_sum(_corners(b.y * chi.values), 2.0 * g.dy, 1)
     out = NodeField.zeros(g)
     out.values[INTERIOR] = xp + yp
     return out
@@ -108,6 +135,59 @@ def compose_second_order(
     result = CellField.zeros(g)
     result.values[INTERIOR] = -out.values[INTERIOR]
     return result
+
+
+def second_order_stencil(cell_w: CellField, node_w: NodeField, b: CellVectorField) -> np.ndarray:
+    """Coefficients of :func:`compose_second_order` on the interior cells, ring held at zero.
+
+    Returns an array of shape ``(9, nx, ny)``:
+    ``[3 * (di + 1) + (dj + 1), i, j]`` is the weight of interior cell
+    ``(i + di, j + dj)`` in the equation of interior cell ``(i, j)``, counted
+    from 0; weights of cells off the interior are meaningless.  Each weight
+    is evaluated as :func:`compose_second_order` evaluates it on a unit
+    probe of that cell: the ``dh*`` pair sums over ``b (cell_w 1)``, with
+    ``b (cell_w 0)`` for every other cell, each divided by ``2 dx`` or
+    ``2 dy``; their sum divided by ``node_w``; the ``dh`` pair sums of those
+    node values; and ``-(b_x dxa + b_y dya)``.  So every weight, and every
+    signed zero among them, equals the probed entry bit for bit.
+    """
+    g = b.grid
+    nx, ny = g.nx, g.ny
+    two = (2.0 * g.dx, 2.0 * g.dy)
+    hit = (_corners(b.x * cell_w.values), _corners(b.y * cell_w.values))
+    miss = (_corners(b.x * 0.0), _corners(b.y * 0.0))
+    nw = node_w.values[INTERIOR]
+    buf = np.empty((nx + 1, ny + 1))
+
+    def node_values(role):
+        # dh* of a probe of cell node + _CORNERS[role] - (1, 1), over node_w, at interior nodes
+        out = np.empty((nx + 1, ny + 1))
+        for axis, target in enumerate((out, buf)):
+            t = [h if k == role else m for k, (h, m) in enumerate(zip(hit[axis], miss[axis]))]
+            _pair_sum(t, two[axis], axis, target)
+        out += buf
+        out /= nw
+        return out
+
+    probed = [node_values(role) for role in range(4)]
+    unprobed = node_values(None)
+    planes = np.empty((9, nx, ny))
+    dya = np.empty((nx, ny))
+    for k in range(9):
+        di, dj = divmod(k, 3)
+        t = []
+        for ei, ej in _CORNERS:
+            # the probed cell, offset (di - 1, dj - 1), seen from corner node (ei, ej)
+            role = (di - ei, dj - ej)
+            source = probed[_CORNERS.index(role)] if role in _CORNERS else unprobed
+            t.append(source[ei:ei + nx, ej:ej + ny])
+        dxa = _pair_sum(t, two[0], 0, planes[k])
+        _pair_sum(t, two[1], 1, dya)
+        dxa *= b.x[INTERIOR]
+        dya *= b.y[INTERIOR]
+        dxa += dya
+        np.negative(dxa, out=dxa)
+    return planes
 
 
 def duality_defect(theta: NodeField, chi: CellField, b: CellVectorField) -> float:

@@ -22,13 +22,16 @@ from apdiff.apcore import (
 )
 from apdiff.grid import (INTERIOR, CellField, CellVectorField, NodeField, make_grid, sample_cell,
                          sample_node)
-from apdiff.linsolve import DirectFactor, SolverConfig, assemble, nested_dissection, refine
+from apdiff.linsolve import (AssemblyError, DirectFactor, SolverConfig, assemble, factor_order,
+                             nested_dissection, refine)
 from apdiff.operators import apply_dh, compose_second_order
-from apdiff.problems import case_angle, case_linear_variable, case_nonlinear
+from apdiff.gummel import linearize
+from apdiff.problems import case_angle, case_ap_limit, case_linear_variable, case_nonlinear
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
 
 from _oracles import dense_second_order, truncated_lstsq_40_digits
 from test_gummel import count_lu_solves, linear_law_problem
+from test_operators import uniform_direction
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
@@ -124,9 +127,7 @@ def no_factor(*args, **kwargs):
 
 def mean_factor(problem):
     """The factor of the mean-potential system, as solve_linear_ap builds it."""
-    g = problem.grid
-    matrix = assemble(apcore._cell_operator(problem), (g.nx, g.ny))
-    return apcore._factor(matrix, g, "mean-potential")
+    return apcore._factor(apcore.assemble(problem), problem.grid, "mean-potential")
 
 
 def test_solve_L_skipped_at_eps_zero(monkeypatch):
@@ -530,7 +531,7 @@ def test_residuals_reported():
 class ColamdFactor:
     """Oracle: the factorization in COLAMD column order, in place of nested dissection."""
 
-    def __init__(self, matrix, perm):
+    def __init__(self, matrix, ordered, perm):
         self.matrix = matrix.tocsr()
         self._lu = spla.splu(self.matrix.tocsc(), permc_spec="COLAMD")
 
@@ -572,6 +573,127 @@ def test_nested_dissection_matches_colamd_oracle(kind, value, monkeypatch):
     assert_same_decomposition(dec, oracle)
 
 
+def probe_oracle(problem):
+    """A probed from its operator, and its nested-dissection copy by fancy indexing."""
+    g = problem.grid
+    matrix = assemble(apcore._cell_operator(problem), (g.nx, g.ny))
+    perm = nested_dissection(g.nx, g.ny)
+    return matrix, matrix[perm][:, perm].tocsc()
+
+
+def assert_bitwise(got, want):
+    """Same format, shape and index arrays, and data equal bit for bit (signed zeros too)."""
+    assert type(got) is type(want) and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def linearized(case, grid):
+    """The first Gummel linearization of a nonlinear manufactured case."""
+    return linearize(case.problem, sample_node(case.initial_guess, grid))
+
+
+BUILDER_CASES = {
+    "linear-0.1": lambda g: case_linear_variable(g, 0.1).problem,
+    "linear-0": lambda g: case_linear_variable(g, 0.0).problem,
+    "angle-0": lambda g: case_angle(g, 1e-3, 0.0).problem,
+    "angle-33": lambda g: case_angle(g, 1e-3, math.radians(33)).problem,
+    "angle-45": lambda g: case_angle(g, 1e-3, math.radians(45)).problem,
+    "angle-90": lambda g: case_angle(g, 1e-3, math.radians(90)).problem,
+    "nonlinear": lambda g: linearized(case_nonlinear(g, 0.1), g),
+    "ap-limit": lambda g: linearized(case_ap_limit(g, 1e-3), g),
+    "swirl": lambda g: swirl_problem(g, 0.1),
+    # b parallel to (dx, -dy) where dx = dy: a probe's dh* sums cancel to zeros
+    # at two of its nodes, and two thirds of the entries are signed zeros
+    "anti-diagonal": lambda g: dataclasses.replace(swirl_problem(g, 0.1),
+                                                   direction=uniform_direction(g, 0.6, -0.6)),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILDER_CASES))
+@pytest.mark.parametrize("shape", [(16, 16), (7, 12), (3, 2)])
+def test_assemble_equals_the_probe_bitwise(name, shape):
+    g = make_grid(UNIT, *shape)
+    problem = BUILDER_CASES[name](g)
+    for got, want in zip(apcore.assemble(problem), probe_oracle(problem)):
+        assert_bitwise(got, want)
+
+
+def test_assemble_equals_the_probe_on_clamped_slopes():
+    # a Gummel linearization whose slope 6 p^5 is clamped to 1e-12 where p < 0
+    g = make_grid(UNIT, 16, 16)
+    case = case_nonlinear(g, 0.1)
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        problem = linearize(case.problem, sample_node(lambda x, y: x - 1.5 + 0.0 * y, g))
+    assert np.any(problem.reaction_node.values == 1e-12)
+    for got, want in zip(apcore.assemble(problem), probe_oracle(problem)):
+        assert_bitwise(got, want)
+
+
+def test_assemble_shares_read_only_grid_structure():
+    g = make_grid(UNIT, 9, 6)
+    first, ordered = apcore.assemble(swirl_problem(g, 0.1))
+    second, _ = apcore.assemble(case_linear_variable(g, 0.1).problem)
+    assert np.shares_memory(first.indices, second.indices)
+    assert np.shares_memory(first.indptr, second.indptr)
+    assert not first.indices.flags.writeable and first.indices.dtype == np.int32
+    assert ordered.indices.dtype == np.int32
+
+
+def test_assemble_check_raises_on_a_wrong_matrix(monkeypatch):
+    # the random probe still checks the matrix: a stencil off by one weight raises
+    g = make_grid(UNIT, 6, 6)
+    real = apcore.second_order_stencil
+
+    def off(*args):
+        planes = real(*args)
+        planes[4, 2, 3] *= 1.0 + 1e-9
+        return planes
+
+    monkeypatch.setattr(apcore, "second_order_stencil", off)
+    with pytest.raises(AssemblyError):
+        apcore.assemble(swirl_problem(g, 0.1))
+
+
+@pytest.mark.parametrize("eps", [100.0, 1000.0])
+def test_flux_fallback_system_equals_the_probe_bitwise(eps, monkeypatch):
+    # A + diag(eps G/H) in both orders, as the fallback factors them
+    problem = pinned_problem("linear", eps, cells=16)
+    g = problem.grid
+    systems = []
+    real_factor = apcore._factor
+
+    def recorded(system, grid, stage):
+        systems.append((stage, system))
+        return real_factor(system, grid, stage)
+
+    monkeypatch.setattr(apcore, "_factor", recorded)
+    dec = solve_linear_ap(problem)
+    assert dec.cg_iterations is None and [s for s, _ in systems] == ["mean-potential",
+                                                                      "flux-potential"]
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    hc = problem.diffusivity_cell.values[INTERIOR].ravel()
+    matrix = probe_oracle(problem)[0] + sp.diags(eps * gc / hc)
+    perm = nested_dissection(g.nx, g.ny)
+    for got, want in zip(systems[1][1], (matrix, matrix[perm][:, perm].tocsc())):
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize(
+    "kind, value",
+    [("linear", 0.1), ("linear", 1e-3), ("linear", 0.0), ("angle", 0), ("angle", 45), ("angle", 90)],
+)
+def test_solution_equals_the_probe_built_solution(kind, value, monkeypatch):
+    problem = pinned_problem(kind, value)
+    dec = solve_linear_ap(problem)
+    monkeypatch.setattr(apcore, "assemble", probe_oracle)
+    oracle = solve_linear_ap(problem)
+    for name in ("h", "L", "l", "pi", "q", "p"):
+        np.testing.assert_array_equal(getattr(dec, name).values, getattr(oracle, name).values)
+    assert dec.residuals == oracle.residuals and dec.cg_iterations == oracle.cg_iterations
+
+
 def flux_operator(problem):
     """The flux-potential operator in L: ``-dh((1/G) dh*(H chi)) + eps chi`` on interior cells."""
     g = problem.grid
@@ -605,7 +727,8 @@ def direct_solve_L(problem, mean_factor, config=None, held=False):
     if problem.eps == 0.0:
         return L, 0.0, None
     matrix, rhs = flux_system(problem)
-    factor = DirectFactor(matrix, nested_dissection(g.nx, g.ny))
+    order = nested_dissection(g.nx, g.ny)
+    factor = DirectFactor(matrix, factor_order(matrix, order), order)
     x, residual = refine(matrix, factor.lu_solve, rhs, config.tol)
     L.values[INTERIOR] = x.reshape(g.nx, g.ny)
     return L, residual, None
@@ -675,17 +798,18 @@ def test_new_factor_solve_costs_the_L_steps_plus_two(kind, value, lu_solves, mon
 
 def test_flux_fallback_factors_the_cg_operator_without_assembling(monkeypatch):
     # at eps 100 CG misses the tolerance: the fallback factors A + diag(eps G/H)
-    # from the assembled mean matrix, so only the mean system is probed
+    # from the assembled mean matrix, so only the mean system is assembled
     problem = pinned_problem("linear", 100.0, cells=32)
     config = SolverConfig()
     with monkeypatch.context() as m:
         m.setattr(apcore, "solve_L", direct_solve_L)
         oracle = solve_linear_ap(problem, config)
-    shapes = []
+    built = []
+    real_assemble = apcore.assemble
     with monkeypatch.context() as m:
-        m.setattr(apcore, "assemble", lambda op, shape: shapes.append(shape) or assemble(op, shape))
+        m.setattr(apcore, "assemble", lambda p: built.append(p) or real_assemble(p))
         dec = solve_linear_ap(problem, config)
-    assert shapes == [(problem.grid.nx, problem.grid.ny)]
+    assert built == [problem]
     assert dec.cg_iterations is None  # the fallback ran
     assert dec.residuals["L"] <= config.tol
     # the residual gate as measured on the probe-assembled system in L
@@ -693,25 +817,6 @@ def test_flux_fallback_factors_the_cg_operator_without_assembling(monkeypatch):
     L = dec.L.values[INTERIOR].ravel()
     assert np.linalg.norm(matrix @ L - rhs) <= config.tol * np.linalg.norm(rhs)
     assert_same_decomposition(dec, oracle)
-
-
-def test_cg_preconditioned_by_gauge_shifted_factor():
-    # the flux-potential stage on a gauge-shifted factor of A; CG starts from
-    # zero, since the preconditioned guess carries about 1/shift of the gauge mode
-    g = make_grid(UNIT, 8, 8)
-    matrix = assemble(singular_mean_operator(g, (3, 4)), (g.nx, g.ny))
-    factor = apcore._factor(matrix, g, "mean-potential")
-    assert factor.shift > 0.0
-    problem = case_linear_variable(g, 0.1).problem
-    gc = problem.reaction_cell.values[INTERIOR].ravel()
-    hc = problem.diffusivity_cell.values[INTERIOR].ravel()
-    diag = 0.1 * gc / hc
-    _, rhs = flux_system(problem)
-    x, residual, steps = apcore._stage(problem, factor, False, rhs, 1e-12, "flux-potential", diag)
-    assert steps is not None and residual <= 1e-12
-    # the residual is that of the unshifted system the factor's matrix defines
-    unshifted = np.linalg.norm(factor.matrix @ x + diag * x - rhs) / np.linalg.norm(rhs)
-    assert residual == pytest.approx(unshifted, rel=1e-6, abs=0.0)
 
 
 def singular_mean_operator(g, cell):
@@ -729,46 +834,34 @@ def singular_mean_operator(g, cell):
     return op
 
 
-def test_gauge_shift_retry_solves_consistent_rhs():
-    g = make_grid(UNIT, 8, 8)
-    cell = (3, 4)
-    op = singular_mean_operator(g, cell)
-    with pytest.raises(RuntimeError):  # exactly singular without the shift
-        apcore.DirectFactor(apcore.assemble(op, (g.nx, g.ny)), np.arange(g.nx * g.ny))
-    factor = apcore._factor(apcore.assemble(op, (g.nx, g.ny)), g, "mean-potential")
-    assert factor.shift > 0.0  # the retry fired
-
-    x_true = np.random.default_rng(5).standard_normal((g.nx, g.ny))
-    x_true[cell] = 0.0
-    rhs = op(x_true).ravel()  # in the range of the singular matrix
-    # the stage of the problem whose operator was made singular, on a new factor
-    x, residual, _ = apcore._stage(swirl_problem(g, 0.1), factor, False, rhs, 1e-12,
-                                   "mean-potential")
-    assert residual <= 1e-12
-    # the reported residual is that of the unshifted system, not of the factored one
-    matrix = apcore.assemble(op, (g.nx, g.ny))
-    unshifted = np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
-    assert residual == pytest.approx(unshifted, rel=1e-12, abs=0.0)
-    np.testing.assert_allclose(x, x_true.ravel(), rtol=0, atol=1e-8)
+def probed_system(op, g):
+    """``(matrix, ordered)`` of a probed cell operator, as ``apcore._factor`` takes it."""
+    matrix = assemble(op, (g.nx, g.ny))
+    return matrix, factor_order(matrix, nested_dissection(g.nx, g.ny))
 
 
 def test_new_factor_miss_raises_naming_the_stage():
-    # no x solves the singular system when the zeroed cell's equation is not 0 = 0
-    g = make_grid(UNIT, 8, 8)
-    cell = (3, 4)
-    op = singular_mean_operator(g, cell)
-    factor = apcore._factor(apcore.assemble(op, (g.nx, g.ny)), g, "mean-potential")
-    rhs = op(np.random.default_rng(5).standard_normal((g.nx, g.ny)))
-    rhs[cell] = 1.0
+    # a factor of the identity in place of A's: 30 unpreconditioned CG steps
+    # leave the residual far above the tolerance
+    g = make_grid(UNIT, 16, 16)
+    problem = swirl_problem(g, 0.1)
+    matrix, _ = apcore.assemble(problem)
+    n = g.nx * g.ny
+    factor = DirectFactor(matrix, sp.identity(n, format="csc"), np.arange(n))
+    rhs = np.random.default_rng(5).standard_normal(n)
     with pytest.raises(StageError, match="fluctuation-potential solve failed"):
-        apcore._stage(swirl_problem(g, 0.1), factor, False, rhs.ravel(), 1e-12,
-                      "fluctuation-potential")
+        apcore._stage(problem, factor, False, rhs, 1e-12, "fluctuation-potential")
 
 
-def test_gauge_shift_failure_names_stage():
-    g = make_grid(UNIT, 6, 6)
-    with pytest.raises(StageError, match="flux-potential"):
-        apcore._factor(sp.csr_matrix((g.nx * g.ny, g.nx * g.ny)), g, "flux-potential")
+def test_singular_factor_names_stage():
+    # with the retry gone, an exactly singular system raises naming its stage
+    g = make_grid(UNIT, 8, 8)
+    zero = sp.csr_matrix((g.nx * g.ny, g.nx * g.ny))
+    with pytest.raises(StageError, match="flux-potential factorization failed"):
+        apcore._factor((zero, zero.tocsc()), g, "flux-potential")
+    singular = probed_system(singular_mean_operator(g, (3, 4)), g)
+    with pytest.raises(StageError, match="mean-potential factorization failed"):
+        apcore._factor(singular, g, "mean-potential")
 
 
 def scipy_cg_solve_L(problem, factor, tol=1e-12):

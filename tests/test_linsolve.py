@@ -13,8 +13,10 @@ from apdiff.linsolve import (
     DirectFactor,
     SolverConfig,
     assemble,
+    factor_order,
     nested_dissection,
     refine,
+    stencil_matrix,
 )
 from apdiff.operators import apply_dh, compose_second_order
 from apdiff.problems import case_angle, case_linear_variable
@@ -197,7 +199,7 @@ def test_assembled_pattern_symmetric_no_empty_rows():
 
 def factor_solve(mat, perm, rhs, tol=1e-12):
     """``refine`` on ``mat`` with the ``lu_solve`` of its ``DirectFactor``: ``(x, residual)``."""
-    return refine(mat, DirectFactor(mat, perm).lu_solve, rhs, tol)
+    return refine(mat, DirectFactor(mat, factor_order(mat, perm), perm).lu_solve, rhs, tol)
 
 
 def test_solve_identity():
@@ -222,7 +224,7 @@ def test_solve_1d_poisson_vs_dense_oracle():
 def test_solve_reports_singular_failure():
     mat = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(RuntimeError):
-        DirectFactor(mat, np.arange(2))
+        DirectFactor(mat, factor_order(mat, np.arange(2)), np.arange(2))
 
 
 def test_solver_config_validation():
@@ -301,7 +303,8 @@ def test_nested_dissection_fills_less_than_colamd():
         ).values[INTERIOR]
 
     mat = assemble(op, (g.nx, g.ny))
-    nd = DirectFactor(mat, nested_dissection(g.nx, g.ny))._lu
+    perm = nested_dissection(g.nx, g.ny)
+    nd = DirectFactor(mat, factor_order(mat, perm), perm)._lu
     colamd = spla.splu(mat.tocsc(), permc_spec="COLAMD")
     assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
 
@@ -314,3 +317,47 @@ def test_direct_factor_unpermutes_solution():
     x, residual = factor_solve(mat, rng.permutation(n), rhs)
     assert residual <= 1e-12
     np.testing.assert_allclose(x, np.linalg.solve(mat.toarray(), rhs), rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 0.5), seed=st.integers(0, 2**16))
+def test_factor_order_equals_fancy_indexing_bitwise(n, density, seed):
+    # stored zeros and unsorted input columns included
+    rng = np.random.default_rng(seed)
+    mat = sp.random(n, n, density=density, random_state=seed, format="csr")
+    mat.data[rng.random(mat.nnz) < 0.3] = 0.0
+    perm = rng.permutation(n)
+    got = factor_order(mat, perm)
+    want = mat[perm][:, perm].tocsc()
+    assert got.format == "csc" and got.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 4), (9, 7)])
+def test_stencil_matrix_equals_the_probe_of_its_stencil(shape):
+    # weights off the grid are ignored, zeros on it are stored
+    rng = np.random.default_rng(11)
+    planes = rng.standard_normal((9, *shape))
+    planes[rng.random(planes.shape) < 0.2] = 0.0
+    nx, ny = shape
+
+    def op(v):
+        padded_v = np.pad(v, 1)
+        out = np.zeros_like(v)
+        for k in range(9):
+            di, dj = divmod(k, 3)
+            out += planes[k] * padded_v[di:di + nx, dj:dj + ny]
+        return out
+
+    got = stencil_matrix(planes)
+    want = assemble(op, shape)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert not got.indices.flags.writeable
+
+
+def test_nested_dissection_is_kept_read_only():
+    perm = nested_dissection(12, 9)
+    assert nested_dissection(12, 9) is perm
+    assert not perm.flags.writeable

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,7 +215,7 @@ def test_estimate_condition_solve_count():
     ata, lu = naive._normal_equations(system)
     factor = CountingFactor(lu)
     assert np.isfinite(estimate_condition(ata, factor))
-    assert 0 < factor.solves <= 30
+    assert 0 < factor.solves <= 12
 
 
 @pytest.mark.parametrize("value", [np.nan, 0.0])
@@ -219,6 +223,29 @@ def test_estimate_condition_reports_inf_on_a_broken_factor(value):
     mat = sp.diags(np.arange(1.0, 41.0), format="csr")
     broken = SimpleNamespace(solve=lambda b, trans="N": np.full_like(b, value))
     assert estimate_condition(mat, broken) == np.inf
+
+
+BROKEN_ESTIMATE = """
+import numpy as np, scipy.sparse as sp
+from types import SimpleNamespace
+from apdiff.naive import estimate_condition
+mat = sp.diags(np.arange(1.0, 41.0), format="csr")
+print(estimate_condition(mat, SimpleNamespace(solve=lambda b, trans="N": np.full_like(b, {value}))))
+"""
+
+
+@pytest.mark.parametrize("value", ["np.nan", "np.inf", "0.0"])
+def test_broken_factor_writes_nothing_to_stderr(value, capfd):
+    # a non-finite solve stops the estimate before ARPACK's LAPACK calls see
+    # it; they write to stderr from compiled code, buffered until the process
+    # exits, so the estimate runs in a child process that shares this one's fds
+    src = str(Path(naive.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", BROKEN_ESTIMATE.format(value=value)], env=env,
+                   check=True, timeout=120)
+    captured = capfd.readouterr()
+    assert captured.out.strip() == "inf"
+    assert captured.err == ""
 
 
 class TrackedFactor:

@@ -853,12 +853,17 @@ def test_new_factor_miss_raises_naming_the_stage():
         apcore._stage(problem, factor, False, rhs, 1e-12, "fluctuation-potential")
 
 
-def test_singular_factor_names_stage():
-    # with the retry gone, an exactly singular system raises naming its stage
+def test_gauge_shift_failure_names_stage():
+    # no gauge shift is tried: the zero matrix fails on its first factorization
     g = make_grid(UNIT, 8, 8)
     zero = sp.csr_matrix((g.nx * g.ny, g.nx * g.ny))
     with pytest.raises(StageError, match="flux-potential factorization failed"):
         apcore._factor((zero, zero.tocsc()), g, "flux-potential")
+
+
+def test_singular_factor_names_stage():
+    # the one-cell-zeroed mean matrix is exactly singular and raises naming its stage
+    g = make_grid(UNIT, 8, 8)
     singular = probed_system(singular_mean_operator(g, (3, 4)), g)
     with pytest.raises(StageError, match="mean-potential factorization failed"):
         apcore._factor(singular, g, "mean-potential")

@@ -26,6 +26,9 @@ from its stencil coefficients); with ``x = H L / G`` the L system reads
 ``(A + diag(eps G/H)) x = rhs``.  All three systems are
 self-adjoint in the G-weighted inner product, and one conjugate-gradient
 routine (:func:`_cg`) solves each of them, preconditioned by the factor of A.
+That factor is a banded Cholesky factor of the symmetric ``S = A diag(1/G)``
+on grids up to ``BAND_MAX_WIDTH`` wide, and SuperLU's in nested-dissection
+order on wider ones (:func:`_factor`).
 On a new factor h and l take one step each, and for large eps, where CG
 misses the tolerance, the L system is built from A and factored
 (:func:`solve_L`).  Related solves, such as the iterations of the Gummel
@@ -53,8 +56,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, sample_cell,
                    sample_cell_vec, sample_node)
-from .linsolve import (DirectFactor, SolverConfig, check_assembly, factor_order,
-                       nested_dissection, stencil_matrix)
+from .linsolve import (BandFactor, DirectFactor, SolverConfig, check_assembly, factor_order,
+                       nested_dissection, stencil_matrix, symmetric_band)
 from .operators import (apply_dh, apply_dh_star, compose_second_order, ghost_extrapolation,
                         ring_dh, second_order_stencil)
 
@@ -197,35 +200,91 @@ def _cell_operator(problem: LinearProblem):
     return op
 
 
-def assemble(problem: LinearProblem) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+# Cell systems whose row-major bandwidth ``ny + 1`` is at most this are factored
+# by banded Cholesky (BandFactor), wider ones by SuperLU in nested-dissection
+# order (DirectFactor).  The measured crossover, over the factor and the three
+# stages with 2 BLAS threads: 100 cells per side take 27 ms as a band against
+# 42 ms, 101 cells 103 ms against 53 ms.  From 10001 unknowns on numpy's own
+# OpenBLAS runs its dot products on 2 threads, whose spinning contends with
+# LAPACK's threads for the cores.
+BAND_MAX_WIDTH = 101
+
+
+def _banded(grid: Grid) -> bool:
+    """Whether the cell systems of ``grid`` are factored as a band."""
+    return grid.ny + 1 <= BAND_MAX_WIDTH
+
+
+def _mean_stencil(problem: LinearProblem) -> np.ndarray:
+    """The stencil planes of A (:func:`operators.second_order_stencil`)."""
+    return second_order_stencil(problem.reaction_cell, problem.reaction_node, problem.direction)
+
+
+def assemble(problem: LinearProblem) -> tuple:
     """The mean-potential matrix A of :func:`_cell_operator`, built from its stencil coefficients.
 
-    Returns ``(matrix, ordered)``: A in natural order as CSR, which CG
-    applies, and in nested-dissection order as CSC, which
-    :class:`linsolve.DirectFactor` factors.  Every entry equals a probe of
-    the operator bit for bit (:func:`operators.second_order_stencil`), and
-    a random probe checks the matrix (:func:`linsolve.check_assembly`).
+    Returns the system that :func:`_factor` factors, led by A in natural
+    order as CSR, which CG applies.  On a narrow grid (:func:`_banded`) it
+    is ``(matrix, band, weights)``: with ``C = diag(G)`` on the cells,
+    ``A = S C`` where ``S`` is symmetric positive definite, and ``band`` is
+    the upper band of ``(S + S^T) / 2`` (:func:`linsolve.symmetric_band`),
+    ``weights`` the cell G.  Otherwise it is ``(matrix, ordered)``, A in
+    nested-dissection order as CSC.  Every entry of the matrix equals a
+    probe of the operator bit for bit
+    (:func:`operators.second_order_stencil`), and a random probe checks the
+    matrix (:func:`linsolve.check_assembly`).
     """
     grid = problem.grid
     shape = (grid.nx, grid.ny)
-    matrix = stencil_matrix(second_order_stencil(problem.reaction_cell, problem.reaction_node,
-                                                 problem.direction))
+    planes = _mean_stencil(problem)
+    matrix = stencil_matrix(planes)
+    band = None
+    if _banded(grid):
+        gc = problem.reaction_cell.values[INTERIOR].ravel()
+        band = symmetric_band(planes, gc)
+    del planes  # nine weights per cell, not kept through the check and the copy
     check_assembly(matrix, _cell_operator(problem), shape)
+    if band is not None:
+        return matrix, band, gc
     return matrix, factor_order(matrix, nested_dissection(*shape))
 
 
-def _factor(system: tuple, grid: Grid, stage: str) -> DirectFactor:
-    """Factor a cell system, ``(matrix, ordered)`` as :func:`assemble` gives it.
+def _factor(system: tuple, grid: Grid, stage: str) -> BandFactor | DirectFactor:
+    """Factor a cell system as :func:`assemble` gives it, as a band or by SuperLU.
 
-    A singular matrix raises :class:`StageError` naming ``stage``.  A is
-    nonsingular for a positive G with the ring held at zero, unless b is
-    exactly parallel to ``(dx, dy)`` at some cells and to ``(dx, -dy)`` at
-    others, and ``A + diag(eps G/H)`` is nonsingular for every eps > 0.
+    A singular matrix, or on a band one that is not positive definite,
+    raises :class:`StageError` naming ``stage``.  A is nonsingular for a
+    positive G with the ring held at zero, unless b is exactly parallel to
+    ``(dx, dy)`` at some cells and to ``(dx, -dy)`` at others, and
+    ``A + diag(eps G/H)`` is nonsingular for every eps > 0.  The band
+    factors ``S = A diag(1/G)``, for which
+    ``psi^T S psi = sum_nodes |dh*(psi)|^2 / G_node`` with ``psi`` zero on
+    the ring, so ``S`` is positive definite wherever A is nonsingular, and
+    so is ``S + diag(eps/H)``.
     """
     try:
+        if _banded(grid):
+            return BandFactor(*system)
         return DirectFactor(*system, nested_dissection(grid.nx, grid.ny))
     except RuntimeError as exc:
         raise StageError(f"{stage} factorization failed: {exc}") from exc
+
+
+def _with_diagonal(problem: LinearProblem, factor: BandFactor | DirectFactor,
+                   diag: np.ndarray) -> tuple:
+    """The system ``A + diag(diag)`` as :func:`assemble` gives A, from the factor of A.
+
+    On a band the diagonal of ``S`` gains ``diag / G``; the band of A, which
+    its factor overwrote, is built again from the stencil.
+    """
+    grid = problem.grid
+    matrix = factor.matrix + sp.diags(diag)
+    if _banded(grid):
+        gc = problem.reaction_cell.values[INTERIOR].ravel()
+        band = symmetric_band(_mean_stencil(problem), gc)
+        band[-1] += diag / gc
+        return matrix, band, gc
+    return matrix, factor.ordered + sp.diags(diag[nested_dissection(grid.nx, grid.ny)])
 
 
 def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
@@ -246,7 +305,7 @@ FLUX_CG_MAX_STEPS = 30
 _CG_JUDGE_FROM = 4
 
 
-def _cg(apply, gc: np.ndarray, factor: DirectFactor, rhs: np.ndarray,
+def _cg(apply, gc: np.ndarray, factor: BandFactor | DirectFactor, rhs: np.ndarray,
         tol: float) -> tuple[np.ndarray, float, int]:
     """Preconditioned conjugate gradients on a cell system ``A_s x = rhs``.
 
@@ -291,7 +350,7 @@ def _cg(apply, gc: np.ndarray, factor: DirectFactor, rhs: np.ndarray,
     return x, float(np.linalg.norm(apply(x) - rhs)) / rhs_norm, steps
 
 
-def _stage(problem: LinearProblem, factor: DirectFactor, held: bool, rhs: np.ndarray,
+def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, held: bool, rhs: np.ndarray,
            tol: float, stage: str, diag: np.ndarray | None = None):
     """One cell system ``(A + diag(diag)) x = rhs`` on the interior cells, by :func:`_cg`.
 
@@ -299,10 +358,11 @@ def _stage(problem: LinearProblem, factor: DirectFactor, held: bool, rhs: np.nda
     on a new factor and through the stencils on a ``held`` one, and
     ``factor`` preconditions.  A miss on a held factor is returned as it
     stands, for the caller to factor anew.  On a new factor, a system with a
-    ``diag`` adds it to both orders of A that the factor keeps, is factored,
-    and is solved again by :func:`_cg`; a miss without one, or a second
-    miss, raises :class:`StageError` naming ``stage``.  Returns
-    ``(x, residual, steps)``, ``steps`` ``None`` when the system was factored.
+    ``diag`` adds it to A in the form its factor path takes
+    (:func:`_with_diagonal`), is factored, and is solved again by
+    :func:`_cg`; a miss without one, or a second miss, raises
+    :class:`StageError` naming ``stage``.  Returns ``(x, residual, steps)``,
+    ``steps`` ``None`` when the system was factored.
     """
     mean = _cell_operator(problem) if held else None
 
@@ -313,10 +373,8 @@ def _stage(problem: LinearProblem, factor: DirectFactor, held: bool, rhs: np.nda
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     x, residual, steps = _cg(apply, gc, factor, rhs, tol)
     if not (held or residual <= tol) and diag is not None:
-        grid = problem.grid
-        system = (factor.matrix + sp.diags(diag),
-                  factor.ordered + sp.diags(diag[nested_dissection(grid.nx, grid.ny)]))
-        x, residual, _ = _cg(system[0].dot, gc, _factor(system, grid, stage), rhs, tol)
+        system = _with_diagonal(problem, factor, diag)
+        x, residual, _ = _cg(system[0].dot, gc, _factor(system, problem.grid, stage), rhs, tol)
         steps = None
     if not (held or residual <= tol):
         raise StageError(f"{stage} solve failed: residual {residual:.3e} "
@@ -324,8 +382,9 @@ def _stage(problem: LinearProblem, factor: DirectFactor, held: bool, rhs: np.nda
     return x, residual, steps
 
 
-def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
-            config: SolverConfig | None = None, held: bool = False):
+def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
+            config: SolverConfig | None = None, held: bool = False,
+            rhs_mean: CellField | None = None):
     """Flux-scale potential; the only eps-dependent system.
 
     With ``x = H L / G`` on the cells, the system reads
@@ -333,7 +392,8 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
     that ``mean_factor`` factors (``held``: factors an earlier problem's A).
     :func:`_stage` solves it by CG preconditioned by that factor; for large
     eps, where CG misses ``tol``, it factors the system instead.  The
-    reported residual is recomputed on the system itself.
+    reported residual is recomputed on the system itself.  ``rhs_mean`` is
+    ``dh(f/G)`` when the caller has it already.
 
     Returns ``(L, residual, cg_iterations)``: the field, the relative
     residual of the solve, and the CG steps taken, or ``None`` when the
@@ -344,8 +404,10 @@ def solve_L(problem: LinearProblem, mean_factor: DirectFactor,
     config = config or SolverConfig()
     grid = problem.grid
     eps = problem.eps
+    if rhs_mean is None:
+        rhs_mean = _rhs_mean(problem)
     rhs = -eps * (
-        _rhs_mean(problem).values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
+        rhs_mean.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
     ).ravel()
     if not np.any(rhs):
         return CellField.zeros(grid), 0.0, 0
@@ -535,7 +597,7 @@ class HeldFactor:
     ``reaction_cell``; both are ``None`` while nothing is held.
     """
 
-    factor: DirectFactor | None = None
+    factor: BandFactor | DirectFactor | None = None
     reaction_cell: np.ndarray | None = None
 
     def fits(self, reaction_cell: np.ndarray) -> bool:
@@ -548,20 +610,24 @@ class HeldFactor:
         self.factor = self.reaction_cell = None
 
 
-def _stages(problem: LinearProblem, factor: DirectFactor, config: SolverConfig,
+def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: SolverConfig,
             held: bool = False):
     """L, then h and l, each by :func:`_stage`; ``None`` once one on a ``held`` factor misses.
 
-    Returns ``(fields, residuals, steps)``: the fields and their residuals by
-    name, and the CG steps of all three stages, ``None`` when L was factored.
+    ``dh(f/G)``, the right-hand side of h and part of L's, is computed once
+    here, once A is factored: held through the factorization it raised the
+    peak memory of a solve at 399 cells per side by 7 MiB.  Returns
+    ``(fields, residuals, steps)``: the fields and their residuals by name,
+    and the CG steps of all three stages, ``None`` when L was factored.
     """
     grid = problem.grid
-    L, res_L, steps = solve_L(problem, factor, config, held)
+    rhs_mean = _rhs_mean(problem)
+    L, res_L, steps = solve_L(problem, factor, config, held, rhs_mean)
     if not res_L <= config.tol:
         return None
     fields, residuals = {"L": L}, {"L": res_L}
     for name, stage, rhs in (
-            ("h", "mean-potential", _rhs_mean(problem).values[INTERIOR]),
+            ("h", "mean-potential", rhs_mean.values[INTERIOR]),
             ("l", "fluctuation-potential",
              L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR])):
         x, residuals[name], n = _stage(problem, factor, held, rhs.ravel(), config.tol, stage)

@@ -2,16 +2,20 @@
 
 The cell systems of the solver are radius-1 stencils on the structured cell
 grid, built from their stencil coefficients: :func:`stencil_matrix` gives
-the natural-order CSR matrix that the conjugate-gradient solves apply, and
-:func:`factor_order` its CSC copy in the nested-dissection order of
-:func:`nested_dissection`, which :class:`DirectFactor` factors (at 400 cells
-per side 14 M nonzeros in L+U, where COLAMD leaves 25 M).  The order and the
+the natural-order CSR matrix that the conjugate-gradient solves apply.  Two
+factors serve them.  On a narrow grid :func:`symmetric_band` writes the
+upper band of the symmetric ``S = A diag(1/G)`` in LAPACK's Fortran-order
+band storage, and :class:`BandFactor` factors it in place by LAPACK's
+blocked banded Cholesky.  On a wide one :func:`factor_order` copies the
+matrix into the nested-dissection order of :func:`nested_dissection` as
+CSC, which :class:`DirectFactor` factors by SuperLU (at 400 cells per side
+14 M nonzeros in L+U, where COLAMD leaves 25 M).  The order and the
 natural-order index arrays depend on the grid only; those of the last grid
 shape are kept and shared read-only.  The naive baseline's rectangular
 operator is still probed one 3x3 color class at a time (:func:`assemble`).
 :func:`check_assembly` is the random-probe check of both ways.
 
-The factor's inverse, :meth:`DirectFactor.lu_solve`, preconditions the CG
+Either factor's inverse, ``lu_solve``, preconditions the CG
 solves of all three cell systems (``apcore``), also while a Gummel run holds
 a factor of an earlier iteration's matrix (``apcore.HeldFactor``).
 :func:`refine` is the naive baseline's refinement loop.
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -33,8 +38,10 @@ __all__ = [
     "assemble",
     "check_assembly",
     "stencil_matrix",
+    "symmetric_band",
     "factor_order",
     "DirectFactor",
+    "BandFactor",
     "refine",
     "nested_dissection",
 ]
@@ -152,6 +159,33 @@ def stencil_matrix(planes: np.ndarray) -> sp.csr_matrix:
                          shape=(nx * ny, nx * ny))
 
 
+def symmetric_band(planes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Upper band of ``(S + S^T) / 2``, ``S = A diag(1 / weights)``, in LAPACK's Fortran-order storage.
+
+    ``A`` is the radius-1 stencil of ``planes`` as :func:`stencil_matrix`
+    lays it out, whose row-major bandwidth is ``ny + 1``; ``weights`` has
+    one entry per unknown.  Returns ``band`` of shape ``(ny + 2, nx * ny)``
+    with ``band[ny + 1 + i - j, j]`` the entry ``(i, j)``, ``i <= j``, as
+    ``scipy.linalg.lapack.dpbtrf`` takes it with ``lower=0``.  Weights whose
+    unknown lies off the grid are ignored.
+    """
+    _, nx, ny = planes.shape
+    kd = ny + 1
+    w = weights.reshape(nx, ny)
+    band = np.zeros((kd + 1, nx * ny), order="F")
+    np.divide(planes[4], w, out=band[kd].reshape(nx, ny))
+    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        # equation (i, j) reads unknown (i + di, j + dj), in the slices src and dst
+        src = (slice(0, nx - di), slice(max(0, -dj), ny - max(0, dj)))
+        dst = (slice(di, nx), slice(max(0, dj), ny - max(0, -dj)))
+        upper = planes[3 * (di + 1) + dj + 1][src] / w[dst]
+        lower = planes[3 * (1 - di) + 1 - dj][dst] / w[src]
+        np.add(upper, lower, out=upper)
+        upper *= 0.5
+        band[kd - di * ny - dj].reshape(nx, ny)[dst] = upper
+    return band
+
+
 def factor_order(matrix: sp.csr_matrix, perm: np.ndarray) -> sp.csc_matrix:
     """``matrix[perm][:, perm]`` as a CSC matrix with sorted row indices, entries bit for bit.
 
@@ -254,4 +288,30 @@ class DirectFactor:
         """Apply the factorization's inverse, without refinement."""
         x = np.empty_like(rhs)
         x[self._perm] = self._lu.solve(rhs[self._perm])
+        return x
+
+
+class BandFactor:
+    """Banded Cholesky factor of ``S diag(weights)``, ``S`` symmetric positive definite.
+
+    ``matrix`` (CSR) is kept for the solves.  ``band`` is the upper band of
+    ``S`` in Fortran order (:func:`symmetric_band`); LAPACK's blocked
+    ``dpbtrf`` factors it in place, so the caller must not use it again.
+    :meth:`lu_solve` applies ``diag(1 / weights) S^-1``, self-adjoint in the
+    inner product weighted by ``weights``.  A band that is not positive
+    definite raises ``RuntimeError``.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix, band: np.ndarray, weights: np.ndarray):
+        self.matrix = matrix
+        self._weights = weights
+        self._band, info = scipy.linalg.lapack.dpbtrf(band, lower=0, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"dpbtrf: leading minor {info} is not positive definite"
+                               if info > 0 else f"dpbtrf: illegal argument {-info}")
+
+    def lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply the factorization's inverse, without refinement."""
+        x, _ = scipy.linalg.lapack.dpbtrs(self._band, rhs, lower=0)
+        x /= self._weights
         return x

@@ -22,15 +22,15 @@ from apdiff.apcore import (
 )
 from apdiff.grid import (INTERIOR, CellField, CellVectorField, NodeField, make_grid, sample_cell,
                          sample_node)
-from apdiff.linsolve import (AssemblyError, DirectFactor, SolverConfig, assemble, factor_order,
-                             nested_dissection, refine)
+from apdiff.linsolve import (AssemblyError, BandFactor, DirectFactor, SolverConfig, assemble,
+                             factor_order, nested_dissection, refine)
 from apdiff.operators import apply_dh, compose_second_order
 from apdiff.gummel import linearize
 from apdiff.problems import case_angle, case_ap_limit, case_linear_variable, case_nonlinear
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
 
 from _oracles import dense_second_order, truncated_lstsq_40_digits
-from test_gummel import count_lu_solves, linear_law_problem
+from test_gummel import count_lu_solves, each_factor_path, linear_law_problem
 from test_operators import uniform_direction
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
@@ -529,9 +529,9 @@ def test_residuals_reported():
 
 
 class ColamdFactor:
-    """Oracle: the factorization in COLAMD column order, in place of nested dissection."""
+    """Oracle: the factorization in COLAMD column order, in place of the band or nested dissection."""
 
-    def __init__(self, matrix, ordered, perm):
+    def __init__(self, matrix, *_):
         self.matrix = matrix.tocsr()
         self._lu = spla.splu(self.matrix.tocsc(), permc_spec="COLAMD")
 
@@ -565,25 +565,55 @@ def assert_same_decomposition(dec, oracle):
 def test_nested_dissection_matches_colamd_oracle(kind, value, monkeypatch):
     problem = pinned_problem(kind, value)
     config = SolverConfig()
-    dec = solve_linear_ap(problem, config)
-    with monkeypatch.context() as m:
-        m.setattr(apcore, "DirectFactor", ColamdFactor)
-        oracle = solve_linear_ap(problem, config)
-    assert all(r <= config.tol for r in dec.residuals.values())
-    assert_same_decomposition(dec, oracle)
+    for factor_class in each_factor_path(monkeypatch):
+        dec = solve_linear_ap(problem, config)
+        with monkeypatch.context() as m:
+            m.setattr(apcore, factor_class.__name__, ColamdFactor)
+            oracle = solve_linear_ap(problem, config)
+        assert all(r <= config.tol for r in dec.residuals.values())
+        assert_same_decomposition(dec, oracle)
 
 
-def probe_oracle(problem):
-    """A probed from its operator, and its nested-dissection copy by fancy indexing."""
+def band_oracle(matrix, gc, ny):
+    """Upper band of ``(S + S^T) / 2``, ``S = A diag(1 / gc)``, by sparse arithmetic, placed entry by entry."""
+    s = matrix.tocoo()
+    s.data = s.data / gc[s.col]
+    sym = ((s + s.T) * 0.5).tocoo()
+    upper = sym.row <= sym.col
+    band = np.zeros((ny + 2, matrix.shape[0]))
+    band[ny + 1 + sym.row[upper] - sym.col[upper], sym.col[upper]] = sym.data[upper]
+    return band
+
+
+def system_oracle(matrix, problem):
+    """The system of ``matrix`` as ``apcore.assemble`` gives it on the current factor path.
+
+    The band by :func:`band_oracle`, the nested-dissection copy by fancy indexing.
+    """
     g = problem.grid
-    matrix = assemble(apcore._cell_operator(problem), (g.nx, g.ny))
+    if apcore._banded(g):
+        gc = problem.reaction_cell.values[INTERIOR].ravel()
+        return matrix, band_oracle(matrix, gc, g.ny), gc
     perm = nested_dissection(g.nx, g.ny)
     return matrix, matrix[perm][:, perm].tocsc()
 
 
+def probe_oracle(problem):
+    """A probed from its operator, as a system of the current factor path (:func:`system_oracle`)."""
+    g = problem.grid
+    return system_oracle(assemble(apcore._cell_operator(problem), (g.nx, g.ny)), problem)
+
+
 def assert_bitwise(got, want):
-    """Same format, shape and index arrays, and data equal bit for bit (signed zeros too)."""
+    """Same format, shape and index arrays, and data equal bit for bit (signed zeros too).
+
+    A dense band need only equal its oracle's values, in Fortran order.
+    """
     assert type(got) is type(want) and got.shape == want.shape
+    if isinstance(got, np.ndarray):
+        assert got.flags.f_contiguous or got.ndim == 1
+        np.testing.assert_array_equal(got, want)
+        return
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -613,32 +643,39 @@ BUILDER_CASES = {
 
 @pytest.mark.parametrize("name", list(BUILDER_CASES))
 @pytest.mark.parametrize("shape", [(16, 16), (7, 12), (3, 2)])
-def test_assemble_equals_the_probe_bitwise(name, shape):
+def test_assemble_equals_the_probe_bitwise(name, shape, monkeypatch):
     g = make_grid(UNIT, *shape)
     problem = BUILDER_CASES[name](g)
-    for got, want in zip(apcore.assemble(problem), probe_oracle(problem)):
-        assert_bitwise(got, want)
+    for _ in each_factor_path(monkeypatch):
+        got, want = apcore.assemble(problem), probe_oracle(problem)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_bitwise(a, b)
 
 
-def test_assemble_equals_the_probe_on_clamped_slopes():
+def test_assemble_equals_the_probe_on_clamped_slopes(monkeypatch):
     # a Gummel linearization whose slope 6 p^5 is clamped to 1e-12 where p < 0
     g = make_grid(UNIT, 16, 16)
     case = case_nonlinear(g, 0.1)
     with pytest.warns(RuntimeWarning, match="clamped"):
         problem = linearize(case.problem, sample_node(lambda x, y: x - 1.5 + 0.0 * y, g))
     assert np.any(problem.reaction_node.values == 1e-12)
-    for got, want in zip(apcore.assemble(problem), probe_oracle(problem)):
-        assert_bitwise(got, want)
+    for _ in each_factor_path(monkeypatch):
+        for got, want in zip(apcore.assemble(problem), probe_oracle(problem)):
+            assert_bitwise(got, want)
 
 
-def test_assemble_shares_read_only_grid_structure():
+def test_assemble_shares_read_only_grid_structure(monkeypatch):
     g = make_grid(UNIT, 9, 6)
-    first, ordered = apcore.assemble(swirl_problem(g, 0.1))
-    second, _ = apcore.assemble(case_linear_variable(g, 0.1).problem)
-    assert np.shares_memory(first.indices, second.indices)
-    assert np.shares_memory(first.indptr, second.indptr)
-    assert not first.indices.flags.writeable and first.indices.dtype == np.int32
-    assert ordered.indices.dtype == np.int32
+    for factor_class in each_factor_path(monkeypatch):
+        system = apcore.assemble(swirl_problem(g, 0.1))
+        first = system[0]
+        second = apcore.assemble(case_linear_variable(g, 0.1).problem)[0]
+        assert np.shares_memory(first.indices, second.indices)
+        assert np.shares_memory(first.indptr, second.indptr)
+        assert not first.indices.flags.writeable and first.indices.dtype == np.int32
+        if factor_class is DirectFactor:
+            assert system[1].indices.dtype == np.int32
 
 
 def test_assemble_check_raises_on_a_wrong_matrix(monkeypatch):
@@ -658,26 +695,34 @@ def test_assemble_check_raises_on_a_wrong_matrix(monkeypatch):
 
 @pytest.mark.parametrize("eps", [100.0, 1000.0])
 def test_flux_fallback_system_equals_the_probe_bitwise(eps, monkeypatch):
-    # A + diag(eps G/H) in both orders, as the fallback factors them
+    # A + diag(eps G/H) as the fallback factors it: in both orders, or with
+    # eps/H added to the diagonal of the band of S
     problem = pinned_problem("linear", eps, cells=16)
-    g = problem.grid
-    systems = []
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    hc = problem.diffusivity_cell.values[INTERIOR].ravel()
+    diag = eps * gc / hc
     real_factor = apcore._factor
 
     def recorded(system, grid, stage):
-        systems.append((stage, system))
+        # a copy: the band factor overwrites its band
+        systems.append((stage, [a.copy(order="K") if isinstance(a, np.ndarray) else a.copy()
+                                for a in system]))
         return real_factor(system, grid, stage)
 
     monkeypatch.setattr(apcore, "_factor", recorded)
-    dec = solve_linear_ap(problem)
-    assert dec.cg_iterations is None and [s for s, _ in systems] == ["mean-potential",
-                                                                      "flux-potential"]
-    gc = problem.reaction_cell.values[INTERIOR].ravel()
-    hc = problem.diffusivity_cell.values[INTERIOR].ravel()
-    matrix = probe_oracle(problem)[0] + sp.diags(eps * gc / hc)
-    perm = nested_dissection(g.nx, g.ny)
-    for got, want in zip(systems[1][1], (matrix, matrix[perm][:, perm].tocsc())):
-        assert_bitwise(got, want)
+    for factor_class in each_factor_path(monkeypatch):
+        systems = []
+        dec = solve_linear_ap(problem)
+        assert dec.cg_iterations is None and [s for s, _ in systems] == ["mean-potential",
+                                                                          "flux-potential"]
+        probed = probe_oracle(problem)
+        want = system_oracle(probed[0] + sp.diags(diag), problem)
+        if factor_class is BandFactor:
+            band = probed[1]
+            band[-1] += diag / gc
+            want = (want[0], band, gc)
+        for got, expected in zip(systems[1][1], want):
+            assert_bitwise(got, expected)
 
 
 @pytest.mark.parametrize(
@@ -686,12 +731,14 @@ def test_flux_fallback_system_equals_the_probe_bitwise(eps, monkeypatch):
 )
 def test_solution_equals_the_probe_built_solution(kind, value, monkeypatch):
     problem = pinned_problem(kind, value)
-    dec = solve_linear_ap(problem)
-    monkeypatch.setattr(apcore, "assemble", probe_oracle)
-    oracle = solve_linear_ap(problem)
-    for name in ("h", "L", "l", "pi", "q", "p"):
-        np.testing.assert_array_equal(getattr(dec, name).values, getattr(oracle, name).values)
-    assert dec.residuals == oracle.residuals and dec.cg_iterations == oracle.cg_iterations
+    for _ in each_factor_path(monkeypatch):
+        dec = solve_linear_ap(problem)
+        with monkeypatch.context() as m:
+            m.setattr(apcore, "assemble", probe_oracle)
+            oracle = solve_linear_ap(problem)
+        for name in ("h", "L", "l", "pi", "q", "p"):
+            np.testing.assert_array_equal(getattr(dec, name).values, getattr(oracle, name).values)
+        assert dec.residuals == oracle.residuals and dec.cg_iterations == oracle.cg_iterations
 
 
 def flux_operator(problem):
@@ -719,7 +766,7 @@ def flux_system(problem):
     return assemble(op, (g.nx, g.ny)), rhs.ravel()
 
 
-def direct_solve_L(problem, mean_factor, config=None, held=False):
+def direct_solve_L(problem, mean_factor, config=None, held=False, rhs_mean=None):
     """Oracle: the flux-potential system assembled and factored on its own."""
     config = config or SolverConfig()
     g = problem.grid
@@ -763,23 +810,24 @@ def test_cg_flux_solve_matches_direct_path(kind, value, monkeypatch):
 def test_one_factorization_unless_cg_falls_back(eps, factorizations, cg_ran, monkeypatch):
     # at eps 100, 30 CG steps reach only about 1e-9: the L system is factored
     problem = pinned_problem("linear", eps, cells=32)
-    with monkeypatch.context() as m:
-        m.setattr(apcore, "solve_L", direct_solve_L)
-        oracle = solve_linear_ap(problem)
-    built = []
+    for factor_class in each_factor_path(monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(apcore, "solve_L", direct_solve_L)
+            oracle = solve_linear_ap(problem)
+        built = []
 
-    class CountingFactor(DirectFactor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self.matrix.shape)
+        class CountingFactor(factor_class):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.matrix.shape)
 
-    with monkeypatch.context() as m:
-        m.setattr(apcore, "DirectFactor", CountingFactor)
-        dec = solve_linear_ap(problem)
-    assert len(built) == factorizations
-    assert (dec.cg_iterations is not None) == cg_ran
-    assert all(r <= SolverConfig().tol for r in dec.residuals.values())
-    assert_same_decomposition(dec, oracle)
+        with monkeypatch.context() as m:
+            m.setattr(apcore, factor_class.__name__, CountingFactor)
+            dec = solve_linear_ap(problem)
+        assert len(built) == factorizations
+        assert (dec.cg_iterations is not None) == cg_ran
+        assert all(r <= SolverConfig().tol for r in dec.residuals.values())
+        assert_same_decomposition(dec, oracle)
 
 
 @pytest.mark.parametrize(
@@ -790,10 +838,34 @@ def test_one_factorization_unless_cg_falls_back(eps, factorizations, cg_ran, mon
 def test_new_factor_solve_costs_the_L_steps_plus_two(kind, value, lu_solves, monkeypatch):
     # on a new factor h and l take one CG step each, one lu_solve apiece
     problem = pinned_problem(kind, value)
-    _, _, L_steps = solve_L(problem, mean_factor(problem))
-    calls = count_lu_solves(monkeypatch)
-    dec = solve_linear_ap(problem)
-    assert len(calls) == dec.cg_iterations == L_steps + 2 == lu_solves
+    for _ in each_factor_path(monkeypatch):
+        _, _, L_steps = solve_L(problem, mean_factor(problem))
+        calls = count_lu_solves(monkeypatch)
+        dec = solve_linear_ap(problem)
+        assert len(calls) == dec.cg_iterations == L_steps + 2 == lu_solves
+
+
+@pytest.mark.parametrize("cells", [16, 64])
+@pytest.mark.parametrize(
+    "kind, value",
+    [("linear", 0.1), ("linear", 1e-3), ("linear", 0.0), ("linear", 1.0), ("linear", 10.0),
+     ("angle", 0), ("angle", 21), ("angle", 45), ("angle", 90)],
+)
+def test_band_and_superlu_solves_agree(kind, value, cells, monkeypatch):
+    # measured: at most 8.1e-12 relative (h at M64, 0 degrees), 2.4e-14 at M16;
+    # both take the same CG steps
+    problem = pinned_problem(kind, value, cells)
+    band, superlu = (solve_linear_ap(problem) for _ in each_factor_path(monkeypatch))
+    assert_same_decomposition(band, superlu)
+    assert band.cg_iterations == superlu.cg_iterations
+    assert all(r <= SolverConfig().tol for r in band.residuals.values())
+
+
+@pytest.mark.parametrize("cells, factor_class", [(100, BandFactor), (200, DirectFactor)])
+def test_factor_path_follows_the_grid_width(cells, factor_class):
+    problem = pinned_problem("linear", 0.1, cells)
+    assert problem.grid.ny == cells - 1
+    assert type(mean_factor(problem)) is factor_class
 
 
 def test_flux_fallback_factors_the_cg_operator_without_assembling(monkeypatch):
@@ -801,22 +873,23 @@ def test_flux_fallback_factors_the_cg_operator_without_assembling(monkeypatch):
     # from the assembled mean matrix, so only the mean system is assembled
     problem = pinned_problem("linear", 100.0, cells=32)
     config = SolverConfig()
-    with monkeypatch.context() as m:
-        m.setattr(apcore, "solve_L", direct_solve_L)
-        oracle = solve_linear_ap(problem, config)
-    built = []
-    real_assemble = apcore.assemble
-    with monkeypatch.context() as m:
-        m.setattr(apcore, "assemble", lambda p: built.append(p) or real_assemble(p))
-        dec = solve_linear_ap(problem, config)
-    assert built == [problem]
-    assert dec.cg_iterations is None  # the fallback ran
-    assert dec.residuals["L"] <= config.tol
-    # the residual gate as measured on the probe-assembled system in L
     matrix, rhs = flux_system(problem)
-    L = dec.L.values[INTERIOR].ravel()
-    assert np.linalg.norm(matrix @ L - rhs) <= config.tol * np.linalg.norm(rhs)
-    assert_same_decomposition(dec, oracle)
+    real_assemble = apcore.assemble
+    for _ in each_factor_path(monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(apcore, "solve_L", direct_solve_L)
+            oracle = solve_linear_ap(problem, config)
+        built = []
+        with monkeypatch.context() as m:
+            m.setattr(apcore, "assemble", lambda p: built.append(p) or real_assemble(p))
+            dec = solve_linear_ap(problem, config)
+        assert built == [problem]
+        assert dec.cg_iterations is None  # the fallback ran
+        assert dec.residuals["L"] <= config.tol
+        # the residual gate as measured on the probe-assembled system in L
+        L = dec.L.values[INTERIOR].ravel()
+        assert np.linalg.norm(matrix @ L - rhs) <= config.tol * np.linalg.norm(rhs)
+        assert_same_decomposition(dec, oracle)
 
 
 def singular_mean_operator(g, cell):
@@ -834,10 +907,10 @@ def singular_mean_operator(g, cell):
     return op
 
 
-def probed_system(op, g):
-    """``(matrix, ordered)`` of a probed cell operator, as ``apcore._factor`` takes it."""
-    matrix = assemble(op, (g.nx, g.ny))
-    return matrix, factor_order(matrix, nested_dissection(g.nx, g.ny))
+def probed_system(op, problem):
+    """The system of a probed cell operator on the grid of ``problem``, as ``apcore._factor`` takes it."""
+    g = problem.grid
+    return system_oracle(assemble(op, (g.nx, g.ny)), problem)
 
 
 def test_new_factor_miss_raises_naming_the_stage():
@@ -845,7 +918,7 @@ def test_new_factor_miss_raises_naming_the_stage():
     # leave the residual far above the tolerance
     g = make_grid(UNIT, 16, 16)
     problem = swirl_problem(g, 0.1)
-    matrix, _ = apcore.assemble(problem)
+    matrix = apcore.assemble(problem)[0]
     n = g.nx * g.ny
     factor = DirectFactor(matrix, sp.identity(n, format="csc"), np.arange(n))
     rhs = np.random.default_rng(5).standard_normal(n)
@@ -853,20 +926,26 @@ def test_new_factor_miss_raises_naming_the_stage():
         apcore._stage(problem, factor, False, rhs, 1e-12, "fluctuation-potential")
 
 
-def test_gauge_shift_failure_names_stage():
-    # no gauge shift is tried: the zero matrix fails on its first factorization
+def test_gauge_shift_failure_names_stage(monkeypatch):
+    # no gauge shift is tried: the zero matrix fails on its first
+    # factorization, as a band and by SuperLU
     g = make_grid(UNIT, 8, 8)
+    problem = swirl_problem(g, 0.1)
     zero = sp.csr_matrix((g.nx * g.ny, g.nx * g.ny))
-    with pytest.raises(StageError, match="flux-potential factorization failed"):
-        apcore._factor((zero, zero.tocsc()), g, "flux-potential")
+    for _ in each_factor_path(monkeypatch):
+        with pytest.raises(StageError, match="flux-potential factorization failed"):
+            apcore._factor(system_oracle(zero, problem), g, "flux-potential")
 
 
-def test_singular_factor_names_stage():
-    # the one-cell-zeroed mean matrix is exactly singular and raises naming its stage
+def test_singular_factor_names_stage(monkeypatch):
+    # the one-cell-zeroed mean matrix is exactly singular and raises naming
+    # its stage, as a band and by SuperLU
     g = make_grid(UNIT, 8, 8)
-    singular = probed_system(singular_mean_operator(g, (3, 4)), g)
-    with pytest.raises(StageError, match="mean-potential factorization failed"):
-        apcore._factor(singular, g, "mean-potential")
+    problem = swirl_problem(g, 0.1)
+    for _ in each_factor_path(monkeypatch):
+        singular = probed_system(singular_mean_operator(g, (3, 4)), problem)
+        with pytest.raises(StageError, match="mean-potential factorization failed"):
+            apcore._factor(singular, g, "mean-potential")
 
 
 def scipy_cg_solve_L(problem, factor, tol=1e-12):
@@ -943,6 +1022,7 @@ def test_held_factor_serves_a_nearby_problem(eps, monkeypatch):
     assert held.fits(nearby.reaction_cell.values)
     with monkeypatch.context() as m:
         m.setattr(apcore, "assemble", no_factor)
+        m.setattr(apcore, "BandFactor", no_factor)
         m.setattr(apcore, "DirectFactor", no_factor)
         dec = solve_linear_ap(nearby, held=held)
     assert not dec.factored and held.factor is factor

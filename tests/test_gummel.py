@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import weakref
 
 import numpy as np
@@ -38,11 +39,26 @@ def linear_law_problem(grid, eps=0.1, coeff=2.0):
 
 
 def count_lu_solves(monkeypatch):
-    """The list that every later ``DirectFactor.lu_solve`` call appends to."""
+    """The list that every later ``lu_solve`` call of a band or SuperLU factor appends to."""
     calls = []
-    lu_solve = apcore.DirectFactor.lu_solve
-    monkeypatch.setattr(apcore.DirectFactor, "lu_solve", lambda self, r: calls.append(1) or lu_solve(self, r))
+    for factor_class in (apcore.BandFactor, apcore.DirectFactor):
+        def counted(self, r, lu_solve=factor_class.lu_solve):
+            calls.append(1)
+            return lu_solve(self, r)
+
+        monkeypatch.setattr(factor_class, "lu_solve", counted)
     return calls
+
+
+def each_factor_path(monkeypatch):
+    """Send every grid to the band factor, then to SuperLU: yields the factor class in use.
+
+    ``apcore.BAND_MAX_WIDTH`` is patched while the caller's loop body runs.
+    """
+    for width, factor_class in ((sys.maxsize, apcore.BandFactor), (0, apcore.DirectFactor)):
+        with monkeypatch.context() as m:
+            m.setattr(apcore, "BAND_MAX_WIDTH", width)
+            yield factor_class
 
 
 def test_linearize_linear_law():
@@ -338,39 +354,43 @@ def test_held_factor_run_keeps_its_lu_solve_count(eps, lu_solves, monkeypatch):
     g = unit_square_grid(64)
     case = case_nonlinear(g, eps)
     p0 = sample_node(case.initial_guess, g)
-    _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
-    assert state.status == "converged"
-    assert not all(r.factored for r in state.history)
-    assert len(calls) == sum(r.cg_iterations for r in state.history) == lu_solves
+    for factor_class in each_factor_path(monkeypatch):
+        calls.clear()
+        _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+        assert state.status == "converged"
+        assert not all(r.factored for r in state.history)
+        assert len(calls) == sum(r.cg_iterations for r in state.history) == lu_solves
 
 
 def test_at_most_one_mean_factor_alive(monkeypatch):
-    alive = [0]
-    peak = [0]
-    at_fill = []
-
-    def released():
-        alive[0] -= 1
-
-    class LiveFactor(apcore.DirectFactor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            alive[0] += 1
-            peak[0] = max(peak[0], alive[0])
-            weakref.finalize(self, released)
-
-    def counted_fill(*args, **kwargs):
-        at_fill.append(alive[0])
-        return fill_ghost(*args, **kwargs)
-
-    monkeypatch.setattr(apcore, "DirectFactor", LiveFactor)
-    monkeypatch.setattr(gummel, "fill_ghost", counted_fill)
     g = unit_square_grid(32)
     case = case_nonlinear(g, 0.1)
     p0 = sample_node(case.initial_guess, g)
-    _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
-    assert state.status == "converged"
-    assert sum(r.factored for r in state.history) >= 2
-    assert peak[0] == 1
-    assert at_fill == [0]  # dropped before the final ghost fill
-    assert alive[0] == 0
+    for factor_class in each_factor_path(monkeypatch):
+        alive = [0]
+        peak = [0]
+        at_fill = []
+
+        def released():
+            alive[0] -= 1
+
+        class LiveFactor(factor_class):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+                weakref.finalize(self, released)
+
+        def counted_fill(*args, **kwargs):
+            at_fill.append(alive[0])
+            return fill_ghost(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(apcore, factor_class.__name__, LiveFactor)
+            m.setattr(gummel, "fill_ghost", counted_fill)
+            _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+        assert state.status == "converged"
+        assert sum(r.factored for r in state.history) >= 2
+        assert peak[0] == 1
+        assert at_fill == [0]  # dropped before the final ghost fill
+        assert alive[0] == 0

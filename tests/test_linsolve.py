@@ -10,6 +10,7 @@ from apdiff.experiments import unit_square_grid
 from apdiff.grid import INTERIOR, CellField, NodeField, make_grid
 from apdiff.linsolve import (
     AssemblyError,
+    BandFactor,
     DirectFactor,
     SolverConfig,
     assemble,
@@ -17,11 +18,12 @@ from apdiff.linsolve import (
     nested_dissection,
     refine,
     stencil_matrix,
+    symmetric_band,
 )
 from apdiff.operators import apply_dh, compose_second_order
 from apdiff.problems import case_angle, case_linear_variable
 
-from test_apcore import flux_operator
+from test_apcore import band_oracle, flux_operator
 from test_operators import uniform_direction
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
@@ -355,6 +357,39 @@ def test_stencil_matrix_equals_the_probe_of_its_stencil(shape):
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert not got.indices.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 4), (9, 7), (4, 1)])
+def test_symmetric_band_equals_the_band_of_its_matrix(shape):
+    # weights off the grid are ignored, as stencil_matrix ignores them
+    rng = np.random.default_rng(12)
+    planes = rng.standard_normal((9, *shape))
+    weights = 0.5 + rng.random(shape[0] * shape[1])
+    band = symmetric_band(planes, weights)
+    assert band.flags.f_contiguous
+    np.testing.assert_array_equal(band, band_oracle(stencil_matrix(planes), weights, shape[1]))
+
+
+def test_band_factor_solves_in_place():
+    # A = S diag(G) with S symmetric positive definite: dpbtrf overwrites the
+    # band, and lu_solve applies A^-1 up to the rounding of symmetrizing S
+    g = make_grid(UNIT, 7, 5)
+    problem = case_angle(g, 1e-3, 0.6).problem
+    matrix, band, gc = apcore.assemble(problem)
+    factor = BandFactor(matrix, band, gc)
+    assert np.shares_memory(factor._band, band)
+    rhs = np.random.default_rng(2).standard_normal(gc.size)
+    x = factor.lu_solve(rhs)
+    assert np.linalg.norm(matrix @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+    np.testing.assert_allclose(x, np.linalg.solve(matrix.toarray(), rhs), rtol=1e-12)
+
+
+def test_band_factor_rejects_an_indefinite_band():
+    g = make_grid(UNIT, 6, 6)
+    matrix, band, gc = apcore.assemble(case_angle(g, 1e-3, 0.6).problem)
+    band[-1, 7] = -band[-1, 7]
+    with pytest.raises(RuntimeError, match="leading minor 8 is not positive definite"):
+        BandFactor(matrix, band, gc)
 
 
 def test_nested_dissection_is_kept_read_only():

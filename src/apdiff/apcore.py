@@ -22,22 +22,22 @@ all with homogeneous values on the boundary cell ring, followed by
 Only the L system carries eps, and it degenerates gracefully (L = 0 at
 eps = 0), so cost and accuracy are uniform in the anisotropy strength.  The h
 and l systems share one matrix A, the only one assembled (:func:`assemble`,
-from its stencil coefficients); with ``x = H L / G`` the L system reads
-``(A + diag(eps G/H)) x = rhs``.  All three systems are
+from its stencil coefficients, as natural-order CSR); with ``x = H L / G``
+the L system reads ``(A + diag(eps G/H)) x = rhs``.  All three systems are
 self-adjoint in the G-weighted inner product, and one conjugate-gradient
 routine (:func:`_cg`) solves each of them, preconditioned by the factor of A.
-That factor is a banded Cholesky factor of the symmetric ``S = A diag(1/G)``
-on grids up to ``BAND_MAX_WIDTH`` wide, and SuperLU's in nested-dissection
-order on wider ones (:func:`_factor`).
-On a new factor h and l take one step each, and for large eps, where CG
-misses the tolerance, the L system is built from A and factored
-(:func:`solve_L`).  Related solves, such as the iterations of the Gummel
-loop, can hold the factor of A from one solve to the next
-(:class:`HeldFactor`).  While G stays within ``HOLD_DRIFT`` (relative) of the
-G that factor was built from, the same stages apply the current A through
-its stencils, so nothing is assembled or factored.  A drifted G, or a stage
-that misses the tolerance, drops the held factor, and the solve factors anew
-as it does without one.
+:func:`_factor` factors a CSR matrix as a banded Cholesky factor of the
+symmetric ``S = A diag(1/G)`` on grids up to ``BAND_MAX_WIDTH`` wide, and by
+SuperLU in nested-dissection order on wider ones; each factor builds its own
+form of the matrix.  On a new factor h and l take one step each, and for
+large eps, where CG misses the tolerance, a copy of A gains the diagonal in
+place and is factored the same way (:func:`solve_L`).  Related solves, such
+as the iterations of the Gummel loop, can hold the factor of A from one
+solve to the next (:class:`HeldFactor`).  While G stays within
+``HOLD_DRIFT`` (relative) of the G that factor was built from, the same
+stages apply the current A through its stencils, so nothing is assembled or
+factored.  A drifted G, or a stage that misses the tolerance, drops the held
+factor, and the solve factors anew as it does without one.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
@@ -56,8 +56,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, sample_cell,
                    sample_cell_vec, sample_node)
-from .linsolve import (BandFactor, DirectFactor, SolverConfig, check_assembly, factor_order,
-                       nested_dissection, stencil_matrix, symmetric_band)
+from .linsolve import (BandFactor, DirectFactor, SolverConfig, check_assembly, nested_dissection,
+                       stencil_matrix)
 from .operators import (apply_dh, apply_dh_star, compose_second_order, ghost_extrapolation,
                         ring_dh, second_order_stencil)
 
@@ -210,49 +210,30 @@ def _cell_operator(problem: LinearProblem):
 BAND_MAX_WIDTH = 101
 
 
-def _banded(grid: Grid) -> bool:
-    """Whether the cell systems of ``grid`` are factored as a band."""
-    return grid.ny + 1 <= BAND_MAX_WIDTH
-
-
-def _mean_stencil(problem: LinearProblem) -> np.ndarray:
-    """The stencil planes of A (:func:`operators.second_order_stencil`)."""
-    return second_order_stencil(problem.reaction_cell, problem.reaction_node, problem.direction)
-
-
-def assemble(problem: LinearProblem) -> tuple:
+def assemble(problem: LinearProblem) -> sp.csr_matrix:
     """The mean-potential matrix A of :func:`_cell_operator`, built from its stencil coefficients.
 
-    Returns the system that :func:`_factor` factors, led by A in natural
-    order as CSR, which CG applies.  On a narrow grid (:func:`_banded`) it
-    is ``(matrix, band, weights)``: with ``C = diag(G)`` on the cells,
-    ``A = S C`` where ``S`` is symmetric positive definite, and ``band`` is
-    the upper band of ``(S + S^T) / 2`` (:func:`linsolve.symmetric_band`),
-    ``weights`` the cell G.  Otherwise it is ``(matrix, ordered)``, A in
-    nested-dissection order as CSC.  Every entry of the matrix equals a
-    probe of the operator bit for bit
-    (:func:`operators.second_order_stencil`), and a random probe checks the
-    matrix (:func:`linsolve.check_assembly`).
+    Returns A in natural order as CSR, which CG applies and each factor
+    builds its own form from (:func:`_factor`).  Every entry equals a probe
+    of the operator bit for bit (:func:`operators.second_order_stencil`),
+    and a random probe checks the matrix (:func:`linsolve.check_assembly`).
     """
     grid = problem.grid
-    shape = (grid.nx, grid.ny)
-    planes = _mean_stencil(problem)
+    planes = second_order_stencil(problem.reaction_cell, problem.reaction_node, problem.direction)
     matrix = stencil_matrix(planes)
-    band = None
-    if _banded(grid):
-        gc = problem.reaction_cell.values[INTERIOR].ravel()
-        band = symmetric_band(planes, gc)
-    del planes  # nine weights per cell, not kept through the check and the copy
-    check_assembly(matrix, _cell_operator(problem), shape)
-    if band is not None:
-        return matrix, band, gc
-    return matrix, factor_order(matrix, nested_dissection(*shape))
+    del planes  # nine weights per cell, not kept through the check
+    check_assembly(matrix, _cell_operator(problem), (grid.nx, grid.ny))
+    return matrix
 
 
-def _factor(system: tuple, grid: Grid, stage: str) -> BandFactor | DirectFactor:
-    """Factor a cell system as :func:`assemble` gives it, as a band or by SuperLU.
+def _factor(problem: LinearProblem, matrix: sp.csr_matrix,
+            stage: str) -> BandFactor | DirectFactor:
+    """Factor a cell system of ``problem``, A or ``A + diag(eps G/H)`` as CSR, by its grid width.
 
-    A singular matrix, or on a band one that is not positive definite,
+    A grid whose row-major bandwidth ``ny + 1`` is at most ``BAND_MAX_WIDTH``
+    is factored as a band (:class:`linsolve.BandFactor`), a wider one by
+    SuperLU in nested-dissection order (:class:`linsolve.DirectFactor`).  A
+    singular matrix, or on a band one that is not positive definite,
     raises :class:`StageError` naming ``stage``.  A is nonsingular for a
     positive G with the ring held at zero, unless b is exactly parallel to
     ``(dx, dy)`` at some cells and to ``(dx, -dy)`` at others, and
@@ -262,29 +243,14 @@ def _factor(system: tuple, grid: Grid, stage: str) -> BandFactor | DirectFactor:
     the ring, so ``S`` is positive definite wherever A is nonsingular, and
     so is ``S + diag(eps/H)``.
     """
+    grid = problem.grid
     try:
-        if _banded(grid):
-            return BandFactor(*system)
-        return DirectFactor(*system, nested_dissection(grid.nx, grid.ny))
+        if grid.ny + 1 <= BAND_MAX_WIDTH:
+            return BandFactor(matrix, problem.reaction_cell.values[INTERIOR].ravel(),
+                              (grid.nx, grid.ny))
+        return DirectFactor(matrix, nested_dissection(grid.nx, grid.ny))
     except RuntimeError as exc:
         raise StageError(f"{stage} factorization failed: {exc}") from exc
-
-
-def _with_diagonal(problem: LinearProblem, factor: BandFactor | DirectFactor,
-                   diag: np.ndarray) -> tuple:
-    """The system ``A + diag(diag)`` as :func:`assemble` gives A, from the factor of A.
-
-    On a band the diagonal of ``S`` gains ``diag / G``; the band of A, which
-    its factor overwrote, is built again from the stencil.
-    """
-    grid = problem.grid
-    matrix = factor.matrix + sp.diags(diag)
-    if _banded(grid):
-        gc = problem.reaction_cell.values[INTERIOR].ravel()
-        band = symmetric_band(_mean_stencil(problem), gc)
-        band[-1] += diag / gc
-        return matrix, band, gc
-    return matrix, factor.ordered + sp.diags(diag[nested_dissection(grid.nx, grid.ny)])
 
 
 def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
@@ -358,11 +324,12 @@ def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, held: bool
     on a new factor and through the stencils on a ``held`` one, and
     ``factor`` preconditions.  A miss on a held factor is returned as it
     stands, for the caller to factor anew.  On a new factor, a system with a
-    ``diag`` adds it to A in the form its factor path takes
-    (:func:`_with_diagonal`), is factored, and is solved again by
-    :func:`_cg`; a miss without one, or a second miss, raises
-    :class:`StageError` naming ``stage``.  Returns ``(x, residual, steps)``,
-    ``steps`` ``None`` when the system was factored.
+    ``diag`` that misses adds it to the diagonal of a copy of
+    ``factor.matrix`` in place, keeping A's structure, factors that copy by
+    :func:`_factor`, and solves again by :func:`_cg`; a miss without a
+    ``diag``, or a second miss, raises :class:`StageError` naming ``stage``.
+    Returns ``(x, residual, steps)``, ``steps`` ``None`` when the system was
+    factored.
     """
     mean = _cell_operator(problem) if held else None
 
@@ -373,8 +340,9 @@ def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, held: bool
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     x, residual, steps = _cg(apply, gc, factor, rhs, tol)
     if not (held or residual <= tol) and diag is not None:
-        system = _with_diagonal(problem, factor, diag)
-        x, residual, _ = _cg(system[0].dot, gc, _factor(system, problem.grid, stage), rhs, tol)
+        matrix = factor.matrix.copy()
+        matrix.setdiag(matrix.diagonal() + diag)
+        x, residual, _ = _cg(matrix.dot, gc, _factor(problem, matrix, stage), rhs, tol)
         steps = None
     if not (held or residual <= tol):
         raise StageError(f"{stage} solve failed: residual {residual:.3e} "
@@ -667,7 +635,7 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     if factored:
         if held is not None:
             held.drop()
-        factor = _factor(assemble(problem), grid, "mean-potential")
+        factor = _factor(problem, assemble(problem), "mean-potential")
         stages = _stages(problem, factor, config)
         if held is not None:
             held.factor, held.reaction_cell = factor, problem.reaction_cell.values

@@ -3,17 +3,19 @@
 The cell systems of the solver are radius-1 stencils on the structured cell
 grid, built from their stencil coefficients: :func:`stencil_matrix` gives
 the natural-order CSR matrix that the conjugate-gradient solves apply.  Two
-factors serve them.  On a narrow grid :func:`symmetric_band` writes the
-upper band of the symmetric ``S = A diag(1/G)`` in LAPACK's Fortran-order
-band storage, and :class:`BandFactor` factors it in place by LAPACK's
-blocked banded Cholesky.  On a wide one :func:`factor_order` copies the
-matrix into the nested-dissection order of :func:`nested_dissection` as
-CSC, which :class:`DirectFactor` factors by SuperLU (at 400 cells per side
-14 M nonzeros in L+U, where COLAMD leaves 25 M).  The order and the
-natural-order index arrays depend on the grid only; those of the last grid
-shape are kept and shared read-only.  The naive baseline's rectangular
-operator is still probed one 3x3 color class at a time (:func:`assemble`).
-:func:`check_assembly` is the random-probe check of both ways.
+factors take that matrix and build their own form of it.  On a narrow grid
+:class:`BandFactor` has :func:`symmetric_band` write the upper band of the
+symmetric ``S = A diag(1/G)`` in LAPACK's Fortran-order band storage, read
+from the CSR data, and factors it in place by LAPACK's blocked banded
+Cholesky.  On a wide one :class:`DirectFactor` has :func:`factor_order`
+copy the matrix into the nested-dissection order of
+:func:`nested_dissection` as CSC, which SuperLU factors (at 400 cells per
+side 14 M nonzeros in L+U, where COLAMD leaves 25 M) and which is not kept.
+The order and the natural-order index arrays depend on the grid only; those
+of the last grid shape are kept and shared read-only.  The naive baseline's
+rectangular operator is still probed one 3x3 color class at a time
+(:func:`assemble`).  :func:`check_assembly` is the random-probe check of
+both ways.
 
 Either factor's inverse, ``lu_solve``, preconditions the CG
 solves of all three cell systems (``apcore``), also while a Gummel run holds
@@ -159,17 +161,22 @@ def stencil_matrix(planes: np.ndarray) -> sp.csr_matrix:
                          shape=(nx * ny, nx * ny))
 
 
-def symmetric_band(planes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def symmetric_band(matrix: sp.csr_matrix, weights: np.ndarray,
+                   shape: tuple[int, int]) -> np.ndarray:
     """Upper band of ``(S + S^T) / 2``, ``S = A diag(1 / weights)``, in LAPACK's Fortran-order storage.
 
-    ``A`` is the radius-1 stencil of ``planes`` as :func:`stencil_matrix`
-    lays it out, whose row-major bandwidth is ``ny + 1``; ``weights`` has
-    one entry per unknown.  Returns ``band`` of shape ``(ny + 2, nx * ny)``
-    with ``band[ny + 1 + i - j, j]`` the entry ``(i, j)``, ``i <= j``, as
-    ``scipy.linalg.lapack.dpbtrf`` takes it with ``lower=0``.  Weights whose
-    unknown lies off the grid are ignored.
+    ``A`` is ``matrix``, a radius-1 stencil on the row-major ``nx x ny`` grid
+    ``shape`` laid out as :func:`stencil_matrix` lays it out, whose data it
+    reads; its row-major bandwidth is ``ny + 1``.  ``weights`` has one entry
+    per unknown.  Returns ``band`` of shape ``(ny + 2, nx * ny)`` with
+    ``band[ny + 1 + i - j, j]`` the entry ``(i, j)``, ``i <= j``, as
+    ``scipy.linalg.lapack.dpbtrf`` takes it with ``lower=0``.
     """
-    _, nx, ny = planes.shape
+    nx, ny = shape
+    in_range, _, _ = _stencil_structure(nx, ny)
+    planes = np.zeros((nx, ny, 9))
+    planes[in_range] = matrix.data
+    planes = planes.transpose(2, 0, 1)
     kd = ny + 1
     w = weights.reshape(nx, ny)
     band = np.zeros((kd + 1, nx * ny), order="F")
@@ -271,18 +278,16 @@ def refine(matrix: sp.spmatrix, lu_solve, rhs: np.ndarray, tol: float):
 class DirectFactor:
     """Sparse LU factorization in a given elimination order, reusable across right-hand sides.
 
-    ``matrix`` (CSR) is kept for the solves.  ``ordered`` is the same matrix
-    in the elimination order ``perm``, ``matrix[perm][:, perm]`` as CSC (see
-    :func:`factor_order`); it is factored with no further column
-    reordering, and kept for a caller that builds a related system in both
-    orders.  An exactly singular matrix raises ``RuntimeError``.
+    ``matrix`` (CSR) is kept for the solves.  Its copy in the elimination
+    order ``perm``, ``matrix[perm][:, perm]`` as CSC (:func:`factor_order`),
+    is factored with no further column reordering and not kept.  An exactly
+    singular matrix raises ``RuntimeError``.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, ordered: sp.csc_matrix, perm: np.ndarray):
+    def __init__(self, matrix: sp.csr_matrix, perm: np.ndarray):
         self.matrix = matrix
-        self.ordered = ordered
         self._perm = perm
-        self._lu = spla.splu(ordered, permc_spec="NATURAL")
+        self._lu = spla.splu(factor_order(matrix, perm), permc_spec="NATURAL")
 
     def lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the factorization's inverse, without refinement."""
@@ -294,18 +299,19 @@ class DirectFactor:
 class BandFactor:
     """Banded Cholesky factor of ``S diag(weights)``, ``S`` symmetric positive definite.
 
-    ``matrix`` (CSR) is kept for the solves.  ``band`` is the upper band of
-    ``S`` in Fortran order (:func:`symmetric_band`); LAPACK's blocked
-    ``dpbtrf`` factors it in place, so the caller must not use it again.
-    :meth:`lu_solve` applies ``diag(1 / weights) S^-1``, self-adjoint in the
-    inner product weighted by ``weights``.  A band that is not positive
-    definite raises ``RuntimeError``.
+    ``matrix`` (CSR), the radius-1 stencil ``S diag(weights)`` on the grid
+    ``shape``, is kept for the solves.  The upper band of ``S`` is built in
+    Fortran order (:func:`symmetric_band`) and factored in place by LAPACK's
+    blocked ``dpbtrf``.  :meth:`lu_solve` applies ``diag(1 / weights) S^-1``,
+    self-adjoint in the inner product weighted by ``weights``.  A band that
+    is not positive definite raises ``RuntimeError``.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, band: np.ndarray, weights: np.ndarray):
+    def __init__(self, matrix: sp.csr_matrix, weights: np.ndarray, shape: tuple[int, int]):
         self.matrix = matrix
         self._weights = weights
-        self._band, info = scipy.linalg.lapack.dpbtrf(band, lower=0, overwrite_ab=1)
+        self._band, info = scipy.linalg.lapack.dpbtrf(symmetric_band(matrix, weights, shape),
+                                                      lower=0, overwrite_ab=1)
         if info != 0:
             raise RuntimeError(f"dpbtrf: leading minor {info} is not positive definite"
                                if info > 0 else f"dpbtrf: illegal argument {-info}")

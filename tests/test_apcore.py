@@ -1,15 +1,17 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apdiff import apcore
+from apdiff import apcore, linsolve
 from apdiff.apcore import (
     GHOST_RCOND,
     LinearProblem,
@@ -23,7 +25,7 @@ from apdiff.apcore import (
 from apdiff.grid import (INTERIOR, CellField, CellVectorField, NodeField, make_grid, sample_cell,
                          sample_node)
 from apdiff.linsolve import (AssemblyError, BandFactor, DirectFactor, SolverConfig, assemble,
-                             factor_order, nested_dissection, refine)
+                             factor_order, nested_dissection, refine, stencil_matrix)
 from apdiff.operators import apply_dh, compose_second_order
 from apdiff.gummel import linearize
 from apdiff.problems import case_angle, case_ap_limit, case_linear_variable, case_nonlinear
@@ -127,7 +129,7 @@ def no_factor(*args, **kwargs):
 
 def mean_factor(problem):
     """The factor of the mean-potential system, as solve_linear_ap builds it."""
-    return apcore._factor(apcore.assemble(problem), problem.grid, "mean-potential")
+    return apcore._factor(problem, apcore.assemble(problem), "mean-potential")
 
 
 def test_solve_L_skipped_at_eps_zero(monkeypatch):
@@ -585,23 +587,38 @@ def band_oracle(matrix, gc, ny):
     return band
 
 
-def system_oracle(matrix, problem):
-    """The system of ``matrix`` as ``apcore.assemble`` gives it on the current factor path.
+def system_oracle(matrix, problem, factor_class):
+    """The form ``factor_class`` builds from the CSR ``matrix`` to factor it.
 
     The band by :func:`band_oracle`, the nested-dissection copy by fancy indexing.
     """
     g = problem.grid
-    if apcore._banded(g):
-        gc = problem.reaction_cell.values[INTERIOR].ravel()
-        return matrix, band_oracle(matrix, gc, g.ny), gc
+    if factor_class is BandFactor:
+        return band_oracle(matrix, problem.reaction_cell.values[INTERIOR].ravel(), g.ny)
     perm = nested_dissection(g.nx, g.ny)
-    return matrix, matrix[perm][:, perm].tocsc()
+    return matrix[perm][:, perm].tocsc()
 
 
 def probe_oracle(problem):
-    """A probed from its operator, as a system of the current factor path (:func:`system_oracle`)."""
+    """A probed from its operator, as natural-order CSR."""
     g = problem.grid
-    return system_oracle(assemble(apcore._cell_operator(problem), (g.nx, g.ny)), problem)
+    return assemble(apcore._cell_operator(problem), (g.nx, g.ny))
+
+
+def built_forms(monkeypatch):
+    """The list that every later form a band or SuperLU factor builds is copied to.
+
+    A copy: the band factor overwrites its band.
+    """
+    forms = []
+    for name in ("symmetric_band", "factor_order"):
+        def recorded(*args, build=getattr(linsolve, name)):
+            form = build(*args)
+            forms.append(form.copy(order="K") if isinstance(form, np.ndarray) else form.copy())
+            return form
+
+        monkeypatch.setattr(linsolve, name, recorded)
+    return forms
 
 
 def assert_bitwise(got, want):
@@ -644,13 +661,17 @@ BUILDER_CASES = {
 @pytest.mark.parametrize("name", list(BUILDER_CASES))
 @pytest.mark.parametrize("shape", [(16, 16), (7, 12), (3, 2)])
 def test_assemble_equals_the_probe_bitwise(name, shape, monkeypatch):
+    # A itself, and the band or nested-dissection copy its factor builds
     g = make_grid(UNIT, *shape)
     problem = BUILDER_CASES[name](g)
-    for _ in each_factor_path(monkeypatch):
-        got, want = apcore.assemble(problem), probe_oracle(problem)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert_bitwise(a, b)
+    for factor_class in each_factor_path(monkeypatch):
+        matrix = apcore.assemble(problem)
+        assert_bitwise(matrix, probe_oracle(problem))
+        with monkeypatch.context() as m:
+            forms = built_forms(m)
+            assert type(mean_factor(problem)) is factor_class
+        assert len(forms) == 1
+        assert_bitwise(forms[0], system_oracle(matrix, problem, factor_class))
 
 
 def test_assemble_equals_the_probe_on_clamped_slopes(monkeypatch):
@@ -660,22 +681,37 @@ def test_assemble_equals_the_probe_on_clamped_slopes(monkeypatch):
     with pytest.warns(RuntimeWarning, match="clamped"):
         problem = linearize(case.problem, sample_node(lambda x, y: x - 1.5 + 0.0 * y, g))
     assert np.any(problem.reaction_node.values == 1e-12)
-    for _ in each_factor_path(monkeypatch):
-        for got, want in zip(apcore.assemble(problem), probe_oracle(problem)):
-            assert_bitwise(got, want)
+    for factor_class in each_factor_path(monkeypatch):
+        matrix = apcore.assemble(problem)
+        assert_bitwise(matrix, probe_oracle(problem))
+        with monkeypatch.context() as m:
+            forms = built_forms(m)
+            mean_factor(problem)
+        assert_bitwise(forms[0], system_oracle(matrix, problem, factor_class))
 
 
 def test_assemble_shares_read_only_grid_structure(monkeypatch):
     g = make_grid(UNIT, 9, 6)
     for factor_class in each_factor_path(monkeypatch):
-        system = apcore.assemble(swirl_problem(g, 0.1))
-        first = system[0]
-        second = apcore.assemble(case_linear_variable(g, 0.1).problem)[0]
+        first = apcore.assemble(swirl_problem(g, 0.1))
+        second = apcore.assemble(case_linear_variable(g, 0.1).problem)
         assert np.shares_memory(first.indices, second.indices)
         assert np.shares_memory(first.indptr, second.indptr)
         assert not first.indices.flags.writeable and first.indices.dtype == np.int32
         if factor_class is DirectFactor:
-            assert system[1].indices.dtype == np.int32
+            # the nested-dissection copy is int32 too, and not kept once factored
+            copies = []
+
+            def ordered(*args):
+                copies.append(factor_order(*args))
+                return copies[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(linsolve, "factor_order", ordered)
+                factor = apcore._factor(swirl_problem(g, 0.1), first, "mean-potential")
+            assert copies[0].indices.dtype == np.int32 and factor.matrix is first
+            copy = weakref.ref(copies.pop())
+            assert copy() is None
 
 
 def test_assemble_check_raises_on_a_wrong_matrix(monkeypatch):
@@ -695,50 +731,85 @@ def test_assemble_check_raises_on_a_wrong_matrix(monkeypatch):
 
 @pytest.mark.parametrize("eps", [100.0, 1000.0])
 def test_flux_fallback_system_equals_the_probe_bitwise(eps, monkeypatch):
-    # A + diag(eps G/H) as the fallback factors it: in both orders, or with
-    # eps/H added to the diagonal of the band of S
+    # A + diag(eps G/H) as the fallback factors it: the probed A with the
+    # diagonal added in place, in A's structure, and the band or
+    # nested-dissection copy its factor builds from that
     problem = pinned_problem("linear", eps, cells=16)
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     hc = problem.diffusivity_cell.values[INTERIOR].ravel()
-    diag = eps * gc / hc
-    real_factor = apcore._factor
+    real_factor, real_stencil = apcore._factor, apcore.second_order_stencil
 
-    def recorded(system, grid, stage):
-        # a copy: the band factor overwrites its band
-        systems.append((stage, [a.copy(order="K") if isinstance(a, np.ndarray) else a.copy()
-                                for a in system]))
-        return real_factor(system, grid, stage)
+    def recorded(problem, matrix, stage):
+        systems.append((stage, matrix.copy()))
+        return real_factor(problem, matrix, stage)
 
     monkeypatch.setattr(apcore, "_factor", recorded)
+    monkeypatch.setattr(apcore, "second_order_stencil",
+                        lambda *args: stencils.append(1) or real_stencil(*args))
     for factor_class in each_factor_path(monkeypatch):
-        systems = []
-        dec = solve_linear_ap(problem)
+        systems, stencils = [], []
+        with monkeypatch.context() as m:
+            forms = built_forms(m)
+            dec = solve_linear_ap(problem)
         assert dec.cg_iterations is None and [s for s, _ in systems] == ["mean-potential",
                                                                           "flux-potential"]
-        probed = probe_oracle(problem)
-        want = system_oracle(probed[0] + sp.diags(diag), problem)
-        if factor_class is BandFactor:
-            band = probed[1]
-            band[-1] += diag / gc
-            want = (want[0], band, gc)
-        for got, expected in zip(systems[1][1], want):
-            assert_bitwise(got, expected)
+        # the fallback builds on A's matrix: the stencil is evaluated once
+        assert len(stencils) == 1
+        want = probe_oracle(problem)
+        rows = np.repeat(np.arange(want.shape[0]), np.diff(want.indptr))
+        want.data[want.indices == rows] += eps * gc / hc
+        assert_bitwise(systems[1][1], want)
+        assert_bitwise(forms[1], system_oracle(want, problem, factor_class))
+
+
+class ShiftedBandFactor:
+    """Oracle: the L fallback as a band with ``eps/H`` added to A's band after the division by G.
+
+    The fallback's band of ``S + diag(eps/H)`` as it was built before the
+    diagonal went into a copy of A's matrix, factored by the same LAPACK
+    routines as :class:`linsolve.BandFactor`.
+    """
+
+    def __init__(self, problem, matrix):
+        gc = problem.reaction_cell.values[INTERIOR].ravel()
+        hc = problem.diffusivity_cell.values[INTERIOR].ravel()
+        band = band_oracle(probe_oracle(problem), gc, problem.grid.ny)
+        band[-1] += problem.eps * gc / hc / gc
+        self.matrix = matrix
+        self._cholesky = scipy.linalg.cholesky_banded(band)
+        self._gc = gc
+
+    def lu_solve(self, rhs):
+        return scipy.linalg.cho_solve_banded((self._cholesky, False), rhs) / self._gc
 
 
 @pytest.mark.parametrize(
     "kind, value",
-    [("linear", 0.1), ("linear", 1e-3), ("linear", 0.0), ("angle", 0), ("angle", 45), ("angle", 90)],
+    [("linear", 0.1), ("linear", 1e-3), ("linear", 0.0), ("angle", 0), ("angle", 45), ("angle", 90),
+     ("linear", 100.0), ("linear", 1000.0)],
 )
 def test_solution_equals_the_probe_built_solution(kind, value, monkeypatch):
+    # bit for bit, unless the L fallback runs: then within 1e-12 of the
+    # fallback that adds the diagonal to A's band (measured: 2.8e-15)
     problem = pinned_problem(kind, value)
-    for _ in each_factor_path(monkeypatch):
+    real_factor = apcore._factor
+    for factor_class in each_factor_path(monkeypatch):
         dec = solve_linear_ap(problem)
         with monkeypatch.context() as m:
             m.setattr(apcore, "assemble", probe_oracle)
+            if factor_class is BandFactor:
+                m.setattr(apcore, "_factor", lambda problem, matrix, stage: (
+                    ShiftedBandFactor(problem, matrix) if stage == "flux-potential"
+                    else real_factor(problem, matrix, stage)))
             oracle = solve_linear_ap(problem)
         for name in ("h", "L", "l", "pi", "q", "p"):
-            np.testing.assert_array_equal(getattr(dec, name).values, getattr(oracle, name).values)
-        assert dec.residuals == oracle.residuals and dec.cg_iterations == oracle.cg_iterations
+            got, want = getattr(dec, name).values, getattr(oracle, name).values
+            if dec.cg_iterations is None:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+            else:
+                np.testing.assert_array_equal(got, want)
+        assert dec.cg_iterations == oracle.cg_iterations
+        assert dec.cg_iterations is None or dec.residuals == oracle.residuals
 
 
 def flux_operator(problem):
@@ -775,7 +846,7 @@ def direct_solve_L(problem, mean_factor, config=None, held=False, rhs_mean=None)
         return L, 0.0, None
     matrix, rhs = flux_system(problem)
     order = nested_dissection(g.nx, g.ny)
-    factor = DirectFactor(matrix, factor_order(matrix, order), order)
+    factor = DirectFactor(matrix, order)
     x, residual = refine(matrix, factor.lu_solve, rhs, config.tol)
     L.values[INTERIOR] = x.reshape(g.nx, g.ny)
     return L, residual, None
@@ -907,20 +978,14 @@ def singular_mean_operator(g, cell):
     return op
 
 
-def probed_system(op, problem):
-    """The system of a probed cell operator on the grid of ``problem``, as ``apcore._factor`` takes it."""
-    g = problem.grid
-    return system_oracle(assemble(op, (g.nx, g.ny)), problem)
-
-
 def test_new_factor_miss_raises_naming_the_stage():
     # a factor of the identity in place of A's: 30 unpreconditioned CG steps
     # leave the residual far above the tolerance
     g = make_grid(UNIT, 16, 16)
     problem = swirl_problem(g, 0.1)
-    matrix = apcore.assemble(problem)[0]
     n = g.nx * g.ny
-    factor = DirectFactor(matrix, sp.identity(n, format="csc"), np.arange(n))
+    factor = DirectFactor(sp.identity(n, format="csr"), np.arange(n))
+    factor.matrix = apcore.assemble(problem)
     rhs = np.random.default_rng(5).standard_normal(n)
     with pytest.raises(StageError, match="fluctuation-potential solve failed"):
         apcore._stage(problem, factor, False, rhs, 1e-12, "fluctuation-potential")
@@ -931,10 +996,10 @@ def test_gauge_shift_failure_names_stage(monkeypatch):
     # factorization, as a band and by SuperLU
     g = make_grid(UNIT, 8, 8)
     problem = swirl_problem(g, 0.1)
-    zero = sp.csr_matrix((g.nx * g.ny, g.nx * g.ny))
+    zero = stencil_matrix(np.zeros((9, g.nx, g.ny)))
     for _ in each_factor_path(monkeypatch):
         with pytest.raises(StageError, match="flux-potential factorization failed"):
-            apcore._factor(system_oracle(zero, problem), g, "flux-potential")
+            apcore._factor(problem, zero, "flux-potential")
 
 
 def test_singular_factor_names_stage(monkeypatch):
@@ -943,9 +1008,9 @@ def test_singular_factor_names_stage(monkeypatch):
     g = make_grid(UNIT, 8, 8)
     problem = swirl_problem(g, 0.1)
     for _ in each_factor_path(monkeypatch):
-        singular = probed_system(singular_mean_operator(g, (3, 4)), problem)
+        singular = assemble(singular_mean_operator(g, (3, 4)), (g.nx, g.ny))
         with pytest.raises(StageError, match="mean-potential factorization failed"):
-            apcore._factor(singular, g, "mean-potential")
+            apcore._factor(problem, singular, "mean-potential")
 
 
 def scipy_cg_solve_L(problem, factor, tol=1e-12):

@@ -201,7 +201,7 @@ def test_assembled_pattern_symmetric_no_empty_rows():
 
 def factor_solve(mat, perm, rhs, tol=1e-12):
     """``refine`` on ``mat`` with the ``lu_solve`` of its ``DirectFactor``: ``(x, residual)``."""
-    return refine(mat, DirectFactor(mat, factor_order(mat, perm), perm).lu_solve, rhs, tol)
+    return refine(mat, DirectFactor(mat, perm).lu_solve, rhs, tol)
 
 
 def test_solve_identity():
@@ -226,7 +226,7 @@ def test_solve_1d_poisson_vs_dense_oracle():
 def test_solve_reports_singular_failure():
     mat = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(RuntimeError):
-        DirectFactor(mat, factor_order(mat, np.arange(2)), np.arange(2))
+        DirectFactor(mat, np.arange(2))
 
 
 def test_solver_config_validation():
@@ -306,7 +306,7 @@ def test_nested_dissection_fills_less_than_colamd():
 
     mat = assemble(op, (g.nx, g.ny))
     perm = nested_dissection(g.nx, g.ny)
-    nd = DirectFactor(mat, factor_order(mat, perm), perm)._lu
+    nd = DirectFactor(mat, perm)._lu
     colamd = spla.splu(mat.tocsc(), permc_spec="COLAMD")
     assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
 
@@ -361,23 +361,27 @@ def test_stencil_matrix_equals_the_probe_of_its_stencil(shape):
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 4), (9, 7), (4, 1)])
 def test_symmetric_band_equals_the_band_of_its_matrix(shape):
-    # weights off the grid are ignored, as stencil_matrix ignores them
+    # read from the data of the stencil's CSR matrix
     rng = np.random.default_rng(12)
-    planes = rng.standard_normal((9, *shape))
+    matrix = stencil_matrix(rng.standard_normal((9, *shape)))
     weights = 0.5 + rng.random(shape[0] * shape[1])
-    band = symmetric_band(planes, weights)
+    band = symmetric_band(matrix, weights, shape)
     assert band.flags.f_contiguous
-    np.testing.assert_array_equal(band, band_oracle(stencil_matrix(planes), weights, shape[1]))
+    np.testing.assert_array_equal(band, band_oracle(matrix, weights, shape[1]))
 
 
-def test_band_factor_solves_in_place():
+def test_band_factor_solves_in_place(monkeypatch):
     # A = S diag(G) with S symmetric positive definite: dpbtrf overwrites the
     # band, and lu_solve applies A^-1 up to the rounding of symmetrizing S
     g = make_grid(UNIT, 7, 5)
     problem = case_angle(g, 1e-3, 0.6).problem
-    matrix, band, gc = apcore.assemble(problem)
-    factor = BandFactor(matrix, band, gc)
-    assert np.shares_memory(factor._band, band)
+    matrix = apcore.assemble(problem)
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    bands = []
+    monkeypatch.setattr(linsolve, "symmetric_band",
+                        lambda *args: bands.append(symmetric_band(*args)) or bands[-1])
+    factor = BandFactor(matrix, gc, (g.nx, g.ny))
+    assert np.shares_memory(factor._band, bands[0])
     rhs = np.random.default_rng(2).standard_normal(gc.size)
     x = factor.lu_solve(rhs)
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
@@ -386,10 +390,11 @@ def test_band_factor_solves_in_place():
 
 def test_band_factor_rejects_an_indefinite_band():
     g = make_grid(UNIT, 6, 6)
-    matrix, band, gc = apcore.assemble(case_angle(g, 1e-3, 0.6).problem)
-    band[-1, 7] = -band[-1, 7]
+    problem = case_angle(g, 1e-3, 0.6).problem
+    matrix = apcore.assemble(problem)
+    matrix[7, 7] = -matrix[7, 7]
     with pytest.raises(RuntimeError, match="leading minor 8 is not positive definite"):
-        BandFactor(matrix, band, gc)
+        BandFactor(matrix, problem.reaction_cell.values[INTERIOR].ravel(), (g.nx, g.ny))
 
 
 def test_nested_dissection_is_kept_read_only():

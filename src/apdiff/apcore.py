@@ -31,11 +31,20 @@ symmetric ``S = A diag(1/G)`` on grids up to ``BAND_MAX_WIDTH`` wide, and by
 SuperLU in nested-dissection order on wider ones; each factor builds its own
 form of the matrix.  On a new factor h and l take one step each, and for
 large eps, where CG misses the tolerance, a copy of A gains the diagonal in
-place and is factored the same way (:func:`solve_L`).  Related solves, such
-as the iterations of the Gummel loop, can hold the factor of A from one
-solve to the next (:class:`HeldFactor`).  While G stays within
-``HOLD_DRIFT`` (relative) of the G that factor was built from, the same
-stages apply the current A through its stencils, so nothing is assembled or
+place and is factored the same way (:func:`solve_L`).
+
+A caller that needs p alone, as the Gummel loop does, solves one cell system
+instead of three (:func:`solve_p`).  Since h and l share A, ``s = h + l``
+solves ``A s = dh(f/G) + L - b.S``; the L system divided by ``-eps`` shows
+``x = -eps s``, that is ``L = -eps (G/H) s``, so
+
+    (A + diag(eps G/H)) s = dh(f/G) - b.S,   p = (f + dh*(G s)) / G,
+
+the L system with another right-hand side.  Successive one-stage solves,
+such as the iterations of the Gummel loop, can hold the factor of A from one
+to the next (:class:`HeldFactor`).  While G stays within
+``HOLD_DRIFT`` (relative) of the G that factor was built from, the stage
+applies the current A through its stencils, so nothing is assembled or
 factored.  A drifted G, or a stage that misses the tolerance, drops the held
 factor, and the solve factors anew as it does without one.
 Ghost node values of p never feed back into the solution; they are filled in
@@ -72,6 +81,7 @@ __all__ = [
     "reconstruct_q",
     "fill_ghost",
     "solve_linear_ap",
+    "solve_p",
 ]
 
 
@@ -175,7 +185,6 @@ class SolutionDecomposition:
     # CG steps of the solve over all three stages (2 at eps = 0 on a new
     # factor, where L = 0); None when the L system was factored
     cg_iterations: int | None = 0
-    factored: bool = True  # False when a held mean factor served the solve
 
 
 def _rhs_mean(problem: LinearProblem) -> CellField:
@@ -351,13 +360,12 @@ def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, held: bool
 
 
 def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
-            config: SolverConfig | None = None, held: bool = False,
-            rhs_mean: CellField | None = None):
+            config: SolverConfig | None = None, rhs_mean: CellField | None = None):
     """Flux-scale potential; the only eps-dependent system.
 
     With ``x = H L / G`` on the cells, the system reads
     ``(A + diag(eps G/H)) x = rhs``, where A is the mean-potential matrix
-    that ``mean_factor`` factors (``held``: factors an earlier problem's A).
+    that ``mean_factor`` factors.
     :func:`_stage` solves it by CG preconditioned by that factor; for large
     eps, where CG misses ``tol``, it factors the system instead.  The
     reported residual is recomputed on the system itself.  ``rhs_mean`` is
@@ -382,7 +390,7 @@ def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
 
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     hc = problem.diffusivity_cell.values[INTERIOR].ravel()
-    x, residual, steps = _stage(problem, mean_factor, held, rhs, config.tol, "flux-potential",
+    x, residual, steps = _stage(problem, mean_factor, False, rhs, config.tol, "flux-potential",
                                 diag=eps * gc / hc)
     L = CellField.zeros(grid)
     L.values[INTERIOR] = (gc * x / hc).reshape(grid.nx, grid.ny)
@@ -578,9 +586,8 @@ class HeldFactor:
         self.factor = self.reaction_cell = None
 
 
-def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: SolverConfig,
-            held: bool = False):
-    """L, then h and l, each by :func:`_stage`; ``None`` once one on a ``held`` factor misses.
+def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: SolverConfig):
+    """L, then h and l, each by :func:`_stage` on the new factor of A.
 
     ``dh(f/G)``, the right-hand side of h and part of L's, is computed once
     here, once A is factored: held through the factorization it raised the
@@ -590,17 +597,13 @@ def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: S
     """
     grid = problem.grid
     rhs_mean = _rhs_mean(problem)
-    L, res_L, steps = solve_L(problem, factor, config, held, rhs_mean)
-    if not res_L <= config.tol:
-        return None
+    L, res_L, steps = solve_L(problem, factor, config, rhs_mean)
     fields, residuals = {"L": L}, {"L": res_L}
     for name, stage, rhs in (
             ("h", "mean-potential", rhs_mean.values[INTERIOR]),
             ("l", "fluctuation-potential",
              L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR])):
-        x, residuals[name], n = _stage(problem, factor, held, rhs.ravel(), config.tol, stage)
-        if not residuals[name] <= config.tol:
-            return None
+        x, residuals[name], n = _stage(problem, factor, False, rhs.ravel(), config.tol, stage)
         fields[name] = CellField.zeros(grid)
         fields[name].values[INTERIOR] = x.reshape(grid.nx, grid.ny)
         steps = None if steps is None else steps + n
@@ -608,7 +611,7 @@ def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: S
 
 
 def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
-                    fill: bool = True, held: HeldFactor | None = None) -> SolutionDecomposition:
+                    fill: bool = True) -> SolutionDecomposition:
     """Full pipeline: L, then h -> pi and l -> q, then p = pi + q and ghost fill.
 
     Well-posed and second-order accurate uniformly in eps, down to and
@@ -617,29 +620,12 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     three stages (:func:`_stages`), so one factorization serves the whole
     solve.  Only when CG misses the tolerance on L is the L system factored
     as well, while the shared factor is held.
-
-    ``held`` carries a mean factor from one solve to the next.  While it
-    fits the problem (:meth:`HeldFactor.fits`), nothing is assembled or
-    factored: the same stages run with this problem's A applied through its
-    stencils.  When it does not fit, or a stage misses ``tol``, the held
-    factor is dropped first, and the solve assembles and factors anew as
-    without ``held`` and leaves that factor held.
     """
     config = config or SolverConfig()
     grid = problem.grid
 
-    stages = None
-    if held is not None and held.fits(problem.reaction_cell.values):
-        stages = _stages(problem, held.factor, config, held=True)
-    factored = stages is None
-    if factored:
-        if held is not None:
-            held.drop()
-        factor = _factor(problem, assemble(problem), "mean-potential")
-        stages = _stages(problem, factor, config)
-        if held is not None:
-            held.factor, held.reaction_cell = factor, problem.reaction_cell.values
-    fields, residuals, cg_iterations = stages
+    factor = _factor(problem, assemble(problem), "mean-potential")
+    fields, residuals, cg_iterations = _stages(problem, factor, config)
     h, L, l = fields["h"], fields["L"], fields["l"]
     pi = reconstruct_pi(problem, h)
     q = reconstruct_q(problem, l)
@@ -666,5 +652,50 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
         mean_gradient_l2=mean_grad_l2,
         ghost=ghost_report,
         cg_iterations=cg_iterations,
-        factored=factored,
     )
+
+
+def solve_p(problem: LinearProblem, config: SolverConfig | None = None,
+            held: HeldFactor | None = None):
+    """Interior p of ``problem`` from one cell system, without its split into pi and q.
+
+    ``s = h + l`` solves ``(A + diag(eps G/H)) s = dh(f/G) - b.S``, and
+    ``p = pi + q = (f + dh*(G s)) / G`` (:func:`reconstruct_pi` of s), so
+    one stage does the work of the three of :func:`solve_linear_ap`.  That
+    system is L's with another right-hand side, and :func:`_stage` solves it
+    as it solves L, with no diagonal at eps = 0.  On a new factor of A a
+    miss falls back to factoring the system itself.
+
+    ``held`` carries the factor of A from one solve to the next.  While it
+    fits the problem (:meth:`HeldFactor.fits`), nothing is assembled or
+    factored, and the stage applies this problem's A through its stencils.
+    When it does not fit, or the stage misses ``tol``, the held factor is
+    dropped first, and the solve assembles and factors anew and leaves that
+    factor held.  Without ``held`` every solve factors anew.
+
+    Returns ``(p, residual, steps, factored)``: p with its ghost ring at
+    zero, the relative residual of the stage, its CG steps (``None`` when
+    the system itself was factored), and whether A was factored.
+    """
+    config = config or SolverConfig()
+    held = HeldFactor() if held is None else held
+    grid = problem.grid
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    diag = None
+    if problem.eps > 0.0:
+        diag = problem.eps * gc / problem.diffusivity_cell.values[INTERIOR].ravel()
+    rhs = (_rhs_mean(problem).values[INTERIOR]
+           - problem.grad_source_cell.values[INTERIOR]).ravel()
+    factored = not held.fits(problem.reaction_cell.values)
+    if not factored:
+        x, residual, steps = _stage(problem, held.factor, True, rhs, config.tol, "sum-potential",
+                                    diag)
+        factored = not residual <= config.tol
+    if factored:
+        held.drop()
+        factor = _factor(problem, assemble(problem), "mean-potential")
+        x, residual, steps = _stage(problem, factor, False, rhs, config.tol, "sum-potential", diag)
+        held.factor, held.reaction_cell = factor, problem.reaction_cell.values
+    s = CellField.zeros(grid)
+    s.values[INTERIOR] = x.reshape(grid.nx, grid.ny)
+    return reconstruct_pi(problem, s), residual, steps, factored

@@ -39,12 +39,12 @@ __all__ = [
 
 ROW_FIELDS = [
     "case", "N_x", "N_y", "h", "eps", "alpha", "norm", "error",
-    "iterations", "residual_h", "residual_L", "residual_l",
+    "iterations", "residual_h", "residual_L", "residual_l", "residual",
     "cond_estimate", "runtime_ms", "status",
 ]
 
-HISTORY_FIELDS = ["N", "correction_rel", "error_rel_l2", "residual_h", "residual_L", "residual_l",
-                  "cg_iterations", "factored"]
+HISTORY_FIELDS = ["N", "correction_rel", "error_rel_l2", "residual", "cg_iterations", "factored",
+                  "seconds"]
 
 
 def unit_square_grid(cells: int):
@@ -132,10 +132,10 @@ class ExperimentReport:
             w = csv.writer(fh)
             w.writerow(HISTORY_FIELDS)
             for rec in self.histories[label]:
-                # a cg_iterations of None (the L fallback ran) is an empty cell
+                # a cg_iterations of None (the fallback factored the system) is an empty cell
                 w.writerow([rec.n, repr(rec.correction_rel), repr(rec.error_rel_l2),
-                            repr(rec.residual_h), repr(rec.residual_L), repr(rec.residual_l),
-                            rec.cg_iterations, rec.factored])
+                            repr(rec.residual), rec.cg_iterations, rec.factored,
+                            repr(rec.seconds)])
 
     def write_summary(self, path) -> None:
         payload = {
@@ -187,7 +187,7 @@ def _add_rows(report: ExperimentReport, case, norms, p: NodeField | None = None,
             "eps": case.eps, "alpha": case.params.get("alpha", np.nan), "norm": norm,
             "error": np.nan if p is None else rel_error(exact, p, norm),
             "iterations": 0, "residual_h": np.nan, "residual_L": np.nan,
-            "residual_l": np.nan, "cond_estimate": np.nan, "runtime_ms": np.nan,
+            "residual_l": np.nan, "residual": np.nan, "cond_estimate": np.nan, "runtime_ms": np.nan,
             **fields,
         }
         for norm in norms
@@ -303,12 +303,11 @@ def gummel_study(config: ExperimentConfig | None = None) -> ExperimentReport:
             (p, state), ms = _timed(gummel_solve, case.problem, p0, stop, config.solver,
                                     exact=case.exact_field())
             report.histories[f"M{cells}-eps{eps:g}"] = state.history
-            last = state.history[-1] if state.history else None
-            residuals = {f"residual_{k}": getattr(last, f"residual_{k}", np.nan) for k in "hLl"}
+            residual = state.history[-1].residual if state.history else np.nan
             converged = state.status == "converged"
             _add_rows(report, case, (1, 2, "inf"), p if converged else None,
                       iterations=state.n_iterations, runtime_ms=ms, status=state.status,
-                      **residuals)
+                      residual=residual)
             report.add_check(
                 f"converged M{cells} eps={eps:g}", state.status, "converged", converged
             )

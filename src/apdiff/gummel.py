@@ -12,11 +12,14 @@ boundary condition once, when the loop hands back its iterate.  For a linear
 reaction law the first correction is exact, so the loop converges in one
 iteration up to solver residuals.
 
-The loop holds the factor of the mean-potential matrix across iterations
+Only the correction p of each linearized problem is kept, so each iteration
+solves one cell system for it, ``(A + diag(eps G/H)) s = dh(f/G) - b.S`` with
+``s = h + l``, where the decomposition solves three (:func:`apcore.solve_p`).
+The loop holds the factor of the mean-potential matrix A across iterations
 (:class:`apcore.HeldFactor`), a lagged preconditioner (Knoll & Keyes, J.
 Comput. Phys. 193, 2004; Kelley, SIAM 1995, ch. 5).  While the cell slope G
 stays within ``apcore.HOLD_DRIFT`` (relative) of the G that factor was built
-from, an iteration assembles and factors nothing and its stages run
+from, an iteration assembles and factors nothing and its stage runs
 preconditioned CG; a larger drift, or a stage that misses the tolerance,
 factors anew.  At most one mean factor is alive at a time, none after the
 loop returns, and ``IterationRecord.factored`` records which iterations
@@ -25,12 +28,15 @@ factored.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apcore import HeldFactor, LinearProblem, StageError, check_data, fill_ghost, solve_linear_ap
+from .apcore import HeldFactor, LinearProblem, StageError, check_data, fill_ghost, solve_p
+# not called here: perfbench/tracing.py patches the name gummel.solve_linear_ap
+from .apcore import solve_linear_ap  # noqa: F401
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 from .linsolve import SolverConfig
 from .operators import apply_dh
@@ -83,12 +89,13 @@ class IterationRecord:
     n: int
     correction_rel: float
     error_rel_l2: float  # nan when no exact solution was supplied
-    residual_h: float
-    residual_L: float
-    residual_l: float
+    residual: float  # relative residual of the iteration's one cell system
     slope_floored: int  # number of samples where g' fell below the safeguard
-    cg_iterations: int | None  # of the solve, over its three stages; None when L was factored
+    cg_iterations: int | None  # of the cell system; None when that system was factored
     factored: bool  # whether the iteration assembled and factored a new mean matrix
+    # wall time of the iteration, linearization and update included; two
+    # records of the same iteration compare equal whatever their timings
+    seconds: float = field(compare=False)
 
 
 @dataclass
@@ -185,16 +192,17 @@ def gummel_solve(
         return p, state
 
     for n in range(stop.n_max):
+        start = time.perf_counter()
         try:
             lp = linearize(problem, p)
-            dec = solve_linear_ap(lp, config, fill=False, held=held)
+            correction, residual, steps, factored = solve_p(lp, config, held)
         except (StageError, ValueError) as exc:
             # An iterate whose linearized system is no longer solvable has
             # left the workable basin; report it as divergence, not a crash.
             state.n_iterations = n
             return finish("diverged", f"linearized solve broke down at iteration {n}: {exc}")
 
-        delta = dec.p.values[INTERIOR]
+        delta = correction.values[INTERIOR]
         p_new = p.copy()
         p_new.values[INTERIOR] = p.values[INTERIOR] + delta
         norm_new = float(np.linalg.norm(p_new.values[INTERIOR]))
@@ -211,12 +219,11 @@ def gummel_solve(
                 n=n,
                 correction_rel=corr,
                 error_rel_l2=err,
-                residual_h=dec.residuals["h"],
-                residual_L=dec.residuals["L"],
-                residual_l=dec.residuals["l"],
+                residual=residual,
                 slope_floored=getattr(lp, "_slope_floored", 0),
-                cg_iterations=dec.cg_iterations,
-                factored=dec.factored,
+                cg_iterations=steps,
+                factored=factored,
+                seconds=time.perf_counter() - start,
             )
         )
         state.n_iterations = n + 1

@@ -112,8 +112,7 @@ def test_gummel_study_small(tmp_path):
     assert hist_files
     with open(hist_files[0]) as fh:
         header = fh.readline().strip()
-    assert header == ("N,correction_rel,error_rel_l2,residual_h,residual_L,residual_l,"
-                      "cg_iterations,factored")
+    assert header == "N,correction_rel,error_rel_l2,residual,cg_iterations,factored,seconds"
     label = hist_files[0].name[len("gummel-history-"):-len(".csv")]
     with open(hist_files[0]) as fh:
         rows = list(csv.DictReader(fh))
@@ -121,6 +120,12 @@ def test_gummel_study_small(tmp_path):
     assert [row["factored"] for row in rows] == [str(r.factored) for r in history]
     assert [int(row["cg_iterations"]) for row in rows] == [r.cg_iterations for r in history]
     assert rows[0]["factored"] == "True"
+    assert [float(row["residual"]) for row in rows] == [r.residual for r in history]
+    assert all(float(row["seconds"]) > 0.0 for row in rows)
+    # the summary rows carry the last iteration's residual
+    (row,) = [r for r in report.rows if f"M{r['N_x'] + 1}-eps{r['eps']:g}" == label
+              and r["norm"] == 2]
+    assert row["residual"] == history[-1].residual
 
 
 def test_gummel_status_reaches_csv(tmp_path):

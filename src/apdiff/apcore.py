@@ -41,12 +41,12 @@ solves ``A s = dh(f/G) + L - b.S``; the L system divided by ``-eps`` shows
     (A + diag(eps G/H)) s = dh(f/G) - b.S,   p = (f + dh*(G s)) / G,
 
 the L system with another right-hand side.  Successive one-stage solves,
-such as the iterations of the Gummel loop, can hold the factor of A from one
-to the next (:class:`HeldFactor`).  While G stays within
-``HOLD_DRIFT`` (relative) of the G that factor was built from, the stage
-applies the current A through its stencils, so nothing is assembled or
-factored.  A drifted G, or a stage that misses the tolerance, drops the held
-factor, and the solve factors anew as it does without one.
+such as the iterations of the Gummel loop, can hold a factor from one to the
+next (:class:`HeldFactor`): A's, or on the large-eps fallback the system's.
+A held stage applies the current A through its stencils, preconditioned by
+the held factor, so nothing is assembled or factored.  A stage that misses
+the tolerance drops the held factor, and the solve factors anew as it does
+without one.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
@@ -337,8 +337,9 @@ def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, held: bool
     ``factor.matrix`` in place, keeping A's structure, factors that copy by
     :func:`_factor`, and solves again by :func:`_cg`; a miss without a
     ``diag``, or a second miss, raises :class:`StageError` naming ``stage``.
-    Returns ``(x, residual, steps)``, ``steps`` ``None`` when the system was
-    factored.
+    Returns ``(x, residual, steps, factor)``, ``steps`` ``None`` when the
+    system was factored, and ``factor`` the factor that served last: the one
+    passed in, or that of the system.
     """
     mean = _cell_operator(problem) if held else None
 
@@ -351,12 +352,13 @@ def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, held: bool
     if not (held or residual <= tol) and diag is not None:
         matrix = factor.matrix.copy()
         matrix.setdiag(matrix.diagonal() + diag)
-        x, residual, _ = _cg(matrix.dot, gc, _factor(problem, matrix, stage), rhs, tol)
+        factor = _factor(problem, matrix, stage)
+        x, residual, _ = _cg(matrix.dot, gc, factor, rhs, tol)
         steps = None
     if not (held or residual <= tol):
         raise StageError(f"{stage} solve failed: residual {residual:.3e} "
                          f"above tolerance {tol:.1e}")
-    return x, residual, steps
+    return x, residual, steps, factor
 
 
 def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
@@ -391,7 +393,7 @@ def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     hc = problem.diffusivity_cell.values[INTERIOR].ravel()
     x, residual, steps = _stage(problem, mean_factor, False, rhs, config.tol, "flux-potential",
-                                diag=eps * gc / hc)
+                                diag=eps * gc / hc)[:3]
     L = CellField.zeros(grid)
     L.values[INTERIOR] = (gc * x / hc).reshape(grid.nx, grid.ny)
     return L, residual, steps
@@ -560,30 +562,17 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
     return filled, report
 
 
-# A held mean factor preconditions the solves of a problem whose cell reaction
-# coefficient G is within this relative 2-norm distance of the one it was built from.
-HOLD_DRIFT = 1e-3
-
-
 @dataclass
 class HeldFactor:
-    """A mean-potential factor held across related solves, as Gummel's iterations are.
+    """A cell-system factor held across related solves, as Gummel's iterations are.
 
-    ``factor`` factors the A built from the cell reaction coefficient
-    ``reaction_cell``; both are ``None`` while nothing is held.
+    ``factor`` is ``None`` while nothing is held.
     """
 
     factor: BandFactor | DirectFactor | None = None
-    reaction_cell: np.ndarray | None = None
-
-    def fits(self, reaction_cell: np.ndarray) -> bool:
-        """Whether a factor is held and ``reaction_cell`` is within ``HOLD_DRIFT`` of its own."""
-        return (self.factor is not None and reaction_cell.shape == self.reaction_cell.shape
-                and bool(np.linalg.norm(reaction_cell - self.reaction_cell)
-                         <= HOLD_DRIFT * np.linalg.norm(reaction_cell)))
 
     def drop(self) -> None:
-        self.factor = self.reaction_cell = None
+        self.factor = None
 
 
 def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: SolverConfig):
@@ -603,7 +592,7 @@ def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: S
             ("h", "mean-potential", rhs_mean.values[INTERIOR]),
             ("l", "fluctuation-potential",
              L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR])):
-        x, residuals[name], n = _stage(problem, factor, False, rhs.ravel(), config.tol, stage)
+        x, residuals[name], n, _ = _stage(problem, factor, False, rhs.ravel(), config.tol, stage)
         fields[name] = CellField.zeros(grid)
         fields[name].values[INTERIOR] = x.reshape(grid.nx, grid.ny)
         steps = None if steps is None else steps + n
@@ -666,16 +655,18 @@ def solve_p(problem: LinearProblem, config: SolverConfig | None = None,
     as it solves L, with no diagonal at eps = 0.  On a new factor of A a
     miss falls back to factoring the system itself.
 
-    ``held`` carries the factor of A from one solve to the next.  While it
-    fits the problem (:meth:`HeldFactor.fits`), nothing is assembled or
-    factored, and the stage applies this problem's A through its stencils.
-    When it does not fit, or the stage misses ``tol``, the held factor is
-    dropped first, and the solve assembles and factors anew and leaves that
-    factor held.  Without ``held`` every solve factors anew.
+    ``held`` carries a factor from one solve to the next.  While it holds
+    one of this grid's size, nothing is assembled or factored: the stage
+    applies this problem's A through its stencils, preconditioned by the
+    held factor.  When it holds none, or the stage misses ``tol``, the held
+    factor is dropped first, the solve assembles and factors anew, and the
+    factor that served last, A's or on the fallback the system's, is left
+    held.  Without ``held`` every solve factors anew.
 
     Returns ``(p, residual, steps, factored)``: p with its ghost ring at
-    zero, the relative residual of the stage, its CG steps (``None`` when
-    the system itself was factored), and whether A was factored.
+    zero, the relative residual of the last stage, the CG steps of the
+    held and the new stage (``None`` when the system itself was factored),
+    and whether A was factored.
     """
     config = config or SolverConfig()
     held = HeldFactor() if held is None else held
@@ -686,16 +677,19 @@ def solve_p(problem: LinearProblem, config: SolverConfig | None = None,
         diag = problem.eps * gc / problem.diffusivity_cell.values[INTERIOR].ravel()
     rhs = (_rhs_mean(problem).values[INTERIOR]
            - problem.grad_source_cell.values[INTERIOR]).ravel()
-    factored = not held.fits(problem.reaction_cell.values)
+    steps = 0
+    factored = held.factor is None or held.factor.matrix.shape[0] != gc.size
     if not factored:
+        # the stage hands back the held factor, not kept here: it may be dropped next
         x, residual, steps = _stage(problem, held.factor, True, rhs, config.tol, "sum-potential",
-                                    diag)
+                                    diag)[:3]
         factored = not residual <= config.tol
     if factored:
         held.drop()
-        factor = _factor(problem, assemble(problem), "mean-potential")
-        x, residual, steps = _stage(problem, factor, False, rhs, config.tol, "sum-potential", diag)
-        held.factor, held.reaction_cell = factor, problem.reaction_cell.values
+        x, residual, new_steps, held.factor = _stage(
+            problem, _factor(problem, assemble(problem), "mean-potential"), False, rhs,
+            config.tol, "sum-potential", diag)
+        steps = None if new_steps is None else steps + new_steps
     s = CellField.zeros(grid)
     s.values[INTERIOR] = x.reshape(grid.nx, grid.ny)
     return reconstruct_pi(problem, s), residual, steps, factored

@@ -417,7 +417,7 @@ def conditioning_study(config: ExperimentConfig | None = None) -> ExperimentRepo
             status = ">= overflow-threshold"
         else:
             status = "ok" if solve.ok else "ill-conditioned"
-        _add_rows(report, case, ["cond"], cond_estimate=cond, residual_h=solve.residual,
+        _add_rows(report, case, ["cond"], cond_estimate=cond, residual=solve.residual,
                   runtime_ms=ms, status=status)
         sweep.append({"eps": eps, "cond_estimate": cond, "solve_residual": solve.residual,
                       "status": status, "runtime_ms": ms})

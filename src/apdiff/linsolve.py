@@ -19,7 +19,8 @@ both ways.
 
 Either factor's inverse, ``lu_solve``, preconditions the CG
 solves of all three cell systems (``apcore``), also while a Gummel run holds
-a factor of an earlier iteration's matrix (``apcore.HeldFactor``).
+a factor of an earlier iteration's system until a stage misses
+(``apcore.HeldFactor``).
 :func:`refine` is the naive baseline's refinement loop.
 """
 

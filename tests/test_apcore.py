@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -1077,6 +1078,15 @@ def nearby_problem(problem, scale):
         reaction_cell=CellField(g, problem.reaction_cell.values * factor_cell))
 
 
+@contextlib.contextmanager
+def nothing_factored(monkeypatch):
+    """Fail any assembly or factorization of a cell system inside the block."""
+    with monkeypatch.context() as m:
+        for name in ("assemble", "BandFactor", "DirectFactor"):
+            m.setattr(apcore, name, no_factor)
+        yield
+
+
 def assert_same_p(p, want):
     """Interior ``p`` within 1e-12 relative of ``want``."""
     got, want = p.values[INTERIOR], want.values[INTERIOR]
@@ -1106,12 +1116,15 @@ def test_one_stage_p_equals_the_decomposition_p(eps, kind, monkeypatch):
             assert steps is None  # the fallback ran
         assert np.all(p.values[0] == 0.0) and np.all(p.values[:, -1] == 0.0)
         assert_same_p(p, want)
-        # the same problem again on the held factor of its own A: where CG
-        # missed on a new factor it misses on the held one and factors anew
+        # the same problem again on the held factor: A's repeats the CG steps
+        # of the new one, and where CG missed on A's the fallback's is held,
+        # which takes one step; measured: p within 6.8e-15 relative
         held = apcore.HeldFactor()
         solve_p(problem, held=held)
-        p, residual, _, factored = solve_p(problem, held=held)
-        assert factored == (steps is None) and residual <= 1e-12
+        with nothing_factored(monkeypatch):
+            p, residual, held_steps, factored = solve_p(problem, held=held)
+        assert not factored and residual <= 1e-12
+        assert held_steps == (1 if steps is None else steps) <= 18
         assert_same_p(p, want)
 
 
@@ -1120,14 +1133,10 @@ def test_held_factor_serves_a_nearby_problem(eps, monkeypatch):
     problem = pinned_problem("linear", eps)
     held = apcore.HeldFactor()
     *_, factored = solve_p(problem, held=held)
-    assert factored and held.fits(problem.reaction_cell.values)
+    assert factored and held.factor is not None
     factor = held.factor
     nearby = nearby_problem(problem, 2e-4)
-    assert held.fits(nearby.reaction_cell.values)
-    with monkeypatch.context() as m:
-        m.setattr(apcore, "assemble", no_factor)
-        m.setattr(apcore, "BandFactor", no_factor)
-        m.setattr(apcore, "DirectFactor", no_factor)
+    with nothing_factored(monkeypatch):
         p, residual, steps, factored = solve_p(nearby, held=held)
     assert not factored and held.factor is factor
     assert residual <= 1e-12
@@ -1135,41 +1144,45 @@ def test_held_factor_serves_a_nearby_problem(eps, monkeypatch):
     assert_same_p(p, solve_linear_ap(nearby, fill=False).p)
 
 
-def test_held_factor_dropped_when_the_slope_drifts():
+def test_held_factor_serves_a_drifted_slope(monkeypatch):
+    # a held factor serves until a stage misses, however far G has moved
     problem = pinned_problem("linear", 0.1, cells=32)
     held = apcore.HeldFactor()
     solve_p(problem, held=held)
     factor = held.factor
     far = nearby_problem(problem, 1e-2)
-    assert not held.fits(far.reaction_cell.values)
-    p, residual, steps, factored = solve_p(far, held=held)
-    assert factored and held.factor is not factor
-    assert held.reaction_cell is far.reaction_cell.values
-    # the new-factor path is the solve without a held factor, bit for bit
-    p_plain, residual_plain, steps_plain, _ = solve_p(far)
-    np.testing.assert_array_equal(p.values, p_plain.values)
-    assert residual == residual_plain and steps == steps_plain
+    with nothing_factored(monkeypatch):
+        p, residual, steps, factored = solve_p(far, held=held)
+    assert not factored and held.factor is factor
+    assert residual <= 1e-12 and steps > 0
+    assert_same_p(p, solve_linear_ap(far, fill=False).p)
 
 
-def test_held_factor_miss_factors_anew():
-    # a held factor of an unrelated system passes the drift test but
-    # cannot precondition: the stage misses, and the solve factors anew
+def test_held_factor_miss_factors_anew(monkeypatch):
+    # a held factor of an unrelated system of the same size cannot
+    # precondition: the stage misses, and the solve factors anew
     problem = pinned_problem("linear", 0.1, cells=32)
     other = pinned_problem("angle", 45, cells=32)
-    held = apcore.HeldFactor(mean_factor(other), problem.reaction_cell.values)
-    assert held.fits(problem.reaction_cell.values)
-    p, residual, _, factored = solve_p(problem, held=held)
-    assert factored
-    p_plain, residual_plain, _, _ = solve_p(problem)
+    held = apcore.HeldFactor(mean_factor(other))
+    calls = []
+    for factor_class in (apcore.BandFactor, apcore.DirectFactor):
+        def counted(self, r, lu_solve=factor_class.lu_solve):
+            calls.append(1)
+            return lu_solve(self, r)
+
+        monkeypatch.setattr(factor_class, "lu_solve", counted)
+    p, residual, steps, factored = solve_p(problem, held=held)
+    assert factored and len(calls) == steps
+    p_plain, residual_plain, steps_plain, _ = solve_p(problem)
     np.testing.assert_array_equal(p.values, p_plain.values)
     assert residual == residual_plain
+    assert steps > steps_plain  # the held stage's steps count as well
 
 
 def test_held_factor_of_another_grid_does_not_fit():
     held = apcore.HeldFactor()
     solve_p(pinned_problem("linear", 0.1, cells=16), held=held)
     problem = pinned_problem("linear", 0.1, cells=20)
-    assert not held.fits(problem.reaction_cell.values)
     *_, factored = solve_p(problem, held=held)
     assert factored
     n = problem.grid.nx * problem.grid.ny

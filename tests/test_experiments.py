@@ -236,6 +236,10 @@ def test_conditioning_study_small(tmp_path):
     cfg = ExperimentConfig(meshes=[20], eps_list=[1.0, 1e-3, 1e-6])
     report = conditioning_study(cfg)
     assert report.passed
+    # the naive solve's residual goes in the generic column, not the h stage's
+    for row, entry in zip(report.rows, report.extras["sweep"]):
+        assert row["residual"] == entry["solve_residual"] > 0.0
+        assert np.isnan(row["residual_h"])
     report.write_outputs(tmp_path)
     sweep_csv = tmp_path / "conditioning-sweep.csv"
     assert sweep_csv.exists()

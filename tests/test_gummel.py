@@ -372,20 +372,35 @@ def test_one_stage_run_matches_the_three_stage_loop(eps):
 
 def test_run_factors_while_the_slope_moves(monkeypatch):
     # the cell slope changes by 1.7e-1, 1.3e-2, then 1e-4 and less between
-    # iterations: iterations 0-2 factor, 3 and 4 reuse the factor of 2
+    # iterations: the factor of iteration 0 misses on iteration 1, which
+    # factors anew, and the factor of 1 serves iterations 2-4
     g = unit_square_grid(64)
     case = case_nonlinear(g, 0.0)
     p0 = sample_node(case.initial_guess, g)
     for _ in each_factor_path(monkeypatch):
         _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
         assert state.status == "converged"
-        assert [r.factored for r in state.history] == [True, True, True, False, False]
-        # at eps 0 the one cell system is A s = dh(f/G) - b.S: one CG step
-        # on a new factor, four on the held one
-        assert [r.cg_iterations for r in state.history] == [1, 1, 1, 4, 4]
+        assert [r.factored for r in state.history] == [True, True, False, False, False]
+        # at eps 0 the one cell system is A s = dh(f/G) - b.S: one CG step on
+        # a new factor, and on the held one four before iteration 1 gives up
+        # and eight after
+        assert [r.cg_iterations for r in state.history] == [1, 5, 8, 8, 8]
 
 
-@pytest.mark.parametrize("eps, lu_solves", [(0.1, 40), (0.0, 11)])
+def test_large_eps_run_holds_the_system_factor(monkeypatch):
+    # at eps 10 CG misses on A's factor at iterations 0 and 1, so each
+    # factors the system itself, and that factor serves iterations 2-4
+    g = unit_square_grid(64)
+    case = case_nonlinear(g, 10.0)
+    p0 = sample_node(case.initial_guess, g)
+    for _ in each_factor_path(monkeypatch):
+        _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+        assert state.status == "converged" and state.n_iterations == 5
+        assert [r.factored for r in state.history] == [True, True, False, False, False]
+        assert [r.cg_iterations for r in state.history] == [None, None, 8, 8, 8]
+
+
+@pytest.mark.parametrize("eps, lu_solves", [(0.1, 44), (0.0, 30)])
 def test_held_factor_run_keeps_its_lu_solve_count(eps, lu_solves, monkeypatch):
     calls = count_lu_solves(monkeypatch)
     g = unit_square_grid(64)

@@ -39,8 +39,8 @@ __all__ = [
 
 ROW_FIELDS = [
     "case", "N_x", "N_y", "h", "eps", "alpha", "norm", "error",
-    "iterations", "residual_h", "residual_L", "residual_l", "residual",
-    "cond_estimate", "runtime_ms", "status",
+    "iterations", "coarse_iterations", "coarse_factorizations", "residual_h", "residual_L",
+    "residual_l", "residual", "cond_estimate", "runtime_ms", "status",
 ]
 
 HISTORY_FIELDS = ["N", "correction_rel", "error_rel_l2", "residual", "cg_iterations", "factored",
@@ -196,6 +196,14 @@ def _add_rows(report: ExperimentReport, case, norms, p: NodeField | None = None,
     return rows
 
 
+def _coarse_fields(state) -> dict:
+    """Iterations and factorizations of a Gummel run's coarse start; none without one."""
+    if state.coarse is None:
+        return {}
+    return {"coarse_iterations": state.coarse.n_iterations,
+            "coarse_factorizations": sum(r.factored for r in state.coarse.history)}
+
+
 def convergence_study(config: ExperimentConfig | None = None) -> ExperimentReport:
     """Error decay under mesh refinement, for several anisotropy strengths.
 
@@ -288,7 +296,11 @@ def angle_sweep(config: ExperimentConfig | None = None) -> ExperimentReport:
 
 
 def gummel_study(config: ExperimentConfig | None = None) -> ExperimentReport:
-    """Nonlinear-iteration behavior: convergence speed, plateau, error table."""
+    """Nonlinear-iteration behavior: convergence speed, plateau, error table.
+
+    Rows and ``extras["coarse"]`` carry the iterations and factorizations of
+    each run's coarse start (:func:`gummel.gummel_solve`), empty without one.
+    """
     if config is None:
         config = ExperimentConfig(meshes=[100, 200], eps_list=[1e-1, 1e-12, 0.0])
     report = ExperimentReport("gummel")
@@ -302,12 +314,15 @@ def gummel_study(config: ExperimentConfig | None = None) -> ExperimentReport:
             p0 = sample_node(case.initial_guess, grid)
             (p, state), ms = _timed(gummel_solve, case.problem, p0, stop, config.solver,
                                     exact=case.exact_field())
-            report.histories[f"M{cells}-eps{eps:g}"] = state.history
+            label = f"M{cells}-eps{eps:g}"
+            report.histories[label] = state.history
+            coarse = _coarse_fields(state)
+            report.extras.setdefault("coarse", {})[label] = coarse
             residual = state.history[-1].residual if state.history else np.nan
             converged = state.status == "converged"
             _add_rows(report, case, (1, 2, "inf"), p if converged else None,
                       iterations=state.n_iterations, runtime_ms=ms, status=state.status,
-                      residual=residual)
+                      residual=residual, **coarse)
             report.add_check(
                 f"converged M{cells} eps={eps:g}", state.status, "converged", converged
             )
@@ -333,7 +348,8 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
     Two regimes: a linear-in-eps decay while the eps-part dominates, then a
     plateau at the discretization error of the limit solution, which shrinks
     quadratically with the mesh step.  Both are measured against the eps = 0
-    solve, so ``eps_list`` must contain 0.
+    solve, so ``eps_list`` must contain 0.  The coarse start of each run is
+    recorded as in :func:`gummel_study`.
     """
     if config is None:
         config = ExperimentConfig(
@@ -356,8 +372,10 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
             (p, state), ms = _timed(gummel_solve, case.problem, p0, stop, config.solver)
             solutions[eps] = p.values[INTERIOR]
             errors[eps] = float(np.linalg.norm(solutions[eps] - limit)) / limit_norm
+            coarse = _coarse_fields(state)
+            report.extras.setdefault("coarse", {})[f"M{cells}-eps{eps:g}"] = coarse
             _add_rows(report, case, ["E_eps"], error=errors[eps], iterations=state.n_iterations,
-                      runtime_ms=ms, status=state.status)
+                      runtime_ms=ms, status=state.status, **coarse)
             unconverged += state.status != "converged"
         report.add_check(f"unconverged runs M{cells}", unconverged, "== 0", unconverged == 0)
 

@@ -16,6 +16,10 @@ __all__ = [
     "sample_node",
     "sample_cell",
     "sample_cell_vec",
+    "coarse_grid",
+    "inject_cell",
+    "restrict_node",
+    "prolong_node",
 ]
 
 # slice picking the interior part of a node array (indices 0..n) or of a
@@ -223,3 +227,60 @@ def sample_cell_vec(fn, grid: Grid) -> CellVectorField:
         [_lattice(vx, xs, ys, "cell vector x"), _lattice(vy, xs, ys, "cell vector y")], axis=-1
     )
     return CellVectorField(grid, out)
+
+
+# 2:1 grid transfers --------------------------------------------------------
+
+
+def coarse_grid(grid: Grid) -> Grid | None:
+    """The grid of half as many squares per side over the same domain.
+
+    A coarse cell center is every other fine one, and a coarse node sits on
+    the fine cell vertex between four fine nodes.  Returns ``None`` when a
+    side has an odd number of squares.
+    """
+    if grid.nx % 2 == 0 or grid.ny % 2 == 0:
+        return None
+    return Grid(grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.nx // 2, grid.ny // 2)
+
+
+def inject_cell(field, coarse: Grid):
+    """A cell field on ``coarse``, exact: its centers are the even fine centers."""
+    return type(field)(coarse, field.values[::2, ::2].copy())
+
+
+def _restrict_rows(v: np.ndarray) -> np.ndarray:
+    """Coarse node rows: the mean of the two fine rows around each, extrapolated past the ends."""
+    padded = np.concatenate([2.0 * v[:1] - v[1:2], v, 2.0 * v[-1:] - v[-2:-1]])
+    return 0.5 * (padded[0::2] + padded[1::2])
+
+
+def _prolong_rows(v: np.ndarray) -> np.ndarray:
+    """Fine node rows by linear interpolation, weights 3/4 and 1/4 on the nearest coarse rows."""
+    fine = np.empty((2 * v.shape[0] - 2,) + v.shape[1:])
+    fine[0::2] = 0.75 * v[:-1] + 0.25 * v[1:]
+    fine[1::2] = 0.25 * v[:-1] + 0.75 * v[1:]
+    return fine
+
+
+def _on_both_axes(rows, values: np.ndarray) -> np.ndarray:
+    """``rows`` applied along x, then along y, as a C-ordered array."""
+    return np.ascontiguousarray(rows(rows(values).T).T)
+
+
+def restrict_node(field: NodeField, coarse: Grid) -> NodeField:
+    """A node field on ``coarse``: each node the mean of the four fine nodes around it.
+
+    The coarse ghost ring lies outside the fine lattice; its values
+    extrapolate the fine ones linearly.
+    """
+    return NodeField(coarse, _on_both_axes(_restrict_rows, field.values))
+
+
+def prolong_node(field: NodeField, fine: Grid) -> NodeField:
+    """A node field on ``fine`` by bilinear interpolation of ``field`` on its coarse grid.
+
+    Every fine node, ghosts included, lies within the coarse lattice, so the
+    interior nodes next to the boundary read the coarse ghost ring.
+    """
+    return NodeField(fine, _on_both_axes(_prolong_rows, field.values))

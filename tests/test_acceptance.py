@@ -141,6 +141,12 @@ def test_criterion_4_iteration_speed_and_plateau(nonlinear_runs, announce):
         plateau = error_plateau_check(state.history, change_tol=0.01)
         ok = ok and fast and plateau.ok
         details.append(f"eps={eps:g}: {state.n_iterations} iters, plateau drift {plateau.max_rel_change:.2%}")
+    # the coarse start of a run counts as iterations too
+    coarse = [run["state"].coarse for run in nonlinear_runs.values() if run["state"].coarse]
+    ok = ok and bool(coarse) and all(
+        c.status == "converged" and c.n_iterations <= 6 for c in coarse)
+    most = max((c.n_iterations for c in coarse), default=0)
+    details.append(f"{len(coarse)} coarse starts: {most} iters at most")
     announce(4, ok, "; ".join(details))
     assert ok
 

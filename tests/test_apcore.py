@@ -993,6 +993,15 @@ def test_new_factor_miss_raises_naming_the_stage():
         apcore._stage(problem, factor, False, rhs, 1e-12, "fluctuation-potential")
 
 
+def test_one_step_stop_reads_the_true_residual():
+    # at 440 squares per side the recursive residual after step 1 of the l
+    # stage passed the tolerance while the true one read 1.004e-12, and the
+    # solve raised; on the true residual CG takes the step it needs
+    case = case_linear_variable(unit_square_grid(440), 0.1)
+    dec = solve_linear_ap(case.problem, fill=False)
+    assert max(dec.residuals.values()) <= SolverConfig().tol
+
+
 def test_gauge_shift_failure_names_stage(monkeypatch):
     # no gauge shift is tried: the zero matrix fails on its first
     # factorization, as a band and by SuperLU

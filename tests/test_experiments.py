@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from apdiff import experiments, naive
+from apdiff import experiments, gummel, naive
 from apdiff.apcore import StageError
 from apdiff.experiments import (
     ExperimentConfig,
@@ -126,6 +126,31 @@ def test_gummel_study_small(tmp_path):
     (row,) = [r for r in report.rows if f"M{r['N_x'] + 1}-eps{r['eps']:g}" == label
               and r["norm"] == 2]
     assert row["residual"] == history[-1].residual
+
+
+def test_gummel_studies_record_the_coarse_start(tmp_path, monkeypatch):
+    # 32 squares per side start from 16 once the coarse grid may be that small;
+    # 20 squares per side do not, and leave the coarse columns empty
+    monkeypatch.setattr(gummel, "COARSE_MIN_SQUARES", 16)
+    report = gummel_study(ExperimentConfig(meshes=[20, 32], eps_list=[0.1]))
+    assert report.passed
+    assert report.extras["coarse"] == {
+        "M20-eps0.1": {}, "M32-eps0.1": {"coarse_iterations": 5, "coarse_factorizations": 2}}
+    report.write_outputs(tmp_path)
+    with open(tmp_path / "gummel.csv") as fh:
+        rows = {(row["N_x"], row["norm"]): row for row in csv.DictReader(fh)}
+    row = rows[("31", "2")]
+    assert (row["coarse_iterations"], row["coarse_factorizations"]) == ("5", "2")
+    row = rows[("19", "2")]
+    assert row["coarse_iterations"] == row["coarse_factorizations"] == ""
+    summary = json.loads((tmp_path / "gummel-summary.json").read_text())
+    assert summary["extras"]["coarse"] == report.extras["coarse"]
+
+    limit = epsilon_limit_study(ExperimentConfig(meshes=[32], eps_list=[0.1, 0.0]))
+    assert set(limit.extras["coarse"]) == {"M32-eps0.1", "M32-eps0"}
+    for row in limit.rows:
+        if row["norm"] == "E_eps":
+            assert row["coarse_iterations"] >= 1 and row["coarse_factorizations"] >= 1
 
 
 def test_gummel_status_reaches_csv(tmp_path):

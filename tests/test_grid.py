@@ -5,7 +5,11 @@ from apdiff.grid import (
     INTERIOR,
     CellField,
     NodeField,
+    coarse_grid,
+    inject_cell,
     make_grid,
+    prolong_node,
+    restrict_node,
     sample_cell,
     sample_cell_vec,
     sample_node,
@@ -240,3 +244,44 @@ def test_field_shape_validation():
         NodeField(g, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         CellField(g, np.zeros(g.node_shape))
+
+
+def test_coarse_grid_halves_even_sides_only():
+    g = make_grid(UNIT, 15, 31)
+    c = coarse_grid(g)
+    assert (c.nx, c.ny) == (7, 15)
+    assert (c.x_min, c.x_max, c.y_min, c.y_max) == (g.x_min, g.x_max, g.y_min, g.y_max)
+    np.testing.assert_allclose(c.cell_xs, g.cell_xs[::2], rtol=0, atol=1e-15)
+    # coarse interior nodes sit on the fine cell vertices between two fine nodes
+    np.testing.assert_allclose(c.node_xs[1:-1], g.cell_xs[1::2], rtol=0, atol=1e-15)
+    assert coarse_grid(make_grid(UNIT, 14, 31)) is None
+    assert coarse_grid(make_grid(UNIT, 15, 30)) is None
+
+
+def test_grid_transfers_are_exact_on_bilinear_fields():
+    g = make_grid(((1.0, 2.0), (0.5, 2.5)), 15, 31)
+    c = coarse_grid(g)
+    bilinear = lambda x, y: 0.3 + 2.0 * x - 1.5 * y + 0.7 * x * y
+    np.testing.assert_allclose(restrict_node(sample_node(bilinear, g), c).values,
+                               sample_node(bilinear, c).values, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(prolong_node(sample_node(bilinear, c), g).values,
+                               sample_node(bilinear, g).values, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(inject_cell(sample_cell(np.hypot, g), c).values,
+                                  sample_cell(np.hypot, g).values[::2, ::2])
+    vec = inject_cell(sample_cell_vec(lambda x, y: (x, y), g), c)
+    assert vec.values.shape == c.cell_shape + (2,)
+
+
+def test_restriction_averages_four_nodes_and_prolongation_weighs_three_to_one():
+    g = make_grid(UNIT, 7, 7)
+    c = coarse_grid(g)
+    v = np.random.default_rng(3).standard_normal(g.node_shape)
+    coarse = restrict_node(NodeField(g, v), c).values
+    # coarse node (1, 2) sits between fine nodes 1-2 in x and 3-4 in y
+    assert coarse[1, 2] == pytest.approx(v[1:3, 3:5].mean(), rel=1e-14)
+    fine = prolong_node(NodeField(c, coarse), g).values
+    wx = np.array([0.75, 0.25])
+    # fine node (4, 3) is nearest coarse node 2 in x and 2 in y, then 3 and 1
+    expected = wx @ coarse[[2, 3]][:, [2, 1]] @ wx
+    assert fine[4, 3] == pytest.approx(expected, rel=1e-14)
+    assert fine.flags.c_contiguous and coarse.flags.c_contiguous

@@ -7,7 +7,8 @@ import pytest
 
 from apdiff import apcore, gummel
 from apdiff.apcore import HeldFactor, StageError, fill_ghost, solve_linear_ap, solve_p
-from apdiff.grid import INTERIOR, CellField, NodeField, make_grid, sample_cell, sample_cell_vec, sample_node
+from apdiff.grid import (INTERIOR, CellField, NodeField, make_grid, prolong_node, restrict_node,
+                         sample_cell, sample_cell_vec, sample_node)
 from apdiff.gummel import (
     IterationRecord,
     NonlinearProblem,
@@ -415,34 +416,170 @@ def test_held_factor_run_keeps_its_lu_solve_count(eps, lu_solves, monkeypatch):
 
 
 def test_at_most_one_mean_factor_alive(monkeypatch):
+    # from the guess, and from the coarse grid of 16 squares per side, whose
+    # loop drops its factor before its own ghost fill
     g = unit_square_grid(32)
     case = case_nonlinear(g, 0.1)
     p0 = sample_node(case.initial_guess, g)
     for factor_class in each_factor_path(monkeypatch):
-        alive = [0]
-        peak = [0]
-        at_fill = []
+        for min_squares, fills in ((gummel.COARSE_MIN_SQUARES, [0]), (16, [0, 0])):
+            alive = [0]
+            peak = [0]
+            at_fill = []
 
-        def released():
-            alive[0] -= 1
+            def released():
+                alive[0] -= 1
 
-        class LiveFactor(factor_class):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                alive[0] += 1
-                peak[0] = max(peak[0], alive[0])
-                weakref.finalize(self, released)
+            class LiveFactor(factor_class):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    alive[0] += 1
+                    peak[0] = max(peak[0], alive[0])
+                    weakref.finalize(self, released)
 
-        def counted_fill(*args, **kwargs):
-            at_fill.append(alive[0])
-            return fill_ghost(*args, **kwargs)
+            def counted_fill(*args, **kwargs):
+                at_fill.append(alive[0])
+                return fill_ghost(*args, **kwargs)
 
-        with monkeypatch.context() as m:
-            m.setattr(apcore, factor_class.__name__, LiveFactor)
-            m.setattr(gummel, "fill_ghost", counted_fill)
-            _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+            with monkeypatch.context() as m:
+                m.setattr(apcore, factor_class.__name__, LiveFactor)
+                m.setattr(gummel, "fill_ghost", counted_fill)
+                m.setattr(gummel, "COARSE_MIN_SQUARES", min_squares)
+                _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+            assert state.status == "converged"
+            runs = (state.coarse.history if state.coarse else []) + state.history
+            assert sum(r.factored for r in runs) >= 2
+            assert peak[0] == 1
+            assert at_fill == fills  # dropped before each ghost fill
+            assert alive[0] == 0
+
+
+# The coarse start -------------------------------------------------------------
+#
+# Runs at 64 squares per side start from their coarse grid once
+# ``COARSE_MIN_SQUARES`` is lowered to 16: cheap runs on the same path as
+# large grids take by default.
+
+
+def guess_started(problem, p0, stop, **kwargs):
+    """:func:`gummel_solve` with no coarse start, the loop alone from ``p0``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gummel, "COARSE_MIN_SQUARES", sys.maxsize)
+        return gummel_solve(problem, p0, stop, **kwargs)
+
+
+def coarse_started(problem, p0, stop):
+    """The start of :func:`gummel_solve`'s fine loop: the coarse run's result, prolonged."""
+    coarse = gummel._coarse_problem(problem)
+    p, state = guess_started(coarse, restrict_node(p0, coarse.grid), stop)
+    assert state.status == "converged"
+    return prolong_node(p, problem.grid)
+
+
+def test_coarse_start_needs_two_even_sides_of_its_size(monkeypatch):
+    stop = StopRule(tol_rel=1e-12)
+    for cells, min_squares, runs in ((64, gummel.COARSE_MIN_SQUARES, False), (63, 16, False),
+                                     (64, 16, True)):
+        monkeypatch.setattr(gummel, "COARSE_MIN_SQUARES", min_squares)
+        g = unit_square_grid(cells)
+        case = case_nonlinear(g, 0.1)
+        _, state = gummel_solve(case.problem, sample_node(case.initial_guess, g), stop)
         assert state.status == "converged"
-        assert sum(r.factored for r in state.history) >= 2
-        assert peak[0] == 1
-        assert at_fill == [0]  # dropped before the final ghost fill
-        assert alive[0] == 0
+        assert (state.coarse is not None) == runs
+        if not runs:
+            assert [r.factored for r in state.history] == [True, True, False, False, False]
+
+
+@pytest.mark.parametrize("eps, cg_iterations", [(0.1, [8, 13, 13, 13]), (1e-3, [4, 15, 15, 15]),
+                                                (0.0, [1, 15, 15, 15]), (10.0, [None, 12, 12, 12])])
+def test_coarse_start_factors_once_and_keeps_the_solution(eps, cg_iterations, monkeypatch):
+    # the prolonged coarse solution is 1.5e-3 off at 64 squares per side, so the
+    # fine loop takes four iterations on the factor of its first one; at eps 10
+    # that is the factor of the system itself
+    g = unit_square_grid(64)
+    case = case_nonlinear(g, eps)
+    p0 = sample_node(case.initial_guess, g)
+    stop = StopRule(tol_rel=1e-12)
+    p_ref, state_ref = guess_started(case.problem, p0, stop)
+    monkeypatch.setattr(gummel, "COARSE_MIN_SQUARES", 16)
+    for _ in each_factor_path(monkeypatch):
+        p, state = gummel_solve(case.problem, p0, stop)
+        assert state.status == state.coarse.status == state_ref.status == "converged"
+        assert state.coarse.n_iterations == state_ref.n_iterations == 5
+        assert [r.factored for r in state.history] == [True, False, False, False]
+        assert [r.cg_iterations for r in state.history] == cg_iterations
+        assert np.linalg.norm(p.values - p_ref.values) <= 1e-12 * np.linalg.norm(p_ref.values)
+
+
+def test_coarse_run_that_fails_leaves_the_start_at_the_guess(monkeypatch):
+    def fails_on_the_coarse_grid(lp, *args):
+        if lp.grid.nx < 63:
+            raise StageError("sum-potential solve failed")
+        return solve_p(lp, *args)
+
+    g = unit_square_grid(64)
+    case = case_nonlinear(g, 0.1)
+    p0 = sample_node(case.initial_guess, g)
+    stop = StopRule(tol_rel=1e-12)
+    p_ref, state_ref = guess_started(case.problem, p0, stop)
+    monkeypatch.setattr(gummel, "COARSE_MIN_SQUARES", 16)
+    monkeypatch.setattr(gummel, "solve_p", fails_on_the_coarse_grid)
+    p, state = gummel_solve(case.problem, p0, stop)
+    assert state.coarse.status == "diverged" and "sum-potential" in state.coarse.detail
+    assert state.status == "converged"
+    assert state.history == state_ref.history
+    np.testing.assert_array_equal(p.values, p_ref.values)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3, 0.0])
+def test_coarse_started_run_matches_the_reference_loops(eps, monkeypatch):
+    # the loops of the tests above, each started from the prolonged coarse run
+    monkeypatch.setattr(gummel, "COARSE_MIN_SQUARES", 16)
+    g = unit_square_grid(64)
+    case = case_nonlinear(g, eps)
+    exact = case.exact_field()
+    p0 = sample_node(case.initial_guess, g)
+    stop = StopRule(tol_rel=1e-12)
+    p, state = gummel_solve(case.problem, p0, stop, exact=exact)
+    start = coarse_started(case.problem, p0, stop)
+    p_fill, history_fill = per_iteration_fill_reference(case.problem, start, stop, exact)
+    p_three, errors_three = three_stage_reference(case.problem, start, stop, exact)
+    assert state.status == "converged"
+    assert state.history == history_fill
+    np.testing.assert_array_equal(p.values, p_fill.values)
+    assert state.n_iterations == len(errors_three) == 4
+    assert np.linalg.norm(p.values - p_three.values) <= 1e-12 * np.linalg.norm(p_three.values)
+    for rec, err_ref in zip(state.history, errors_three):
+        assert abs(rec.error_rel_l2 - err_ref) <= 1e-12 * err_ref
+
+
+@pytest.mark.parametrize("eps, lu_solves", [(0.1, 94), (0.0, 80)])
+def test_coarse_started_run_keeps_its_lu_solve_count(eps, lu_solves, monkeypatch):
+    # 47 and 34 of them on the coarse grid
+    monkeypatch.setattr(gummel, "COARSE_MIN_SQUARES", 16)
+    calls = count_lu_solves(monkeypatch)
+    g = unit_square_grid(64)
+    case = case_nonlinear(g, eps)
+    p0 = sample_node(case.initial_guess, g)
+    for _ in each_factor_path(monkeypatch):
+        calls.clear()
+        _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+        assert state.status == "converged"
+        runs = state.coarse.history + state.history
+        assert len(calls) == sum(r.cg_iterations for r in runs) == lu_solves
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0])
+def test_large_grid_factors_once_on_the_fine_grid(eps):
+    # by default: the coarse run on 100 squares per side is 1.6e-4 off the
+    # fine solution, and the fine loop takes three iterations on one factor
+    g = unit_square_grid(200)
+    case = case_nonlinear(g, eps)
+    p0 = sample_node(case.initial_guess, g)
+    stop = StopRule(tol_rel=1e-12)
+    p, state = gummel_solve(case.problem, p0, stop)
+    p_ref, state_ref = guess_started(case.problem, p0, stop)
+    assert state.status == state.coarse.status == state_ref.status == "converged"
+    assert [r.factored for r in state.history] == [True, False, False]
+    assert [r.factored for r in state_ref.history] == [True, True, False, False, False]
+    assert np.linalg.norm(p.values - p_ref.values) <= 1e-12 * np.linalg.norm(p_ref.values)

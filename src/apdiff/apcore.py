@@ -55,7 +55,7 @@ ghost system are deflated and the rest is one sparse LU solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -179,12 +179,12 @@ class SolutionDecomposition:
     pi: NodeField  # mean part (constant along b up to the solver residual)
     q: NodeField  # fluctuation part
     p: NodeField  # pi + q on interior nodes, ghost ring filled
-    residuals: dict = field(default_factory=dict)  # per-stage relative residuals
-    mean_gradient_l2: float = 0.0  # ||dh pi||_l2(cells) / ||p||_l2(nodes)
-    ghost: GhostFillReport | None = None
+    residuals: dict  # per-stage relative residuals
+    mean_gradient_l2: float  # ||dh pi||_l2(cells) / ||p||_l2(nodes)
+    ghost: GhostFillReport  # report of the fill of p's ghost ring
     # CG steps of the solve over all three stages (2 at eps = 0 on a new
     # factor, where L = 0); None when the L system was factored
-    cg_iterations: int | None = 0
+    cg_iterations: int | None
 
 
 def _rhs_mean(problem: LinearProblem) -> CellField:
@@ -606,8 +606,8 @@ def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: S
     return fields, residuals, steps
 
 
-def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
-                    fill: bool = True) -> SolutionDecomposition:
+def solve_linear_ap(problem: LinearProblem,
+                    config: SolverConfig | None = None) -> SolutionDecomposition:
     """Full pipeline: L, then h -> pi and l -> q, then p = pi + q and ghost fill.
 
     Well-posed and second-order accurate uniformly in eps, down to and
@@ -615,23 +615,17 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     which is factored first; that factor preconditions the CG solves of all
     three stages (:func:`_stages`), so one factorization serves the whole
     solve.  Only when CG misses the tolerance on L is the L system factored
-    as well, while the shared factor is held.
+    as well, while the shared factor is held.  Every solve fills the ghost
+    ring of p (:func:`fill_ghost`) and reports the fill in ``ghost``.
     """
     config = config or SolverConfig()
-    grid = problem.grid
-
     factor = _factor(problem, assemble(problem), "mean-potential")
     fields, residuals, cg_iterations = _stages(problem, factor, config)
     h, L, l = fields["h"], fields["L"], fields["l"]
     pi = reconstruct_pi(problem, h)
     q = reconstruct_q(problem, l)
-
-    p = NodeField.zeros(grid)
-    p.values[INTERIOR] = pi.values[INTERIOR] + q.values[INTERIOR]
-
-    ghost_report = None
-    if fill:
-        p, ghost_report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    p, ghost_report = fill_ghost(NodeField(problem.grid, pi.values + q.values), problem.direction,
+                                 problem.grad_source_cell)
 
     p_norm = float(np.linalg.norm(p.values[INTERIOR]))
     dh_pi = apply_dh(pi, problem.direction).values[INTERIOR]
@@ -651,8 +645,7 @@ def solve_linear_ap(problem: LinearProblem, config: SolverConfig | None = None,
     )
 
 
-def solve_p(problem: LinearProblem, config: SolverConfig | None = None,
-            held: HeldFactor | None = None):
+def solve_p(problem: LinearProblem, held: HeldFactor, config: SolverConfig | None = None):
     """Interior p of ``problem`` from one cell system, without its split into pi and q.
 
     ``s = h + l`` solves ``(A + diag(eps G/H)) s = dh(f/G) - b.S``, and
@@ -668,7 +661,7 @@ def solve_p(problem: LinearProblem, config: SolverConfig | None = None,
     held factor.  When it holds none, or the stage misses ``tol``, the held
     factor is dropped first, the solve assembles and factors anew, and the
     factor that served last, A's or on the fallback the system's, is left
-    held.  Without ``held`` every solve factors anew.
+    held.  A fresh :class:`HeldFactor` for every solve factors every time.
 
     Returns ``(p, residual, steps, factored)``: p with its ghost ring at
     zero, the relative residual of the last stage, the CG steps of the
@@ -676,7 +669,6 @@ def solve_p(problem: LinearProblem, config: SolverConfig | None = None,
     and whether A was factored.
     """
     config = config or SolverConfig()
-    held = HeldFactor() if held is None else held
     grid = problem.grid
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     diag = None

@@ -28,6 +28,7 @@ from .experiments import (
     convergence_study,
     epsilon_limit_study,
     gummel_study,
+    study_config,
 )
 
 EXPERIMENTS = {
@@ -39,11 +40,11 @@ EXPERIMENTS = {
 }
 
 
-def _load_config(path: str | None) -> ExperimentConfig | None:
+def _load_config(experiment: str, path: str | None) -> ExperimentConfig | None:
     if path is None:
         return None
     with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        return study_config(experiment, json.load(fh))
 
 
 def main(argv=None) -> int:
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="apdiff-out", help="output directory")
     args = parser.parse_args(argv)
 
-    config = _load_config(args.config)
+    config = _load_config(args.experiment, args.config)
     report = EXPERIMENTS[args.experiment](config)
     report.write_outputs(Path(args.out))
 

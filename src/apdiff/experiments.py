@@ -34,6 +34,7 @@ __all__ = [
     "gummel_study",
     "epsilon_limit_study",
     "conditioning_study",
+    "study_config",
     "unit_square_grid",
 ]
 
@@ -94,6 +95,22 @@ class ExperimentConfig:
         if solver is not None:
             cfg.solver = SolverConfig(**solver)
         return cfg
+
+
+# Each study's own meshes and eps list, where they differ from ExperimentConfig's
+# (those of ``convergence``).
+STUDY_DEFAULTS = {
+    "angle": {"meshes": [200], "eps_list": [1e-3, 1e-8]},
+    "gummel": {"meshes": [100, 200], "eps_list": [1e-1, 1e-12, 0.0]},
+    "eps-limit": {"meshes": [100, 200], "eps_list": sorted(np.logspace(-8, -1, 8)) + [0.0]},
+    "conditioning": {"meshes": [50], "eps_list": [1.0, 1e-3, 1e-6]},
+}
+
+
+def study_config(experiment: str, data: dict | None = None) -> ExperimentConfig:
+    """The config of ``experiment``: the keys of ``data``, the study's defaults for the rest."""
+    defaults = {key: list(value) for key, value in STUDY_DEFAULTS.get(experiment, {}).items()}
+    return ExperimentConfig.from_dict({**defaults, **(data or {})})
 
 
 @dataclass
@@ -211,7 +228,7 @@ def convergence_study(config: ExperimentConfig | None = None) -> ExperimentRepor
     (the kernel property diagnostic) per run.  A solve that fails a stage
     leaves one ``failed`` row whose status names the stage.
     """
-    config = config or ExperimentConfig()
+    config = config or study_config("convergence")
     report = ExperimentReport("convergence")
     errors: dict = {}
     for cells in config.meshes:
@@ -264,8 +281,7 @@ def angle_sweep(config: ExperimentConfig | None = None) -> ExperimentReport:
     A solve that fails a stage leaves one ``failed`` row whose status names
     the stage, and the sweep goes on with the next angle.
     """
-    if config is None:
-        config = ExperimentConfig(meshes=[200], eps_list=[1e-3, 1e-8])
+    config = config or study_config("angle")
     report = ExperimentReport("angle")
     grid = unit_square_grid(config.meshes[0])
     per_norm: dict = {}
@@ -301,8 +317,7 @@ def gummel_study(config: ExperimentConfig | None = None) -> ExperimentReport:
     Rows and ``extras["coarse"]`` carry the iterations and factorizations of
     each run's coarse start (:func:`gummel.gummel_solve`), empty without one.
     """
-    if config is None:
-        config = ExperimentConfig(meshes=[100, 200], eps_list=[1e-1, 1e-12, 0.0])
+    config = config or study_config("gummel")
     report = ExperimentReport("gummel")
     stop = StopRule(tol_rel=config.tol_rel, n_max=config.n_max)
     max_iters = config.thresholds.get("max_iterations", 6)
@@ -351,10 +366,7 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
     solve, so ``eps_list`` must contain 0.  The coarse start of each run is
     recorded as in :func:`gummel_study`.
     """
-    if config is None:
-        config = ExperimentConfig(
-            meshes=[100, 200], eps_list=sorted(np.logspace(-8, -1, 8)) + [0.0]
-        )
+    config = config or study_config("eps-limit")
     if 0.0 not in config.eps_list:
         raise ValueError(f"eps_list must contain 0, got {config.eps_list}")
     report = ExperimentReport("eps-limit")
@@ -420,8 +432,7 @@ def conditioning_study(config: ExperimentConfig | None = None) -> ExperimentRepo
     eps with ``eps``, ``cond_estimate``, ``solve_residual``, ``status`` and
     ``runtime_ms``.
     """
-    if config is None:
-        config = ExperimentConfig(meshes=[50], eps_list=[1.0, 1e-3, 1e-6])
+    config = config or study_config("conditioning")
     report = ExperimentReport("conditioning")
     grid = unit_square_grid(config.meshes[0])
     sweep = report.extras["sweep"] = []

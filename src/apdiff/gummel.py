@@ -105,10 +105,13 @@ class IterationRecord:
 @dataclass
 class GummelState:
     status: str = "running"  # converged | diverged | max_iterations
-    n_iterations: int = 0
     history: list = field(default_factory=list)
     detail: str = ""  # mechanism of a divergence abort, when applicable
     coarse: GummelState | None = None  # the run on the 2:1 coarse grid that gave the start
+
+    @property
+    def n_iterations(self) -> int:
+        return len(self.history)
 
     @property
     def corrections(self) -> list:
@@ -194,8 +197,11 @@ def gummel_solve(
 ):
     """Iterate to the nonlinear solution from the initial guess ``p0``.
 
-    ``p0`` must carry ghost values (sample the guess analytically on the full
-    lattice, or pass interior values through :func:`apcore.fill_ghost`).
+    Only the interior of ``p0`` reaches the result.  Linearizing around it
+    also reads its ghost ring, through the reaction law, the checks of
+    :class:`apcore.LinearProblem` and the slope clamp, so the ghosts must lie
+    where the law is valid (a guess sampled on the full lattice does); their
+    values change no iterate.
 
     When both sides of the grid have an even number of squares, at least
     ``2 * COARSE_MIN_SQUARES``, the loop first runs on the 2:1 coarse grid
@@ -209,7 +215,8 @@ def gummel_solve(
     iterates five times.
     A coarse run that does not converge leaves the fine loop starting from
     ``p0``.  ``state.coarse`` is the coarse run's state, ``None`` without
-    one; ``n_iterations`` and ``history`` count fine iterations only.
+    one; ``history``, and ``n_iterations``, its length, count fine
+    iterations only.
 
     Returns ``(p, state)``; a diverging correction (growth above 10x over
     three iterations, or non-finite iterates) aborts with the history kept,
@@ -235,31 +242,27 @@ def _iterate(problem: NonlinearProblem, p0: NodeField, stop: StopRule, config: S
              exact: NodeField | None = None):
     """The loop of :func:`gummel_solve` on ``problem``'s own grid, from ``p0``."""
     state = GummelState()
-    p = p0.copy()
-    updated = False
+    p = p0  # each update replaces p and writes to no array: p is p0 until the first
     held = HeldFactor()
-    exact_norm = None
-    if exact is not None:
-        exact_norm = float(np.linalg.norm(exact.values[INTERIOR]))
+    exact_norm = 0.0 if exact is None else float(np.linalg.norm(exact.values[INTERIOR]))
 
     def finish(status: str, detail: str = ""):
         state.status = status
         state.detail = detail
         held.drop()
-        if updated:
-            filled, _ = fill_ghost(p, problem.direction, problem.grad_source_cell)
-            return filled, state
-        return p, state
+        if p is p0:
+            return p0.copy(), state
+        filled, _ = fill_ghost(p, problem.direction, problem.grad_source_cell)
+        return filled, state
 
     for n in range(stop.n_max):
         start = time.perf_counter()
         try:
             lp = linearize(problem, p)
-            correction, residual, steps, factored = solve_p(lp, config, held)
+            correction, residual, steps, factored = solve_p(lp, held, config)
         except (StageError, ValueError) as exc:
             # An iterate whose linearized system is no longer solvable has
             # left the workable basin; report it as divergence, not a crash.
-            state.n_iterations = n
             return finish("diverged", f"linearized solve broke down at iteration {n}: {exc}")
 
         delta = correction.values[INTERIOR]
@@ -268,11 +271,11 @@ def _iterate(problem: NonlinearProblem, p0: NodeField, stop: StopRule, config: S
         norm_new = float(np.linalg.norm(p_new.values[INTERIOR]))
         corr = float(np.linalg.norm(delta)) / max(norm_new, 1e-300)
 
-        if np.isfinite(corr) and np.all(np.isfinite(p_new.values[INTERIOR])):
+        finite = np.isfinite(corr) and np.all(np.isfinite(p_new.values[INTERIOR]))
+        if finite:
             p = p_new
-            updated = True
         err = np.nan
-        if exact is not None and exact_norm:
+        if exact_norm:
             err = float(np.linalg.norm(p.values[INTERIOR] - exact.values[INTERIOR])) / exact_norm
         state.history.append(
             IterationRecord(
@@ -286,9 +289,7 @@ def _iterate(problem: NonlinearProblem, p0: NodeField, stop: StopRule, config: S
                 seconds=time.perf_counter() - start,
             )
         )
-        state.n_iterations = n + 1
-
-        if not np.isfinite(corr) or not np.all(np.isfinite(p.values[INTERIOR])):
+        if not finite:
             return finish("diverged", f"non-finite iterate at iteration {n}")
         corrs = state.corrections
         if len(corrs) >= 4 and corrs[-1] > 10.0 * corrs[-4]:
@@ -301,8 +302,7 @@ def _iterate(problem: NonlinearProblem, p0: NodeField, stop: StopRule, config: S
 
 @dataclass
 class PlateauReport:
-    plateau_start: int  # first iteration whose error is within 1% of the final one
-    max_rel_change: float  # largest relative error change after the start
+    max_rel_change: float  # largest relative error change once within change_tol of the final one
     ok: bool
 
 
@@ -314,7 +314,7 @@ def error_plateau_check(history: list, change_tol: float = 0.01) -> PlateauRepor
     """
     errs = [r.error_rel_l2 for r in history if np.isfinite(r.error_rel_l2)]
     if not errs:
-        return PlateauReport(0, np.nan, False)
+        return PlateauReport(np.nan, False)
     final = errs[-1]
     start = len(errs) - 1
     for i, e in enumerate(errs):
@@ -323,4 +323,4 @@ def error_plateau_check(history: list, change_tol: float = 0.01) -> PlateauRepor
             break
     tail = errs[start:]
     max_change = max(abs(e - final) / final for e in tail) if final > 0 else 0.0
-    return PlateauReport(start, max_change, max_change <= change_tol)
+    return PlateauReport(max_change, max_change <= change_tol)

@@ -67,7 +67,6 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    x: np.ndarray
     residual: float  # ||Ax - b|| / max(||b||, tiny), recomputed after solving
     ok: bool
 

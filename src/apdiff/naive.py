@@ -13,7 +13,7 @@ receives its one-sided second-order extrapolation row of unit weight
 least-squares mode (via its normal equations).  The flux rows, an order
 1/h heavier, dominate wherever the alignment is O(1), so the extrapolation
 acts only as a weak prior that takes over continuously as the alignment
-vanishes; rows with exactly zero alignment are dropped and flagged.
+vanishes; rows with exactly zero alignment are dropped.
 
 The normal equations are factored in COLAMD order, not the solver's nested
 dissection: their unknowns include the ghost ring, their stencil has radius
@@ -30,7 +30,7 @@ entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +52,6 @@ class NaiveSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    degenerate_cells: list = field(default_factory=list)  # ring cells with b.nu ~ 0
 
 
 def _interior_rows(problem: LinearProblem):
@@ -98,7 +97,7 @@ def assemble_naive(problem: LinearProblem) -> NaiveSystem:
     nux[corner] /= np.sqrt(2.0)
     nuy[corner] /= np.sqrt(2.0)
     align = problem.direction.x[ci, cj] * nux + problem.direction.y[ci, cj] * nuy
-    # where b runs tangent to the boundary the scaled row vanishes: dropped and flagged
+    # where b runs tangent to the boundary the scaled row vanishes: dropped
     keep = np.abs(align) >= DEGENERATE_TOL
     scale = problem.diffusivity_cell.values[ci, cj][keep] * align[keep]
     # diag(scale) @ dh_ring[keep], scaled in place: a sparse product would drop
@@ -109,8 +108,7 @@ def assemble_naive(problem: LinearProblem) -> NaiveSystem:
     matrix = sp.vstack([interior, flux, extrapolation], format="csr")
     rhs = np.concatenate([rhs_interior, scale * problem.grad_source_cell.values[ci, cj][keep],
                           np.zeros(extrapolation.shape[0])])
-    degenerate = list(zip((ci[~keep] - 1).tolist(), (cj[~keep] - 1).tolist()))
-    return NaiveSystem(matrix=matrix, rhs=rhs, degenerate_cells=degenerate)
+    return NaiveSystem(matrix=matrix, rhs=rhs)
 
 
 _handoff: list = []  # at most one (copy of A's parts, A^T A, splu)
@@ -153,12 +151,10 @@ def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
     try:
         ata, lu = _normal_equations(system)
         x, res = refine(ata, lu.solve, atb, config.tol)
-        ok = bool(np.isfinite(res) and res <= max(config.tol, 1e-10))
-        report = SolveReport(x, res, ok)
+        report = SolveReport(res, bool(np.isfinite(res) and res <= max(config.tol, 1e-10)))
     except RuntimeError:
-        report = SolveReport(np.full(system.matrix.shape[1], np.nan), np.inf, False)
-    fld = NodeField(problem.grid, report.x.reshape(problem.grid.node_shape))
-    return fld, report
+        x, report = np.full(system.matrix.shape[1], np.nan), SolveReport(np.inf, False)
+    return NodeField(problem.grid, x.reshape(problem.grid.node_shape)), report
 
 
 def naive_condition(system: NaiveSystem, seed: int = 0) -> float:

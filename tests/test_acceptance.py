@@ -228,7 +228,7 @@ def test_criterion_7_structural_properties(announce):
     # dense-oracle equivalence of the three elliptic stages
     g8 = make_grid(((1.0, 2.0), (1.0, 2.0)), 7, 7)
     case = case_linear_variable(g8, 0.37)
-    dec = solve_linear_ap(case.problem, fill=False)
+    dec = solve_linear_ap(case.problem)
     b = case.problem.direction.values
     a_mean = dense_second_order(
         g8, b, case.problem.reaction_cell.values, case.problem.reaction_node.values

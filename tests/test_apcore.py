@@ -188,7 +188,7 @@ def test_three_solves_match_dense_oracle():
     g = make_grid(UNIT, 7, 7)
     case = case_linear_variable(g, 0.37)
     problem = case.problem
-    dec = solve_linear_ap(problem, fill=False)
+    dec = solve_linear_ap(problem)
 
     b = problem.direction.values
     a_mean = dense_second_order(g, b, problem.reaction_cell.values, problem.reaction_node.values)
@@ -402,7 +402,7 @@ def test_fill_ghost_matches_svd_reference(kind, value):
         problem = case_linear_variable(g, value).problem
     else:
         problem = case_angle(g, 1e-3, math.radians(value)).problem
-    p = solve_linear_ap(problem, fill=False).p
+    p = solve_linear_ap(problem).p
     filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
     want, rank = svd_fill_reference(p, g, problem.direction, problem.grad_source_cell)
     got = filled.values[ghost_ring(g)]
@@ -430,7 +430,7 @@ EXACT_BOUND = {16: 1e-12, 64: 1e-11}
 def test_fill_ghost_angle_sweep_against_svd_reference(cells, degrees, bound):
     g = unit_square_grid(cells)
     problem = case_angle(g, 1e-3, math.radians(degrees)).problem
-    p = solve_linear_ap(problem, fill=False).p
+    p = solve_linear_ap(problem).p
     filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
     want, rank, sig = svd_fill_spectrum(p, g, problem.direction, problem.grad_source_cell)
     assert report.rank == rank
@@ -482,7 +482,7 @@ def test_fill_ghost_block_doubling_and_dense_svd(block, monkeypatch):
     # width 8; a block of at least twice the unknowns is the dense SVD at once
     g = unit_square_grid(64)
     problem = case_linear_variable(g, 0.1).problem
-    p = solve_linear_ap(problem, fill=False).p
+    p = solve_linear_ap(problem).p
     default, default_report = fill_ghost(p, problem.direction, problem.grad_source_cell)
     with monkeypatch.context() as m:
         m.setattr(apcore, "GHOST_BLOCK", block)
@@ -998,7 +998,7 @@ def test_one_step_stop_reads_the_true_residual():
     # stage passed the tolerance while the true one read 1.004e-12, and the
     # solve raised; on the true residual CG takes the step it needs
     case = case_linear_variable(unit_square_grid(440), 0.1)
-    dec = solve_linear_ap(case.problem, fill=False)
+    dec = solve_linear_ap(case.problem)
     assert max(dec.residuals.values()) <= SolverConfig().tol
 
 
@@ -1117,8 +1117,8 @@ def test_one_stage_p_equals_the_decomposition_p(eps, kind, monkeypatch):
         problem = linearized(case_nonlinear(g, eps), g)
         assert np.abs(problem.grad_source_cell.values[INTERIOR]).max() > 1.0
     for _ in each_factor_path(monkeypatch):
-        want = solve_linear_ap(problem, fill=False).p
-        p, residual, steps, factored = solve_p(problem)
+        want = solve_linear_ap(problem).p
+        p, residual, steps, factored = solve_p(problem, apcore.HeldFactor())
         assert factored and residual <= 1e-12
         assert steps is not None or eps >= 10.0
         if eps == 1000.0:
@@ -1150,7 +1150,7 @@ def test_held_factor_serves_a_nearby_problem(eps, monkeypatch):
     assert not factored and held.factor is factor
     assert residual <= 1e-12
     assert 0 < steps <= 10
-    assert_same_p(p, solve_linear_ap(nearby, fill=False).p)
+    assert_same_p(p, solve_linear_ap(nearby).p)
 
 
 def test_held_factor_serves_a_drifted_slope(monkeypatch):
@@ -1164,7 +1164,7 @@ def test_held_factor_serves_a_drifted_slope(monkeypatch):
         p, residual, steps, factored = solve_p(far, held=held)
     assert not factored and held.factor is factor
     assert residual <= 1e-12 and steps > 0
-    assert_same_p(p, solve_linear_ap(far, fill=False).p)
+    assert_same_p(p, solve_linear_ap(far).p)
 
 
 def test_held_factor_miss_factors_anew(monkeypatch):
@@ -1182,7 +1182,7 @@ def test_held_factor_miss_factors_anew(monkeypatch):
         monkeypatch.setattr(factor_class, "lu_solve", counted)
     p, residual, steps, factored = solve_p(problem, held=held)
     assert factored and len(calls) == steps
-    p_plain, residual_plain, steps_plain, _ = solve_p(problem)
+    p_plain, residual_plain, steps_plain, _ = solve_p(problem, apcore.HeldFactor())
     np.testing.assert_array_equal(p.values, p_plain.values)
     assert residual == residual_plain
     assert steps > steps_plain  # the held stage's steps count as well

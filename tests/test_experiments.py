@@ -342,6 +342,56 @@ def test_cli_rejects_fractional_mesh(tmp_path):
         cli.main(["conditioning", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
 
 
+# The meshes and eps list each experiment runs by default.
+STUDY_RUNS = {
+    "convergence": ([25, 50, 100, 200], [1e-1, 1e-9, 0.0]),
+    "angle": ([200], [1e-3, 1e-8]),
+    "gummel": ([100, 200], [1e-1, 1e-12, 0.0]),
+    "eps-limit": ([100, 200], list(np.logspace(-8, -1, 8)) + [0.0]),
+    "conditioning": ([50], [1.0, 1e-3, 1e-6]),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(STUDY_RUNS))
+def test_partial_config_keeps_the_experiment_defaults(experiment, tmp_path, monkeypatch):
+    # the keys a config leaves out are the experiment's own defaults, not
+    # those of ExperimentConfig, which are convergence's
+    configs = []
+
+    def study(config=None):
+        configs.append(config)
+        return experiments.ExperimentReport(experiment)
+
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, study)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"thresholds": {"blowup_ratio": 1000}}')
+    assert cli.main([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    meshes, eps_list = STUDY_RUNS[experiment]
+    assert (configs[0].meshes, configs[0].eps_list) == (meshes, eps_list)
+    assert configs[0].thresholds == {"blowup_ratio": 1000}
+
+
+def test_studies_without_a_config_take_the_same_defaults(monkeypatch):
+    def stop(experiment, data=None):
+        raise LookupError(experiment)
+
+    monkeypatch.setattr(experiments, "study_config", stop)
+    for experiment, study in cli.EXPERIMENTS.items():
+        with pytest.raises(LookupError, match=f"^{experiment}$"):
+            study()
+
+
+def test_partial_conditioning_config_runs_its_defaults(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"thresholds": {"blowup_ratio": 1000}}')
+    out_dir = tmp_path / "out"
+    assert cli.main(["conditioning", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    assert "PASSED" in capsys.readouterr().out
+    with open(out_dir / "conditioning.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["N_x"]), float(r["eps"])) for r in rows] == [(49, 1e-6), (49, 1e-3), (49, 1.0)]
+
+
 def test_config_from_dict_with_solver():
     cfg = ExperimentConfig.from_dict({"meshes": [10], "solver": {"tol": 1e-11}})
     assert cfg.meshes == [10]

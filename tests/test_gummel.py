@@ -136,7 +136,7 @@ def test_iteration_identity():
     problem = linear_law_problem(g)
     p0 = sample_node(lambda x, y: np.cos(x + y), g)
     p1, state = gummel_solve(problem, p0, StopRule(tol_rel=1e-30, n_max=1))
-    delta, *_ = solve_p(linearize(problem, p0))
+    delta, *_ = solve_p(linearize(problem, p0), HeldFactor())
     np.testing.assert_array_equal(
         p1.values[INTERIOR], p0.values[INTERIOR] + delta.values[INTERIOR]
     )
@@ -294,7 +294,6 @@ def test_error_plateau_check():
     _, state = gummel_solve(case.problem, p0, StopRule(), exact=exact)
     report = error_plateau_check(state.history)
     assert report.ok
-    assert report.plateau_start <= 4
     assert report.max_rel_change <= 0.01
 
 
@@ -312,9 +311,9 @@ def test_stop_rule_validation():
         StopRule(n_max=2.5)
 
 
-def new_factor_every_iteration(lp, config=None, held=None):
+def new_factor_every_iteration(lp, held, config=None):
     """``solve_p`` with no factor held across iterations."""
-    return apcore.solve_p(lp, config)
+    return apcore.solve_p(lp, HeldFactor(), config)
 
 
 @pytest.mark.parametrize("eps", [0.1, 1e-6, 0.0])
@@ -345,7 +344,7 @@ def three_stage_reference(problem, p0, stop, exact):
     errors = []
     exact_norm = np.linalg.norm(exact.values[INTERIOR])
     for _ in range(stop.n_max):
-        delta = solve_linear_ap(linearize(problem, p), fill=False).p.values[INTERIOR]
+        delta = solve_linear_ap(linearize(problem, p)).p.values[INTERIOR]
         p.values[INTERIOR] += delta
         errors.append(float(np.linalg.norm(p.values[INTERIOR] - exact.values[INTERIOR]))
                       / exact_norm)
@@ -583,3 +582,32 @@ def test_large_grid_factors_once_on_the_fine_grid(eps):
     assert [r.factored for r in state.history] == [True, False, False]
     assert [r.factored for r in state_ref.history] == [True, True, False, False, False]
     assert np.linalg.norm(p.values - p_ref.values) <= 1e-12 * np.linalg.norm(p_ref.values)
+
+
+@pytest.mark.parametrize("coarse_start", [False, True], ids=["guess", "coarse"])
+def test_the_ghosts_of_the_guess_do_not_reach_the_result(coarse_start, monkeypatch):
+    # linearizing reads the ghosts of p0 (the reaction law, the problem's
+    # checks, the slope clamp), but no iterate depends on them: random ghosts
+    # where the law is valid give the same run, byte for byte; the coarse
+    # start restricts fine interior nodes to coarse interior ones
+    if coarse_start:
+        monkeypatch.setattr(gummel, "COARSE_MIN_SQUARES", 16)
+    g = unit_square_grid(32)
+    case = case_nonlinear(g, 0.1)
+    exact = case.exact_field()
+    p0 = sample_node(case.initial_guess, g)
+    stop = StopRule(tol_rel=1e-12)
+    p_ref, state_ref = gummel_solve(case.problem, p0, stop, exact=exact)
+    ring = np.ones(g.node_shape, dtype=bool)
+    ring[INTERIOR] = False
+    guess = p0.copy()
+    guess.values[ring] = np.random.default_rng(11).uniform(1.0, 1.5, np.count_nonzero(ring))
+    assert not np.any(guess.values[ring] == p0.values[ring])
+    p, state = gummel_solve(case.problem, guess, stop, exact=exact)
+    assert state.status == state_ref.status == "converged"
+    assert (state.coarse is not None) == coarse_start
+    if coarse_start:
+        assert state.coarse.status == "converged"
+        assert state.coarse.corrections == state_ref.coarse.corrections
+    assert state.history == state_ref.history
+    np.testing.assert_array_equal(p.values, p_ref.values)

@@ -65,8 +65,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, sample_cell,
                    sample_cell_vec, sample_node)
-from .linsolve import (BandFactor, DirectFactor, SolverConfig, check_assembly, nested_dissection,
-                       stencil_matrix)
+from .linsolve import (BandFactor, DirectFactor, SolverConfig, check_assembly, dot,
+                       nested_dissection, norm2, stencil_matrix)
 from .operators import (apply_dh, apply_dh_star, compose_second_order, ghost_extrapolation,
                         ring_dh, second_order_stencil)
 
@@ -211,11 +211,10 @@ def _cell_operator(problem: LinearProblem):
 
 # Cell systems whose row-major bandwidth ``ny + 1`` is at most this are factored
 # by banded Cholesky (BandFactor), wider ones by SuperLU in nested-dissection
-# order (DirectFactor).  The measured crossover, over the factor and the three
-# stages with 2 BLAS threads: 100 cells per side take 27 ms as a band against
-# 42 ms, 101 cells 103 ms against 53 ms.  From 10001 unknowns on numpy's own
-# OpenBLAS runs its dot products on 2 threads, whose spinning contends with
-# LAPACK's threads for the cores.
+# order (DirectFactor).  Over the factor and the three stages with 2 BLAS
+# threads the band takes 33 ms against 47 ms at 99 cells per side, 64 against
+# 78 ms at 127 and 101 against 111 ms at 149, and loses at 199 (README).  No
+# workload runs between 101 and 149 cells per side, so the cut stays here.
 BAND_MAX_WIDTH = 101
 
 
@@ -298,7 +297,7 @@ def _cg(apply, gc: np.ndarray, factor: BandFactor | DirectFactor, rhs: np.ndarra
     the residual above ``tol``.  Returns ``(x, residual, steps)``, the
     relative residual recomputed by ``apply``.
     """
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = norm2(rhs)
     x = np.zeros_like(rhs)
     if rhs_norm == 0.0:
         return x, 0.0, 0
@@ -306,20 +305,20 @@ def _cg(apply, gc: np.ndarray, factor: BandFactor | DirectFactor, rhs: np.ndarra
     r = rhs.copy()
     steps = 0
     while steps < FLUX_CG_MAX_STEPS:
-        r_norm = np.linalg.norm(r)
+        r_norm = norm2(r)
         if (r_norm < target or (steps == 1 and r_norm <= tol * rhs_norm)
                 or (steps >= _CG_JUDGE_FROM
                     and (r_norm / rhs_norm) ** (FLUX_CG_MAX_STEPS / steps) > tol)):
             break
         z = factor.lu_solve(r)
-        rho = np.dot(r, gc * z)
+        rho = dot(r, gc * z)
         if steps:
             p *= rho / rho_prev
             p += z
         else:
             p = z.copy()
         q = apply(p)
-        alpha = rho / np.dot(p, gc * q)
+        alpha = rho / dot(p, gc * q)
         x += alpha * p
         if steps:
             r -= alpha * q
@@ -329,7 +328,7 @@ def _cg(apply, gc: np.ndarray, factor: BandFactor | DirectFactor, rhs: np.ndarra
         steps += 1
     if steps != 1:
         r = rhs - apply(x)
-    return x, float(np.linalg.norm(r)) / rhs_norm, steps
+    return x, norm2(r) / rhs_norm, steps
 
 
 def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, held: bool, rhs: np.ndarray,
@@ -470,18 +469,18 @@ def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float):
             lu = spla.splu(sp.bmat([[-shift, a], [a.T, -shift]], format="csc"))
             y = np.random.default_rng(0).standard_normal((2 * k, block))
             for _ in range(_GHOST_STEPS):
-                y, _ = np.linalg.qr(lu.solve(y))
-            qu, _ = np.linalg.qr(y[:k])
-            qv, _ = np.linalg.qr(y[k:])
-        _, sv, wv = np.linalg.svd(a @ qv, full_matrices=False)
-        _, su, wu = np.linalg.svd(a.T @ qu, full_matrices=False)
+                y, _ = scipy.linalg.qr(lu.solve(y), mode="economic")
+            qu, _ = scipy.linalg.qr(y[:k], mode="economic")
+            qv, _ = scipy.linalg.qr(y[k:], mode="economic")
+        _, sv, wv = scipy.linalg.svd(a @ qv, full_matrices=False)
+        _, su, wu = scipy.linalg.svd(a.T @ qu, full_matrices=False)
         n_small = int(np.count_nonzero(sv < cut))
         if full or (n_small == np.count_nonzero(su < cut) and 2 * n_small < block):
             break
         block *= 2
     us = qu @ wu[su.size - n_small:].T
     vs = qv @ wv[sv.size - n_small:].T
-    x, s, yt = np.linalg.svd(us.T @ (a @ vs))
+    x, s, yt = scipy.linalg.svd(us.T @ (a @ vs))
     return us @ x, s, vs @ yt.T
 
 
@@ -627,9 +626,9 @@ def solve_linear_ap(problem: LinearProblem,
     p, ghost_report = fill_ghost(NodeField(problem.grid, pi.values + q.values), problem.direction,
                                  problem.grad_source_cell)
 
-    p_norm = float(np.linalg.norm(p.values[INTERIOR]))
+    p_norm = norm2(p.values[INTERIOR])
     dh_pi = apply_dh(pi, problem.direction).values[INTERIOR]
-    mean_grad_l2 = float(np.linalg.norm(dh_pi)) / max(p_norm, 1e-300)
+    mean_grad_l2 = norm2(dh_pi) / max(p_norm, 1e-300)
 
     return SolutionDecomposition(
         h=h,

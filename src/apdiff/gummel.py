@@ -42,7 +42,7 @@ from .apcore import HeldFactor, LinearProblem, StageError, check_data, fill_ghos
 from .apcore import solve_linear_ap  # noqa: F401
 from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, coarse_grid,
                    inject_cell, prolong_node, restrict_node)
-from .linsolve import SolverConfig
+from .linsolve import SolverConfig, norm2
 from .operators import apply_dh
 
 __all__ = [
@@ -244,7 +244,7 @@ def _iterate(problem: NonlinearProblem, p0: NodeField, stop: StopRule, config: S
     state = GummelState()
     p = p0  # each update replaces p and writes to no array: p is p0 until the first
     held = HeldFactor()
-    exact_norm = 0.0 if exact is None else float(np.linalg.norm(exact.values[INTERIOR]))
+    exact_norm = 0.0 if exact is None else norm2(exact.values[INTERIOR])
 
     def finish(status: str, detail: str = ""):
         state.status = status
@@ -268,15 +268,15 @@ def _iterate(problem: NonlinearProblem, p0: NodeField, stop: StopRule, config: S
         delta = correction.values[INTERIOR]
         p_new = p.copy()
         p_new.values[INTERIOR] = p.values[INTERIOR] + delta
-        norm_new = float(np.linalg.norm(p_new.values[INTERIOR]))
-        corr = float(np.linalg.norm(delta)) / max(norm_new, 1e-300)
+        norm_new = norm2(p_new.values[INTERIOR])
+        corr = norm2(delta) / max(norm_new, 1e-300)
 
         finite = np.isfinite(corr) and np.all(np.isfinite(p_new.values[INTERIOR]))
         if finite:
             p = p_new
         err = np.nan
         if exact_norm:
-            err = float(np.linalg.norm(p.values[INTERIOR] - exact.values[INTERIOR])) / exact_norm
+            err = norm2(p.values[INTERIOR] - exact.values[INTERIOR]) / exact_norm
         state.history.append(
             IterationRecord(
                 n=n,

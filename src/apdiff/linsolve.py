@@ -11,10 +11,11 @@ Cholesky.  On a wide one :class:`DirectFactor` has :func:`factor_order`
 copy the matrix into the nested-dissection order of
 :func:`nested_dissection` as CSC, which SuperLU factors (at 400 cells per
 side 14 M nonzeros in L+U, where COLAMD leaves 25 M) and which is not kept.
-The order and the natural-order index arrays depend on the grid only; those
-of the last grid shape are kept and shared read-only.  The naive baseline's
-rectangular operator is still probed one 3x3 color class at a time
-(:func:`assemble`).  :func:`check_assembly` is the random-probe check of
+The order and the natural-order index arrays depend on the grid only; the
+order of the last grid shape and the index arrays of the last two (a
+coarse-started Gummel run's two grids) are kept and shared read-only.  The
+naive baseline's rectangular operator is still probed one 3x3 color class at
+a time (:func:`assemble`).  :func:`check_assembly` is the random-probe check of
 both ways.
 
 Either factor's inverse, ``lu_solve``, preconditions the CG
@@ -22,14 +23,23 @@ solves of all three cell systems (``apcore``), also while a Gummel run holds
 a factor of an earlier iteration's system until a stage misses
 (``apcore.HeldFactor``).
 :func:`refine` is the naive baseline's refinement loop.
+
+The package's vector reductions, :func:`dot` and :func:`norm2`, call
+scipy's BLAS, and the ghost fill (``apcore``) takes its QR and SVD from
+``scipy.linalg``, so the BLAS and LAPACK work of a solve runs in scipy's
+OpenBLAS and its one thread pool.  numpy loads an OpenBLAS of its own, whose
+threads, woken by a dot product of more than 10000 elements, spin on after
+it and take the cores from scipy's factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -47,9 +57,22 @@ __all__ = [
     "BandFactor",
     "refine",
     "nested_dissection",
+    "dot",
+    "norm2",
 ]
 
 _TINY = 1e-300
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` of two float64 vectors by scipy's ``ddot``: ``np.dot``'s bits, in scipy's pool."""
+    return float(scipy.linalg.blas.ddot(a, b))
+
+
+def norm2(x: np.ndarray) -> float:
+    """Euclidean norm of float64 ``x``, raveled: ``sqrt(x . x)``, as ``np.linalg.norm`` takes it."""
+    x = np.ravel(x, order="K")
+    return math.sqrt(dot(x, x))
 
 
 class AssemblyError(RuntimeError):
@@ -115,8 +138,8 @@ def check_assembly(matrix: sp.spmatrix, op_apply, shape: tuple[int, int]) -> Non
     probe = np.random.default_rng(12345).standard_normal(shape)
     direct = op_apply(probe).ravel()
     via_matrix = matrix @ probe.ravel()
-    scale = max(float(np.linalg.norm(direct)), _TINY)
-    defect = float(np.linalg.norm(via_matrix - direct)) / scale
+    scale = max(norm2(direct), _TINY)
+    defect = norm2(via_matrix - direct) / scale
     if defect > 1e-12:
         raise AssemblyError(
             f"assembled matrix disagrees with operator action (relative defect "
@@ -125,12 +148,13 @@ def check_assembly(matrix: sp.spmatrix, op_apply, shape: tuple[int, int]) -> Non
         )
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _stencil_structure(nx: int, ny: int):
     """Read-only ``(in_range, indptr, indices)`` of :func:`stencil_matrix` on an ``nx x ny`` grid.
 
     ``in_range[i, j, k]``: whether weight ``k`` of equation ``(i, j)`` is on
-    the grid; ``indptr`` and ``indices`` (int32) list those unknowns.
+    the grid; ``indptr`` and ``indices`` (int32) list those unknowns.  Two
+    shapes are kept: a coarse-started Gummel run assembles on two grids.
     """
     rx = np.ones((nx, 3), dtype=bool)
     ry = np.ones((ny, 3), dtype=bool)
@@ -265,13 +289,13 @@ def refine(matrix: sp.spmatrix, lu_solve, rhs: np.ndarray, tol: float):
     most ``tol`` or not finite.  Returns ``(x, residual)``.
     """
     x = lu_solve(rhs)
-    scale = max(float(np.linalg.norm(rhs)), _TINY)
-    res = float(np.linalg.norm(matrix @ x - rhs)) / scale
+    scale = max(norm2(rhs), _TINY)
+    res = norm2(matrix @ x - rhs) / scale
     for _ in range(2):
         if res <= tol or not np.isfinite(res):
             break
         x = x + lu_solve(rhs - matrix @ x)
-        res = float(np.linalg.norm(matrix @ x - rhs)) / scale
+        res = norm2(matrix @ x - rhs) / scale
     return x, res
 
 

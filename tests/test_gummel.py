@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from apdiff import apcore, gummel
+from apdiff import apcore, gummel, linsolve
 from apdiff.apcore import HeldFactor, StageError, fill_ghost, solve_linear_ap, solve_p
 from apdiff.grid import (INTERIOR, CellField, NodeField, make_grid, prolong_node, restrict_node,
                          sample_cell, sample_cell_vec, sample_node)
@@ -508,6 +508,19 @@ def test_coarse_start_factors_once_and_keeps_the_solution(eps, cg_iterations, mo
         assert [r.factored for r in state.history] == [True, False, False, False]
         assert [r.cg_iterations for r in state.history] == cg_iterations
         assert np.linalg.norm(p.values - p_ref.values) <= 1e-12 * np.linalg.norm(p_ref.values)
+
+
+def test_coarse_started_runs_keep_both_stencil_structures():
+    # at 160 squares per side the run assembles on its coarse grid and its own;
+    # both index structures are kept, so the second run builds neither
+    g = unit_square_grid(160)
+    case = case_nonlinear(g, 0.1)
+    p0 = sample_node(case.initial_guess, g)
+    linsolve._stencil_structure.cache_clear()
+    for _ in range(2):
+        _, state = gummel_solve(case.problem, p0, StopRule(tol_rel=1e-12))
+        assert state.status == state.coarse.status == "converged"
+    assert linsolve._stencil_structure.cache_info().misses == 2
 
 
 def test_coarse_run_that_fails_leaves_the_start_at_the_guess(monkeypatch):

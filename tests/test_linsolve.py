@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -401,3 +402,49 @@ def test_nested_dissection_is_kept_read_only():
     perm = nested_dissection(12, 9)
     assert nested_dissection(12, 9) is perm
     assert not perm.flags.writeable
+
+
+# One BLAS pool ----------------------------------------------------------------
+#
+# The package's reductions and the ghost fill's QR and SVD call scipy's BLAS
+# and LAPACK in place of numpy's, on the promise that each returns the same
+# bits; if a wheel breaks that, these tests name the call.
+
+
+@pytest.mark.parametrize("n", [1, 10000, 10001, 39601])
+def test_dot_and_norm2_equal_numpy_bitwise(n):
+    # from 10001 elements OpenBLAS splits a dot product over its threads
+    a, b = np.random.default_rng(n).standard_normal((2, n))
+    assert linsolve.dot(a, b) == np.dot(a, b)
+    assert linsolve.norm2(a) == np.linalg.norm(a)
+    assert linsolve.norm2(b) == np.linalg.norm(b)
+
+
+def test_norm2_of_an_interior_view_equals_numpy_bitwise():
+    # the interior cells and nodes of the Gummel loop at 200 squares per side
+    g = unit_square_grid(200)
+    rng = np.random.default_rng(3)
+    cells = CellField(g, rng.standard_normal(g.cell_shape))
+    nodes = NodeField(g, rng.standard_normal(g.node_shape))
+    for field, size in ((cells, 39601), (nodes, 40000)):
+        view = field.values[INTERIOR]
+        assert not view.flags.c_contiguous and view.size == size
+        assert linsolve.norm2(view) == np.linalg.norm(view)
+        flat = view.ravel()
+        assert linsolve.dot(flat, flat) == np.dot(flat, flat)
+
+
+@pytest.mark.parametrize("ghosts", [404, 804, 1604])
+def test_scipy_qr_and_svd_equal_numpy_bitwise_at_ghost_block_shapes(ghosts):
+    # the ghost fill's blocks at 100, 200 and 400 cells per side
+    rng = np.random.default_rng(ghosts)
+    block = rng.standard_normal((2 * ghosts, apcore.GHOST_BLOCK))
+    for a in (block, block[:ghosts], block[ghosts:]):
+        for mine, ref in zip(scipy.linalg.qr(a, mode="economic"), np.linalg.qr(a)):
+            np.testing.assert_array_equal(mine, ref)
+        for mine, ref in zip(scipy.linalg.svd(a, full_matrices=False),
+                             np.linalg.svd(a, full_matrices=False)):
+            np.testing.assert_array_equal(mine, ref)
+    square = rng.standard_normal((5, 5))
+    for mine, ref in zip(scipy.linalg.svd(square), np.linalg.svd(square)):
+        np.testing.assert_array_equal(mine, ref)

@@ -21,7 +21,7 @@ from .grid import (
 )
 from .gummel import NonlinearProblem, StopRule, gummel_solve, linearize
 from .linsolve import SolverConfig, assemble
-from .operators import apply_dh, apply_dh_star, compose_second_order, duality_defect
+from .operators import apply_dh, apply_dh_star, compose_second_order
 from .problems import case_angle, case_ap_limit, case_linear_variable, case_nonlinear, spline
 
 __version__ = "0.1.0"

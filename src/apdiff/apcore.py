@@ -40,13 +40,14 @@ solves ``A s = dh(f/G) + L - b.S``; the L system divided by ``-eps`` shows
 
     (A + diag(eps G/H)) s = dh(f/G) - b.S,   p = (f + dh*(G s)) / G,
 
-the L system with another right-hand side.  Successive one-stage solves,
-such as the iterations of the Gummel loop, can hold a factor from one to the
-next (:class:`HeldFactor`): A's, or on the large-eps fallback the system's.
-A held stage applies the current A through its stencils, preconditioned by
-the held factor, so nothing is assembled or factored.  A stage that misses
-the tolerance drops the held factor, and the solve factors anew as it does
-without one.
+the L system with another right-hand side.  This caller needs no factor of
+A, so it factors the system itself: A with ``eps G/H`` added in place to its
+stored diagonal, A alone at eps = 0.  Successive one-stage solves, such as
+the iterations of the Gummel loop, can hold that factor from one to the next
+(:class:`HeldFactor`).  A held stage applies the current system, A through
+its stencils plus the diagonal, preconditioned by the held factor, so
+nothing is assembled or factored.  A stage that misses the tolerance drops
+the held factor, and the solve factors anew as it does without one.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
@@ -272,7 +273,7 @@ def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
     return pi
 
 
-# Step cap of the conjugate-gradient solves; an L solve on a new factor that
+# Step cap of the conjugate-gradient solves; an L solve on A's factor that
 # misses the tolerance within it factors its system instead.
 FLUX_CG_MAX_STEPS = 30
 # From this step on CG gives up once its observed contraction would miss the cap.
@@ -286,7 +287,7 @@ def _cg(apply, gc: np.ndarray, factor: BandFactor | DirectFactor, rhs: np.ndarra
     ``apply`` applies ``A_s``, which is self-adjoint in the inner product
     weighted by ``gc`` (the cell G), as A and ``A + diag(eps G/H)`` are; CG
     runs in that inner product.  ``factor.lu_solve`` preconditions, where the
-    factor may be of ``A_s`` itself, of A, or of an earlier A.  CG starts
+    factor may be of ``A_s`` itself, of A, or of an earlier system.  CG starts
     from zero and runs until its recursive residual falls below ``1e-3 tol``
     relative, or below ``tol`` after step 1.  The residual after step 1 is
     the true one, ``rhs - apply(x)``, so a solve that stops there has tested
@@ -331,40 +332,20 @@ def _cg(apply, gc: np.ndarray, factor: BandFactor | DirectFactor, rhs: np.ndarra
     return x, norm2(r) / rhs_norm, steps
 
 
-def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, held: bool, rhs: np.ndarray,
-           tol: float, stage: str, diag: np.ndarray | None = None):
-    """One cell system ``(A + diag(diag)) x = rhs`` on the interior cells, by :func:`_cg`.
+def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, rhs: np.ndarray,
+           tol: float, stage: str):
+    """One cell system ``factor.matrix x = rhs`` on the interior cells, by :func:`_cg`.
 
-    A, this problem's mean-potential matrix, is applied from ``factor.matrix``
-    on a new factor and through the stencils on a ``held`` one, and
-    ``factor`` preconditions.  A miss on a held factor is returned as it
-    stands, for the caller to factor anew.  On a new factor, a system with a
-    ``diag`` that misses adds it to the diagonal of a copy of
-    ``factor.matrix`` in place, keeping A's structure, factors that copy by
-    :func:`_factor`, and solves again by :func:`_cg`; a miss without a
-    ``diag``, or a second miss, raises :class:`StageError` naming ``stage``.
-    Returns ``(x, residual, steps, factor)``, ``steps`` ``None`` when the
-    system was factored, and ``factor`` the factor that served last: the one
-    passed in, or that of the system.
+    ``factor`` is a new factor of that matrix, which it preconditions.  A
+    miss raises :class:`StageError` naming ``stage``.  Returns
+    ``(x, residual, steps)``.
     """
-    mean = _cell_operator(problem) if held else None
-
-    def apply(v):
-        out = mean(v).ravel() if held else factor.matrix @ v
-        return out if diag is None else out + diag * v
-
     gc = problem.reaction_cell.values[INTERIOR].ravel()
-    x, residual, steps = _cg(apply, gc, factor, rhs, tol)
-    if not (held or residual <= tol) and diag is not None:
-        matrix = factor.matrix.copy()
-        matrix.setdiag(matrix.diagonal() + diag)
-        factor = _factor(problem, matrix, stage)
-        x, residual, _ = _cg(matrix.dot, gc, factor, rhs, tol)
-        steps = None
-    if not (held or residual <= tol):
+    x, residual, steps = _cg(factor.matrix.dot, gc, factor, rhs, tol)
+    if not residual <= tol:
         raise StageError(f"{stage} solve failed: residual {residual:.3e} "
                          f"above tolerance {tol:.1e}")
-    return x, residual, steps, factor
+    return x, residual, steps
 
 
 def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
@@ -374,8 +355,10 @@ def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
     With ``x = H L / G`` on the cells, the system reads
     ``(A + diag(eps G/H)) x = rhs``, where A is the mean-potential matrix
     that ``mean_factor`` factors.
-    :func:`_stage` solves it by CG preconditioned by that factor; for large
-    eps, where CG misses ``tol``, it factors the system instead.  The
+    :func:`_cg` solves it preconditioned by that factor.  For large eps,
+    where CG misses ``tol``, a copy of A gains the diagonal in place, keeping
+    A's structure, and :func:`_stage` solves it on its own factor
+    (:func:`_factor`); a second miss raises :class:`StageError`.  The
     reported residual is recomputed on the system itself.  ``rhs_mean`` is
     ``dh(f/G)`` when the caller has it already.
 
@@ -398,8 +381,15 @@ def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
 
     gc = problem.reaction_cell.values[INTERIOR].ravel()
     hc = problem.diffusivity_cell.values[INTERIOR].ravel()
-    x, residual, steps = _stage(problem, mean_factor, False, rhs, config.tol, "flux-potential",
-                                diag=eps * gc / hc)[:3]
+    diag = eps * gc / hc
+    x, residual, steps = _cg(lambda v: mean_factor.matrix @ v + diag * v, gc, mean_factor, rhs,
+                             config.tol)
+    if not residual <= config.tol:
+        matrix = mean_factor.matrix.copy()
+        matrix.setdiag(matrix.diagonal() + diag)
+        factor = _factor(problem, matrix, "flux-potential")
+        x, residual, _ = _stage(problem, factor, rhs, config.tol, "flux-potential")
+        steps = None
     L = CellField.zeros(grid)
     L.values[INTERIOR] = (gc * x / hc).reshape(grid.nx, grid.ny)
     return L, residual, steps
@@ -570,9 +560,10 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
 
 @dataclass
 class HeldFactor:
-    """A cell-system factor held across related solves, as Gummel's iterations are.
+    """The factor of :func:`solve_p`'s system, held across related solves such as Gummel's.
 
-    ``factor`` is ``None`` while nothing is held.
+    ``factor`` is ``None`` while nothing is held.  :func:`solve_p` drops it
+    before it factors anew, so two factors are never alive at once.
     """
 
     factor: BandFactor | DirectFactor | None = None
@@ -582,7 +573,7 @@ class HeldFactor:
 
 
 def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: SolverConfig):
-    """L, then h and l, each by :func:`_stage` on the new factor of A.
+    """L by :func:`solve_L`, then h and l by :func:`_stage`, all on the new factor of A.
 
     ``dh(f/G)``, the right-hand side of h and part of L's, is computed once
     here, once A is factored: held through the factorization it raised the
@@ -598,7 +589,7 @@ def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: S
             ("h", "mean-potential", rhs_mean.values[INTERIOR]),
             ("l", "fluctuation-potential",
              L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR])):
-        x, residuals[name], n, _ = _stage(problem, factor, False, rhs.ravel(), config.tol, stage)
+        x, residuals[name], n = _stage(problem, factor, rhs.ravel(), config.tol, stage)
         fields[name] = CellField.zeros(grid)
         fields[name].values[INTERIOR] = x.reshape(grid.nx, grid.ny)
         steps = None if steps is None else steps + n
@@ -650,22 +641,21 @@ def solve_p(problem: LinearProblem, held: HeldFactor, config: SolverConfig | Non
     ``s = h + l`` solves ``(A + diag(eps G/H)) s = dh(f/G) - b.S``, and
     ``p = pi + q = (f + dh*(G s)) / G`` (:func:`reconstruct_pi` of s), so
     one stage does the work of the three of :func:`solve_linear_ap`.  That
-    system is L's with another right-hand side, and :func:`_stage` solves it
-    as it solves L, with no diagonal at eps = 0.  On a new factor of A a
-    miss falls back to factoring the system itself.
+    system is L's with another right-hand side.  Assembled, it is A with
+    ``eps G/H`` added in place to its stored diagonal, and nothing added at
+    eps = 0; :func:`_factor` factors it and :func:`_stage` solves it.
 
-    ``held`` carries a factor from one solve to the next.  While it holds
-    one of this grid's size, nothing is assembled or factored: the stage
-    applies this problem's A through its stencils, preconditioned by the
-    held factor.  When it holds none, or the stage misses ``tol``, the held
-    factor is dropped first, the solve assembles and factors anew, and the
-    factor that served last, A's or on the fallback the system's, is left
-    held.  A fresh :class:`HeldFactor` for every solve factors every time.
+    ``held`` carries that factor from one solve to the next.  While it holds
+    one of this grid's size, nothing is assembled or factored: :func:`_cg`
+    applies this problem's system, A through its stencils plus the diagonal,
+    preconditioned by the held factor.  When it holds none, or that stage
+    misses ``tol``, the held factor is dropped first, the solve assembles and
+    factors anew, and holds the new factor.  A fresh :class:`HeldFactor` for
+    every solve factors every time.
 
     Returns ``(p, residual, steps, factored)``: p with its ghost ring at
-    zero, the relative residual of the last stage, the CG steps of the
-    held and the new stage (``None`` when the system itself was factored),
-    and whether A was factored.
+    zero, the relative residual of the last stage, the CG steps of the held
+    and the new stage, and whether the system was factored.
     """
     config = config or SolverConfig()
     grid = problem.grid
@@ -678,16 +668,23 @@ def solve_p(problem: LinearProblem, held: HeldFactor, config: SolverConfig | Non
     steps = 0
     factored = held.factor is None or held.factor.matrix.shape[0] != gc.size
     if not factored:
-        # the stage hands back the held factor, not kept here: it may be dropped next
-        x, residual, steps = _stage(problem, held.factor, True, rhs, config.tol, "sum-potential",
-                                    diag)[:3]
+        mean = _cell_operator(problem)
+
+        def apply(v):
+            out = mean(v).ravel()
+            return out if diag is None else out + diag * v
+
+        x, residual, steps = _cg(apply, gc, held.factor, rhs, config.tol)
         factored = not residual <= config.tol
     if factored:
         held.drop()
-        x, residual, new_steps, held.factor = _stage(
-            problem, _factor(problem, assemble(problem), "mean-potential"), False, rhs,
-            config.tol, "sum-potential", diag)
-        steps = None if new_steps is None else steps + new_steps
+        matrix = assemble(problem)
+        if diag is not None:
+            matrix.setdiag(matrix.diagonal() + diag)
+        factor = _factor(problem, matrix, "sum-potential")
+        x, residual, new_steps = _stage(problem, factor, rhs, config.tol, "sum-potential")
+        held.factor = factor
+        steps += new_steps
     s = CellField.zeros(grid)
     s.values[INTERIOR] = x.reshape(grid.nx, grid.ny)
     return reconstruct_pi(problem, s), residual, steps, factored

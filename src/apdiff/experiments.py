@@ -154,7 +154,6 @@ class ExperimentReport:
             w = csv.writer(fh)
             w.writerow(HISTORY_FIELDS)
             for rec in self.histories[label]:
-                # a cg_iterations of None (the fallback factored the system) is an empty cell
                 w.writerow([rec.n, repr(rec.correction_rel), repr(rec.error_rel_l2),
                             repr(rec.residual), rec.cg_iterations, rec.factored,
                             repr(rec.seconds)])

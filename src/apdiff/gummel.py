@@ -15,13 +15,12 @@ iteration up to solver residuals.
 Only the correction p of each linearized problem is kept, so each iteration
 solves one cell system for it, ``(A + diag(eps G/H)) s = dh(f/G) - b.S`` with
 ``s = h + l``, where the decomposition solves three (:func:`apcore.solve_p`).
-The loop holds a factor across iterations (:class:`apcore.HeldFactor`), a
-lagged preconditioner (Knoll & Keyes, J. Comput. Phys. 193, 2004; Kelley,
-SIAM 1995, ch. 5): that of the mean-potential matrix A, or on the large-eps
-fallback that of the iteration's system.  An iteration on a held factor
-assembles and factors nothing and its stage runs preconditioned CG; a stage
-that misses the tolerance drops the factor and factors anew.  At most one
-mean factor is alive at a time, none after the loop returns, and
+The loop holds the factor of that system across iterations
+(:class:`apcore.HeldFactor`), a lagged preconditioner (Knoll & Keyes,
+J. Comput. Phys. 193, 2004; Kelley, SIAM 1995, ch. 5).  An iteration on a
+held factor assembles and factors nothing and its stage runs preconditioned
+CG; a stage that misses the tolerance drops the factor and factors anew.  At
+most one factor is alive at a time, none after the loop returns, and
 ``IterationRecord.factored`` records which iterations factored.
 
 Large grids first run the loop on their 2:1 coarse grid, which drops its
@@ -95,8 +94,8 @@ class IterationRecord:
     error_rel_l2: float  # nan when no exact solution was supplied
     residual: float  # relative residual of the iteration's one cell system
     slope_floored: int  # number of samples where g' fell below the safeguard
-    cg_iterations: int | None  # of the held and the new stage; None when the system was factored
-    factored: bool  # whether the iteration assembled and factored a new mean matrix
+    cg_iterations: int  # of the held and the new stage
+    factored: bool  # whether the iteration assembled and factored its system
     # wall time of the iteration, linearization and update included; two
     # records of the same iteration compare equal whatever their timings
     seconds: float = field(compare=False)

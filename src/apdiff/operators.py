@@ -53,7 +53,6 @@ __all__ = [
     "apply_dh_star",
     "compose_second_order",
     "second_order_stencil",
-    "duality_defect",
     "ring_dh",
     "ghost_extrapolation",
 ]
@@ -188,19 +187,6 @@ def second_order_stencil(cell_w: CellField, node_w: NodeField, b: CellVectorFiel
         dxa += dya
         np.negative(dxa, out=dxa)
     return planes
-
-
-def duality_defect(theta: NodeField, chi: CellField, b: CellVectorField) -> float:
-    """Summation-by-parts defect; vanishes to rounding for ``chi = 0`` on the ring.
-
-    Returns ``sum_cells (dh theta) chi dx dy + sum_nodes theta (dh* chi) dx dy``
-    with the node sum over the interior node set.
-    """
-    g = b.grid
-    w = g.dx * g.dy
-    cell_sum = float(np.sum(apply_dh(theta, b).values * chi.values)) * w
-    node_sum = float(np.sum(theta.values[INTERIOR] * apply_dh_star(chi, b).values[INTERIOR])) * w
-    return cell_sum + node_sum
 
 
 def _outer_ring(shape: tuple[int, int]) -> np.ndarray:

@@ -2,11 +2,15 @@
 
 Everything here is written with explicit scalar loops and plain matrix
 algebra, deliberately avoiding the vectorized production code paths, so the
-two can check each other.
+two can check each other.  :func:`duality_defect` is the exception: it is the
+property the production stencils must have, so it applies them.
 """
 
 import mpmath
 import numpy as np
+
+from apdiff.grid import INTERIOR
+from apdiff.operators import apply_dh, apply_dh_star
 
 
 def dense_dh(grid, b_values):
@@ -78,6 +82,19 @@ def dense_second_order(grid, b_values, cell_w, node_w):
     w_node = np.diag(1.0 / node_w[1:-1, 1:-1].ravel())
     full = -dh @ e_nodes @ w_node @ ds @ w_cell @ e_cells
     return e_cells.T @ full  # restrict rows to interior cells
+
+
+def duality_defect(theta, chi, b):
+    """Summation-by-parts defect; vanishes to rounding for ``chi = 0`` on the ring.
+
+    Returns ``sum_cells (dh theta) chi dx dy + sum_nodes theta (dh* chi) dx dy``
+    with the node sum over the interior node set.
+    """
+    g = b.grid
+    w = g.dx * g.dy
+    cell_sum = float(np.sum(apply_dh(theta, b).values * chi.values)) * w
+    node_sum = float(np.sum(theta.values[INTERIOR] * apply_dh_star(chi, b).values[INTERIOR])) * w
+    return cell_sum + node_sum
 
 
 def lattice(grid, kind):

@@ -15,7 +15,7 @@ from apdiff.apcore import solve_linear_ap
 from apdiff.grid import CellField, INTERIOR, NodeField, make_grid, sample_node
 from apdiff.gummel import StopRule, error_plateau_check, gummel_solve
 from apdiff.linsolve import SolverConfig, assemble
-from apdiff.operators import compose_second_order, duality_defect
+from apdiff.operators import compose_second_order
 from apdiff.problems import case_linear_variable, case_nonlinear
 from apdiff.experiments import (
     ExperimentConfig,
@@ -29,7 +29,7 @@ from apdiff.experiments import (
 
 from test_gummel import linear_law_problem
 from test_operators import swirl_direction
-from _oracles import dense_second_order
+from _oracles import dense_second_order, duality_defect
 
 # reference relative errors of the converged nonlinear runs (regression
 # targets for the spline-bump case; columns are 100x100 and 200x200 meshes)

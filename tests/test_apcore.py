@@ -990,7 +990,7 @@ def test_new_factor_miss_raises_naming_the_stage():
     factor.matrix = apcore.assemble(problem)
     rhs = np.random.default_rng(5).standard_normal(n)
     with pytest.raises(StageError, match="fluctuation-potential solve failed"):
-        apcore._stage(problem, factor, False, rhs, 1e-12, "fluctuation-potential")
+        apcore._stage(problem, factor, rhs, 1e-12, "fluctuation-potential")
 
 
 def test_one_step_stop_reads_the_true_residual():
@@ -1106,10 +1106,10 @@ def assert_same_p(p, want):
 @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3, 0.1, 10.0, 1000.0])
 def test_one_stage_p_equals_the_decomposition_p(eps, kind, monkeypatch):
     # s = h + l solves (A + diag(eps G/H)) s = dh(f/G) - b.S, and
-    # p = (f + dh*(G s)) / G; measured: at most 1.1e-16 relative.  At eps
-    # 1000 CG misses on A's factor and the system itself is factored.  The
-    # b.S of linear-variable rounds to zero; the first Gummel linearization
-    # of nonlinear-spline has one of order 1.
+    # p = (f + dh*(G s)) / G; measured: at most 1.1e-16 relative.  The
+    # system itself is factored, so its stage takes one CG step at every
+    # eps.  The b.S of linear-variable rounds to zero; the first Gummel
+    # linearization of nonlinear-spline has one of order 1.
     if kind == "linear":
         problem = pinned_problem("linear", eps)
     else:
@@ -1120,20 +1120,17 @@ def test_one_stage_p_equals_the_decomposition_p(eps, kind, monkeypatch):
         want = solve_linear_ap(problem).p
         p, residual, steps, factored = solve_p(problem, apcore.HeldFactor())
         assert factored and residual <= 1e-12
-        assert steps is not None or eps >= 10.0
-        if eps == 1000.0:
-            assert steps is None  # the fallback ran
+        assert steps == 1
         assert np.all(p.values[0] == 0.0) and np.all(p.values[:, -1] == 0.0)
         assert_same_p(p, want)
-        # the same problem again on the held factor: A's repeats the CG steps
-        # of the new one, and where CG missed on A's the fallback's is held,
-        # which takes one step; measured: p within 6.8e-15 relative
+        # the same problem again on the held factor, which takes one step
+        # too; measured: p within 6.8e-15 relative
         held = apcore.HeldFactor()
         solve_p(problem, held=held)
         with nothing_factored(monkeypatch):
             p, residual, held_steps, factored = solve_p(problem, held=held)
         assert not factored and residual <= 1e-12
-        assert held_steps == (1 if steps is None else steps) <= 18
+        assert held_steps == 1
         assert_same_p(p, want)
 
 

@@ -9,12 +9,11 @@ from apdiff.operators import (
     apply_dh,
     apply_dh_star,
     compose_second_order,
-    duality_defect,
     ghost_extrapolation,
     ring_dh,
 )
 
-from _oracles import dense_dh, dense_second_order
+from _oracles import dense_dh, dense_second_order, duality_defect
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 

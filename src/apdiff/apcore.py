@@ -23,15 +23,13 @@ Only the L system carries eps, and it degenerates gracefully (L = 0 at
 eps = 0), so cost and accuracy are uniform in the anisotropy strength.  The h
 and l systems share one matrix A, the only one assembled (:func:`assemble`,
 from its stencil coefficients, as natural-order CSR); with ``x = H L / G``
-the L system reads ``(A + diag(eps G/H)) x = rhs``.  All three systems are
-self-adjoint in the G-weighted inner product, and one conjugate-gradient
-routine (:func:`_cg`) solves each of them, preconditioned by the factor of A.
+the L system reads ``(A + diag(eps G/H)) x = rhs``, the sum system.  All
+three systems are self-adjoint in the G-weighted inner product, and one
+conjugate-gradient routine (:func:`_cg`) solves each of them.
 :func:`_factor` factors a CSR matrix as a banded Cholesky factor of the
 symmetric ``S = A diag(1/G)`` on grids up to ``BAND_MAX_WIDTH`` wide, and by
 SuperLU in nested-dissection order on wider ones; each factor builds its own
-form of the matrix.  On a new factor h and l take one step each, and for
-large eps, where CG misses the tolerance, a copy of A gains the diagonal in
-place and is factored the same way (:func:`solve_L`).
+form of the matrix.  On A's new factor h and l take one step each.
 
 A caller that needs p alone, as the Gummel loop does, solves one cell system
 instead of three (:func:`solve_p`).  Since h and l share A, ``s = h + l``
@@ -40,14 +38,14 @@ solves ``A s = dh(f/G) + L - b.S``; the L system divided by ``-eps`` shows
 
     (A + diag(eps G/H)) s = dh(f/G) - b.S,   p = (f + dh*(G s)) / G,
 
-the L system with another right-hand side.  This caller needs no factor of
-A, so it factors the system itself: A with ``eps G/H`` added in place to its
-stored diagonal, A alone at eps = 0.  Successive one-stage solves, such as
-the iterations of the Gummel loop, can hold that factor from one to the next
-(:class:`HeldFactor`).  A held stage applies the current system, A through
-its stencils plus the diagonal, preconditioned by the held factor, so
-nothing is assembled or factored.  A stage that misses the tolerance drops
-the held factor, and the solve factors anew as it does without one.
+the sum system with another right-hand side.
+
+One routine solves the sum system for both (:func:`_sum_system`).  It runs
+CG preconditioned by the factor of another matrix that a :class:`HeldFactor`
+holds: A's for L, an earlier Gummel iteration's system for p.  When nothing
+is held, or CG misses the tolerance, A gains ``eps G/H`` in place on its
+stored diagonal and that system is factored, and the holder keeps the new
+factor until the next miss.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
@@ -273,8 +271,8 @@ def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
     return pi
 
 
-# Step cap of the conjugate-gradient solves; an L solve on A's factor that
-# misses the tolerance within it factors its system instead.
+# Step cap of the conjugate-gradient solves; a sum system that misses the
+# tolerance within it on a held factor is factored instead (_sum_system).
 FLUX_CG_MAX_STEPS = 30
 # From this step on CG gives up once its observed contraction would miss the cap.
 _CG_JUDGE_FROM = 4
@@ -348,19 +346,65 @@ def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, rhs: np.nd
     return x, residual, steps
 
 
+@dataclass
+class HeldFactor:
+    """A factor of the sum system, held across the solves that it may precondition.
+
+    :func:`solve_p` holds the factor of its own system from one Gummel
+    iteration to the next; :func:`solve_L` holds A's.  ``factor`` is
+    ``None`` while nothing is held.  :func:`_sum_system` drops it before it
+    factors anew, so two factors of one holder are never alive at once.
+    """
+
+    factor: BandFactor | DirectFactor | None = None
+
+    def drop(self) -> None:
+        self.factor = None
+
+
+def _sum_system(problem: LinearProblem, held: HeldFactor, rhs: np.ndarray, apply_mean,
+                build_mean, tol: float, stage: str):
+    """The sum system ``(A + diag(eps G/H)) x = rhs`` on the interior cells.
+
+    ``apply_mean`` applies A to a flat cell vector, and ``build_mean()``
+    returns A as CSR, a matrix this solve may change.  While ``held`` holds a
+    factor of this grid's size, :func:`_cg` runs on the system preconditioned
+    by it.  When it holds none, or that run misses ``tol``, the held factor
+    is dropped, A is built and gains the diagonal in place, keeping its
+    structure, and :func:`_stage` solves the system on its own factor
+    (:func:`_factor`), which ``held`` then holds.  A miss on that factor
+    raises :class:`StageError` naming ``stage``.
+
+    Returns ``(x, residual, steps, factored)``: the CG steps of both runs,
+    and whether the system was factored.
+    """
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    diag = problem.eps * gc / problem.diffusivity_cell.values[INTERIOR].ravel()
+    steps = 0
+    if held.factor is not None and held.factor.matrix.shape[0] == gc.size:
+        x, residual, steps = _cg(lambda v: apply_mean(v) + diag * v, gc, held.factor, rhs, tol)
+        if residual <= tol:
+            return x, residual, steps, False
+    held.drop()
+    matrix = build_mean()
+    matrix.setdiag(matrix.diagonal() + diag)
+    factor = _factor(problem, matrix, stage)
+    x, residual, new_steps = _stage(problem, factor, rhs, tol, stage)
+    held.factor = factor
+    return x, residual, steps + new_steps, True
+
+
 def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
             config: SolverConfig | None = None, rhs_mean: CellField | None = None):
     """Flux-scale potential; the only eps-dependent system.
 
     With ``x = H L / G`` on the cells, the system reads
     ``(A + diag(eps G/H)) x = rhs``, where A is the mean-potential matrix
-    that ``mean_factor`` factors.
-    :func:`_cg` solves it preconditioned by that factor.  For large eps,
-    where CG misses ``tol``, a copy of A gains the diagonal in place, keeping
-    A's structure, and :func:`_stage` solves it on its own factor
-    (:func:`_factor`); a second miss raises :class:`StageError`.  The
-    reported residual is recomputed on the system itself.  ``rhs_mean`` is
-    ``dh(f/G)`` when the caller has it already.
+    that ``mean_factor`` factors.  :func:`_sum_system` solves it by CG
+    preconditioned by that factor, and for large eps, where CG misses
+    ``tol``, on a factor of its own, built from a copy of A's matrix and
+    dropped on return.  The reported residual is recomputed on the system
+    itself.  ``rhs_mean`` is ``dh(f/G)`` when the caller has it already.
 
     Returns ``(L, residual, cg_iterations)``: the field, the relative
     residual of the solve, and the CG steps taken, or ``None`` when the
@@ -370,29 +414,21 @@ def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
     """
     config = config or SolverConfig()
     grid = problem.grid
-    eps = problem.eps
     if rhs_mean is None:
         rhs_mean = _rhs_mean(problem)
-    rhs = -eps * (
+    rhs = -problem.eps * (
         rhs_mean.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR]
     ).ravel()
     if not np.any(rhs):
         return CellField.zeros(grid), 0.0, 0
 
-    gc = problem.reaction_cell.values[INTERIOR].ravel()
-    hc = problem.diffusivity_cell.values[INTERIOR].ravel()
-    diag = eps * gc / hc
-    x, residual, steps = _cg(lambda v: mean_factor.matrix @ v + diag * v, gc, mean_factor, rhs,
-                             config.tol)
-    if not residual <= config.tol:
-        matrix = mean_factor.matrix.copy()
-        matrix.setdiag(matrix.diagonal() + diag)
-        factor = _factor(problem, matrix, "flux-potential")
-        x, residual, _ = _stage(problem, factor, rhs, config.tol, "flux-potential")
-        steps = None
+    x, residual, steps, factored = _sum_system(
+        problem, HeldFactor(mean_factor), rhs, mean_factor.matrix.dot, mean_factor.matrix.copy,
+        config.tol, "flux-potential")
     L = CellField.zeros(grid)
-    L.values[INTERIOR] = (gc * x / hc).reshape(grid.nx, grid.ny)
-    return L, residual, steps
+    L.values[INTERIOR] = (problem.reaction_cell.values[INTERIOR] * x.reshape(grid.nx, grid.ny)
+                          / problem.diffusivity_cell.values[INTERIOR])
+    return L, residual, None if factored else steps
 
 
 def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
@@ -558,44 +594,6 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
     return filled, report
 
 
-@dataclass
-class HeldFactor:
-    """The factor of :func:`solve_p`'s system, held across related solves such as Gummel's.
-
-    ``factor`` is ``None`` while nothing is held.  :func:`solve_p` drops it
-    before it factors anew, so two factors are never alive at once.
-    """
-
-    factor: BandFactor | DirectFactor | None = None
-
-    def drop(self) -> None:
-        self.factor = None
-
-
-def _stages(problem: LinearProblem, factor: BandFactor | DirectFactor, config: SolverConfig):
-    """L by :func:`solve_L`, then h and l by :func:`_stage`, all on the new factor of A.
-
-    ``dh(f/G)``, the right-hand side of h and part of L's, is computed once
-    here, once A is factored: held through the factorization it raised the
-    peak memory of a solve at 399 cells per side by 7 MiB.  Returns
-    ``(fields, residuals, steps)``: the fields and their residuals by name,
-    and the CG steps of all three stages, ``None`` when L was factored.
-    """
-    grid = problem.grid
-    rhs_mean = _rhs_mean(problem)
-    L, res_L, steps = solve_L(problem, factor, config, rhs_mean)
-    fields, residuals = {"L": L}, {"L": res_L}
-    for name, stage, rhs in (
-            ("h", "mean-potential", rhs_mean.values[INTERIOR]),
-            ("l", "fluctuation-potential",
-             L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR])):
-        x, residuals[name], n = _stage(problem, factor, rhs.ravel(), config.tol, stage)
-        fields[name] = CellField.zeros(grid)
-        fields[name].values[INTERIOR] = x.reshape(grid.nx, grid.ny)
-        steps = None if steps is None else steps + n
-    return fields, residuals, steps
-
-
 def solve_linear_ap(problem: LinearProblem,
                     config: SolverConfig | None = None) -> SolutionDecomposition:
     """Full pipeline: L, then h -> pi and l -> q, then p = pi + q and ghost fill.
@@ -603,18 +601,33 @@ def solve_linear_ap(problem: LinearProblem,
     Well-posed and second-order accurate uniformly in eps, down to and
     including eps = 0.  The mean and fluctuation systems share one matrix,
     which is factored first; that factor preconditions the CG solves of all
-    three stages (:func:`_stages`), so one factorization serves the whole
-    solve.  Only when CG misses the tolerance on L is the L system factored
-    as well, while the shared factor is held.  Every solve fills the ghost
-    ring of p (:func:`fill_ghost`) and reports the fill in ``ghost``.
+    three stages, L by :func:`solve_L`, h and l by :func:`_stage`, so one
+    factorization serves the whole solve.  Only when CG misses the tolerance
+    on L is the L system factored as well, while the shared factor is held.
+    Every solve fills the ghost ring of p (:func:`fill_ghost`) and reports
+    the fill in ``ghost``.
     """
     config = config or SolverConfig()
+    grid = problem.grid
     factor = _factor(problem, assemble(problem), "mean-potential")
-    fields, residuals, cg_iterations = _stages(problem, factor, config)
-    h, L, l = fields["h"], fields["L"], fields["l"]
+    # dh(f/G), the right-hand side of h and part of L's, is computed once A is
+    # factored: held through the factorization it raised the peak memory of a
+    # solve at 399 cells per side by 7 MiB
+    rhs_mean = _rhs_mean(problem)
+    L, res_L, cg_iterations = solve_L(problem, factor, config, rhs_mean)
+    fields, residuals = {}, {"L": res_L}
+    for name, stage, rhs in (
+            ("h", "mean-potential", rhs_mean.values[INTERIOR]),
+            ("l", "fluctuation-potential",
+             L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR])):
+        x, residuals[name], n = _stage(problem, factor, rhs.ravel(), config.tol, stage)
+        fields[name] = CellField.zeros(grid)
+        fields[name].values[INTERIOR] = x.reshape(grid.nx, grid.ny)
+        cg_iterations = None if cg_iterations is None else cg_iterations + n
+    h, l = fields["h"], fields["l"]
     pi = reconstruct_pi(problem, h)
     q = reconstruct_q(problem, l)
-    p, ghost_report = fill_ghost(NodeField(problem.grid, pi.values + q.values), problem.direction,
+    p, ghost_report = fill_ghost(NodeField(grid, pi.values + q.values), problem.direction,
                                  problem.grad_source_cell)
 
     p_norm = norm2(p.values[INTERIOR])
@@ -641,17 +654,11 @@ def solve_p(problem: LinearProblem, held: HeldFactor, config: SolverConfig | Non
     ``s = h + l`` solves ``(A + diag(eps G/H)) s = dh(f/G) - b.S``, and
     ``p = pi + q = (f + dh*(G s)) / G`` (:func:`reconstruct_pi` of s), so
     one stage does the work of the three of :func:`solve_linear_ap`.  That
-    system is L's with another right-hand side.  Assembled, it is A with
-    ``eps G/H`` added in place to its stored diagonal, and nothing added at
-    eps = 0; :func:`_factor` factors it and :func:`_stage` solves it.
-
-    ``held`` carries that factor from one solve to the next.  While it holds
-    one of this grid's size, nothing is assembled or factored: :func:`_cg`
-    applies this problem's system, A through its stencils plus the diagonal,
-    preconditioned by the held factor.  When it holds none, or that stage
-    misses ``tol``, the held factor is dropped first, the solve assembles and
-    factors anew, and holds the new factor.  A fresh :class:`HeldFactor` for
-    every solve factors every time.
+    system is L's with another right-hand side, and :func:`_sum_system`
+    solves it the same way, with A applied through its stencils.  ``held``
+    carries the system's factor from one solve to the next: on a held factor
+    nothing is assembled or factored unless CG misses ``tol``.  A fresh
+    :class:`HeldFactor` for every solve factors every time.
 
     Returns ``(p, residual, steps, factored)``: p with its ghost ring at
     zero, the relative residual of the last stage, the CG steps of the held
@@ -659,32 +666,12 @@ def solve_p(problem: LinearProblem, held: HeldFactor, config: SolverConfig | Non
     """
     config = config or SolverConfig()
     grid = problem.grid
-    gc = problem.reaction_cell.values[INTERIOR].ravel()
-    diag = None
-    if problem.eps > 0.0:
-        diag = problem.eps * gc / problem.diffusivity_cell.values[INTERIOR].ravel()
     rhs = (_rhs_mean(problem).values[INTERIOR]
            - problem.grad_source_cell.values[INTERIOR]).ravel()
-    steps = 0
-    factored = held.factor is None or held.factor.matrix.shape[0] != gc.size
-    if not factored:
-        mean = _cell_operator(problem)
-
-        def apply(v):
-            out = mean(v).ravel()
-            return out if diag is None else out + diag * v
-
-        x, residual, steps = _cg(apply, gc, held.factor, rhs, config.tol)
-        factored = not residual <= config.tol
-    if factored:
-        held.drop()
-        matrix = assemble(problem)
-        if diag is not None:
-            matrix.setdiag(matrix.diagonal() + diag)
-        factor = _factor(problem, matrix, "sum-potential")
-        x, residual, new_steps = _stage(problem, factor, rhs, config.tol, "sum-potential")
-        held.factor = factor
-        steps += new_steps
+    mean = _cell_operator(problem)
+    x, residual, steps, factored = _sum_system(
+        problem, held, rhs, lambda v: mean(v).ravel(), lambda: assemble(problem), config.tol,
+        "sum-potential")
     s = CellField.zeros(grid)
     s.values[INTERIOR] = x.reshape(grid.nx, grid.ny)
     return reconstruct_pi(problem, s), residual, steps, factored

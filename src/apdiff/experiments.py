@@ -92,6 +92,17 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     thresholds: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # checked here, so that a bad entry fails before the first solve of a study
+        for cells in self.meshes:
+            unit_square_grid(cells)
+        for eps in self.eps_list:
+            if not (np.isfinite(eps) and eps >= 0.0):
+                raise ValueError(f"eps must be finite and >= 0, got {eps}")
+        for name, values in (("alphas", self.alphas), ("eta", self.eta), ("mu", self.mu)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {values}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)

@@ -18,10 +18,10 @@ naive baseline's rectangular operator is still probed one 3x3 color class at
 a time (:func:`assemble`).  :func:`check_assembly` is the random-probe check of
 both ways.
 
-Either factor's inverse, ``lu_solve``, preconditions the CG
-solves of all three cell systems (``apcore``), also while a Gummel run holds
-a factor of an earlier iteration's system until a stage misses
-(``apcore.HeldFactor``).
+Either factor's inverse, ``lu_solve``, preconditions the CG solves of the
+cell systems (``apcore``), also as a held factor of another matrix: A's for
+the sum system ``A + diag(eps G/H)`` of the L stage, or an earlier Gummel
+iteration's system (``apcore.HeldFactor``).
 :func:`refine` is the naive baseline's refinement loop.
 
 The package's vector reductions, :func:`dot` and :func:`norm2`, call

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import math
 import tracemalloc
 import weakref
@@ -980,17 +981,61 @@ def singular_mean_operator(g, cell):
     return op
 
 
-def test_new_factor_miss_raises_naming_the_stage():
-    # a factor of the identity in place of A's: 30 unpreconditioned CG steps
-    # leave the residual far above the tolerance
-    g = make_grid(UNIT, 16, 16)
-    problem = swirl_problem(g, 0.1)
-    n = g.nx * g.ny
-    factor = DirectFactor(sp.identity(n, format="csr"), np.arange(n))
-    factor.matrix = apcore.assemble(problem)
-    rhs = np.random.default_rng(5).standard_normal(n)
-    with pytest.raises(StageError, match="fluctuation-potential solve failed"):
-        apcore._stage(problem, factor, rhs, 1e-12, "fluctuation-potential")
+@pytest.mark.parametrize("solver, stage", [("_stage", "fluctuation-potential"),
+                                           ("solve_L", "flux-potential"),
+                                           ("solve_p", "sum-potential")])
+def test_new_factor_miss_raises_naming_the_stage(solver, stage, monkeypatch):
+    if solver == "_stage":
+        # a factor of the identity in place of A's: 30 unpreconditioned CG
+        # steps leave the residual far above the tolerance
+        g = make_grid(UNIT, 16, 16)
+        problem = swirl_problem(g, 0.1)
+        n = g.nx * g.ny
+        factor = DirectFactor(sp.identity(n, format="csr"), np.arange(n))
+        factor.matrix = apcore.assemble(problem)
+        rhs = np.random.default_rng(5).standard_normal(n)
+        with pytest.raises(StageError, match="fluctuation-potential solve failed"):
+            apcore._stage(problem, factor, rhs, 1e-12, "fluctuation-potential")
+        return
+    # every CG run misses: the one on the held factor, then the one on the
+    # system's own factor, which raises naming the caller's stage
+    problem = pinned_problem("linear", 0.1, cells=16)
+    held = apcore.HeldFactor()
+    solve_p(problem, held)
+    factor = mean_factor(problem)
+    runs = []
+
+    def missing_cg(apply, gc, factor, rhs, tol):
+        runs.append(factor)
+        return np.zeros_like(rhs), 1.0, 1
+
+    monkeypatch.setattr(apcore, "_cg", missing_cg)
+    with pytest.raises(StageError, match=f"{stage} solve failed"):
+        if solver == "solve_L":
+            solve_L(problem, factor)
+        else:
+            solve_p(problem, held)
+    assert len(runs) == 2 and runs[0] is not runs[1]
+
+
+def test_no_factor_outlives_the_flux_fallback(monkeypatch):
+    # at eps 1000 the L stage misses on A's factor and factors its own system;
+    # neither factor is alive once the solve returns
+    problem = pinned_problem("linear", 1000.0, cells=32)
+    real_factor = apcore._factor
+
+    def recorded(*args):
+        factor = real_factor(*args)
+        refs.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(apcore, "_factor", recorded)
+    for _ in each_factor_path(monkeypatch):
+        refs = []
+        dec = solve_linear_ap(problem)
+        gc.collect()
+        assert dec.cg_iterations is None and len(refs) == 2
+        assert all(ref() is None for ref in refs)
 
 
 def test_one_step_stop_reads_the_true_residual():

@@ -1,0 +1,54 @@
+import importlib.util
+import pickle
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("compare_outputs",
+                                               ROOT / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def record(p, residual=1e-13, status="converged"):
+    """A synthetic dump entry shaped like a plain solver output."""
+    return {"p": {"values": np.asarray(p, dtype=float)}, "residuals": {"L": residual},
+            "state": {"status": status, "history": [{"n": 0, "cg_iterations": 7,
+                                                     "factored": True, "seconds": 0.0}]}}
+
+
+@pytest.mark.parametrize("b, verdict, code", [
+    (record([1.0, 0.0, -2.0]), "bytes", 0),
+    (record([1.0, -0.0, -2.0]), "array_equal", 0),
+    (record([1.0, 0.0, -2.0 * (1 + 2**-52)]), "max relative difference 2.220e-16 at p.values", 1),
+    (record([1.0, 0.0, -2.0], residual=2e-13),
+     "max relative difference 5.000e-01 at residuals.L", 1),
+    (record([1.0, 0.0, -2.0], status="diverged"), "max relative difference inf at state.status", 1),
+], ids=["bytes", "signed-zero", "difference", "scalar-difference", "status"])
+def test_compare_reports_each_case(tmp_path, capsys, b, verdict, code):
+    a = record([1.0, 0.0, -2.0])
+    paths = tmp_path / "a.pkl", tmp_path / "b.pkl"
+    for path, dump in zip(paths, ({"case": a, "other": a}, {"case": b, "other": a})):
+        path.write_bytes(pickle.dumps(dump))
+    assert compare_outputs.main(["compare", *map(str, paths)]) == code
+    assert capsys.readouterr().out.splitlines() == [f"case: {verdict}", "other: bytes"]
+
+
+def test_compare_fails_on_a_case_only_one_dump_holds(tmp_path, capsys):
+    a, b = tmp_path / "a.pkl", tmp_path / "b.pkl"
+    a.write_bytes(pickle.dumps({"case": record([1.0])}))
+    b.write_bytes(pickle.dumps({"case": record([1.0]), "extra": record([2.0])}))
+    assert compare_outputs.main(["compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["case: bytes", f"extra: only in {b}"]
+
+
+def test_plain_zeroes_the_seconds_of_iteration_records():
+    from apdiff.gummel import GummelState, IterationRecord
+
+    rec = IterationRecord(n=0, correction_rel=0.5, error_rel_l2=np.nan, residual=1e-13,
+                          slope_floored=0, cg_iterations=7, factored=True, seconds=1.25)
+    plain = compare_outputs._plain(GummelState(status="converged", history=[rec]))
+    assert plain["history"][0]["seconds"] == 0.0
+    assert plain["history"][0]["cg_iterations"] == 7 and plain["coarse"] is None

@@ -342,6 +342,34 @@ def test_cli_rejects_fractional_mesh(tmp_path):
         cli.main(["conditioning", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("experiment, data, match", [
+    ("gummel", {"meshes": [100, 2]}, "nx=1"),
+    ("convergence", {"eps_list": [0.1, -1.0]}, "eps must be finite and >= 0"),
+    ("convergence", {"eps_list": [0.1, float("nan")]}, "eps must be finite and >= 0"),
+    ("angle", {"alphas": [0.0, float("nan")]}, "alphas must be finite"),
+    ("gummel", {"eta": float("nan")}, "eta must be finite"),
+    ("eps-limit", {"mu": float("inf")}, "mu must be finite"),
+], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu"])
+def test_cli_rejects_a_bad_config_before_the_first_solve(tmp_path, monkeypatch, experiment,
+                                                          data, match):
+    # each bad entry follows good ones, or is read by every run, so a check
+    # made in the run that reads it would come after a solve or in the sampler
+    calls = []
+
+    def solver(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "solve_linear_ap", solver)
+    monkeypatch.setattr(experiments, "gummel_solve", solver)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=match):
+        cli.main([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
 # The meshes and eps list each experiment runs by default.
 STUDY_RUNS = {
     "convergence": ([25, 50, 100, 200], [1e-1, 1e-9, 0.0]),

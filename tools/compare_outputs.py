@@ -1,0 +1,201 @@
+"""Dump the solver's outputs on a fixed case list, and compare two dumps.
+
+Usage, from the repository root::
+
+    python3 tools/compare_outputs.py dump --src DIR OUT.pkl
+    python3 tools/compare_outputs.py compare A.pkl B.pkl
+
+``dump`` imports ``apdiff`` from ``DIR/src`` (a checkout of any commit, this
+one included), runs every case of :func:`cases` and pickles every output
+field as plain data: dataclasses become dicts, arrays stay arrays, and
+``IterationRecord.seconds`` is zeroed.  Run one ``dump`` per tree, each in
+its own process.
+
+``compare`` prints one line per case: ``bytes`` when every value is equal
+byte for byte, ``array_equal`` when some differ in bytes only in ways
+``np.array_equal`` forgives (a signed zero), or the largest relative
+difference and the path of the value it was found in.  It exits non-zero
+on any difference beyond ``np.array_equal``, and on a case that only one
+dump holds.  Compare only dumps this tool wrote: loading a pickle can run
+code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import math
+import pickle
+import sys
+from pathlib import Path
+
+import numpy as np
+
+LINEAR = [(64, 0.1), (64, 0.0), (64, 1000.0), (101, 0.1), (200, 10.0)]
+ANGLE_DEGREES = [0, 21, 45, 90]
+ANGLE_CELLS, ANGLE_EPS = 100, 1e-3
+GUMMEL = [(64, 10.0), (64, 1.0), (64, 0.1), (64, 0.0), (200, 0.1), (200, 1e-3), (200, 0.0)]
+NAIVE_CELLS, NAIVE_EPS, NAIVE_SEED = 20, [1.0, 1e-3, 1e-6], 3
+
+
+def _plain(value):
+    """``value`` as dicts, lists and arrays, with every iteration record's seconds zeroed."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        if type(value).__name__ == "IterationRecord":
+            fields["seconds"] = 0.0
+        return fields
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    return value
+
+
+def cases():
+    """``(name, run)`` of every case; ``run()`` returns the case's outputs."""
+    from apdiff import experiments, naive, problems
+    from apdiff.apcore import solve_linear_ap
+    from apdiff.grid import sample_node
+    from apdiff.gummel import gummel_solve
+
+    grid = experiments.unit_square_grid
+    out = []
+    for cells, eps in LINEAR:
+        out.append((f"linear-variable M{cells} eps {eps:g}", lambda cells=cells, eps=eps:
+                    solve_linear_ap(problems.case_linear_variable(grid(cells), eps).problem)))
+    for degrees in ANGLE_DEGREES:
+        out.append((f"angle M{ANGLE_CELLS} eps {ANGLE_EPS:g} {degrees} deg",
+                    lambda degrees=degrees: solve_linear_ap(problems.case_angle(
+                        grid(ANGLE_CELLS), ANGLE_EPS, math.radians(degrees)).problem)))
+
+    def gummel(cells, eps):
+        case = problems.case_nonlinear(grid(cells), eps)
+        p0 = sample_node(case.initial_guess, case.grid)
+        p, state = gummel_solve(case.problem, p0, exact=case.exact_field())
+        return {"p": p, "state": state}
+
+    for cells, eps in GUMMEL:
+        out.append((f"gummel nonlinear-spline M{cells} eps {eps:g}",
+                    lambda cells=cells, eps=eps: gummel(cells, eps)))
+
+    def baseline(eps):
+        problem = problems.case_linear_variable(grid(NAIVE_CELLS), eps).problem
+        cond = naive.naive_condition(naive.assemble_naive(problem), seed=NAIVE_SEED)
+        p, report = naive.solve_naive(problem)
+        return {"cond": cond, "p": p, "report": report}
+
+    for eps in NAIVE_EPS:
+        out.append((f"naive M{NAIVE_CELLS} eps {eps:g}", lambda eps=eps: baseline(eps)))
+    return out
+
+
+def dump(src: Path, path: Path) -> None:
+    sys.path.insert(0, str(src.resolve() / "src"))
+    import apdiff
+
+    if not Path(apdiff.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"apdiff imported from {apdiff.__file__}, not from {src}")
+    outputs = {name: _plain(run()) for name, run in cases()}
+    with open(path, "wb") as fh:
+        pickle.dump(outputs, fh)
+
+
+def _leaves(value, path=""):
+    """``(path, leaf)`` of every value in a nested dict or list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _same_bytes(a, b) -> bool:
+    if isinstance(a, (np.ndarray, np.generic, float)):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+def _relative_difference(a, b) -> float:
+    """Largest ``|a - b|`` over the largest ``|b|``; inf where they cannot be subtracted."""
+    try:
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        if a.shape != b.shape:
+            return math.inf
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(a - b)
+        diff[np.isnan(a) & np.isnan(b)] = 0.0
+        if not diff.size:
+            return 0.0
+        scale = np.max(np.abs(b[np.isfinite(b)]), initial=0.0)
+        worst = float(np.max(diff))
+        return worst / scale if scale > 0.0 else worst
+    except (TypeError, ValueError):
+        return math.inf
+
+
+def compare_case(a, b) -> tuple[str, bool]:
+    """The verdict on one case's outputs, and whether it is within ``np.array_equal``."""
+    left, right = dict(_leaves(a)), dict(_leaves(b))
+    if left.keys() != right.keys():
+        return f"fields differ: {sorted(left.keys() ^ right.keys())}", False
+    verdict = "bytes"
+    worst, where = 0.0, ""
+    for path, x in left.items():
+        y = right[path]
+        if _same_bytes(x, y):
+            continue
+        if isinstance(x, (np.ndarray, float, int, bool)) and np.array_equal(x, y, equal_nan=True):
+            verdict = "array_equal"
+            continue
+        rel = _relative_difference(x, y)
+        if rel >= worst:
+            worst, where = rel, path
+    if where:
+        return f"max relative difference {worst:.3e} at {where}", False
+    return verdict, True
+
+
+def compare(a_path: Path, b_path: Path) -> int:
+    with open(a_path, "rb") as fh:
+        a = pickle.load(fh)
+    with open(b_path, "rb") as fh:
+        b = pickle.load(fh)
+    failed = 0
+    for name in list(a) + [name for name in b if name not in a]:
+        if name not in a or name not in b:
+            verdict, ok = f"only in {a_path if name in a else b_path}", False
+        else:
+            verdict, ok = compare_case(a[name], b[name])
+        failed += not ok
+        print(f"{name}: {verdict}")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    commands = parser.add_subparsers(dest="command", required=True)
+    dump_parser = commands.add_parser("dump", help="run the cases and pickle their outputs")
+    dump_parser.add_argument("--src", type=Path, required=True,
+                             help="checkout whose src/ holds the apdiff to run")
+    dump_parser.add_argument("out", type=Path)
+    compare_parser = commands.add_parser("compare", help="compare two dumps case by case")
+    compare_parser.add_argument("a", type=Path)
+    compare_parser.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.src, args.out)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

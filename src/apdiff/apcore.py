@@ -75,6 +75,7 @@ __all__ = [
     "GhostFillReport",
     "HeldFactor",
     "StageError",
+    "DataError",
     "reconstruct_pi",
     "solve_L",
     "reconstruct_q",
@@ -88,10 +89,14 @@ class StageError(RuntimeError):
     """A stage of the solve pipeline failed; the message names the stage."""
 
 
+class DataError(ValueError):
+    """The data of a problem fail a check of :func:`check_data`; the message names the field."""
+
+
 def _check_direction(direction: CellVectorField) -> None:
     """Reject an anisotropy direction with a zero vector at any cell."""
     if not np.all(np.hypot(direction.x, direction.y) > 0.0):
-        raise ValueError("anisotropy direction has zero vectors")
+        raise DataError("anisotropy direction has zero vectors")
 
 
 def check_data(problem, names, positive) -> None:
@@ -99,16 +104,17 @@ def check_data(problem, names, positive) -> None:
 
     ``names`` lists the field attributes of ``problem`` to check for
     finiteness, ``positive`` those of them that must be strictly positive.
-    The ``direction`` of ``problem`` must also have no zero vector.
+    The ``direction`` of ``problem`` must also have no zero vector.  Each
+    rejection raises :class:`DataError`.
     """
     if not (np.isfinite(problem.eps) and problem.eps >= 0.0):
-        raise ValueError(f"eps must be finite and >= 0, got {problem.eps}")
+        raise DataError(f"eps must be finite and >= 0, got {problem.eps}")
     for name in names:
         values = getattr(problem, name).values
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} has non-finite values")
+            raise DataError(f"{name} has non-finite values")
         if name in positive and not np.all(values > 0.0):
-            raise ValueError(f"{name} must be strictly positive")
+            raise DataError(f"{name} must be strictly positive")
     _check_direction(problem.direction)
 
 
@@ -200,10 +206,8 @@ def _cell_operator(problem: LinearProblem):
     grid = problem.grid
 
     def op(v: np.ndarray) -> np.ndarray:
-        chi = CellField.zeros(grid)
-        chi.values[INTERIOR] = v.reshape(grid.nx, grid.ny)
-        return compose_second_order(chi, problem.reaction_cell, problem.reaction_node,
-                                    problem.direction).values[INTERIOR]
+        return compose_second_order(CellField.on_interior(grid, v), problem.reaction_cell,
+                                    problem.reaction_node, problem.direction).values[INTERIOR]
 
     return op
 
@@ -264,11 +268,8 @@ def reconstruct_pi(problem: LinearProblem, h: CellField) -> NodeField:
     """Mean part on interior nodes: ``pi = (f + dh*(G h)) / G``."""
     div = apply_dh_star(CellField(problem.grid, problem.reaction_cell.values * h.values),
                         problem.direction)
-    pi = NodeField.zeros(problem.grid)
-    pi.values[INTERIOR] = (
-        problem.source_node.values[INTERIOR] + div.values[INTERIOR]
-    ) / problem.reaction_node.values[INTERIOR]
-    return pi
+    return NodeField.on_interior(problem.grid, (problem.source_node.values[INTERIOR]
+                                 + div.values[INTERIOR]) / problem.reaction_node.values[INTERIOR])
 
 
 # Step cap of the conjugate-gradient solves; a sum system that misses the
@@ -425,9 +426,9 @@ def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
     x, residual, steps, factored = _sum_system(
         problem, HeldFactor(mean_factor), rhs, mean_factor.matrix.dot, mean_factor.matrix.copy,
         config.tol, "flux-potential")
-    L = CellField.zeros(grid)
-    L.values[INTERIOR] = (problem.reaction_cell.values[INTERIOR] * x.reshape(grid.nx, grid.ny)
-                          / problem.diffusivity_cell.values[INTERIOR])
+    L = CellField.on_interior(grid, problem.reaction_cell.values[INTERIOR]
+                              * x.reshape(grid.nx, grid.ny)
+                              / problem.diffusivity_cell.values[INTERIOR])
     return L, residual, None if factored else steps
 
 
@@ -435,9 +436,8 @@ def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
     """Fluctuation part on interior nodes: ``q = dh*(G l) / G``."""
     div = apply_dh_star(CellField(problem.grid, problem.reaction_cell.values * l.values),
                         problem.direction)
-    q = NodeField.zeros(problem.grid)
-    q.values[INTERIOR] = div.values[INTERIOR] / problem.reaction_node.values[INTERIOR]
-    return q
+    return NodeField.on_interior(problem.grid,
+                                 div.values[INTERIOR] / problem.reaction_node.values[INTERIOR])
 
 
 # Ghost filling ---------------------------------------------------------------
@@ -537,7 +537,7 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
 
     On every boundary ring cell of ``p.grid`` the constraint ``(dh p) = b.S``
     is imposed, with ``b`` the anisotropy ``direction``, which must have no
-    zero vector (``ValueError`` otherwise), and ``b.S`` the ``grad_source``:
+    zero vector (:class:`DataError` otherwise), and ``b.S`` the ``grad_source``:
     the ghost columns of the ring rows of ``dh`` (:func:`operators.ring_dh`)
     form one global least-squares system over all ghost unknowns, and four
     unit rows pin the corner ghosts, which the ring constraints leave
@@ -621,8 +621,7 @@ def solve_linear_ap(problem: LinearProblem,
             ("l", "fluctuation-potential",
              L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR])):
         x, residuals[name], n = _stage(problem, factor, rhs.ravel(), config.tol, stage)
-        fields[name] = CellField.zeros(grid)
-        fields[name].values[INTERIOR] = x.reshape(grid.nx, grid.ny)
+        fields[name] = CellField.on_interior(grid, x)
         cg_iterations = None if cg_iterations is None else cg_iterations + n
     h, l = fields["h"], fields["l"]
     pi = reconstruct_pi(problem, h)
@@ -672,6 +671,4 @@ def solve_p(problem: LinearProblem, held: HeldFactor, config: SolverConfig | Non
     x, residual, steps, factored = _sum_system(
         problem, held, rhs, lambda v: mean(v).ravel(), lambda: assemble(problem), config.tol,
         "sum-potential")
-    s = CellField.zeros(grid)
-    s.values[INTERIOR] = x.reshape(grid.nx, grid.ny)
-    return reconstruct_pi(problem, s), residual, steps, factored
+    return reconstruct_pi(problem, CellField.on_interior(grid, x)), residual, steps, factored

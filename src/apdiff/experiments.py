@@ -47,6 +47,13 @@ ROW_FIELDS = [
 HISTORY_FIELDS = ["N", "correction_rel", "error_rel_l2", "residual", "cg_iterations", "factored",
                   "seconds"]
 
+# Every limit a study checks, by name, where ``thresholds`` sets none; in the
+# order of the studies that read them: convergence, angle, gummel, eps-limit, conditioning.
+_THRESHOLDS = {"slope_range": (1.8, 2.2), "eps_spread": 0.10, "mean_gradient": 1e-9,
+               "variation_l1_l2": 0.06, "variation_linf": 0.10, "max_iterations": 6,
+               "plateau_change": 0.01, "eps_slope_range": (0.8, 1.2), "plateau_match": 0.05,
+               "blowup_ratio": 1e3}
+
 
 def unit_square_grid(cells: int):
     """Grid of ``cells x cells`` squares over the benchmark domain [1,2]^2."""
@@ -102,6 +109,9 @@ class ExperimentConfig:
         for name, values in (("alphas", self.alphas), ("eta", self.eta), ("mu", self.mu)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite, got {values}")
+        unknown = sorted(set(self.thresholds) - set(_THRESHOLDS))
+        if unknown:
+            raise ValueError(f"unknown thresholds {unknown}, expected some of {list(_THRESHOLDS)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -153,47 +163,29 @@ class ExperimentReport:
 
         return sorted(self.rows, key=key)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=ROW_FIELDS)
-            w.writeheader()
-            for row in self.sorted_rows():
-                w.writerow({k: row.get(k, "") for k in ROW_FIELDS})
-
-    def write_history_csv(self, label: str, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(HISTORY_FIELDS)
-            for rec in self.histories[label]:
-                w.writerow([rec.n, repr(rec.correction_rel), repr(rec.error_rel_l2),
-                            repr(rec.residual), rec.cg_iterations, rec.factored,
-                            repr(rec.seconds)])
-
-    def write_summary(self, path) -> None:
-        payload = {
-            "experiment": self.experiment,
-            "passed": self.passed,
-            "checks": self.checks,
-            "slopes": self.slopes,
-            "extras": self.extras,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, default=float)
-
     def write_outputs(self, out_dir) -> None:
+        """The rows CSV, one CSV per history, the sweep CSV if any, and the summary JSON."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        self.write_csv(out / f"{self.experiment}.csv")
-        for label in self.histories:
-            self.write_history_csv(label, out / f"{self.experiment}-history-{label}.csv")
+        _write_csv(out / f"{self.experiment}.csv", ROW_FIELDS,
+                   ([row.get(k, "") for k in ROW_FIELDS] for row in self.sorted_rows()))
+        for label, history in self.histories.items():
+            _write_csv(out / f"{self.experiment}-history-{label}.csv", HISTORY_FIELDS,
+                       ([rec.n] + [getattr(rec, k) for k in HISTORY_FIELDS[1:]] for rec in history))
         if "sweep" in self.extras:
-            with open(out / f"{self.experiment}-sweep.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["eps", "cond_estimate", "solve_residual", "status"])
-                for entry in self.extras["sweep"]:
-                    w.writerow([repr(entry["eps"]), repr(entry["cond_estimate"]),
-                                repr(entry["solve_residual"]), entry["status"]])
-        self.write_summary(out / f"{self.experiment}-summary.json")
+            sweep_fields = ["eps", "cond_estimate", "solve_residual", "status"]
+            _write_csv(out / f"{self.experiment}-sweep.csv", sweep_fields,
+                       ([entry[k] for k in sweep_fields] for entry in self.extras["sweep"]))
+        payload = {"experiment": self.experiment, "passed": self.passed, "checks": self.checks,
+                   "slopes": self.slopes, "extras": self.extras}
+        with open(out / f"{self.experiment}-summary.json", "w") as fh:
+            json.dump(payload, fh, indent=2, default=float)
+
+
+def _write_csv(path, header, rows) -> None:
+    """A CSV of ``header`` and ``rows``; ``csv`` writes each float as its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _timed(fn, *args, **kwargs):
@@ -236,6 +228,20 @@ def _coarse_fields(state) -> dict:
             "coarse_factorizations": sum(r.factored for r in state.coarse.history)}
 
 
+def _linear_run(report: ExperimentReport, case, config: ExperimentConfig, norms):
+    """Solve ``case`` and add one row per norm: ``(dec, rows)``, the decomposition and those rows.
+
+    A failed stage adds one ``failed`` row naming it instead, and gives ``(None, [])``.
+    """
+    try:
+        dec, ms = _timed(solve_linear_ap, case.problem, config.solver)
+    except StageError as exc:
+        _add_rows(report, case, ["failed"], status=str(exc))
+        return None, []
+    residuals = {f"residual_{k}": dec.residuals[k] for k in "hLl"}
+    return dec, _add_rows(report, case, norms, dec.p, runtime_ms=ms, **residuals)
+
+
 def convergence_study(config: ExperimentConfig | None = None) -> ExperimentReport:
     """Error decay under mesh refinement, for several anisotropy strengths.
 
@@ -249,16 +255,12 @@ def convergence_study(config: ExperimentConfig | None = None) -> ExperimentRepor
     for cells in config.meshes:
         grid = unit_square_grid(cells)
         for eps in config.eps_list:
-            case = case_linear_variable(grid, eps)
-            try:
-                dec, ms = _timed(solve_linear_ap, case.problem, config.solver)
-            except StageError as exc:
-                _add_rows(report, case, ["failed"], status=str(exc))
-                continue
-            residuals = {f"residual_{k}": dec.residuals[k] for k in "hLl"}
-            for row in _add_rows(report, case, (2, "inf"), dec.p, runtime_ms=ms, **residuals):
+            dec, rows = _linear_run(report, case_linear_variable(grid, eps), config, (2, "inf"))
+            for row in rows:
                 errors[(eps, row["norm"], cells)] = row["error"]
-            report.extras.setdefault("mean_gradient_l2", {})[f"{cells}:{eps}"] = dec.mean_gradient_l2
+            if dec is not None:
+                gradients = report.extras.setdefault("mean_gradient_l2", {})
+                gradients[f"{cells}:{eps}"] = dec.mean_gradient_l2
 
     for eps in config.eps_list:
         for norm in (2, "inf"):
@@ -270,10 +272,11 @@ def convergence_study(config: ExperimentConfig | None = None) -> ExperimentRepor
             if len(pairs) >= 3:
                 report.slopes[f"eps={eps}:l{norm}"] = fit_loglog_slope(*zip(*pairs))
 
-    lo, hi = config.thresholds.get("slope_range", (1.8, 2.2))
+    limits = {**_THRESHOLDS, **config.thresholds}
+    lo, hi = limits["slope_range"]
     for key, slope in report.slopes.items():
         report.add_check(f"slope {key}", slope, f"[{lo}, {hi}]", lo <= slope <= hi)
-    spread_tol = config.thresholds.get("eps_spread", 0.10)
+    spread_tol = limits["eps_spread"]
     for cells in config.meshes:
         for norm in (2, "inf"):
             vals = [errors[(eps, norm, cells)] for eps in config.eps_list if (eps, norm, cells) in errors]
@@ -282,7 +285,7 @@ def convergence_study(config: ExperimentConfig | None = None) -> ExperimentRepor
                 report.add_check(
                     f"eps spread M{cells} l{norm}", spread, f"< {spread_tol}", spread < spread_tol
                 )
-    kernel_tol = config.thresholds.get("mean_gradient", 1e-9)
+    kernel_tol = limits["mean_gradient"]
     worst = max(report.extras.get("mean_gradient_l2", {0: 0.0}).values())
     report.add_check("mean-part gradient ratio", worst, f"<= {kernel_tol}", worst <= kernel_tol)
     failed = sum(row["norm"] == "failed" for row in report.rows)
@@ -302,18 +305,12 @@ def angle_sweep(config: ExperimentConfig | None = None) -> ExperimentReport:
     per_norm: dict = {}
     for eps in config.eps_list:
         for alpha in config.alphas:
-            case = case_angle(grid, eps, alpha)
-            try:
-                dec, ms = _timed(solve_linear_ap, case.problem, config.solver)
-            except StageError as exc:
-                _add_rows(report, case, ["failed"], status=str(exc))
-                continue
-            residuals = {f"residual_{k}": dec.residuals[k] for k in "hLl"}
-            for row in _add_rows(report, case, (1, 2, "inf"), dec.p, runtime_ms=ms, **residuals):
+            _, rows = _linear_run(report, case_angle(grid, eps, alpha), config, (1, 2, "inf"))
+            for row in rows:
                 per_norm.setdefault((eps, row["norm"]), []).append(row["error"])
 
-    var_12 = config.thresholds.get("variation_l1_l2", 0.06)
-    var_inf = config.thresholds.get("variation_linf", 0.10)
+    limits = {**_THRESHOLDS, **config.thresholds}
+    var_12, var_inf = limits["variation_l1_l2"], limits["variation_linf"]
     for (eps, norm), errs in per_norm.items():
         variation = max(errs) / min(errs) - 1.0
         report.extras.setdefault("variation", {})[f"eps={eps}:l{norm}"] = variation
@@ -335,8 +332,8 @@ def gummel_study(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or study_config("gummel")
     report = ExperimentReport("gummel")
     stop = StopRule(tol_rel=config.tol_rel, n_max=config.n_max)
-    max_iters = config.thresholds.get("max_iterations", 6)
-    plateau_tol = config.thresholds.get("plateau_change", 0.01)
+    limits = {**_THRESHOLDS, **config.thresholds}
+    max_iters, plateau_tol = limits["max_iterations"], limits["plateau_change"]
     for cells in config.meshes:
         grid = unit_square_grid(cells)
         for eps in config.eps_list:
@@ -387,6 +384,7 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
     report = ExperimentReport("eps-limit")
     stop = StopRule(tol_rel=config.tol_rel, n_max=config.n_max)
     plateau_by_mesh = report.extras.setdefault("e0", {})
+    limits = {**_THRESHOLDS, **config.thresholds}
     for cells in config.meshes:
         grid = unit_square_grid(cells)
         base = case_ap_limit(grid, 0.0, eta=config.eta, mu=config.mu)
@@ -420,12 +418,12 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
         if len(fit_eps) >= 3:
             slope = fit_loglog_slope(fit_eps, fit_val)
             report.slopes[f"M{cells}:E_eps_app"] = slope
-            lo, hi = config.thresholds.get("eps_slope_range", (0.8, 1.2))
+            lo, hi = limits["eps_slope_range"]
             report.add_check(f"eps slope M{cells}", slope, f"[{lo}, {hi}]", lo <= slope <= hi)
 
         if eps_pos:
             drift = abs(errors[eps_pos[0]] - e0) / e0
-            tol = config.thresholds.get("plateau_match", 0.05)
+            tol = limits["plateau_match"]
             report.add_check(f"plateau matches e0 M{cells}", drift, f"<= {tol}", drift <= tol)
 
     if len(config.meshes) >= 2:
@@ -471,6 +469,6 @@ def conditioning_study(config: ExperimentConfig | None = None) -> ExperimentRepo
     report.add_check("condition growth as eps decreases", conds, "monotone", increasing)
     if np.isfinite(conds[0]) and len(conds) >= 2:
         ratio = conds[-1] / conds[0] if np.isfinite(conds[-1]) else np.inf
-        min_ratio = config.thresholds.get("blowup_ratio", 1e3)
+        min_ratio = {**_THRESHOLDS, **config.thresholds}["blowup_ratio"]
         report.add_check("blow-up ratio", ratio, f">= {min_ratio:g}", ratio >= min_ratio)
     return report

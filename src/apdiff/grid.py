@@ -1,4 +1,10 @@
-"""Uniform 2D staggered mesh with one ghost ring, plus dense field containers."""
+"""Uniform 2D staggered mesh with one ghost ring, plus dense field containers.
+
+The node, cell and cell-vector fields share one base: a float array of its
+lattice's shape, checked on construction, ``zeros``, ``copy``, and
+``on_interior``, which builds a field that is zero on its outer ring, the
+form of every auxiliary potential and reconstructed part of the solver.
+"""
 
 from __future__ import annotations
 
@@ -107,59 +113,55 @@ def make_grid(bounds, nx: int, ny: int) -> Grid:
     return Grid(float(x_min), float(x_max), float(y_min), float(y_max), int(nx), int(ny))
 
 
-def _check_shape(values: np.ndarray, expected: tuple[int, ...], what: str) -> None:
-    if values.shape != expected:
-        raise ValueError(f"{what} array has shape {values.shape}, expected {expected}")
-
-
 @dataclass
-class NodeField:
+class _Field:
+    """Values on one lattice of ``grid``, which the subclass's ``_shape`` gives.
+
+    The outer ring of a field is the first and last row and column of its
+    lattice: the ghost nodes of a node field, the boundary cells of a cell
+    field.
+    """
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        shape = self._shape(self.grid)
+        if self.values.shape != shape:
+            raise ValueError(f"{self._what} array has shape {self.values.shape}, expected {shape}")
+
+    @classmethod
+    def zeros(cls, grid: Grid):
+        return cls(grid, np.zeros(cls._shape(grid)))
+
+    @classmethod
+    def on_interior(cls, grid: Grid, values):
+        """Zeros on the outer ring and ``values``, reshaped to fit, inside it."""
+        field = cls.zeros(grid)
+        field.values[INTERIOR] = np.reshape(values, field.values[INTERIOR].shape)
+        return field
+
+    def copy(self):
+        return type(self)(self.grid, self.values.copy())
+
+
+class NodeField(_Field):
     """Scalar values on the full node lattice (ghost ring included)."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        _check_shape(self.values, self.grid.node_shape, "node")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "NodeField":
-        return cls(grid, np.zeros(grid.node_shape))
-
-    def copy(self) -> "NodeField":
-        return NodeField(self.grid, self.values.copy())
+    _what, _shape = "node", staticmethod(lambda grid: grid.node_shape)
 
 
-@dataclass
-class CellField:
+class CellField(_Field):
     """Scalar values at every cell center (boundary ring included)."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        _check_shape(self.values, self.grid.cell_shape, "cell")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "CellField":
-        return cls(grid, np.zeros(grid.cell_shape))
-
-    def copy(self) -> "CellField":
-        return CellField(self.grid, self.values.copy())
+    _what, _shape = "cell", staticmethod(lambda grid: grid.cell_shape)
 
 
-@dataclass
-class CellVectorField:
+class CellVectorField(_Field):
     """2-vectors at every cell center; last axis is the (x, y) component."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        _check_shape(self.values, self.grid.cell_shape + (2,), "cell vector")
+    _what, _shape = "cell vector", staticmethod(lambda grid: grid.cell_shape + (2,))
 
     @property
     def x(self) -> np.ndarray:

@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apcore import HeldFactor, LinearProblem, StageError, check_data, fill_ghost, solve_p
-# not called here: perfbench/tracing.py patches the name gummel.solve_linear_ap
-from .apcore import solve_linear_ap  # noqa: F401
+# solve_linear_ap is not called here: perfbench/tracing.py patches the name gummel.solve_linear_ap
+from .apcore import (DataError, HeldFactor, LinearProblem, StageError, check_data,  # noqa: F401
+                     fill_ghost, solve_linear_ap, solve_p)
 from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, coarse_grid,
                    inject_cell, prolong_node, restrict_node)
 from .linsolve import SolverConfig, norm2
@@ -220,7 +220,8 @@ def gummel_solve(
     Returns ``(p, state)``; a diverging correction (growth above 10x over
     three iterations, or non-finite iterates) aborts with the history kept,
     and so does a linearization that fails validation or a stage that fails
-    (``ValueError`` or :class:`apcore.StageError`); other errors propagate.
+    (:class:`apcore.DataError` or :class:`apcore.StageError`); other errors,
+    a plain ``ValueError`` included, propagate.
     Iterations update interior nodes only; an iterate the loop updated gets
     its ghost ring filled once, on return.
     """
@@ -259,7 +260,7 @@ def _iterate(problem: NonlinearProblem, p0: NodeField, stop: StopRule, config: S
         try:
             lp = linearize(problem, p)
             correction, residual, steps, factored = solve_p(lp, held, config)
-        except (StageError, ValueError) as exc:
+        except (StageError, DataError) as exc:
             # An iterate whose linearized system is no longer solvable has
             # left the workable basin; report it as divergence, not a crash.
             return finish("diverged", f"linearized solve broke down at iteration {n}: {exc}")

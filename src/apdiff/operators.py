@@ -101,9 +101,7 @@ def apply_dh_star(chi: CellField, b: CellVectorField) -> NodeField:
     g = b.grid
     xp = _pair_sum(_corners(b.x * chi.values), 2.0 * g.dx, 0)
     yp = _pair_sum(_corners(b.y * chi.values), 2.0 * g.dy, 1)
-    out = NodeField.zeros(g)
-    out.values[INTERIOR] = xp + yp
-    return out
+    return NodeField.on_interior(g, xp + yp)
 
 
 def compose_second_order(
@@ -123,17 +121,10 @@ def compose_second_order(
     if not np.all(nw > 0.0):
         raise ValueError("node weight must be strictly positive on interior nodes")
 
-    chi0 = np.zeros_like(chi.values)
-    chi0[INTERIOR] = chi.values[INTERIOR]
-    inner = apply_dh_star(CellField(g, cell_w.values * chi0), b)
-
-    scaled = NodeField.zeros(g)
-    scaled.values[INTERIOR] = inner.values[INTERIOR] / nw
-    out = apply_dh(scaled, b)
-
-    result = CellField.zeros(g)
-    result.values[INTERIOR] = -out.values[INTERIOR]
-    return result
+    chi0 = CellField.on_interior(g, chi.values[INTERIOR])
+    inner = apply_dh_star(CellField(g, cell_w.values * chi0.values), b)
+    out = apply_dh(NodeField.on_interior(g, inner.values[INTERIOR] / nw), b)
+    return CellField.on_interior(g, -out.values[INTERIOR])
 
 
 def second_order_stencil(cell_w: CellField, node_w: NodeField, b: CellVectorField) -> np.ndarray:

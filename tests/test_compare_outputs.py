@@ -52,3 +52,42 @@ def test_plain_zeroes_the_seconds_of_iteration_records():
     plain = compare_outputs._plain(GummelState(status="converged", history=[rec]))
     assert plain["history"][0]["seconds"] == 0.0
     assert plain["history"][0]["cg_iterations"] == 7 and plain["coarse"] is None
+
+
+def synthetic_report(runtime_ms, seconds, error=0.25):
+    """A study report with one row, one history and one sweep entry, built without a solve."""
+    from apdiff.experiments import ExperimentReport
+    from apdiff.gummel import IterationRecord
+
+    report = ExperimentReport("gummel")
+    report.rows.append({"case": "nonlinear-spline", "N_x": 7, "N_y": 7, "h": 0.125, "eps": 0.1,
+                        "alpha": np.nan, "norm": 2, "error": error, "runtime_ms": runtime_ms,
+                        "status": "converged"})
+    report.histories["M8-eps0.1"] = [IterationRecord(
+        n=0, correction_rel=0.5, error_rel_l2=error, residual=1e-13, slope_floored=0,
+        cg_iterations=7, factored=True, seconds=seconds)]
+    report.extras["sweep"] = [{"eps": 0.1, "cond_estimate": 10.0, "solve_residual": 1e-13,
+                               "status": "ok", "runtime_ms": runtime_ms}]
+    report.add_check("error", error, "<= 1", error <= 1.0)
+    return report
+
+
+@pytest.mark.parametrize("error, verdict, ok", [
+    (0.25, "bytes", True),
+    (0.5, "max relative difference inf at files.gummel.csv", False),
+], ids=["timings-only", "error"])
+def test_study_outputs_leave_out_the_timings(error, verdict, ok):
+    a = compare_outputs._plain(compare_outputs.study_outputs(synthetic_report(1.5, 0.01)))
+    b = compare_outputs._plain(compare_outputs.study_outputs(synthetic_report(2.5, 0.02, error)))
+    assert sorted(a["files"]) == ["gummel-history-M8-eps0.1.csv", "gummel-summary.json",
+                                  "gummel-sweep.csv", "gummel.csv"]
+    report = a["report"]
+    assert report["rows"][0]["runtime_ms"] == report["extras"]["sweep"][0]["runtime_ms"] == 0.0
+    assert report["histories"]["M8-eps0.1"][0]["seconds"] == 0.0
+    assert compare_outputs.compare_case(a, b) == (verdict, ok)
+
+
+def test_every_study_is_a_case():
+    names = [name for name, _ in compare_outputs.cases()]
+    assert [name for name in names if name.startswith("study ")] == [
+        f"study {name}" for name in ("convergence", "angle", "gummel", "eps-limit", "conditioning")]

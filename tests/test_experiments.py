@@ -273,6 +273,16 @@ def test_conditioning_study_small(tmp_path):
     assert header == "eps,cond_estimate,solve_residual,status"
 
 
+def test_conditioning_study_reports_an_overflowed_estimate(monkeypatch):
+    monkeypatch.setattr(experiments, "naive_condition", lambda system: np.inf)
+    report = conditioning_study(ExperimentConfig(meshes=[8], eps_list=[1.0, 1e-3, 1e-6]))
+    assert [row["status"] for row in report.rows] == [">= overflow-threshold"] * 3
+    assert [entry["status"] for entry in report.extras["sweep"]] == [">= overflow-threshold"] * 3
+    # an infinite estimate counts as growth; without a finite first one there is no ratio
+    assert [(c["name"], c["passed"]) for c in report.checks] == [
+        ("condition growth as eps decreases", True)]
+
+
 def test_conditioning_study_factors_once_per_eps(monkeypatch):
     cfg = ExperimentConfig(meshes=[16], eps_list=[1.0, 1e-3, 1e-6])
 
@@ -349,7 +359,8 @@ def test_cli_rejects_fractional_mesh(tmp_path):
     ("angle", {"alphas": [0.0, float("nan")]}, "alphas must be finite"),
     ("gummel", {"eta": float("nan")}, "eta must be finite"),
     ("eps-limit", {"mu": float("inf")}, "mu must be finite"),
-], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu"])
+    ("convergence", {"thresholds": {"slope_rnage": [5.0, 6.0]}}, "slope_rnage"),
+], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu", "misspelt-threshold"])
 def test_cli_rejects_a_bad_config_before_the_first_solve(tmp_path, monkeypatch, experiment,
                                                           data, match):
     # each bad entry follows good ones, or is read by every run, so a check

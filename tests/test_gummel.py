@@ -232,6 +232,62 @@ def test_programming_error_propagates(monkeypatch):
     with pytest.raises(TypeError, match="bad call"):
         gummel_solve(linear_law_problem(g), p0, StopRule())
 
+    # numpy raises a plain ValueError on a shape mismatch: a bug, not a divergence
+    def mismatched(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together with shapes (9,9) (8,8)")
+
+    monkeypatch.setattr(gummel, "solve_p", mismatched)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        gummel_solve(linear_law_problem(g), p0, StopRule())
+
+
+def corrections_patched(monkeypatch, correction):
+    """Run ``solve_p`` as usual but return ``correction(lp)`` as its p; the holders it was given.
+
+    Each holder is checked to hold a factor once the real solve returns.
+    """
+    holders = []
+
+    def patched(lp, held, config):
+        _, residual, steps, factored = solve_p(lp, held, config)
+        assert held.factor is not None
+        holders.append(held)
+        return correction(lp), residual, steps, factored
+
+    monkeypatch.setattr(gummel, "solve_p", patched)
+    return holders
+
+
+def test_non_finite_correction_is_reported_as_divergence(monkeypatch):
+    case = case_nonlinear(unit_square_grid(16), 0.1)
+    p0 = sample_node(case.initial_guess, case.grid)
+    holders = corrections_patched(
+        monkeypatch, lambda lp: NodeField(lp.grid, np.full(lp.grid.node_shape, np.nan)))
+    p, state = gummel_solve(case.problem, p0, StopRule())
+    assert (state.status, state.detail) == ("diverged", "non-finite iterate at iteration 0")
+    assert state.n_iterations == 1 and np.isnan(state.history[0].correction_rel)
+    assert p is not p0
+    np.testing.assert_array_equal(p.values, p0.values)
+    assert len(holders) == 1 and holders[0].factor is None
+
+
+def test_growing_correction_is_reported_as_divergence(monkeypatch):
+    # each correction is a multiple of p0's interior, so iterate k is
+    # (1 + scales[0] + ... + scales[k]) p0 and its correction_rel is scales[k] over that sum
+    case = case_nonlinear(unit_square_grid(16), 0.1)
+    p0 = sample_node(case.initial_guess, case.grid)
+    scales = [1e-6, 1e-5, 1e-4, 1e-2]
+    queue = iter(scales)
+    holders = corrections_patched(
+        monkeypatch, lambda lp: NodeField.on_interior(lp.grid, next(queue) * p0.values[INTERIOR]))
+    _, state = gummel_solve(case.problem, p0, StopRule())
+    assert state.status == "diverged"
+    assert state.detail == "correction grew more than 10x over three iterations at 3"
+    assert [r.n for r in state.history] == [0, 1, 2, 3]
+    totals = 1.0 + np.cumsum(scales)
+    np.testing.assert_allclose(state.corrections, np.array(scales) / totals, rtol=1e-12)
+    assert len(holders) == 4 and holders[-1].factor is None
+
 
 def test_history_records_fields():
     g = unit_square_grid(20)

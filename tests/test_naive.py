@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 from apdiff import naive
 from apdiff.apcore import LinearProblem, solve_linear_ap
 from apdiff.grid import INTERIOR, make_grid, sample_node
+from apdiff.linsolve import SolveReport
 from apdiff.naive import assemble_naive, estimate_condition, naive_condition, solve_naive
 from apdiff.problems import case_angle, case_linear_variable
 from apdiff.experiments import ExperimentConfig, conditioning_study, rel_error, unit_square_grid
@@ -185,6 +186,17 @@ def test_naive_condition_reports_inf_on_breakdown():
     system = assemble_naive(case_linear_variable(g, 0.0).problem)
     cond = naive_condition(system)
     assert cond > 1e8 or not np.isfinite(cond)
+
+
+def test_failed_normal_equations_give_a_nan_solution(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    g = unit_square_grid(8)
+    monkeypatch.setattr(naive, "_normal_equations", singular)
+    p, report = solve_naive(case_linear_variable(g, 1.0).problem)
+    assert p.values.shape == g.node_shape and np.all(np.isnan(p.values))
+    assert report == SolveReport(np.inf, False)
 
 
 def test_estimate_condition_identity():

@@ -8,8 +8,11 @@ Usage, from the repository root::
 ``dump`` imports ``apdiff`` from ``DIR/src`` (a checkout of any commit, this
 one included), runs every case of :func:`cases` and pickles every output
 field as plain data: dataclasses become dicts, arrays stay arrays, and
-``IterationRecord.seconds`` is zeroed.  Run one ``dump`` per tree, each in
-its own process.
+``IterationRecord.seconds`` is zeroed.  A study case runs one small config
+of a CLI experiment and dumps its report and the text of every file
+``write_outputs`` writes, with the ``runtime_ms`` of its rows and sweep and
+the ``seconds`` of its iteration records zeroed before it writes them.
+Run one ``dump`` per tree, each in its own process.
 
 ``compare`` prints one line per case: ``bytes`` when every value is equal
 byte for byte, ``array_equal`` when some differ in bytes only in ways
@@ -27,6 +30,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,13 @@ ANGLE_DEGREES = [0, 21, 45, 90]
 ANGLE_CELLS, ANGLE_EPS = 100, 1e-3
 GUMMEL = [(64, 10.0), (64, 1.0), (64, 0.1), (64, 0.0), (200, 0.1), (200, 1e-3), (200, 0.0)]
 NAIVE_CELLS, NAIVE_EPS, NAIVE_SEED = 20, [1.0, 1e-3, 1e-6], 3
+STUDIES = {
+    "convergence": {"meshes": [8, 16, 32], "eps_list": [0.1, 0.0]},
+    "angle": {"meshes": [16], "eps_list": [1e-3], "alphas": [0.0, 0.5, math.pi / 2]},
+    "gummel": {"meshes": [16, 32], "eps_list": [0.1, 0.0]},
+    "eps-limit": {"meshes": [16, 32], "eps_list": [1e-3, 1e-2, 0.1, 0.0]},
+    "conditioning": {"meshes": [16]},
+}
 
 
 def _plain(value):
@@ -54,9 +65,22 @@ def _plain(value):
     return value
 
 
+def study_outputs(report) -> dict:
+    """``report`` and the text of each file it writes, timings zeroed before it writes them."""
+    for entry in report.rows + report.extras.get("sweep", []):
+        entry["runtime_ms"] = 0.0
+    for history in report.histories.values():
+        for rec in history:
+            rec.seconds = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        report.write_outputs(tmp)
+        files = {path.name: path.read_text() for path in sorted(Path(tmp).iterdir())}
+    return {"report": report, "files": files}
+
+
 def cases():
     """``(name, run)`` of every case; ``run()`` returns the case's outputs."""
-    from apdiff import experiments, naive, problems
+    from apdiff import cli, experiments, naive, problems
     from apdiff.apcore import solve_linear_ap
     from apdiff.grid import sample_node
     from apdiff.gummel import gummel_solve
@@ -89,6 +113,9 @@ def cases():
 
     for eps in NAIVE_EPS:
         out.append((f"naive M{NAIVE_CELLS} eps {eps:g}", lambda eps=eps: baseline(eps)))
+    for name, data in STUDIES.items():
+        out.append((f"study {name}", lambda name=name, data=data: study_outputs(
+            cli.EXPERIMENTS[name](experiments.study_config(name, data)))))
     return out
 
 

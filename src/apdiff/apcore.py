@@ -62,8 +62,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .grid import (INTERIOR, CellField, CellVectorField, Grid, NodeField, sample_cell,
-                   sample_cell_vec, sample_node)
+from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 from .linsolve import (BandFactor, DirectFactor, SolverConfig, check_assembly, dot,
                        nested_dissection, norm2, stencil_matrix)
 from .operators import (apply_dh, apply_dh_star, compose_second_order, ghost_extrapolation,
@@ -94,9 +93,11 @@ class DataError(ValueError):
 
 
 def _check_direction(direction: CellVectorField) -> None:
-    """Reject an anisotropy direction with a zero vector at any cell."""
-    if not np.all(np.hypot(direction.x, direction.y) > 0.0):
-        raise DataError("anisotropy direction has zero vectors")
+    """Reject an anisotropy direction with a zero vector or a NaN component at any cell."""
+    # |bx| + |by| is zero at a zero vector and NaN where a component is NaN;
+    # the minimum carries a NaN through, and NaN > 0 is false
+    if not (np.abs(direction.x) + np.abs(direction.y)).min() > 0.0:
+        raise DataError("anisotropy direction has zero vectors or NaN components")
 
 
 def check_data(problem, names, positive) -> None:
@@ -143,26 +144,6 @@ class LinearProblem:
         check_data(self, ("reaction_node", "reaction_cell", "diffusivity_cell", "direction",
                           "source_node", "grad_source_cell"),
                    positive=("reaction_node", "reaction_cell", "diffusivity_cell"))
-
-    @classmethod
-    def from_functions(cls, grid: Grid, eps, reaction, diffusivity, direction, source, grad_source):
-        """Sample analytically known coefficient functions on the lattices.
-
-        Each closed form is called as ``fn(x, y)`` with an ``(n, 1)`` x column
-        and a ``(1, m)`` y row of its lattice and returns a scalar or a 2-d
-        array broadcastable to the lattice; ``direction`` returns a pair of
-        them.  A 1-d result raises ``ValueError`` (see ``grid.sample_node``).
-        """
-        return cls(
-            grid=grid,
-            eps=float(eps),
-            reaction_node=sample_node(reaction, grid),
-            reaction_cell=sample_cell(reaction, grid),
-            diffusivity_cell=sample_cell(diffusivity, grid),
-            direction=sample_cell_vec(direction, grid),
-            source_node=sample_node(source, grid),
-            grad_source_cell=sample_cell(grad_source, grid),
-        )
 
 
 @dataclass

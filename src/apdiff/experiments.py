@@ -55,6 +55,11 @@ _THRESHOLDS = {"slope_range": (1.8, 2.2), "eps_spread": 0.10, "mean_gradient": 1
                "blowup_ratio": 1e3}
 
 
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and bool(np.isfinite(value)))
+
+
 def unit_square_grid(cells: int):
     """Grid of ``cells x cells`` squares over the benchmark domain [1,2]^2."""
     return make_grid(((1.0, 2.0), (1.0, 2.0)), cells - 1, cells - 1)
@@ -112,6 +117,13 @@ class ExperimentConfig:
         unknown = sorted(set(self.thresholds) - set(_THRESHOLDS))
         if unknown:
             raise ValueError(f"unknown thresholds {unknown}, expected some of {list(_THRESHOLDS)}")
+        for name, value in self.thresholds.items():
+            # a range is two finite numbers, every other limit one
+            size = np.size(_THRESHOLDS[name])
+            items = list(value) if size > 1 and isinstance(value, (list, tuple)) else [value]
+            if not (len(items) == size and all(_finite_number(item) for item in items)):
+                what = "two finite numbers" if size > 1 else "one finite number"
+                raise ValueError(f"threshold {name} must be {what}, got {value!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

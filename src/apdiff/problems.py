@@ -4,6 +4,14 @@ Every case back-computes its data (scalar source and along-direction
 gradient offset) from an analytically chosen exact solution, so errors can
 be measured exactly.  All derivatives are closed-form; the tests validate
 them against central finite differences at random points.
+
+A builder samples each closed form once per lattice, through
+``grid.sample_node``, ``sample_cell`` and ``sample_cell_vec``, and builds
+the problem's fields from those samples: the source from the exact solution
+sampled on the node lattice (``G p`` or ``p^6``), and the gradient offset
+``b.S`` from the direction field.  Two fields that read one closed form on
+one lattice share its sample, the second as a copy.  The exact solution's
+node sample stays on the case, read-only, as :meth:`ManufacturedCase.exact_field`.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .apcore import LinearProblem
-from .grid import Grid, NodeField, sample_cell, sample_cell_vec, sample_node
+from .grid import (CellField, CellVectorField, Grid, NodeField, sample_cell, sample_cell_vec,
+                   sample_node)
 from .gummel import NonlinearProblem
 
 __all__ = [
@@ -52,21 +61,31 @@ def spline_deriv(z):
 
 @dataclass
 class ManufacturedCase:
-    """A problem with everything needed to measure exact errors."""
+    """A problem with everything needed to measure exact errors.
+
+    ``p_node`` is the exact solution sampled on the node lattice, ghosts
+    included, when the case was built; its values are read-only.  The closed
+    forms (``p_exact`` and the rest) sample the same functions anywhere else.
+    """
 
     name: str
     grid: Grid
     eps: float
     problem: object  # LinearProblem or NonlinearProblem
     p_exact: object  # callable (x, y) -> exact solution
+    p_node: NodeField  # p_exact on the node lattice, read-only
     pi_exact: object = None
     q_exact: object = None
     limit_exact: object = None  # exact solution of the eps -> 0 limit
     initial_guess: object = None  # callable, for the nonlinear iteration
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.p_node.values.flags.writeable = False
+
     def exact_field(self) -> NodeField:
-        return sample_node(self.p_exact, self.grid)
+        """The exact solution on the node lattice: the read-only sample taken at build time."""
+        return self.p_node
 
 
 # Shared coefficient definitions ----------------------------------------------
@@ -82,6 +101,29 @@ def _bumpy(x, y):
     return 1.0 + np.sin(x) ** 2 * np.sin(y) ** 2
 
 
+def _along(direction: CellVectorField, gradient: CellVectorField) -> CellField:
+    """``b . gradient`` at every cell."""
+    return CellField(direction.grid, direction.x * gradient.x + direction.y * gradient.y)
+
+
+def _bumpy_problem(grid: Grid, eps, p_node: NodeField, g_node: NodeField, g_cell: CellField,
+                   direction: CellVectorField, grad_source: CellField) -> LinearProblem:
+    """The linear problem with reaction and diffusivity G = ``_bumpy`` and source ``G p``.
+
+    ``g_node`` and ``g_cell`` are the samples of G; the diffusivity is a copy of ``g_cell``.
+    """
+    return LinearProblem(
+        grid=grid,
+        eps=float(eps),
+        reaction_node=g_node,
+        reaction_cell=g_cell,
+        diffusivity_cell=g_cell.copy(),
+        direction=direction,
+        source_node=NodeField(grid, g_node.values * p_node.values),
+        grad_source_cell=grad_source,
+    )
+
+
 def case_linear_variable(grid: Grid, eps: float) -> ManufacturedCase:
     """Variable-coefficient linear case with a rotation-symmetric solution.
 
@@ -93,26 +135,22 @@ def case_linear_variable(grid: Grid, eps: float) -> ManufacturedCase:
     def p_exact(x, y):
         return 1.0 / (1.0 + x**2 + y**2)
 
-    def grad_source(x, y):
-        bx, by = _swirl_direction(x, y)
+    def gradient(x, y):
         w = (1.0 + x**2 + y**2) ** 2
-        return bx * (-2.0 * x / w) + by * (-2.0 * y / w)
+        return -2.0 * x / w, -2.0 * y / w
 
-    problem = LinearProblem.from_functions(
-        grid,
-        eps,
-        reaction=_bumpy,
-        diffusivity=_bumpy,
-        direction=_swirl_direction,
-        source=lambda x, y: _bumpy(x, y) * p_exact(x, y),
-        grad_source=grad_source,
-    )
+    p_node = sample_node(p_exact, grid)
+    direction = sample_cell_vec(_swirl_direction, grid)
+    problem = _bumpy_problem(grid, eps, p_node, sample_node(_bumpy, grid),
+                             sample_cell(_bumpy, grid), direction,
+                             _along(direction, sample_cell_vec(gradient, grid)))
     return ManufacturedCase(
         name="linear-variable",
         grid=grid,
         eps=eps,
         problem=problem,
         p_exact=p_exact,
+        p_node=p_node,
         params={},
     )
 
@@ -136,61 +174,71 @@ def case_angle(grid: Grid, eps: float, alpha: float) -> ManufacturedCase:
     def pi_exact(x, y):
         return np.sin(x * c + y * s)
 
-    # G and its directional derivatives along b = (s, -c)
-    def _g_parts(x, y):
-        g = _bumpy(x, y)
+    # G = _bumpy and the fluctuation generator l, and their first and second
+    # derivatives along b = (s, -c)
+    def g_along(x, y):
         gx = np.sin(2.0 * x) * np.sin(y) ** 2
         gy = np.sin(x) ** 2 * np.sin(2.0 * y)
+        return s * gx - c * gy
+
+    def g_along2(x, y):
         gxx = 2.0 * np.cos(2.0 * x) * np.sin(y) ** 2
         gyy = 2.0 * np.sin(x) ** 2 * np.cos(2.0 * y)
         gxy = np.sin(2.0 * x) * np.sin(2.0 * y)
-        dg = s * gx - c * gy
-        d2g = s * s * gxx - 2.0 * s * c * gxy + c * c * gyy
-        return g, dg, d2g
+        return s * s * gxx - 2.0 * s * c * gxy + c * c * gyy
 
-    def _l_parts(x, y):
+    def generator(x, y):
+        return np.sin(ax * (x - x0)) * np.sin(ay * (y - y0))
+
+    def l_along(x, y):
+        u = ax * (x - x0)
+        v = ay * (y - y0)
+        lx = ax * np.cos(u) * np.sin(v)
+        ly = ay * np.sin(u) * np.cos(v)
+        return s * lx - c * ly
+
+    def l_along2(x, y):
         u = ax * (x - x0)
         v = ay * (y - y0)
         l = np.sin(u) * np.sin(v)
-        lx = ax * np.cos(u) * np.sin(v)
-        ly = ay * np.sin(u) * np.cos(v)
         lxx = -ax * ax * l
         lyy = -ay * ay * l
         lxy = ax * ay * np.cos(u) * np.cos(v)
-        dl = s * lx - c * ly
-        d2l = s * s * lxx - 2.0 * s * c * lxy + c * c * lyy
-        return l, dl, d2l
+        return s * s * lxx - 2.0 * s * c * lxy + c * c * lyy
+
+    def fluctuation(g, dg, l, dl):
+        """q = b.grad(G l) / G from the values of its parts."""
+        return (dg / g) * l + dl
 
     def q_exact(x, y):
-        g, dg, _ = _g_parts(x, y)
-        l, dl, _ = _l_parts(x, y)
-        return (dg / g) * l + dl
+        return fluctuation(_bumpy(x, y), g_along(x, y), generator(x, y), l_along(x, y))
 
     def p_exact(x, y):
         return pi_exact(x, y) + q_exact(x, y)
 
-    def grad_source(x, y):
-        # b.grad p; the mean part drops out (constant along b)
-        g, dg, d2g = _g_parts(x, y)
-        l, dl, d2l = _l_parts(x, y)
-        d_ratio = (d2g * g - dg * dg) / g**2
-        return d_ratio * l + (dg / g) * dl + d2l
+    def node(fn):
+        return sample_node(fn, grid).values
 
-    problem = LinearProblem.from_functions(
-        grid,
-        eps,
-        reaction=_bumpy,
-        diffusivity=_bumpy,
-        direction=direction,
-        source=lambda x, y: _bumpy(x, y) * p_exact(x, y),
-        grad_source=grad_source,
-    )
+    def cell(fn):
+        return sample_cell(fn, grid).values
+
+    g_node, g_cell = sample_node(_bumpy, grid), sample_cell(_bumpy, grid)
+    q = fluctuation(g_node.values, node(g_along), node(generator), node(l_along))
+    p_node = NodeField(grid, node(pi_exact) + q)
+    # b.grad p; the mean part drops out (constant along b)
+    g, dg, d2g = g_cell.values, cell(g_along), cell(g_along2)
+    d_ratio = (d2g * g - dg * dg) / g**2
+    grad_source = d_ratio * cell(generator) + (dg / g) * cell(l_along) + cell(l_along2)
+
+    problem = _bumpy_problem(grid, eps, p_node, g_node, g_cell, sample_cell_vec(direction, grid),
+                             CellField(grid, grad_source))
     return ManufacturedCase(
         name="angle",
         grid=grid,
         eps=eps,
         problem=problem,
         p_exact=p_exact,
+        p_node=p_node,
         pi_exact=pi_exact,
         q_exact=q_exact,
         params={"alpha": alpha},
@@ -226,6 +274,21 @@ def _spline_bump(grid: Grid, eta: float, mu: float):
     return bump, gradient, cap, (xm, ym, lx, ly)
 
 
+def _spline_family_problem(grid: Grid, eps: float, p_node: NodeField, gradient) -> NonlinearProblem:
+    """The problem of law ``p^6`` whose exact solution ``p_node`` has the closed-form ``gradient``."""
+    direction = sample_cell_vec(_swirl_direction, grid)
+    return NonlinearProblem(
+        grid=grid,
+        eps=float(eps),
+        diffusivity_cell=sample_cell(_cosiny, grid),
+        direction=direction,
+        source_node=NodeField(grid, p_node.values ** 6),
+        grad_source_cell=_along(direction, sample_cell_vec(gradient, grid)),
+        reaction_law=lambda p: p**6,
+        reaction_slope=lambda p: 6.0 * p**5,
+    )
+
+
 def case_nonlinear(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) -> ManufacturedCase:
     """Strongly nonlinear reaction law with a compact spline-bump solution.
 
@@ -233,34 +296,16 @@ def case_nonlinear(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) -
     perturbation of magnitude ``eta`` and support controlled by ``mu``.
     """
     p_exact, gradient, cap, _ = _spline_bump(grid, eta, mu)
-
-    def grad_source(x, y):
-        bx, by = _swirl_direction(x, y)
-        px, py = gradient(x, y)
-        return bx * px + by * py
-
-    problem = _spline_family_problem(grid, eps, grad_source, p_exact)
+    p_node = sample_node(p_exact, grid)
     return ManufacturedCase(
         name="nonlinear-spline",
         grid=grid,
         eps=eps,
-        problem=problem,
+        problem=_spline_family_problem(grid, eps, p_node, gradient),
         p_exact=p_exact,
+        p_node=p_node,
         initial_guess=lambda x, y: p_exact(x, y) + cap(x, y),
         params={"eta": eta, "mu": mu},
-    )
-
-
-def _spline_family_problem(grid: Grid, eps: float, grad_source, p_exact) -> NonlinearProblem:
-    return NonlinearProblem(
-        grid=grid,
-        eps=float(eps),
-        diffusivity_cell=sample_cell(_cosiny, grid),
-        direction=sample_cell_vec(lambda x, y: _swirl_direction(x, y), grid),
-        source_node=sample_node(lambda x, y: p_exact(x, y) ** 6, grid),
-        grad_source_cell=sample_cell(grad_source, grid),
-        reaction_law=lambda p: p**6,
-        reaction_slope=lambda p: 6.0 * p**5,
     )
 
 
@@ -271,7 +316,7 @@ def case_ap_limit(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) ->
     truncated cosine product; the exact limit is available separately so the
     vanishing-eps behavior of the scheme can be measured directly.
     """
-    limit_exact, gradient, cap, (xm, ym, lx, ly) = _spline_bump(grid, eta, mu)
+    limit_exact, limit_gradient, cap, (xm, ym, lx, ly) = _spline_bump(grid, eta, mu)
     ax = 2.0 * np.pi / lx
     ay = 2.0 * np.pi / ly
 
@@ -284,21 +329,21 @@ def case_ap_limit(grid: Grid, eps: float, eta: float = 0.1, mu: float = 60.0) ->
     def p_exact(x, y):
         return limit_exact(x, y) + eps * ripple_pos(x, y)
 
-    def grad_source(x, y):
-        bx, by = _swirl_direction(x, y)
-        px, py = gradient(x, y)
+    def gradient(x, y):
+        px, py = limit_gradient(x, y)
         active = _ripple(x, y) > 0.0
         rx = np.where(active, -ax * np.sin(ax * (x - xm)) * np.cos(ay * (y - ym)), 0.0)
         ry = np.where(active, -ay * np.cos(ax * (x - xm)) * np.sin(ay * (y - ym)), 0.0)
-        return bx * (px + eps * rx) + by * (py + eps * ry)
+        return px + eps * rx, py + eps * ry
 
-    problem = _spline_family_problem(grid, eps, grad_source, p_exact)
+    p_node = sample_node(p_exact, grid)
     return ManufacturedCase(
         name="ap-limit",
         grid=grid,
         eps=eps,
-        problem=problem,
+        problem=_spline_family_problem(grid, eps, p_node, gradient),
         p_exact=p_exact,
+        p_node=p_node,
         limit_exact=limit_exact,
         initial_guess=lambda x, y: p_exact(x, y) + cap(x, y),
         params={"eta": eta, "mu": mu},

@@ -26,7 +26,7 @@ from apdiff.apcore import (
     solve_p,
 )
 from apdiff.grid import (INTERIOR, CellField, CellVectorField, NodeField, make_grid, sample_cell,
-                         sample_node)
+                         sample_cell_vec, sample_node)
 from apdiff.linsolve import (AssemblyError, BandFactor, DirectFactor, SolverConfig, assemble,
                              factor_order, nested_dissection, refine, stencil_matrix)
 from apdiff.operators import apply_dh, compose_second_order
@@ -41,9 +41,17 @@ from test_operators import uniform_direction
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
 
+def sampled_problem(grid, eps, reaction, diffusivity, direction, source, grad_source):
+    """The linear problem of closed forms ``fn(x, y)``, each sampled on its lattice."""
+    return LinearProblem(grid, float(eps), sample_node(reaction, grid),
+                         sample_cell(reaction, grid), sample_cell(diffusivity, grid),
+                         sample_cell_vec(direction, grid), sample_node(source, grid),
+                         sample_cell(grad_source, grid))
+
+
 def swirl_problem(grid, eps, source=None, grad_source=None):
     bump = lambda x, y: 1.0 + np.sin(x) ** 2 * np.sin(y) ** 2
-    return LinearProblem.from_functions(
+    return sampled_problem(
         grid,
         eps,
         reaction=bump,
@@ -59,7 +67,7 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         swirl_problem(g, -1.0)
     with pytest.raises(ValueError):
-        LinearProblem.from_functions(
+        sampled_problem(
             g, 0.0,
             reaction=lambda x, y: np.zeros_like(x),  # not strictly positive
             diffusivity=lambda x, y: np.ones_like(x),
@@ -91,6 +99,18 @@ def test_problems_and_fill_ghost_reject_zero_direction():
         dataclasses.replace(linear_law_problem(g), direction=zero)
     with pytest.raises(ValueError, match="zero vectors"):
         fill_ghost(NodeField.zeros(g), zero, problem.grad_source_cell)
+
+
+@pytest.mark.parametrize("vector", [(np.nan, np.nan), (np.nan, 0.5), (-0.5, np.nan)],
+                         ids=["nan-nan", "nan-x", "nan-y"])
+def test_fill_ghost_rejects_nan_direction(vector):
+    # fill_ghost takes a direction that need not have passed check_data
+    g = make_grid(UNIT, 5, 5)
+    problem = swirl_problem(g, 0.1)
+    values = problem.direction.values.copy()
+    values[2, 3] = vector
+    with pytest.raises(apcore.DataError, match="direction"):
+        fill_ghost(NodeField.zeros(g), CellVectorField(g, values), problem.grad_source_cell)
 
 
 def ghost_ring(g):
@@ -170,7 +190,7 @@ def test_reconstruct_q_trivial_and_impulse():
     np.testing.assert_allclose(q.values, 0.0)
     # single-cell impulse with unit reaction: q equals the divergence stencil
     ones = lambda x, y: np.ones_like(x)
-    problem1 = LinearProblem.from_functions(
+    problem1 = sampled_problem(
         g, 0.2, reaction=ones, diffusivity=ones,
         direction=lambda x, y: (y / np.hypot(x, y), -x / np.hypot(x, y)),
         source=lambda x, y: np.zeros_like(x), grad_source=lambda x, y: np.zeros_like(x),

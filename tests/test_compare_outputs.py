@@ -91,3 +91,18 @@ def test_every_study_is_a_case():
     names = [name for name, _ in compare_outputs.cases()]
     assert [name for name in names if name.startswith("study ")] == [
         f"study {name}" for name in ("convergence", "angle", "gummel", "eps-limit", "conditioning")]
+
+
+def test_every_case_builder_has_a_case_data_case():
+    runs = dict(compare_outputs.cases())
+    assert [name for name in runs if name.startswith("case data ")] == [
+        f"case data {builder} M16" for builder in ("case_linear_variable", "case_angle",
+                                                   "case_nonlinear", "case_ap_limit")]
+    data = compare_outputs._plain(runs["case data case_nonlinear M16"]())
+    assert sorted(data) == ["exact", "initial_guess", "problem"]
+    assert sorted(data["problem"]) == ["diffusivity_cell", "direction", "eps", "grad_source_cell",
+                                       "grid", "source_node"]
+    assert data["exact"]["values"].shape == data["initial_guess"]["values"].shape == (18, 18)
+    linear = compare_outputs._plain(runs["case data case_angle M16"]())
+    assert len(linear["problem"]) == 8 and linear["initial_guess"] is None
+    assert pickle.loads(pickle.dumps(data))["exact"]["values"].shape == (18, 18)

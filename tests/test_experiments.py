@@ -360,7 +360,13 @@ def test_cli_rejects_fractional_mesh(tmp_path):
     ("gummel", {"eta": float("nan")}, "eta must be finite"),
     ("eps-limit", {"mu": float("inf")}, "mu must be finite"),
     ("convergence", {"thresholds": {"slope_rnage": [5.0, 6.0]}}, "slope_rnage"),
-], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu", "misspelt-threshold"])
+    ("convergence", {"thresholds": {"slope_range": 2.0}}, "slope_range must be two finite"),
+    ("eps-limit", {"thresholds": {"eps_slope_range": [0.8, "x"]}}, "eps_slope_range"),
+    ("gummel", {"thresholds": {"max_iterations": float("nan")}}, "max_iterations must be one"),
+    ("angle", {"thresholds": {"variation_linf": [0.1]}}, "variation_linf must be one finite"),
+    ("conditioning", {"thresholds": {"blowup_ratio": "x"}}, "blowup_ratio must be one finite"),
+], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu", "misspelt-threshold",
+        "scalar-range", "text-in-range", "nan-threshold", "list-threshold", "text-threshold"])
 def test_cli_rejects_a_bad_config_before_the_first_solve(tmp_path, monkeypatch, experiment,
                                                           data, match):
     # each bad entry follows good ones, or is read by every run, so a check

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from apdiff import naive
-from apdiff.apcore import LinearProblem, solve_linear_ap
+from apdiff.apcore import solve_linear_ap
 from apdiff.grid import INTERIOR, make_grid, sample_node
 from apdiff.linsolve import SolveReport
 from apdiff.naive import assemble_naive, estimate_condition, naive_condition, solve_naive
@@ -19,13 +19,14 @@ from apdiff.problems import case_angle, case_linear_variable
 from apdiff.experiments import ExperimentConfig, conditioning_study, rel_error, unit_square_grid
 
 from _oracles import dense_dh
+from test_apcore import sampled_problem
 
 UNIT = ((1.0, 2.0), (1.0, 2.0))
 
 
 def axis_problem(grid, eps=1.0):
     ones = lambda x, y: np.ones_like(x)
-    return LinearProblem.from_functions(
+    return sampled_problem(
         grid, eps,
         reaction=ones, diffusivity=ones,
         direction=lambda x, y: (np.ones_like(x), np.zeros_like(x)),
@@ -52,7 +53,7 @@ def test_interior_rows_reduce_to_1d_stencil():
 def test_constant_solution_is_exact():
     g = make_grid(UNIT, 12, 12)
     bump = lambda x, y: 1.0 + np.sin(x) ** 2 * np.sin(y) ** 2
-    problem = LinearProblem.from_functions(
+    problem = sampled_problem(
         g, 1.0,
         reaction=bump, diffusivity=bump,
         direction=lambda x, y: (y / np.hypot(x, y), -x / np.hypot(x, y)),
@@ -159,7 +160,7 @@ def test_condition_diagonally_dominant_limit():
     # diagonal, whose condition is the reaction spread
     g = make_grid(UNIT, 12, 12)
     bump = lambda x, y: 1e6 * (1.0 + np.sin(x) ** 2 * np.sin(y) ** 2)
-    problem = LinearProblem.from_functions(
+    problem = sampled_problem(
         g, 1.0,
         reaction=bump, diffusivity=lambda x, y: np.ones_like(x),
         direction=lambda x, y: (y / np.hypot(x, y), -x / np.hypot(x, y)),

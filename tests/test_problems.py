@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_case_data_bitwise_equal_to_full_lattice_sampling(monkeypatch, name, bui
     g = unit_square_grid(cells)
     case = builder(g)
     with monkeypatch.context() as m:
-        for module in (apcore, problems):
+        for module in (problems,):
             m.setattr(module, "sample_node", _full_lattice_sampler(NodeField))
             m.setattr(module, "sample_cell", _full_lattice_sampler(CellField))
             m.setattr(module, "sample_cell_vec", _full_lattice_sampler(CellVectorField))
@@ -158,6 +159,32 @@ def test_case_data_bitwise_equal_to_full_lattice_sampling(monkeypatch, name, bui
         if closed_form is not None:
             assert np.array_equal(sample_node(closed_form, g).values,
                                   full_lattice_sample(closed_form, g, "node"))
+
+
+@pytest.mark.parametrize("name,builder", BITWISE_CASES, ids=[c[0] for c in BITWISE_CASES])
+def test_closed_forms_evaluated_once_per_lattice(monkeypatch, name, builder):
+    # building a case and reading its exact field twice evaluates G and the
+    # spline at most once on each lattice: once per argument shape, that is
+    # per lattice for G(x, y) and per axis of a lattice for the spline
+    g = unit_square_grid(16)
+    calls = collections.Counter()
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[fn.__name__, key(*args)] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(problems, "_bumpy",
+                        counted(problems._bumpy, lambda x, y: np.broadcast(x, y).shape))
+    monkeypatch.setattr(problems, "spline", counted(problems.spline, np.shape))
+    case = builder(g)
+    first, second = case.exact_field(), case.exact_field()
+    assert calls and max(calls.values()) == 1, calls
+    assert np.array_equal(first.values, second.values)
+    with pytest.raises(ValueError, match="read-only"):
+        first.values[1, 1] = 0.0
+    np.testing.assert_array_equal(first.values, sample_node(case.p_exact, g).values)
 
 
 # individual cases ----------------------------------------------------------------

@@ -8,7 +8,9 @@ Usage, from the repository root::
 ``dump`` imports ``apdiff`` from ``DIR/src`` (a checkout of any commit, this
 one included), runs every case of :func:`cases` and pickles every output
 field as plain data: dataclasses become dicts, arrays stay arrays, and
-``IterationRecord.seconds`` is zeroed.  A study case runs one small config
+``IterationRecord.seconds`` is zeroed.  A case-data case builds one
+manufactured case and dumps every field of its problem, ``exact_field()``
+and the sample of its ``initial_guess``.  A study case runs one small config
 of a CLI experiment and dumps its report and the text of every file
 ``write_outputs`` writes, with the ``runtime_ms`` of its rows and sweep and
 the ``seconds`` of its iteration records zeroed before it writes them.
@@ -40,6 +42,10 @@ ANGLE_DEGREES = [0, 21, 45, 90]
 ANGLE_CELLS, ANGLE_EPS = 100, 1e-3
 GUMMEL = [(64, 10.0), (64, 1.0), (64, 0.1), (64, 0.0), (200, 0.1), (200, 1e-3), (200, 0.0)]
 NAIVE_CELLS, NAIVE_EPS, NAIVE_SEED = 20, [1.0, 1e-3, 1e-6], 3
+CASE_DATA_CELLS = 16
+# each builder of ``problems`` and its arguments after the grid, for its case data
+CASE_DATA = {"case_linear_variable": (0.1,), "case_angle": (1e-3, math.radians(21)),
+             "case_nonlinear": (0.1,), "case_ap_limit": (1e-2,)}
 STUDIES = {
     "convergence": {"meshes": [8, 16, 32], "eps_list": [0.1, 0.0]},
     "angle": {"meshes": [16], "eps_list": [1e-3], "alphas": [0.0, 0.5, math.pi / 2]},
@@ -113,6 +119,17 @@ def cases():
 
     for eps in NAIVE_EPS:
         out.append((f"naive M{NAIVE_CELLS} eps {eps:g}", lambda eps=eps: baseline(eps)))
+
+    def case_data(builder, args):
+        case = getattr(problems, builder)(grid(CASE_DATA_CELLS), *args)
+        fields = {f.name: getattr(case.problem, f.name) for f in dataclasses.fields(case.problem)}
+        guess = None if case.initial_guess is None else sample_node(case.initial_guess, case.grid)
+        return {"problem": {name: value for name, value in fields.items() if not callable(value)},
+                "exact": case.exact_field(), "initial_guess": guess}
+
+    for builder, args in CASE_DATA.items():
+        out.append((f"case data {builder} M{CASE_DATA_CELLS}",
+                    lambda builder=builder, args=args: case_data(builder, args)))
     for name, data in STUDIES.items():
         out.append((f"study {name}", lambda name=name, data=data: study_outputs(
             cli.EXPERIMENTS[name](experiments.study_config(name, data)))))

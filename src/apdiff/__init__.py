@@ -1,14 +1,6 @@
 """Anisotropy-robust solver for singularly perturbed nonlinear diffusion."""
 
-from .apcore import (
-    LinearProblem,
-    SolutionDecomposition,
-    fill_ghost,
-    reconstruct_pi,
-    reconstruct_q,
-    solve_L,
-    solve_linear_ap,
-)
+from .apcore import LinearProblem, SolutionDecomposition, fill_ghost, solve_linear_ap
 from .grid import (
     CellField,
     CellVectorField,
@@ -20,7 +12,7 @@ from .grid import (
     sample_node,
 )
 from .gummel import NonlinearProblem, StopRule, gummel_solve, linearize
-from .linsolve import SolverConfig, assemble
+from .linsolve import SolverConfig
 from .operators import apply_dh, apply_dh_star, compose_second_order
 from .problems import case_angle, case_ap_limit, case_linear_variable, case_nonlinear, spline
 

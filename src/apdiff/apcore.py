@@ -29,7 +29,8 @@ conjugate-gradient routine (:func:`_cg`) solves each of them.
 :func:`_factor` factors a CSR matrix as a banded Cholesky factor of the
 symmetric ``S = A diag(1/G)`` on grids up to ``BAND_MAX_WIDTH`` wide, and by
 SuperLU in nested-dissection order on wider ones; each factor builds its own
-form of the matrix.  On A's new factor h and l take one step each.
+form of the matrix.  The h and l systems are the sum system at eps = 0, and
+on A's factor they take one step each.
 
 A caller that needs p alone, as the Gummel loop does, solves one cell system
 instead of three (:func:`solve_p`).  Since h and l share A, ``s = h + l``
@@ -40,11 +41,12 @@ solves ``A s = dh(f/G) + L - b.S``; the L system divided by ``-eps`` shows
 
 the sum system with another right-hand side.
 
-One routine solves the sum system for both (:func:`_sum_system`).  It runs
-CG preconditioned by the factor of another matrix that a :class:`HeldFactor`
-holds: A's for L, an earlier Gummel iteration's system for p.  When nothing
-is held, or CG misses the tolerance, A gains ``eps G/H`` in place on its
-stored diagonal and that system is factored, and the holder keeps the new
+One routine solves every cell system, h, L, l and p's
+(:func:`_sum_system`).  It runs CG preconditioned by the factor that a
+:class:`HeldFactor` holds: A's for h, L and l, an earlier Gummel
+iteration's system for p.  When nothing is held, or CG misses the
+tolerance, A gains ``eps G/H`` in place on its stored diagonal and that
+system is factored, CG runs once more on it, and the holder keeps the new
 factor until the next miss.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
@@ -312,30 +314,15 @@ def _cg(apply, gc: np.ndarray, factor: BandFactor | DirectFactor, rhs: np.ndarra
     return x, norm2(r) / rhs_norm, steps
 
 
-def _stage(problem: LinearProblem, factor: BandFactor | DirectFactor, rhs: np.ndarray,
-           tol: float, stage: str):
-    """One cell system ``factor.matrix x = rhs`` on the interior cells, by :func:`_cg`.
-
-    ``factor`` is a new factor of that matrix, which it preconditions.  A
-    miss raises :class:`StageError` naming ``stage``.  Returns
-    ``(x, residual, steps)``.
-    """
-    gc = problem.reaction_cell.values[INTERIOR].ravel()
-    x, residual, steps = _cg(factor.matrix.dot, gc, factor, rhs, tol)
-    if not residual <= tol:
-        raise StageError(f"{stage} solve failed: residual {residual:.3e} "
-                         f"above tolerance {tol:.1e}")
-    return x, residual, steps
-
-
 @dataclass
 class HeldFactor:
-    """A factor of the sum system, held across the solves that it may precondition.
+    """A factor of a cell system, held across the solves that it may precondition.
 
     :func:`solve_p` holds the factor of its own system from one Gummel
-    iteration to the next; :func:`solve_L` holds A's.  ``factor`` is
-    ``None`` while nothing is held.  :func:`_sum_system` drops it before it
-    factors anew, so two factors of one holder are never alive at once.
+    iteration to the next; :func:`solve_linear_ap` holds A's for h and l,
+    and :func:`solve_L` for L, for one call.  ``factor`` is ``None`` while
+    nothing is held.  :func:`_sum_system` drops it before it factors anew,
+    so two factors of one holder are never alive at once.
     """
 
     factor: BandFactor | DirectFactor | None = None
@@ -344,16 +331,16 @@ class HeldFactor:
         self.factor = None
 
 
-def _sum_system(problem: LinearProblem, held: HeldFactor, rhs: np.ndarray, apply_mean,
-                build_mean, tol: float, stage: str):
+def _sum_system(problem: LinearProblem, held: HeldFactor, rhs: np.ndarray, eps: float,
+                matrix: sp.csr_matrix | None, tol: float, stage: str):
     """The sum system ``(A + diag(eps G/H)) x = rhs`` on the interior cells.
 
-    ``apply_mean`` applies A to a flat cell vector, and ``build_mean()``
-    returns A as CSR, a matrix this solve may change.  While ``held`` holds a
+    ``matrix`` is A as CSR, or ``None``, in which case A is applied through
+    its stencils and assembled only to be factored.  While ``held`` holds a
     factor of this grid's size, :func:`_cg` runs on the system preconditioned
     by it.  When it holds none, or that run misses ``tol``, the held factor
-    is dropped, A is built and gains the diagonal in place, keeping its
-    structure, and :func:`_stage` solves the system on its own factor
+    is dropped, a copy of A, or A assembled, gains the diagonal in place,
+    keeping its structure, and CG runs again on the system's own factor
     (:func:`_factor`), which ``held`` then holds.  A miss on that factor
     raises :class:`StageError` naming ``stage``.
 
@@ -361,18 +348,21 @@ def _sum_system(problem: LinearProblem, held: HeldFactor, rhs: np.ndarray, apply
     and whether the system was factored.
     """
     gc = problem.reaction_cell.values[INTERIOR].ravel()
-    diag = problem.eps * gc / problem.diffusivity_cell.values[INTERIOR].ravel()
+    diag = eps * gc / problem.diffusivity_cell.values[INTERIOR].ravel()
+    mean = _cell_operator(problem) if matrix is None else matrix.dot
     steps = 0
     if held.factor is not None and held.factor.matrix.shape[0] == gc.size:
-        x, residual, steps = _cg(lambda v: apply_mean(v) + diag * v, gc, held.factor, rhs, tol)
+        x, residual, steps = _cg(lambda v: mean(v).ravel() + diag * v, gc, held.factor, rhs, tol)
         if residual <= tol:
             return x, residual, steps, False
     held.drop()
-    matrix = build_mean()
-    matrix.setdiag(matrix.diagonal() + diag)
-    factor = _factor(problem, matrix, stage)
-    x, residual, new_steps = _stage(problem, factor, rhs, tol, stage)
-    held.factor = factor
+    system = assemble(problem) if matrix is None else matrix.copy()
+    system.setdiag(system.diagonal() + diag)
+    held.factor = _factor(problem, system, stage)
+    x, residual, new_steps = _cg(system.dot, gc, held.factor, rhs, tol)
+    if not residual <= tol:
+        raise StageError(f"{stage} solve failed: residual {residual:.3e} "
+                         f"above tolerance {tol:.1e}")
     return x, residual, steps + new_steps, True
 
 
@@ -381,12 +371,12 @@ def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
     """Flux-scale potential; the only eps-dependent system.
 
     With ``x = H L / G`` on the cells, the system reads
-    ``(A + diag(eps G/H)) x = rhs``, where A is the mean-potential matrix
-    that ``mean_factor`` factors.  :func:`_sum_system` solves it by CG
-    preconditioned by that factor, and for large eps, where CG misses
-    ``tol``, on a factor of its own, built from a copy of A's matrix and
-    dropped on return.  The reported residual is recomputed on the system
-    itself.  ``rhs_mean`` is ``dh(f/G)`` when the caller has it already.
+    ``(A + diag(eps G/H)) x = rhs``, where A, the mean-potential matrix, is
+    ``mean_factor.matrix``.  :func:`_sum_system` solves it by CG
+    preconditioned by ``mean_factor``, and for large eps, where CG misses
+    ``tol``, on a factor of its own, built from a copy of A and dropped on
+    return.  The reported residual is recomputed on the system itself.
+    ``rhs_mean`` is ``dh(f/G)`` when the caller has it already.
 
     Returns ``(L, residual, cg_iterations)``: the field, the relative
     residual of the solve, and the CG steps taken, or ``None`` when the
@@ -405,8 +395,8 @@ def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
         return CellField.zeros(grid), 0.0, 0
 
     x, residual, steps, factored = _sum_system(
-        problem, HeldFactor(mean_factor), rhs, mean_factor.matrix.dot, mean_factor.matrix.copy,
-        config.tol, "flux-potential")
+        problem, HeldFactor(mean_factor), rhs, problem.eps, mean_factor.matrix, config.tol,
+        "flux-potential")
     L = CellField.on_interior(grid, problem.reaction_cell.values[INTERIOR]
                               * x.reshape(grid.nx, grid.ny)
                               / problem.diffusivity_cell.values[INTERIOR])
@@ -581,27 +571,31 @@ def solve_linear_ap(problem: LinearProblem,
 
     Well-posed and second-order accurate uniformly in eps, down to and
     including eps = 0.  The mean and fluctuation systems share one matrix,
-    which is factored first; that factor preconditions the CG solves of all
-    three stages, L by :func:`solve_L`, h and l by :func:`_stage`, so one
-    factorization serves the whole solve.  Only when CG misses the tolerance
-    on L is the L system factored as well, while the shared factor is held.
+    which is factored first and held in a :class:`HeldFactor`; that factor
+    preconditions the CG solves of all three stages, L by :func:`solve_L`,
+    h and l by :func:`_sum_system` with eps = 0, so one factorization
+    serves the whole solve.  Only when CG misses the tolerance on L is the
+    L system factored as well, while the shared factor is held.  A miss of
+    h or l drops A's factor, factors A again and runs CG once more, which
+    misses the same way and raises :class:`StageError` naming the stage.
     Every solve fills the ghost ring of p (:func:`fill_ghost`) and reports
     the fill in ``ghost``.
     """
     config = config or SolverConfig()
     grid = problem.grid
-    factor = _factor(problem, assemble(problem), "mean-potential")
+    held = HeldFactor(_factor(problem, assemble(problem), "mean-potential"))
     # dh(f/G), the right-hand side of h and part of L's, is computed once A is
     # factored: held through the factorization it raised the peak memory of a
     # solve at 399 cells per side by 7 MiB
     rhs_mean = _rhs_mean(problem)
-    L, res_L, cg_iterations = solve_L(problem, factor, config, rhs_mean)
+    L, res_L, cg_iterations = solve_L(problem, held.factor, config, rhs_mean)
     fields, residuals = {}, {"L": res_L}
     for name, stage, rhs in (
             ("h", "mean-potential", rhs_mean.values[INTERIOR]),
             ("l", "fluctuation-potential",
              L.values[INTERIOR] - problem.grad_source_cell.values[INTERIOR])):
-        x, residuals[name], n = _stage(problem, factor, rhs.ravel(), config.tol, stage)
+        x, residuals[name], n, _ = _sum_system(problem, held, rhs.ravel(), 0.0,
+                                               held.factor.matrix, config.tol, stage)
         fields[name] = CellField.on_interior(grid, x)
         cg_iterations = None if cg_iterations is None else cg_iterations + n
     h, l = fields["h"], fields["l"]
@@ -648,8 +642,6 @@ def solve_p(problem: LinearProblem, held: HeldFactor, config: SolverConfig | Non
     grid = problem.grid
     rhs = (_rhs_mean(problem).values[INTERIOR]
            - problem.grad_source_cell.values[INTERIOR]).ravel()
-    mean = _cell_operator(problem)
-    x, residual, steps, factored = _sum_system(
-        problem, held, rhs, lambda v: mean(v).ravel(), lambda: assemble(problem), config.tol,
-        "sum-potential")
+    x, residual, steps, factored = _sum_system(problem, held, rhs, problem.eps, None, config.tol,
+                                               "sum-potential")
     return reconstruct_pi(problem, CellField.on_interior(grid, x)), residual, steps, factored

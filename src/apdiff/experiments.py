@@ -106,6 +106,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # checked here, so that a bad entry fails before the first solve of a study
+        for name in ("meshes", "eps_list", "alphas"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
         for cells in self.meshes:
             unit_square_grid(cells)
         for eps in self.eps_list:
@@ -198,6 +201,13 @@ def _write_csv(path, header, rows) -> None:
     """A CSV of ``header`` and ``rows``; ``csv`` writes each float as its ``repr``."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
+
+
+def _single_grid(config: ExperimentConfig, experiment: str):
+    """The grid of a study that runs one mesh; a ``meshes`` list of another length is rejected."""
+    if len(config.meshes) != 1:
+        raise ValueError(f"{experiment} runs one mesh, got meshes {config.meshes}")
+    return unit_square_grid(config.meshes[0])
 
 
 def _timed(fn, *args, **kwargs):
@@ -313,7 +323,7 @@ def angle_sweep(config: ExperimentConfig | None = None) -> ExperimentReport:
     """
     config = config or study_config("angle")
     report = ExperimentReport("angle")
-    grid = unit_square_grid(config.meshes[0])
+    grid = _single_grid(config, "angle")
     per_norm: dict = {}
     for eps in config.eps_list:
         for alpha in config.alphas:
@@ -459,7 +469,7 @@ def conditioning_study(config: ExperimentConfig | None = None) -> ExperimentRepo
     """
     config = config or study_config("conditioning")
     report = ExperimentReport("conditioning")
-    grid = unit_square_grid(config.meshes[0])
+    grid = _single_grid(config, "conditioning")
     sweep = report.extras["sweep"] = []
     for eps in sorted(config.eps_list, reverse=True):
         t0 = time.perf_counter()

@@ -19,9 +19,9 @@ a time (:func:`assemble`).  :func:`check_assembly` is the random-probe check of
 both ways.
 
 Either factor's inverse, ``lu_solve``, preconditions the CG solves of the
-cell systems (``apcore``), also as a held factor of another matrix: A's for
-the sum system ``A + diag(eps G/H)`` of the L stage, or an earlier Gummel
-iteration's system (``apcore.HeldFactor``).
+cell systems (``apcore``), held in an ``apcore.HeldFactor``: A's for the h,
+L and l stages, where it is also the factor of another matrix, the sum
+system ``A + diag(eps G/H)`` of L, or an earlier Gummel iteration's system.
 :func:`refine` is the naive baseline's refinement loop.
 
 The package's vector reductions, :func:`dot` and :func:`norm2`, call

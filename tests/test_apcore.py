@@ -1001,41 +1001,45 @@ def singular_mean_operator(g, cell):
     return op
 
 
-@pytest.mark.parametrize("solver, stage", [("_stage", "fluctuation-potential"),
+@pytest.mark.parametrize("solver, stage", [("solve_linear_ap", "mean-potential"),
+                                           ("solve_linear_ap", "fluctuation-potential"),
                                            ("solve_L", "flux-potential"),
                                            ("solve_p", "sum-potential")])
 def test_new_factor_miss_raises_naming_the_stage(solver, stage, monkeypatch):
-    if solver == "_stage":
-        # a factor of the identity in place of A's: 30 unpreconditioned CG
-        # steps leave the residual far above the tolerance
-        g = make_grid(UNIT, 16, 16)
-        problem = swirl_problem(g, 0.1)
-        n = g.nx * g.ny
-        factor = DirectFactor(sp.identity(n, format="csr"), np.arange(n))
-        factor.matrix = apcore.assemble(problem)
-        rhs = np.random.default_rng(5).standard_normal(n)
-        with pytest.raises(StageError, match="fluctuation-potential solve failed"):
-            apcore._stage(problem, factor, rhs, 1e-12, "fluctuation-potential")
-        return
-    # every CG run misses: the one on the held factor, then the one on the
-    # system's own factor, which raises naming the caller's stage
+    # every CG run of the stage misses: the one on the held factor, then the
+    # one on the system's own factor, which raises naming the stage; in
+    # solve_linear_ap only the h stage, or only the l stage, misses
     problem = pinned_problem("linear", 0.1, cells=16)
     held = apcore.HeldFactor()
     solve_p(problem, held)
     factor = mean_factor(problem)
-    runs = []
+    dec = solve_linear_ap(problem)
+    stage_rhs = {"mean-potential": apcore._rhs_mean(problem).values[INTERIOR],
+                 "fluctuation-potential": (dec.L.values[INTERIOR]
+                                           - problem.grad_source_cell.values[INTERIOR])}
+    real_cg = apcore._cg
+    runs, passed = [], []
 
     def missing_cg(apply, gc, factor, rhs, tol):
+        if solver == "solve_linear_ap" and not np.array_equal(rhs, stage_rhs[stage].ravel()):
+            passed.append(rhs)
+            return real_cg(apply, gc, factor, rhs, tol)
         runs.append(factor)
         return np.zeros_like(rhs), 1.0, 1
 
     monkeypatch.setattr(apcore, "_cg", missing_cg)
     with pytest.raises(StageError, match=f"{stage} solve failed"):
-        if solver == "solve_L":
+        if solver == "solve_linear_ap":
+            solve_linear_ap(problem)
+        elif solver == "solve_L":
             solve_L(problem, factor)
         else:
             solve_p(problem, held)
     assert len(runs) == 2 and runs[0] is not runs[1]
+    if stage == "fluctuation-potential":
+        # L and h ran on A's factor and passed
+        assert len(passed) == 2
+        assert np.array_equal(passed[1], stage_rhs["mean-potential"].ravel())
 
 
 def test_no_factor_outlives_the_flux_fallback(monkeypatch):

@@ -365,8 +365,14 @@ def test_cli_rejects_fractional_mesh(tmp_path):
     ("gummel", {"thresholds": {"max_iterations": float("nan")}}, "max_iterations must be one"),
     ("angle", {"thresholds": {"variation_linf": [0.1]}}, "variation_linf must be one finite"),
     ("conditioning", {"thresholds": {"blowup_ratio": "x"}}, "blowup_ratio must be one finite"),
+    ("convergence", {"meshes": []}, "meshes must not be empty"),
+    ("convergence", {"eps_list": []}, "eps_list must not be empty"),
+    ("angle", {"alphas": []}, "alphas must not be empty"),
+    ("angle", {"meshes": [8, 16]}, "angle runs one mesh"),
+    ("conditioning", {"meshes": [8, 16]}, "conditioning runs one mesh"),
 ], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu", "misspelt-threshold",
-        "scalar-range", "text-in-range", "nan-threshold", "list-threshold", "text-threshold"])
+        "scalar-range", "text-in-range", "nan-threshold", "list-threshold", "text-threshold",
+        "no-meshes", "no-eps", "no-alphas", "two-angle-meshes", "two-conditioning-meshes"])
 def test_cli_rejects_a_bad_config_before_the_first_solve(tmp_path, monkeypatch, experiment,
                                                           data, match):
     # each bad entry follows good ones, or is read by every run, so a check
@@ -377,8 +383,8 @@ def test_cli_rejects_a_bad_config_before_the_first_solve(tmp_path, monkeypatch, 
         calls.append(1)
         raise AssertionError("a run started")
 
-    monkeypatch.setattr(experiments, "solve_linear_ap", solver)
-    monkeypatch.setattr(experiments, "gummel_solve", solver)
+    for name in ("solve_linear_ap", "gummel_solve", "naive_condition", "solve_naive"):
+        monkeypatch.setattr(experiments, name, solver)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=match):

@@ -8,7 +8,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -47,16 +47,20 @@ One routine solves every cell system, h, L, l and p's
 iteration's system for p.  When nothing is held, or CG misses the
 tolerance, A gains ``eps G/H`` in place on its stored diagonal and that
 system is factored, CG runs once more on it, and the holder keeps the new
-factor until the next miss.
+factor until the next miss; a miss on A's own factor at eps = 0, in h or
+l, fails the stage at once.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
-ghost system are deflated and the rest is one sparse LU solve.
+ghost system are deflated and the rest is one sparse LU solve.  The index
+arrays and matrix layouts of that pass depend on the grid alone and are
+built once per grid (:func:`_ghost_layout`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -68,7 +72,7 @@ from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 from .linsolve import (BandFactor, DirectFactor, SolverConfig, check_assembly, dot,
                        nested_dissection, norm2, stencil_matrix)
 from .operators import (apply_dh, apply_dh_star, compose_second_order, ghost_extrapolation,
-                        ring_dh, second_order_stencil)
+                        ring_nodes, ring_weights, second_order_stencil)
 
 __all__ = [
     "LinearProblem",
@@ -198,9 +202,11 @@ def _cell_operator(problem: LinearProblem):
 # Cell systems whose row-major bandwidth ``ny + 1`` is at most this are factored
 # by banded Cholesky (BandFactor), wider ones by SuperLU in nested-dissection
 # order (DirectFactor).  Over the factor and the three stages with 2 BLAS
-# threads the band takes 33 ms against 47 ms at 99 cells per side, 64 against
-# 78 ms at 127 and 101 against 111 ms at 149, and loses at 199 (README).  No
-# workload runs between 101 and 149 cells per side, so the cut stays here.
+# threads the lower band takes 27 ms against 40 ms at 99 cells per side and
+# 9.4 against 17 ms at 63; the upper band took 64 against 78 ms at 127 and
+# 101 against 111 ms at 149, and lost at 199 (README).  No workload runs
+# between 101 and 149 cells per side, and the band takes 64 MB at 199, so
+# the cut stays here.
 BAND_MAX_WIDTH = 101
 
 
@@ -342,7 +348,10 @@ def _sum_system(problem: LinearProblem, held: HeldFactor, rhs: np.ndarray, eps: 
     is dropped, a copy of A, or A assembled, gains the diagonal in place,
     keeping its structure, and CG runs again on the system's own factor
     (:func:`_factor`), which ``held`` then holds.  A miss on that factor
-    raises :class:`StageError` naming ``stage``.
+    raises :class:`StageError` naming ``stage``, and so does a miss on a held
+    factor that already is the system's own (``eps == 0`` and the factor's
+    matrix is ``matrix``): a new factor of the same matrix would miss the
+    same way.
 
     Returns ``(x, residual, steps, factored)``: the CG steps of both runs,
     and whether the system was factored.
@@ -355,15 +364,20 @@ def _sum_system(problem: LinearProblem, held: HeldFactor, rhs: np.ndarray, eps: 
         x, residual, steps = _cg(lambda v: mean(v).ravel() + diag * v, gc, held.factor, rhs, tol)
         if residual <= tol:
             return x, residual, steps, False
+        if eps == 0.0 and held.factor.matrix is matrix:
+            raise _missed(stage, residual, tol)
     held.drop()
     system = assemble(problem) if matrix is None else matrix.copy()
     system.setdiag(system.diagonal() + diag)
     held.factor = _factor(problem, system, stage)
     x, residual, new_steps = _cg(system.dot, gc, held.factor, rhs, tol)
     if not residual <= tol:
-        raise StageError(f"{stage} solve failed: residual {residual:.3e} "
-                         f"above tolerance {tol:.1e}")
+        raise _missed(stage, residual, tol)
     return x, residual, steps + new_steps, True
+
+
+def _missed(stage: str, residual: float, tol: float) -> StageError:
+    return StageError(f"{stage} solve failed: residual {residual:.3e} above tolerance {tol:.1e}")
 
 
 def solve_L(problem: LinearProblem, mean_factor: BandFactor | DirectFactor,
@@ -427,21 +441,146 @@ _GHOST_STEPS = 12
 _GHOST_SHIFT = 1e-9
 
 
-def _largest_singular_value(a: sp.csr_matrix) -> float:
-    """Largest singular value of ``a``, from ``a^T a`` banded in reverse Cuthill-McKee order."""
-    ata = (a.T @ a).tocsr()
-    n = ata.shape[0]
-    order = reverse_cuthill_mckee(ata, symmetric_mode=True)
-    lower = sp.tril(ata[order][:, order]).tocoo()
-    offset = lower.row - lower.col
-    band = np.zeros((offset.max() + 1, n))
-    band[offset, lower.col] = lower.data
+@dataclass(frozen=True)
+class _GhostLayout:
+    """The index arrays of the ghost fill on one grid, which depend on the grid alone.
+
+    The ghost system ``a`` is square: one row per ring cell, the ghost
+    columns of its ``dh`` row, and four unit rows that pin the corner
+    ghosts.  A fill gathers the entries of ``a`` from the ring weights
+    (:func:`operators.ring_weights`), and those of the band of ``a^T a`` and
+    of the matrices its solves factor from ``a``'s CSR data.  Every array is
+    read-only.
+    """
+
+    ring: np.ndarray  # ring cells, flat in the cell array
+    ring_nodes: np.ndarray  # (ring cells, 4): their corner nodes, flat in the node array
+    ghosts: np.ndarray  # ghost nodes, flat and ascending
+    extrapolation: sp.csr_matrix  # their rows of operators.ghost_extrapolation
+    corners: np.ndarray  # positions of the four corner ghosts in ``ghosts``
+    # CSR of ``a``, and per entry its index in the raveled ring weights, or
+    # their count for the 1 of a corner row
+    indptr: np.ndarray
+    indices: np.ndarray
+    source: np.ndarray
+    # the lower band of ``a^T a`` in reverse Cuthill-McKee order: its shape, the
+    # positions it holds, and per position the entries ``f`` of ``a`` with
+    # value ``f0 f1 + f2 f3``, where nnz stands for a zero
+    band_shape: tuple
+    band_at: tuple
+    band_factors: np.ndarray
+    # CSC of ``[[-sI, a], [a^T, -sI]]``, the entry of ``a`` per entry, nnz for ``-s``
+    augmented_indptr: np.ndarray
+    augmented_indices: np.ndarray
+    augmented_source: np.ndarray
+    # CSC of ``a``: the CSR entry and the column of each entry
+    csc_indptr: np.ndarray
+    csc_rows: np.ndarray
+    csc_source: np.ndarray
+    csc_columns: np.ndarray
+
+
+def _numbers(matrix: sp.spmatrix) -> np.ndarray:
+    """The data of a matrix whose entries hold 1-based numbers, as 0-based indices."""
+    return matrix.data.astype(np.intp) - 1
+
+
+@lru_cache(maxsize=2)
+def _ghost_layout(grid: Grid) -> _GhostLayout:
+    """The :class:`_GhostLayout` of ``grid``; those of the last two grids are kept.
+
+    Each layout comes from the construction it stands for (``sp.vstack``,
+    ``a.T @ a`` ordered by ``reverse_cuthill_mckee``, ``sp.bmat``), run once
+    on matrices whose entries hold their own numbers, so a fill that gathers
+    its values by those numbers builds the same matrices bit for bit.  The
+    one exception is a product of ``a^T a`` that vanishes, where ``b`` is
+    exactly parallel to ``(dx, dy)`` or ``(dx, -dy)`` at a ring cell:
+    ``a.T @ a`` drops it, and its reverse Cuthill-McKee order can differ
+    from the one kept here.  A coarse-started Gummel run fills on two grids.
+    """
+    ring, nodes = ring_nodes(grid)
+    ghosts, extrapolation = ghost_extrapolation(grid)
+    sx, sy = grid.node_shape
+    k = ghosts.size
+    corners = np.searchsorted(ghosts, [0, sy - 1, (sx - 1) * sy, sx * sy - 1])
+    weights = sp.csr_matrix((np.arange(1.0, nodes.size + 1), nodes.ravel(),
+                             np.arange(0, nodes.size + 1, 4)), shape=(ring.size, sx * sy))
+    corner_rows = sp.csr_matrix((np.full(4, nodes.size + 1.0), (np.arange(4), corners)),
+                                shape=(4, k))
+    numbered = sp.vstack([weights[:, ghosts], corner_rows], format="csr")
+    nnz = numbered.nnz
+    entry = sp.csr_matrix((np.arange(1.0, nnz + 1), numbered.indices, numbered.indptr),
+                          shape=(k, k))
+
+    # Each ghost column of a holds two entries, so a diagonal entry of a^T a is
+    # the sum of two squares; two ghosts share at most one row, so every other
+    # entry is one product, of a pair of entries in a row.
+    csc = entry.tocsc()
+    columns = _numbers(csc).reshape(k, 2)
+    rank = np.empty(k, dtype=np.intp)
+    rank[reverse_cuthill_mckee((entry.T @ entry).tocsr(), symmetric_mode=True)] = np.arange(k)
+    rows = np.repeat(np.arange(k), np.diff(entry.indptr))
+    pairs = np.concatenate([np.column_stack([first, first + gap])
+                            for gap in range(1, np.diff(entry.indptr).max())
+                            for first in [np.flatnonzero(rows[gap:] == rows[:-gap])]])
+    left, right = (rank[entry.indices[pairs[:, side]]] for side in (0, 1))
+    band_at = (np.concatenate([np.zeros(k, dtype=np.intp), np.abs(left - right)]),
+               np.concatenate([rank, np.minimum(left, right)]))
+    band_factors = np.concatenate([columns[:, [0, 0, 1, 1]],
+                                   np.column_stack([pairs, np.full((len(pairs), 2), nnz)])]).T
+
+    shift = sp.identity(k, format="csr") * (nnz + 1.0)
+    augmented = sp.bmat([[shift, entry], [entry.T, shift]], format="csc")
+    layout = _GhostLayout(
+        ring=ring, ring_nodes=nodes, ghosts=ghosts, extrapolation=extrapolation,
+        corners=corners, indptr=entry.indptr, indices=entry.indices,
+        source=_numbers(numbered),
+        band_shape=(int(band_at[0].max()) + 1, k), band_at=band_at, band_factors=band_factors,
+        augmented_indptr=augmented.indptr, augmented_indices=augmented.indices,
+        augmented_source=_numbers(augmented), csc_indptr=csc.indptr, csc_rows=csc.indices,
+        csc_source=_numbers(csc), csc_columns=np.repeat(np.arange(k), np.diff(csc.indptr)))
+    arrays = [extrapolation.data, extrapolation.indices, extrapolation.indptr, *band_at]
+    arrays += [value for value in vars(layout).values() if isinstance(value, np.ndarray)]
+    for array in arrays:
+        array.setflags(write=False)
+    return layout
+
+
+def _ghost_system(weights: np.ndarray, layout: _GhostLayout) -> sp.csr_matrix:
+    """The ghost system ``a`` of the ring weights ``weights`` (:func:`operators.ring_weights`)."""
+    k = layout.ghosts.size
+    return sp.csr_matrix((np.append(weights, 1.0)[layout.source], layout.indices, layout.indptr),
+                         shape=(k, k))
+
+
+def _normal_band(data: np.ndarray, layout: _GhostLayout) -> np.ndarray:
+    """Lower band of ``a^T a`` in reverse Cuthill-McKee order, ``a`` the ghost system of CSR data ``data``.
+
+    Each entry sums the products that ``a.T @ a`` sums, as it sums them.
+    """
+    f = np.append(data, 0.0)[layout.band_factors]
+    band = np.zeros(layout.band_shape)
+    band[layout.band_at] = f[0] * f[1] + f[2] * f[3]
+    return band
+
+
+def _augmented(data: np.ndarray, shift: float, layout: _GhostLayout) -> sp.csc_matrix:
+    """``[[-shift I, a], [a^T, -shift I]]`` as CSC, ``a`` the ghost system of CSR data ``data``."""
+    n = 2 * layout.ghosts.size
+    return sp.csc_matrix((np.append(data, -shift)[layout.augmented_source],
+                          layout.augmented_indices, layout.augmented_indptr), shape=(n, n))
+
+
+def _largest_singular_value(data: np.ndarray, layout: _GhostLayout) -> float:
+    """Largest singular value of the ghost system of CSR data ``data``, from ``a^T a`` banded."""
+    band = _normal_band(data, layout)
+    n = band.shape[1]
     top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
                                   select_range=(n - 1, n - 1))
     return float(np.sqrt(top[0]))
 
 
-def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float):
+def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float, layout: _GhostLayout):
     """Singular triplets ``(u, s, v)`` of ``a`` below ``_GHOST_CLUSTER * sigma_max``.
 
     Block inverse iteration on ``[[0, a], [a^T, 0]]``, shifted just off zero
@@ -462,8 +601,7 @@ def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float):
         if full:
             qu = qv = np.eye(k)
         else:
-            shift = _GHOST_SHIFT * sigma_max * sp.identity(k)
-            lu = spla.splu(sp.bmat([[-shift, a], [a.T, -shift]], format="csc"))
+            lu = spla.splu(_augmented(a.data, _GHOST_SHIFT * sigma_max, layout))
             y = np.random.default_rng(0).standard_normal((2 * k, block))
             for _ in range(_GHOST_STEPS):
                 y, _ = scipy.linalg.qr(lu.solve(y), mode="economic")
@@ -481,7 +619,29 @@ def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float):
     return us @ x, s, vs @ yt.T
 
 
-def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _bordered(data: np.ndarray, u: np.ndarray, v: np.ndarray,
+              layout: _GhostLayout) -> sp.csc_matrix:
+    """``[[a, u], [v^T, 0]]`` as CSC, laid out as ``sp.bmat`` lays it out, every border entry stored.
+
+    ``data`` is ``a``'s CSR data.  Each column of ``a`` is followed by its
+    row of ``v``; the columns of ``u`` come last.
+    """
+    k, d = u.shape
+    count = layout.csc_rows.size
+    at = np.arange(count) + d * layout.csc_columns
+    border = (layout.csc_indptr[1:] + d * np.arange(k))[:, None] + np.arange(d)
+    indptr = np.concatenate([layout.csc_indptr + d * np.arange(k + 1),
+                             count + d * k + k * np.arange(1, d + 1)])
+    rows = np.empty(count + 2 * k * d, dtype=layout.csc_rows.dtype)
+    values = np.empty(rows.size)
+    rows[at], values[at] = layout.csc_rows, data[layout.csc_source]
+    rows[border], values[border] = k + np.arange(d), v
+    rows[count + k * d:], values[count + k * d:] = np.tile(np.arange(k), d), u.T.ravel()
+    return sp.csc_matrix((values, rows, indptr), shape=(k + d, k + d))
+
+
+def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray,
+                     layout: _GhostLayout) -> tuple[np.ndarray, int, int]:
     """Minimum-norm least squares over the singular values above ``GHOST_RCOND`` times the largest.
 
     The few small singular triplets are deflated: the bordered system
@@ -490,13 +650,12 @@ def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int
     Returns ``(x, rank, deflated)``.
     """
     k = a.shape[0]
-    sigma_max = _largest_singular_value(a)
-    u, s, v = _small_singular_triplets(a, sigma_max)
+    sigma_max = _largest_singular_value(a.data, layout)
+    u, s, v = _small_singular_triplets(a, sigma_max, layout)
     deflated = s.size
-    border = sp.bmat([[a, u], [v.T, None]], format="csc")
     # COLAMD pivots on the dense border rows early and fills the factor (956k
     # nonzeros at M400); a minimum-degree order of a + a^T keeps it sparse (17k)
-    x = spla.splu(border, permc_spec="MMD_AT_PLUS_A").solve(
+    x = spla.splu(_bordered(a.data, u, v, layout), permc_spec="MMD_AT_PLUS_A").solve(
         np.concatenate([rhs, np.zeros(deflated)]))[:k]
     kept = s > GHOST_RCOND * sigma_max
     x += v[:, kept] @ ((u[:, kept].T @ rhs) / s[kept])
@@ -508,11 +667,13 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
 
     On every boundary ring cell of ``p.grid`` the constraint ``(dh p) = b.S``
     is imposed, with ``b`` the anisotropy ``direction``, which must have no
-    zero vector (:class:`DataError` otherwise), and ``b.S`` the ``grad_source``:
-    the ghost columns of the ring rows of ``dh`` (:func:`operators.ring_dh`)
-    form one global least-squares system over all ghost unknowns, and four
-    unit rows pin the corner ghosts, which the ring constraints leave
-    structurally undetermined, to their diagonal extrapolation.
+    zero vector, and ``b.S`` the ``grad_source``: the ghost columns of the
+    ring rows of ``dh`` (:func:`operators.ring_dh`) form one global
+    least-squares system over all ghost unknowns, and four unit rows pin the
+    corner ghosts, which the ring constraints leave structurally
+    undetermined, to their diagonal extrapolation.  A zero or NaN direction
+    vector, a non-finite interior value of ``p`` or a non-finite
+    ``grad_source`` raises :class:`DataError`.
 
     Where the direction runs tangent to the boundary the flux constraint
     carries no information and the system is rank deficient; the averaged
@@ -529,37 +690,46 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
     which has the same boundary-consistent order as the constraints
     themselves; deficiency is reported, not fatal.
 
+    What depends on the grid alone, the ring and ghost indices and the
+    layouts of every sparse matrix of the fill, is built once per grid
+    (:func:`_ghost_layout`); a fill writes the values of ``b`` and ``p``
+    into those layouts, each sum in the order of the sparse construction
+    its layout comes from.
     Interior values are never touched.  Returns ``(filled, report)``.
     """
     _check_direction(direction)
-    grid = p.grid
-    ring, dh_ring = ring_dh(direction)
-    ghosts, extrapolation = ghost_extrapolation(grid)
+    if not np.all(np.isfinite(p.values[INTERIOR])):
+        raise DataError("p has non-finite interior values")
+    if not np.all(np.isfinite(grad_source.values)):
+        raise DataError("grad_source has non-finite values")
+    layout = _ghost_layout(p.grid)
+    weights = ring_weights(direction, layout.ring)
     interior = p.values.flatten()
-    interior[ghosts] = 0.0
+    interior[layout.ghosts] = 0.0
     # a row of E @ p is p_ghost - (2 p_1 - p_2); with the ghosts zeroed, minus
     # it is the extrapolated ghost value
-    prior = -(extrapolation @ interior)
-    bs = grad_source.values.ravel()[ring]
+    prior = -(layout.extrapolation @ interior)
+    bs = grad_source.values.ravel()[layout.ring]
+    # dh of the interior at the ring cells, summed as the rows of ring_dh sum it
+    flux = np.zeros(layout.ring.size)
+    for weight, nodes in zip(weights.T, layout.ring_nodes.T):
+        flux += weight * interior[nodes]
 
-    sx, sy = grid.node_shape
-    corners = np.searchsorted(ghosts, [0, sy - 1, (sx - 1) * sy, sx * sy - 1])
-    corner_rows = sp.csr_matrix((np.ones(4), (np.arange(4), corners)), shape=(4, ghosts.size))
-    a = sp.vstack([dh_ring[:, ghosts], corner_rows], format="csr")
-    rhs = np.concatenate([bs - dh_ring @ interior, prior[corners]]) - a @ prior
-
-    row_norms = spla.norm(a, axis=1)
+    a = _ghost_system(weights, layout)
+    rhs = np.concatenate([bs - flux, prior[layout.corners]]) - a @ prior
+    # the row 2-norms, summed as scipy.sparse.linalg.norm(a, axis=1) sums them
+    row_norms = np.sqrt(np.add.reduceat(a.data ** 2, a.indptr[:-1]))
     scale = np.where(row_norms > 0.0, row_norms, 1.0)
     a.data /= np.repeat(scale, np.diff(a.indptr))
-    correction, rank, deflated = _truncated_solve(a, rhs / scale)
+    correction, rank, deflated = _truncated_solve(a, rhs / scale, layout)
     filled = p.copy()
-    filled.values.flat[ghosts] = prior + correction
-    defect = apply_dh(filled, direction).values.ravel()[ring] - bs
+    filled.values.flat[layout.ghosts] = prior + correction
+    defect = apply_dh(filled, direction).values.ravel()[layout.ring] - bs
     report = GhostFillReport(
         constraint_defect=float(np.max(np.abs(defect))),
         rank=rank,
-        n_unknowns=ghosts.size,
-        rank_deficient=bool(rank < ghosts.size),
+        n_unknowns=layout.ghosts.size,
+        rank_deficient=bool(rank < layout.ghosts.size),
         deflated=deflated,
     )
     return filled, report
@@ -576,8 +746,7 @@ def solve_linear_ap(problem: LinearProblem,
     h and l by :func:`_sum_system` with eps = 0, so one factorization
     serves the whole solve.  Only when CG misses the tolerance on L is the
     L system factored as well, while the shared factor is held.  A miss of
-    h or l drops A's factor, factors A again and runs CG once more, which
-    misses the same way and raises :class:`StageError` naming the stage.
+    h or l, on A's own factor, raises :class:`StageError` naming the stage.
     Every solve fills the ghost ring of p (:func:`fill_ghost`) and reports
     the fill in ``ghost``.
     """

@@ -4,13 +4,15 @@ The cell systems of the solver are radius-1 stencils on the structured cell
 grid, built from their stencil coefficients: :func:`stencil_matrix` gives
 the natural-order CSR matrix that the conjugate-gradient solves apply.  Two
 factors take that matrix and build their own form of it.  On a narrow grid
-:class:`BandFactor` has :func:`symmetric_band` write the upper band of the
+:class:`BandFactor` has :func:`symmetric_band` write the lower band of the
 symmetric ``S = A diag(1/G)`` in LAPACK's Fortran-order band storage, read
 from the CSR data, and factors it in place by LAPACK's blocked banded
-Cholesky.  On a wide one :class:`DirectFactor` has :func:`factor_order`
-copy the matrix into the nested-dissection order of
-:func:`nested_dissection` as CSC, which SuperLU factors (at 400 cells per
-side 14 M nonzeros in L+U, where COLAMD leaves 25 M) and which is not kept.
+Cholesky; with 2 BLAS threads that takes 4.0 ms at 63 cells per side and
+13.8 ms at 99, where the upper band takes 12.7 and 16.1 ms.  On a wide one
+:class:`DirectFactor` has :func:`factor_order` copy the matrix into the
+nested-dissection order of :func:`nested_dissection` as CSC, which SuperLU
+factors (at 400 cells per side 14 M nonzeros in L+U, where COLAMD leaves
+25 M) and which is not kept.
 The order and the natural-order index arrays depend on the grid only; the
 order of the last grid shape and the index arrays of the last two (a
 coarse-started Gummel run's two grids) are kept and shared read-only.  The
@@ -187,33 +189,33 @@ def stencil_matrix(planes: np.ndarray) -> sp.csr_matrix:
 
 def symmetric_band(matrix: sp.csr_matrix, weights: np.ndarray,
                    shape: tuple[int, int]) -> np.ndarray:
-    """Upper band of ``(S + S^T) / 2``, ``S = A diag(1 / weights)``, in LAPACK's Fortran-order storage.
+    """Lower band of ``(S + S^T) / 2``, ``S = A diag(1 / weights)``, in LAPACK's Fortran-order storage.
 
     ``A`` is ``matrix``, a radius-1 stencil on the row-major ``nx x ny`` grid
     ``shape`` laid out as :func:`stencil_matrix` lays it out, whose data it
     reads; its row-major bandwidth is ``ny + 1``.  ``weights`` has one entry
     per unknown.  Returns ``band`` of shape ``(ny + 2, nx * ny)`` with
-    ``band[ny + 1 + i - j, j]`` the entry ``(i, j)``, ``i <= j``, as
-    ``scipy.linalg.lapack.dpbtrf`` takes it with ``lower=0``.
+    ``band[i - j, j]`` the entry ``(i, j)``, ``i >= j``, as
+    ``scipy.linalg.lapack.dpbtrf`` takes it with ``lower=1``.
     """
     nx, ny = shape
     in_range, _, _ = _stencil_structure(nx, ny)
     planes = np.zeros((nx, ny, 9))
     planes[in_range] = matrix.data
     planes = planes.transpose(2, 0, 1)
-    kd = ny + 1
     w = weights.reshape(nx, ny)
-    band = np.zeros((kd + 1, nx * ny), order="F")
-    np.divide(planes[4], w, out=band[kd].reshape(nx, ny))
+    band = np.zeros((ny + 2, nx * ny), order="F")
+    np.divide(planes[4], w, out=band[0].reshape(nx, ny))
     for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        # equation (i, j) reads unknown (i + di, j + dj), in the slices src and dst
+        # equation (i, j) reads unknown (i + di, j + dj), in the slices src and dst;
+        # the pair is entry (dst, src) of the lower band, in the column of src
         src = (slice(0, nx - di), slice(max(0, -dj), ny - max(0, dj)))
         dst = (slice(di, nx), slice(max(0, dj), ny - max(0, -dj)))
-        upper = planes[3 * (di + 1) + dj + 1][src] / w[dst]
-        lower = planes[3 * (1 - di) + 1 - dj][dst] / w[src]
-        np.add(upper, lower, out=upper)
-        upper *= 0.5
-        band[kd - di * ny - dj].reshape(nx, ny)[dst] = upper
+        forward = planes[3 * (di + 1) + dj + 1][src] / w[dst]
+        backward = planes[3 * (1 - di) + 1 - dj][dst] / w[src]
+        np.add(forward, backward, out=forward)
+        forward *= 0.5
+        band[di * ny + dj].reshape(nx, ny)[src] = forward
     return band
 
 
@@ -324,24 +326,25 @@ class BandFactor:
     """Banded Cholesky factor of ``S diag(weights)``, ``S`` symmetric positive definite.
 
     ``matrix`` (CSR), the radius-1 stencil ``S diag(weights)`` on the grid
-    ``shape``, is kept for the solves.  The upper band of ``S`` is built in
-    Fortran order (:func:`symmetric_band`) and factored in place by LAPACK's
-    blocked ``dpbtrf``.  :meth:`lu_solve` applies ``diag(1 / weights) S^-1``,
-    self-adjoint in the inner product weighted by ``weights``.  A band that
-    is not positive definite raises ``RuntimeError``.
+    ``shape``, is kept for the solves.  The lower band of ``S`` is built in
+    Fortran order (:func:`symmetric_band`) and factored in place as
+    ``L L^T`` by LAPACK's blocked ``dpbtrf``.  :meth:`lu_solve` applies
+    ``diag(1 / weights) S^-1``, self-adjoint in the inner product weighted by
+    ``weights``.  A band that is not positive definite raises
+    ``RuntimeError``.
     """
 
     def __init__(self, matrix: sp.csr_matrix, weights: np.ndarray, shape: tuple[int, int]):
         self.matrix = matrix
         self._weights = weights
         self._band, info = scipy.linalg.lapack.dpbtrf(symmetric_band(matrix, weights, shape),
-                                                      lower=0, overwrite_ab=1)
+                                                      lower=1, overwrite_ab=1)
         if info != 0:
             raise RuntimeError(f"dpbtrf: leading minor {info} is not positive definite"
                                if info > 0 else f"dpbtrf: illegal argument {-info}")
 
     def lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the factorization's inverse, without refinement."""
-        x, _ = scipy.linalg.lapack.dpbtrs(self._band, rhs, lower=0)
+        x, _ = scipy.linalg.lapack.dpbtrs(self._band, rhs, lower=1)
         x /= self._weights
         return x

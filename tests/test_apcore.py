@@ -8,9 +8,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from apdiff import apcore, linsolve
 from apdiff.apcore import (
@@ -28,7 +30,8 @@ from apdiff.grid import (INTERIOR, CellField, CellVectorField, NodeField, make_g
                          sample_cell_vec, sample_node)
 from apdiff.linsolve import (AssemblyError, BandFactor, DirectFactor, SolverConfig, assemble,
                              factor_order, nested_dissection, refine, stencil_matrix)
-from apdiff.operators import apply_dh, compose_second_order
+from apdiff.operators import (apply_dh, compose_second_order, ghost_extrapolation, ring_dh,
+                              ring_weights)
 from apdiff.gummel import linearize
 from apdiff.problems import case_angle, case_ap_limit, case_linear_variable, case_nonlinear
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
@@ -110,6 +113,24 @@ def test_fill_ghost_rejects_nan_direction(vector):
     values[2, 3] = vector
     with pytest.raises(apcore.DataError, match="direction"):
         fill_ghost(NodeField.zeros(g), CellVectorField(g, values), problem.grad_source_cell)
+
+
+@pytest.mark.parametrize("field, where", [("p", (0, 0)), ("p", (3, 4)), ("grad_source", (0, 2)),
+                                          ("grad_source", (3, 3))])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fill_ghost_rejects_non_finite_data(field, where, value):
+    # p is read on its interior only; grad_source, as check_data reads it, everywhere
+    g = make_grid(UNIT, 5, 5)
+    problem = swirl_problem(g, 0.1)
+    p = NodeField(g, np.random.default_rng(1).standard_normal(g.node_shape))
+    grad_source = problem.grad_source_cell.copy()
+    (p if field == "p" else grad_source).values[where] = value
+    if field == "p" and where == (0, 0):
+        filled, _ = fill_ghost(p, problem.direction, grad_source)
+        assert np.all(np.isfinite(filled.values))
+        return
+    with pytest.raises(apcore.DataError, match=f"^{field} has non-finite"):
+        fill_ghost(p, problem.direction, grad_source)
 
 
 def ghost_ring(g):
@@ -481,11 +502,13 @@ def test_fill_ghost_deflates_few_directions(case, cells):
 
 def test_fill_ghost_forms_no_dense_system():
     # one dense k x k float64 matrix of the M400 ghost system takes 20.6 MB; the
-    # fill peaks at about 8 MB, a dense least-squares solve at 65 MB
+    # fill peaks at about 8 MB, a dense least-squares solve at 65 MB; the
+    # grid's layout is built inside the traced call
     g = unit_square_grid(400)
     manufactured = case_linear_variable(g, 0.1)
     p = NodeField.zeros(g)
     p.values[INTERIOR] = manufactured.exact_field().values[INTERIOR]
+    apcore._ghost_layout.cache_clear()
     tracemalloc.start()
     try:
         _, report = fill_ghost(p, manufactured.problem.direction,
@@ -494,6 +517,91 @@ def test_fill_ghost_forms_no_dense_system():
     finally:
         tracemalloc.stop()
     assert peak < report.n_unknowns**2 * 8
+
+
+def ghost_fill_data(g, seed):
+    """A random p, unit direction field and grad_source on ``g``."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * np.pi, g.cell_shape)
+    direction = CellVectorField(g, np.stack([np.cos(angle), np.sin(angle)], axis=-1))
+    return (NodeField(g, rng.standard_normal(g.node_shape)), direction,
+            CellField(g, rng.standard_normal(g.cell_shape)))
+
+
+def test_fills_on_kept_and_evicted_layouts_equal_fresh_fills():
+    # two layouts are kept: the third grid evicts the first, and each fill
+    # equals a fill on a layout built just for it, byte for byte
+    grids = [make_grid(UNIT, 12, 12), make_grid(UNIT, 9, 17), unit_square_grid(24)]
+    fresh = []
+    for seed, g in enumerate(grids):
+        apcore._ghost_layout.cache_clear()
+        filled, report = fill_ghost(*ghost_fill_data(g, seed))
+        fresh.append((filled.values.tobytes(), report))
+    apcore._ghost_layout.cache_clear()
+    for _ in range(2):
+        for seed, g in enumerate(grids):
+            filled, report = fill_ghost(*ghost_fill_data(g, seed))
+            assert (filled.values.tobytes(), report) == fresh[seed]
+    info = apcore._ghost_layout.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 6, 2)
+    fill_ghost(*ghost_fill_data(grids[2], 0))
+    assert apcore._ghost_layout.cache_info().hits == 1
+
+
+def test_ghost_layout_is_read_only():
+    layout = apcore._ghost_layout(make_grid(UNIT, 7, 11))
+    arrays = [value for value in vars(layout).values() if isinstance(value, np.ndarray)]
+    arrays += [*layout.band_at, layout.extrapolation.data, layout.extrapolation.indices,
+               layout.extrapolation.indptr]
+    assert len(arrays) == 20
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 9), (12, 12), (9, 17)])
+@pytest.mark.parametrize("kind", ["random", "anti-diagonal", "axis"])
+def test_ghost_layout_gathers_the_sparse_constructions_bitwise(kind, shape):
+    # oracle: each matrix built by the scipy.sparse construction whose layout
+    # the grid keeps, from ring_dh's rows; anti-diagonal b holds exact zeros
+    g = make_grid(UNIT, *shape)
+    _, direction, _ = ghost_fill_data(g, 3)
+    if kind != "random":
+        vector = (0.6, -0.6) if kind == "anti-diagonal" else (1.0, 0.0)
+        direction = uniform_direction(g, *vector)
+    layout = apcore._ghost_layout(g)
+    ring, dh_ring = ring_dh(direction)
+    ghosts, _ = ghost_extrapolation(g)
+    sx, sy = g.node_shape
+    corners = np.searchsorted(ghosts, [0, sy - 1, (sx - 1) * sy, sx * sy - 1])
+    corner_rows = scipy.sparse.csr_matrix((np.ones(4), (np.arange(4), corners)),
+                                          shape=(4, ghosts.size))
+    want = scipy.sparse.vstack([dh_ring[:, ghosts], corner_rows], format="csr")
+    a = apcore._ghost_system(ring_weights(direction, layout.ring), layout)
+    assert_bitwise(a, want)
+    row_norms = spla.norm(want, axis=1)
+    assert row_norms.tobytes() == np.sqrt(np.add.reduceat(a.data ** 2, a.indptr[:-1])).tobytes()
+    want.data /= np.repeat(row_norms, np.diff(want.indptr))
+    normal = (want.T @ want).tocsr()
+    order = reverse_cuthill_mckee(normal, symmetric_mode=True)
+    lower = scipy.sparse.tril(normal[order][:, order]).tocoo()
+    band = np.zeros((np.max(lower.row - lower.col) + 1, normal.shape[0]))
+    band[lower.row - lower.col, lower.col] = lower.data
+    if np.all(want.data != 0.0):
+        assert apcore._normal_band(want.data, layout).tobytes() == band.tobytes()
+    else:
+        # a.T @ a drops a vanishing product, and the order can then differ
+        top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
+                                      select_range=(band.shape[1] - 1, band.shape[1] - 1))
+        assert apcore._largest_singular_value(want.data, layout) == pytest.approx(
+            math.sqrt(top[0]), rel=1e-15)
+    shift = 1e-9 * scipy.sparse.identity(ghosts.size)
+    assert_bitwise(apcore._augmented(want.data, 1e-9, layout),
+                   scipy.sparse.bmat([[-shift, want], [want.T, -shift]], format="csc"))
+    u, v = np.random.default_rng(4).standard_normal((2, ghosts.size, 3))
+    assert_bitwise(apcore._bordered(want.data, u, v, layout),
+                   scipy.sparse.bmat([[want, u], [v.T, None]], format="csc"))
 
 
 @pytest.mark.parametrize("block", [2, 10**6])
@@ -599,13 +707,13 @@ def test_nested_dissection_matches_colamd_oracle(kind, value, monkeypatch):
 
 
 def band_oracle(matrix, gc, ny):
-    """Upper band of ``(S + S^T) / 2``, ``S = A diag(1 / gc)``, by sparse arithmetic, placed entry by entry."""
+    """Lower band of ``(S + S^T) / 2``, ``S = A diag(1 / gc)``, by sparse arithmetic, placed entry by entry."""
     s = matrix.tocoo()
     s.data = s.data / gc[s.col]
     sym = ((s + s.T) * 0.5).tocoo()
-    upper = sym.row <= sym.col
+    lower = sym.row >= sym.col
     band = np.zeros((ny + 2, matrix.shape[0]))
-    band[ny + 1 + sym.row[upper] - sym.col[upper], sym.col[upper]] = sym.data[upper]
+    band[sym.row[lower] - sym.col[lower], sym.col[lower]] = sym.data[lower]
     return band
 
 
@@ -796,13 +904,13 @@ class ShiftedBandFactor:
         gc = problem.reaction_cell.values[INTERIOR].ravel()
         hc = problem.diffusivity_cell.values[INTERIOR].ravel()
         band = band_oracle(probe_oracle(problem), gc, problem.grid.ny)
-        band[-1] += problem.eps * gc / hc / gc
+        band[0] += problem.eps * gc / hc / gc
         self.matrix = matrix
-        self._cholesky = scipy.linalg.cholesky_banded(band)
+        self._cholesky = scipy.linalg.cholesky_banded(band, lower=True)
         self._gc = gc
 
     def lu_solve(self, rhs):
-        return scipy.linalg.cho_solve_banded((self._cholesky, False), rhs) / self._gc
+        return scipy.linalg.cho_solve_banded((self._cholesky, True), rhs) / self._gc
 
 
 @pytest.mark.parametrize(
@@ -1007,7 +1115,8 @@ def singular_mean_operator(g, cell):
 def test_new_factor_miss_raises_naming_the_stage(solver, stage, monkeypatch):
     # every CG run of the stage misses: the one on the held factor, then the
     # one on the system's own factor, which raises naming the stage; in
-    # solve_linear_ap only the h stage, or only the l stage, misses
+    # solve_linear_ap only the h stage, or only the l stage, misses, and the
+    # one run on A's factor raises, since A's factor is that system's own
     problem = pinned_problem("linear", 0.1, cells=16)
     held = apcore.HeldFactor()
     solve_p(problem, held)
@@ -1021,7 +1130,7 @@ def test_new_factor_miss_raises_naming_the_stage(solver, stage, monkeypatch):
 
     def missing_cg(apply, gc, factor, rhs, tol):
         if solver == "solve_linear_ap" and not np.array_equal(rhs, stage_rhs[stage].ravel()):
-            passed.append(rhs)
+            passed.append((rhs, factor))
             return real_cg(apply, gc, factor, rhs, tol)
         runs.append(factor)
         return np.zeros_like(rhs), 1.0, 1
@@ -1034,11 +1143,14 @@ def test_new_factor_miss_raises_naming_the_stage(solver, stage, monkeypatch):
             solve_L(problem, factor)
         else:
             solve_p(problem, held)
-    assert len(runs) == 2 and runs[0] is not runs[1]
+    if solver != "solve_linear_ap":
+        assert len(runs) == 2 and runs[0] is not runs[1]
+        return
+    # L, and for the l stage h, ran on A's factor and passed
+    assert len(runs) == 1 and all(factor is runs[0] for _, factor in passed)
     if stage == "fluctuation-potential":
-        # L and h ran on A's factor and passed
         assert len(passed) == 2
-        assert np.array_equal(passed[1], stage_rhs["mean-potential"].ravel())
+        assert np.array_equal(passed[1][0], stage_rhs["mean-potential"].ravel())
 
 
 def test_no_factor_outlives_the_flux_fallback(monkeypatch):

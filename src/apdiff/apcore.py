@@ -503,37 +503,37 @@ def _ghost_layout(grid: Grid) -> _GhostLayout:
     sx, sy = grid.node_shape
     k = ghosts.size
     corners = np.searchsorted(ghosts, [0, sy - 1, (sx - 1) * sy, sx * sy - 1])
-    weights = sp.csr_matrix((np.arange(1.0, nodes.size + 1), nodes.ravel(),
-                             np.arange(0, nodes.size + 1, 4)), shape=(ring.size, sx * sy))
+    ring_rows = sp.csr_matrix((np.arange(1.0, nodes.size + 1), nodes.ravel(),
+                               np.arange(0, nodes.size + 1, 4)), shape=(ring.size, sx * sy))
     corner_rows = sp.csr_matrix((np.full(4, nodes.size + 1.0), (np.arange(4), corners)),
                                 shape=(4, k))
-    numbered = sp.vstack([weights[:, ghosts], corner_rows], format="csr")
+    numbered = sp.vstack([ring_rows[:, ghosts], corner_rows], format="csr")
     nnz = numbered.nnz
-    entry = sp.csr_matrix((np.arange(1.0, nnz + 1), numbered.indices, numbered.indptr),
+    entries = sp.csr_matrix((np.arange(1.0, nnz + 1), numbered.indices, numbered.indptr),
                           shape=(k, k))
 
     # Each ghost column of a holds two entries, so a diagonal entry of a^T a is
     # the sum of two squares; two ghosts share at most one row, so every other
     # entry is one product, of a pair of entries in a row.
-    csc = entry.tocsc()
+    csc = entries.tocsc()
     columns = _numbers(csc).reshape(k, 2)
     rank = np.empty(k, dtype=np.intp)
-    rank[reverse_cuthill_mckee((entry.T @ entry).tocsr(), symmetric_mode=True)] = np.arange(k)
-    rows = np.repeat(np.arange(k), np.diff(entry.indptr))
+    rank[reverse_cuthill_mckee((entries.T @ entries).tocsr(), symmetric_mode=True)] = np.arange(k)
+    rows = np.repeat(np.arange(k), np.diff(entries.indptr))
     pairs = np.concatenate([np.column_stack([first, first + gap])
-                            for gap in range(1, np.diff(entry.indptr).max())
+                            for gap in range(1, np.diff(entries.indptr).max())
                             for first in [np.flatnonzero(rows[gap:] == rows[:-gap])]])
-    left, right = (rank[entry.indices[pairs[:, side]]] for side in (0, 1))
+    left, right = (rank[entries.indices[pairs[:, side]]] for side in (0, 1))
     band_at = (np.concatenate([np.zeros(k, dtype=np.intp), np.abs(left - right)]),
                np.concatenate([rank, np.minimum(left, right)]))
     band_factors = np.concatenate([columns[:, [0, 0, 1, 1]],
                                    np.column_stack([pairs, np.full((len(pairs), 2), nnz)])]).T
 
     shift = sp.identity(k, format="csr") * (nnz + 1.0)
-    augmented = sp.bmat([[shift, entry], [entry.T, shift]], format="csc")
+    augmented = sp.bmat([[shift, entries], [entries.T, shift]], format="csc")
     layout = _GhostLayout(
         ring=ring, ring_nodes=nodes, ghosts=ghosts, extrapolation=extrapolation,
-        corners=corners, indptr=entry.indptr, indices=entry.indices,
+        corners=corners, indptr=entries.indptr, indices=entries.indices,
         source=_numbers(numbered),
         band_shape=(int(band_at[0].max()) + 1, k), band_at=band_at, band_factors=band_factors,
         augmented_indptr=augmented.indptr, augmented_indices=augmented.indices,
@@ -554,9 +554,10 @@ def _ghost_system(weights: np.ndarray, layout: _GhostLayout) -> sp.csr_matrix:
 
 
 def _normal_band(data: np.ndarray, layout: _GhostLayout) -> np.ndarray:
-    """Lower band of ``a^T a`` in reverse Cuthill-McKee order, ``a`` the ghost system of CSR data ``data``.
+    """Lower band of ``a^T a`` in reverse Cuthill-McKee order, for ``a`` of CSR data ``data``.
 
-    Each entry sums the products that ``a.T @ a`` sums, as it sums them.
+    ``a`` is the ghost system.  Each entry sums the products that
+    ``a.T @ a`` sums, as it sums them.
     """
     f = np.append(data, 0.0)[layout.band_factors]
     band = np.zeros(layout.band_shape)
@@ -621,10 +622,11 @@ def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float, layout: _GhostL
 
 def _bordered(data: np.ndarray, u: np.ndarray, v: np.ndarray,
               layout: _GhostLayout) -> sp.csc_matrix:
-    """``[[a, u], [v^T, 0]]`` as CSC, laid out as ``sp.bmat`` lays it out, every border entry stored.
+    """``[[a, u], [v^T, 0]]`` as CSC, laid out as ``sp.bmat`` lays it out.
 
     ``data`` is ``a``'s CSR data.  Each column of ``a`` is followed by its
-    row of ``v``; the columns of ``u`` come last.
+    row of ``v``; the columns of ``u`` come last.  Every border entry is
+    stored, where ``sp.bmat`` would drop an exact zero.
     """
     k, d = u.shape
     count = layout.csc_rows.size

@@ -209,10 +209,11 @@ def ring_nodes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ring_weights(b: CellVectorField, ring: np.ndarray) -> np.ndarray:
-    """The ``dh`` weights of the cells ``ring`` on their corner nodes, in the order of :func:`ring_nodes`.
+    """The ``dh`` weights of the cells ``ring`` on their four corner nodes.
 
     ``ring`` holds flat indices into the cell array; the result has shape
-    ``(ring.size, 4)``.  Each weight equals the probed :func:`apply_dh`
+    ``(ring.size, 4)``, its columns in the corner order of
+    :func:`ring_nodes`.  Each weight equals the probed :func:`apply_dh`
     entry bit for bit.
     """
     g = b.grid

@@ -52,27 +52,26 @@ l, fails the stage at once.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
-ghost system are deflated and the rest is one sparse LU solve.  The index
-arrays and matrix layouts of that pass depend on the grid alone and are
-built once per grid (:func:`_ghost_layout`).
+ghost system are deflated and the rest is one sparse LU solve.  Its cutoffs
+are relative to the bound sqrt(2) on the largest singular value of the
+row-equilibrated system, which that value reaches to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .grid import INTERIOR, CellField, CellVectorField, Grid, NodeField
 from .linsolve import (BandFactor, DirectFactor, SolverConfig, check_assembly, dot,
                        nested_dissection, norm2, stencil_matrix)
 from .operators import (apply_dh, apply_dh_star, compose_second_order, ghost_extrapolation,
-                        ring_nodes, ring_weights, second_order_stencil)
+                        ring_dh, second_order_stencil)
 
 __all__ = [
     "LinearProblem",
@@ -430,6 +429,11 @@ def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
 
 # Relative singular-value cutoff of the ghost-fill least-squares solve.
 GHOST_RCOND = 1e-6
+# The largest singular value of the row-equilibrated ghost system, taken at its
+# bound: each column of the system holds two entries and each row has norm at
+# most 1, so Cauchy-Schwarz gives |a^T x|^2 <= 2 |x|^2.  The bound is reached to
+# rounding on every case of the studies.  Every cutoff below is relative to it.
+_GHOST_SIGMA_MAX = math.sqrt(2.0)
 # Singular values below this fraction of the largest are deflated one by one;
 # the rest of the row-equilibrated ghost spectrum is solved for by sparse LU.
 _GHOST_CLUSTER = 1e-3
@@ -441,148 +445,18 @@ _GHOST_STEPS = 12
 _GHOST_SHIFT = 1e-9
 
 
-@dataclass(frozen=True)
-class _GhostLayout:
-    """The index arrays of the ghost fill on one grid, which depend on the grid alone.
-
-    The ghost system ``a`` is square: one row per ring cell, the ghost
-    columns of its ``dh`` row, and four unit rows that pin the corner
-    ghosts.  A fill gathers the entries of ``a`` from the ring weights
-    (:func:`operators.ring_weights`), and those of the band of ``a^T a`` and
-    of the matrices its solves factor from ``a``'s CSR data.  Every array is
-    read-only.
-    """
-
-    ring: np.ndarray  # ring cells, flat in the cell array
-    ring_nodes: np.ndarray  # (ring cells, 4): their corner nodes, flat in the node array
-    ghosts: np.ndarray  # ghost nodes, flat and ascending
-    extrapolation: sp.csr_matrix  # their rows of operators.ghost_extrapolation
-    corners: np.ndarray  # positions of the four corner ghosts in ``ghosts``
-    # CSR of ``a``, and per entry its index in the raveled ring weights, or
-    # their count for the 1 of a corner row
-    indptr: np.ndarray
-    indices: np.ndarray
-    source: np.ndarray
-    # the lower band of ``a^T a`` in reverse Cuthill-McKee order: its shape, the
-    # positions it holds, and per position the entries ``f`` of ``a`` with
-    # value ``f0 f1 + f2 f3``, where nnz stands for a zero
-    band_shape: tuple
-    band_at: tuple
-    band_factors: np.ndarray
-    # CSC of ``[[-sI, a], [a^T, -sI]]``, the entry of ``a`` per entry, nnz for ``-s``
-    augmented_indptr: np.ndarray
-    augmented_indices: np.ndarray
-    augmented_source: np.ndarray
-    # CSC of ``a``: the CSR entry and the column of each entry
-    csc_indptr: np.ndarray
-    csc_rows: np.ndarray
-    csc_source: np.ndarray
-    csc_columns: np.ndarray
+def _augmented(a: sp.csr_matrix, shift: float) -> sp.csc_matrix:
+    """``[[-shift I, a], [a^T, -shift I]]`` as CSC."""
+    k = a.shape[0]
+    c = a.tocoo()
+    diagonal = np.arange(2 * k)
+    return sp.csc_matrix((np.concatenate([c.data, c.data, np.full(2 * k, -shift)]),
+                          (np.concatenate([c.row, c.col + k, diagonal]),
+                           np.concatenate([c.col + k, c.row, diagonal]))), shape=(2 * k, 2 * k))
 
 
-def _numbers(matrix: sp.spmatrix) -> np.ndarray:
-    """The data of a matrix whose entries hold 1-based numbers, as 0-based indices."""
-    return matrix.data.astype(np.intp) - 1
-
-
-@lru_cache(maxsize=2)
-def _ghost_layout(grid: Grid) -> _GhostLayout:
-    """The :class:`_GhostLayout` of ``grid``; those of the last two grids are kept.
-
-    Each layout comes from the construction it stands for (``sp.vstack``,
-    ``a.T @ a`` ordered by ``reverse_cuthill_mckee``, ``sp.bmat``), run once
-    on matrices whose entries hold their own numbers, so a fill that gathers
-    its values by those numbers builds the same matrices bit for bit.  The
-    one exception is a product of ``a^T a`` that vanishes, where ``b`` is
-    exactly parallel to ``(dx, dy)`` or ``(dx, -dy)`` at a ring cell:
-    ``a.T @ a`` drops it, and its reverse Cuthill-McKee order can differ
-    from the one kept here.  A coarse-started Gummel run fills on two grids.
-    """
-    ring, nodes = ring_nodes(grid)
-    ghosts, extrapolation = ghost_extrapolation(grid)
-    sx, sy = grid.node_shape
-    k = ghosts.size
-    corners = np.searchsorted(ghosts, [0, sy - 1, (sx - 1) * sy, sx * sy - 1])
-    ring_rows = sp.csr_matrix((np.arange(1.0, nodes.size + 1), nodes.ravel(),
-                               np.arange(0, nodes.size + 1, 4)), shape=(ring.size, sx * sy))
-    corner_rows = sp.csr_matrix((np.full(4, nodes.size + 1.0), (np.arange(4), corners)),
-                                shape=(4, k))
-    numbered = sp.vstack([ring_rows[:, ghosts], corner_rows], format="csr")
-    nnz = numbered.nnz
-    entries = sp.csr_matrix((np.arange(1.0, nnz + 1), numbered.indices, numbered.indptr),
-                          shape=(k, k))
-
-    # Each ghost column of a holds two entries, so a diagonal entry of a^T a is
-    # the sum of two squares; two ghosts share at most one row, so every other
-    # entry is one product, of a pair of entries in a row.
-    csc = entries.tocsc()
-    columns = _numbers(csc).reshape(k, 2)
-    rank = np.empty(k, dtype=np.intp)
-    rank[reverse_cuthill_mckee((entries.T @ entries).tocsr(), symmetric_mode=True)] = np.arange(k)
-    rows = np.repeat(np.arange(k), np.diff(entries.indptr))
-    pairs = np.concatenate([np.column_stack([first, first + gap])
-                            for gap in range(1, np.diff(entries.indptr).max())
-                            for first in [np.flatnonzero(rows[gap:] == rows[:-gap])]])
-    left, right = (rank[entries.indices[pairs[:, side]]] for side in (0, 1))
-    band_at = (np.concatenate([np.zeros(k, dtype=np.intp), np.abs(left - right)]),
-               np.concatenate([rank, np.minimum(left, right)]))
-    band_factors = np.concatenate([columns[:, [0, 0, 1, 1]],
-                                   np.column_stack([pairs, np.full((len(pairs), 2), nnz)])]).T
-
-    shift = sp.identity(k, format="csr") * (nnz + 1.0)
-    augmented = sp.bmat([[shift, entries], [entries.T, shift]], format="csc")
-    layout = _GhostLayout(
-        ring=ring, ring_nodes=nodes, ghosts=ghosts, extrapolation=extrapolation,
-        corners=corners, indptr=entries.indptr, indices=entries.indices,
-        source=_numbers(numbered),
-        band_shape=(int(band_at[0].max()) + 1, k), band_at=band_at, band_factors=band_factors,
-        augmented_indptr=augmented.indptr, augmented_indices=augmented.indices,
-        augmented_source=_numbers(augmented), csc_indptr=csc.indptr, csc_rows=csc.indices,
-        csc_source=_numbers(csc), csc_columns=np.repeat(np.arange(k), np.diff(csc.indptr)))
-    arrays = [extrapolation.data, extrapolation.indices, extrapolation.indptr, *band_at]
-    arrays += [value for value in vars(layout).values() if isinstance(value, np.ndarray)]
-    for array in arrays:
-        array.setflags(write=False)
-    return layout
-
-
-def _ghost_system(weights: np.ndarray, layout: _GhostLayout) -> sp.csr_matrix:
-    """The ghost system ``a`` of the ring weights ``weights`` (:func:`operators.ring_weights`)."""
-    k = layout.ghosts.size
-    return sp.csr_matrix((np.append(weights, 1.0)[layout.source], layout.indices, layout.indptr),
-                         shape=(k, k))
-
-
-def _normal_band(data: np.ndarray, layout: _GhostLayout) -> np.ndarray:
-    """Lower band of ``a^T a`` in reverse Cuthill-McKee order, for ``a`` of CSR data ``data``.
-
-    ``a`` is the ghost system.  Each entry sums the products that
-    ``a.T @ a`` sums, as it sums them.
-    """
-    f = np.append(data, 0.0)[layout.band_factors]
-    band = np.zeros(layout.band_shape)
-    band[layout.band_at] = f[0] * f[1] + f[2] * f[3]
-    return band
-
-
-def _augmented(data: np.ndarray, shift: float, layout: _GhostLayout) -> sp.csc_matrix:
-    """``[[-shift I, a], [a^T, -shift I]]`` as CSC, ``a`` the ghost system of CSR data ``data``."""
-    n = 2 * layout.ghosts.size
-    return sp.csc_matrix((np.append(data, -shift)[layout.augmented_source],
-                          layout.augmented_indices, layout.augmented_indptr), shape=(n, n))
-
-
-def _largest_singular_value(data: np.ndarray, layout: _GhostLayout) -> float:
-    """Largest singular value of the ghost system of CSR data ``data``, from ``a^T a`` banded."""
-    band = _normal_band(data, layout)
-    n = band.shape[1]
-    top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
-                                  select_range=(n - 1, n - 1))
-    return float(np.sqrt(top[0]))
-
-
-def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float, layout: _GhostLayout):
-    """Singular triplets ``(u, s, v)`` of ``a`` below ``_GHOST_CLUSTER * sigma_max``.
+def _small_singular_triplets(a: sp.csr_matrix):
+    """Singular triplets ``(u, s, v)`` of ``a`` below ``_GHOST_CLUSTER`` times the largest.
 
     Block inverse iteration on ``[[0, a], [a^T, 0]]``, shifted just off zero
     so that exactly singular ``a`` factors, brings the small values'
@@ -595,14 +469,14 @@ def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float, layout: _GhostL
     values' projection ``U_s^T a V_s``.
     """
     k = a.shape[0]
-    cut = _GHOST_CLUSTER * sigma_max
+    cut = _GHOST_CLUSTER * _GHOST_SIGMA_MAX
     block = GHOST_BLOCK
     while True:
         full = block >= 2 * k
         if full:
             qu = qv = np.eye(k)
         else:
-            lu = spla.splu(_augmented(a.data, _GHOST_SHIFT * sigma_max, layout))
+            lu = spla.splu(_augmented(a, _GHOST_SHIFT * _GHOST_SIGMA_MAX))
             y = np.random.default_rng(0).standard_normal((2 * k, block))
             for _ in range(_GHOST_STEPS):
                 y, _ = scipy.linalg.qr(lu.solve(y), mode="economic")
@@ -620,30 +494,17 @@ def _small_singular_triplets(a: sp.csr_matrix, sigma_max: float, layout: _GhostL
     return us @ x, s, vs @ yt.T
 
 
-def _bordered(data: np.ndarray, u: np.ndarray, v: np.ndarray,
-              layout: _GhostLayout) -> sp.csc_matrix:
-    """``[[a, u], [v^T, 0]]`` as CSC, laid out as ``sp.bmat`` lays it out.
-
-    ``data`` is ``a``'s CSR data.  Each column of ``a`` is followed by its
-    row of ``v``; the columns of ``u`` come last.  Every border entry is
-    stored, where ``sp.bmat`` would drop an exact zero.
-    """
+def _bordered(a: sp.csr_matrix, u: np.ndarray, v: np.ndarray) -> sp.csc_matrix:
+    """``[[a, u], [v^T, 0]]`` as CSC, every border entry stored, exact zeros too."""
     k, d = u.shape
-    count = layout.csc_rows.size
-    at = np.arange(count) + d * layout.csc_columns
-    border = (layout.csc_indptr[1:] + d * np.arange(k))[:, None] + np.arange(d)
-    indptr = np.concatenate([layout.csc_indptr + d * np.arange(k + 1),
-                             count + d * k + k * np.arange(1, d + 1)])
-    rows = np.empty(count + 2 * k * d, dtype=layout.csc_rows.dtype)
-    values = np.empty(rows.size)
-    rows[at], values[at] = layout.csc_rows, data[layout.csc_source]
-    rows[border], values[border] = k + np.arange(d), v
-    rows[count + k * d:], values[count + k * d:] = np.tile(np.arange(k), d), u.T.ravel()
-    return sp.csc_matrix((values, rows, indptr), shape=(k + d, k + d))
+    c = a.tocoo()
+    rows, columns = np.tile(np.arange(k), d), np.repeat(k + np.arange(d), k)
+    return sp.csc_matrix((np.concatenate([c.data, u.T.ravel(), v.T.ravel()]),
+                          (np.concatenate([c.row, rows, columns]),
+                           np.concatenate([c.col, columns, rows]))), shape=(k + d, k + d))
 
 
-def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray,
-                     layout: _GhostLayout) -> tuple[np.ndarray, int, int]:
+def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Minimum-norm least squares over the singular values above ``GHOST_RCOND`` times the largest.
 
     The few small singular triplets are deflated: the bordered system
@@ -652,14 +513,13 @@ def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray,
     Returns ``(x, rank, deflated)``.
     """
     k = a.shape[0]
-    sigma_max = _largest_singular_value(a.data, layout)
-    u, s, v = _small_singular_triplets(a, sigma_max, layout)
+    u, s, v = _small_singular_triplets(a)
     deflated = s.size
     # COLAMD pivots on the dense border rows early and fills the factor (956k
     # nonzeros at M400); a minimum-degree order of a + a^T keeps it sparse (17k)
-    x = spla.splu(_bordered(a.data, u, v, layout), permc_spec="MMD_AT_PLUS_A").solve(
+    x = spla.splu(_bordered(a, u, v), permc_spec="MMD_AT_PLUS_A").solve(
         np.concatenate([rhs, np.zeros(deflated)]))[:k]
-    kept = s > GHOST_RCOND * sigma_max
+    kept = s > GHOST_RCOND * _GHOST_SIGMA_MAX
     x += v[:, kept] @ ((u[:, kept].T @ rhs) / s[kept])
     return x, k - deflated + int(np.count_nonzero(kept)), deflated
 
@@ -685,18 +545,15 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
     (:func:`operators.ghost_extrapolation`), and a minimum-norm correction
     over the row-equilibrated system, with singular values at or below
     ``GHOST_RCOND`` times the largest treated as zero, moves the ghosts off
-    that prior.  The system stays sparse: the few singular values below
-    ``1e-3`` times the largest are found by block inverse iteration and
-    deflated, and the rest is one sparse LU solve (``_truncated_solve``).
-    Truncated directions therefore cost at most the extrapolation error,
-    which has the same boundary-consistent order as the constraints
-    themselves; deficiency is reported, not fatal.
+    that prior.  The largest singular value is taken at its bound, sqrt(2)
+    (``_GHOST_SIGMA_MAX``), which it reaches to rounding.  The system stays
+    sparse: the few singular values below ``1e-3`` times the largest are
+    found by block inverse iteration and deflated, and the rest is one
+    sparse LU solve (``_truncated_solve``).  Truncated directions therefore
+    cost at most the extrapolation error, which has the same
+    boundary-consistent order as the constraints themselves; deficiency is
+    reported, not fatal.
 
-    What depends on the grid alone, the ring and ghost indices and the
-    layouts of every sparse matrix of the fill, is built once per grid
-    (:func:`_ghost_layout`); a fill writes the values of ``b`` and ``p``
-    into those layouts, each sum in the order of the sparse construction
-    its layout comes from.
     Interior values are never touched.  Returns ``(filled, report)``.
     """
     _check_direction(direction)
@@ -704,34 +561,34 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
         raise DataError("p has non-finite interior values")
     if not np.all(np.isfinite(grad_source.values)):
         raise DataError("grad_source has non-finite values")
-    layout = _ghost_layout(p.grid)
-    weights = ring_weights(direction, layout.ring)
+    grid = p.grid
+    ring, dh_ring = ring_dh(direction)
+    ghosts, extrapolation = ghost_extrapolation(grid)
     interior = p.values.flatten()
-    interior[layout.ghosts] = 0.0
+    interior[ghosts] = 0.0
     # a row of E @ p is p_ghost - (2 p_1 - p_2); with the ghosts zeroed, minus
     # it is the extrapolated ghost value
-    prior = -(layout.extrapolation @ interior)
-    bs = grad_source.values.ravel()[layout.ring]
-    # dh of the interior at the ring cells, summed as the rows of ring_dh sum it
-    flux = np.zeros(layout.ring.size)
-    for weight, nodes in zip(weights.T, layout.ring_nodes.T):
-        flux += weight * interior[nodes]
+    prior = -(extrapolation @ interior)
+    bs = grad_source.values.ravel()[ring]
 
-    a = _ghost_system(weights, layout)
-    rhs = np.concatenate([bs - flux, prior[layout.corners]]) - a @ prior
-    # the row 2-norms, summed as scipy.sparse.linalg.norm(a, axis=1) sums them
-    row_norms = np.sqrt(np.add.reduceat(a.data ** 2, a.indptr[:-1]))
+    sx, sy = grid.node_shape
+    corners = np.searchsorted(ghosts, [0, sy - 1, (sx - 1) * sy, sx * sy - 1])
+    corner_rows = sp.csr_matrix((np.ones(4), (np.arange(4), corners)), shape=(4, ghosts.size))
+    a = sp.vstack([dh_ring[:, ghosts], corner_rows], format="csr")
+    rhs = np.concatenate([bs - dh_ring @ interior, prior[corners]]) - a @ prior
+
+    row_norms = spla.norm(a, axis=1)
     scale = np.where(row_norms > 0.0, row_norms, 1.0)
     a.data /= np.repeat(scale, np.diff(a.indptr))
-    correction, rank, deflated = _truncated_solve(a, rhs / scale, layout)
+    correction, rank, deflated = _truncated_solve(a, rhs / scale)
     filled = p.copy()
-    filled.values.flat[layout.ghosts] = prior + correction
-    defect = apply_dh(filled, direction).values.ravel()[layout.ring] - bs
+    filled.values.flat[ghosts] = prior + correction
+    defect = apply_dh(filled, direction).values.ravel()[ring] - bs
     report = GhostFillReport(
         constraint_defect=float(np.max(np.abs(defect))),
         rank=rank,
-        n_unknowns=layout.ghosts.size,
-        rank_deficient=bool(rank < layout.ghosts.size),
+        n_unknowns=ghosts.size,
+        rank_deficient=bool(rank < ghosts.size),
         deflated=deflated,
     )
     return filled, report

@@ -107,16 +107,21 @@ class ExperimentConfig:
     def __post_init__(self):
         # checked here, so that a bad entry fails before the first solve of a study
         for name in ("meshes", "eps_list", "alphas"):
+            if not isinstance(getattr(self, name), (list, tuple, np.ndarray)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must not be empty")
         for cells in self.meshes:
+            if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)):
+                raise ValueError(f"meshes must hold integers, got {cells!r}")
             unit_square_grid(cells)
         for eps in self.eps_list:
-            if not (np.isfinite(eps) and eps >= 0.0):
-                raise ValueError(f"eps must be finite and >= 0, got {eps}")
-        for name, values in (("alphas", self.alphas), ("eta", self.eta), ("mu", self.mu)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} must be finite, got {values}")
+            if not (_finite_number(eps) and eps >= 0.0):
+                raise ValueError(f"eps_list: eps must be finite and >= 0, got {eps!r}")
+        for name, items in (("alphas", self.alphas), ("eta", [self.eta]), ("mu", [self.mu]),
+                            ("tol_rel", [self.tol_rel])):
+            if not all(_finite_number(item) for item in items):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         unknown = sorted(set(self.thresholds) - set(_THRESHOLDS))
         if unknown:
             raise ValueError(f"unknown thresholds {unknown}, expected some of {list(_THRESHOLDS)}")
@@ -132,6 +137,8 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
         solver = data.pop("solver", None)
+        if not (solver is None or isinstance(solver, dict)):
+            raise ValueError(f"solver must be an object with the key tol, got {solver!r}")
         cfg = cls(**data)
         if solver is not None:
             cfg.solver = SolverConfig(**solver)
@@ -150,6 +157,8 @@ STUDY_DEFAULTS = {
 
 def study_config(experiment: str, data: dict | None = None) -> ExperimentConfig:
     """The config of ``experiment``: the keys of ``data``, the study's defaults for the rest."""
+    if data is not None and not isinstance(data, dict):
+        raise ValueError(f"config must be an object of ExperimentConfig keys, got {data!r}")
     defaults = {key: list(value) for key, value in STUDY_DEFAULTS.get(experiment, {}).items()}
     return ExperimentConfig.from_dict({**defaults, **(data or {})})
 

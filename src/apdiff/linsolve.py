@@ -86,8 +86,8 @@ class SolverConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.tol <= 1e-4):
-            raise ValueError(f"solver tol must be in (0, 1e-4], got {self.tol}")
+        if not (isinstance(self.tol, (int, float)) and 0.0 < self.tol <= 1e-4):
+            raise ValueError(f"solver tol must be in (0, 1e-4], got {self.tol!r}")
 
 
 @dataclass

@@ -36,8 +36,7 @@ so results are bitwise reproducible.
 order of the operator itself, so that they equal a probe of it bit for bit.
 The boundary rows are built here too, as sparse matrices over the node
 lattice: :func:`ring_dh` gives the ``dh`` rows of the boundary cell ring,
-where the flux condition ``dh p = b.S`` is imposed, from the ring's corner
-nodes (:func:`ring_nodes`) and weights (:func:`ring_weights`), and
+where the flux condition ``dh p = b.S`` is imposed, and
 :func:`ghost_extrapolation` the one-sided second-order extrapolation rows
 that close the ghost nodes.
 """
@@ -54,8 +53,6 @@ __all__ = [
     "apply_dh_star",
     "compose_second_order",
     "second_order_stencil",
-    "ring_nodes",
-    "ring_weights",
     "ring_dh",
     "ghost_extrapolation",
 ]
@@ -190,52 +187,27 @@ def _outer_ring(shape: tuple[int, int]) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-# The corner nodes (i + di, j + dj) of a cell (i, j), in ascending flat order.
-_RING_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def ring_nodes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The boundary cell ring and the corner nodes of its cells.
-
-    Returns ``(ring, nodes)``: ``ring`` holds the flat row-major indices of
-    the ring cells in the cell array, ascending, and row ``r`` of ``nodes``
-    the flat row-major indices of the four corner nodes of cell ``ring[r]``
-    in the node array, ascending.
-    """
-    ring = _outer_ring(grid.cell_shape)
-    ci, cj = np.unravel_index(ring, grid.cell_shape)
-    sy = grid.node_shape[1]
-    return ring, np.stack([(ci + di) * sy + cj + dj for di, dj in _RING_CORNERS], axis=1)
-
-
-def ring_weights(b: CellVectorField, ring: np.ndarray) -> np.ndarray:
-    """The ``dh`` weights of the cells ``ring`` on their four corner nodes.
-
-    ``ring`` holds flat indices into the cell array; the result has shape
-    ``(ring.size, 4)``, its columns in the corner order of
-    :func:`ring_nodes`.  Each weight equals the probed :func:`apply_dh`
-    entry bit for bit.
-    """
-    g = b.grid
-    bx, by = b.x.flat[ring], b.y.flat[ring]
-    return np.stack([bx * ((2 * di - 1) / (2.0 * g.dx)) + by * ((2 * dj - 1) / (2.0 * g.dy))
-                     for di, dj in _RING_CORNERS], axis=1)
-
-
 def ring_dh(b: CellVectorField) -> tuple[np.ndarray, sp.csr_matrix]:
     """The ``dh`` stencil of the boundary cell ring as a ring x node matrix.
 
     Returns ``(ring, matrix)``: ``ring`` holds the flat row-major indices of
     the ring cells in the cell array, ascending, and row ``r`` of ``matrix``
     is ``dh`` at cell ``ring[r]`` over all node values, row-major: the
-    weights of :func:`ring_weights` on the nodes of :func:`ring_nodes`,
-    stored zeros included.
+    weights on the four corner nodes of the cell, in ascending node order.
+    Entries equal those of a probed :func:`apply_dh` bit for bit, stored
+    zeros included.
     """
     g = b.grid
-    ring, nodes = ring_nodes(g)
-    matrix = sp.csr_matrix((ring_weights(b, ring).ravel(), nodes.ravel(),
-                            np.arange(0, nodes.size + 1, 4)),
-                           shape=(ring.size, g.node_shape[0] * g.node_shape[1]))
+    ring = _outer_ring(g.cell_shape)
+    ci, cj = np.unravel_index(ring, g.cell_shape)
+    bx, by = b.x.flat[ring], b.y.flat[ring]
+    sy = g.node_shape[1]
+    corners = [(di, dj) for di in (0, 1) for dj in (0, 1)]
+    nodes = np.stack([(ci + di) * sy + cj + dj for di, dj in corners], axis=1)
+    weights = np.stack([bx * ((2 * di - 1) / (2.0 * g.dx)) + by * ((2 * dj - 1) / (2.0 * g.dy))
+                        for di, dj in corners], axis=1)
+    matrix = sp.csr_matrix((weights.ravel(), nodes.ravel(), np.arange(0, nodes.size + 1, 4)),
+                           shape=(ring.size, g.node_shape[0] * sy))
     return ring, matrix
 
 

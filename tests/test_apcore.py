@@ -12,7 +12,6 @@ import scipy.sparse
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from apdiff import apcore, linsolve
 from apdiff.apcore import (
@@ -30,8 +29,7 @@ from apdiff.grid import (INTERIOR, CellField, CellVectorField, NodeField, make_g
                          sample_cell_vec, sample_node)
 from apdiff.linsolve import (AssemblyError, BandFactor, DirectFactor, SolverConfig, assemble,
                              factor_order, nested_dissection, refine, stencil_matrix)
-from apdiff.operators import (apply_dh, compose_second_order, ghost_extrapolation, ring_dh,
-                              ring_weights)
+from apdiff.operators import apply_dh, compose_second_order, ghost_extrapolation, ring_dh
 from apdiff.gummel import linearize
 from apdiff.problems import case_angle, case_ap_limit, case_linear_variable, case_nonlinear
 from apdiff.experiments import fit_loglog_slope, rel_error, unit_square_grid
@@ -502,13 +500,11 @@ def test_fill_ghost_deflates_few_directions(case, cells):
 
 def test_fill_ghost_forms_no_dense_system():
     # one dense k x k float64 matrix of the M400 ghost system takes 20.6 MB; the
-    # fill peaks at about 8 MB, a dense least-squares solve at 65 MB; the
-    # grid's layout is built inside the traced call
+    # fill peaks at about 8 MB, a dense least-squares solve at 65 MB
     g = unit_square_grid(400)
     manufactured = case_linear_variable(g, 0.1)
     p = NodeField.zeros(g)
     p.values[INTERIOR] = manufactured.exact_field().values[INTERIOR]
-    apcore._ghost_layout.cache_clear()
     tracemalloc.start()
     try:
         _, report = fill_ghost(p, manufactured.problem.direction,
@@ -528,49 +524,22 @@ def ghost_fill_data(g, seed):
             CellField(g, rng.standard_normal(g.cell_shape)))
 
 
-def test_fills_on_kept_and_evicted_layouts_equal_fresh_fills():
-    # two layouts are kept: the third grid evicts the first, and each fill
-    # equals a fill on a layout built just for it, byte for byte
-    grids = [make_grid(UNIT, 12, 12), make_grid(UNIT, 9, 17), unit_square_grid(24)]
-    fresh = []
-    for seed, g in enumerate(grids):
-        apcore._ghost_layout.cache_clear()
-        filled, report = fill_ghost(*ghost_fill_data(g, seed))
-        fresh.append((filled.values.tobytes(), report))
-    apcore._ghost_layout.cache_clear()
-    for _ in range(2):
-        for seed, g in enumerate(grids):
-            filled, report = fill_ghost(*ghost_fill_data(g, seed))
-            assert (filled.values.tobytes(), report) == fresh[seed]
-    info = apcore._ghost_layout.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 6, 2)
-    fill_ghost(*ghost_fill_data(grids[2], 0))
-    assert apcore._ghost_layout.cache_info().hits == 1
-
-
-def test_ghost_layout_is_read_only():
-    layout = apcore._ghost_layout(make_grid(UNIT, 7, 11))
-    arrays = [value for value in vars(layout).values() if isinstance(value, np.ndarray)]
-    arrays += [*layout.band_at, layout.extrapolation.data, layout.extrapolation.indices,
-               layout.extrapolation.indptr]
-    assert len(arrays) == 20
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0
-
-
 @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (12, 12), (9, 17)])
 @pytest.mark.parametrize("kind", ["random", "anti-diagonal", "axis"])
-def test_ghost_layout_gathers_the_sparse_constructions_bitwise(kind, shape):
-    # oracle: each matrix built by the scipy.sparse construction whose layout
-    # the grid keeps, from ring_dh's rows; anti-diagonal b holds exact zeros
+def test_ghost_layout_gathers_the_sparse_constructions_bitwise(kind, shape, monkeypatch):
+    # the ghost system a fill solves and the two matrices it factors, against
+    # scipy.sparse.vstack and bmat on ring_dh's rows; anti-diagonal b holds
+    # exact zeros
     g = make_grid(UNIT, *shape)
-    _, direction, _ = ghost_fill_data(g, 3)
+    p, direction, grad_source = ghost_fill_data(g, 3)
     if kind != "random":
         vector = (0.6, -0.6) if kind == "anti-diagonal" else (1.0, 0.0)
         direction = uniform_direction(g, *vector)
-    layout = apcore._ghost_layout(g)
+    solved = []
+    truncated_solve = apcore._truncated_solve
+    monkeypatch.setattr(apcore, "_truncated_solve",
+                        lambda a, rhs: solved.append(a.copy()) or truncated_solve(a, rhs))
+    fill_ghost(p, direction, grad_source)
     ring, dh_ring = ring_dh(direction)
     ghosts, _ = ghost_extrapolation(g)
     sx, sy = g.node_shape
@@ -578,29 +547,14 @@ def test_ghost_layout_gathers_the_sparse_constructions_bitwise(kind, shape):
     corner_rows = scipy.sparse.csr_matrix((np.ones(4), (np.arange(4), corners)),
                                           shape=(4, ghosts.size))
     want = scipy.sparse.vstack([dh_ring[:, ghosts], corner_rows], format="csr")
-    a = apcore._ghost_system(ring_weights(direction, layout.ring), layout)
+    want.data /= np.repeat(spla.norm(want, axis=1), np.diff(want.indptr))
+    [a] = solved
     assert_bitwise(a, want)
-    row_norms = spla.norm(want, axis=1)
-    assert row_norms.tobytes() == np.sqrt(np.add.reduceat(a.data ** 2, a.indptr[:-1])).tobytes()
-    want.data /= np.repeat(row_norms, np.diff(want.indptr))
-    normal = (want.T @ want).tocsr()
-    order = reverse_cuthill_mckee(normal, symmetric_mode=True)
-    lower = scipy.sparse.tril(normal[order][:, order]).tocoo()
-    band = np.zeros((np.max(lower.row - lower.col) + 1, normal.shape[0]))
-    band[lower.row - lower.col, lower.col] = lower.data
-    if np.all(want.data != 0.0):
-        assert apcore._normal_band(want.data, layout).tobytes() == band.tobytes()
-    else:
-        # a.T @ a drops a vanishing product, and the order can then differ
-        top = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
-                                      select_range=(band.shape[1] - 1, band.shape[1] - 1))
-        assert apcore._largest_singular_value(want.data, layout) == pytest.approx(
-            math.sqrt(top[0]), rel=1e-15)
     shift = 1e-9 * scipy.sparse.identity(ghosts.size)
-    assert_bitwise(apcore._augmented(want.data, 1e-9, layout),
+    assert_bitwise(apcore._augmented(want, 1e-9),
                    scipy.sparse.bmat([[-shift, want], [want.T, -shift]], format="csc"))
     u, v = np.random.default_rng(4).standard_normal((2, ghosts.size, 3))
-    assert_bitwise(apcore._bordered(want.data, u, v, layout),
+    assert_bitwise(apcore._bordered(want, u, v),
                    scipy.sparse.bmat([[want, u], [v.T, None]], format="csc"))
 
 
@@ -650,6 +604,34 @@ def test_fill_ghost_random_directions_property(drawn):
     _, rank, sig = svd_fill_spectrum(p, p.grid, direction, grad_source)
     if not np.any((sig > 0.5 * GHOST_RCOND) & (sig < 2.0 * GHOST_RCOND)):
         assert report.rank == rank
+
+
+# the unit roundoff of float64
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_ghost_data())
+def test_ghost_system_largest_singular_value_is_at_most_sqrt2(drawn):
+    # each column holds two entries and each row has norm at most 1 (the corner
+    # rows exactly 1), so 1 <= sigma_max <= sqrt(2)
+    p, direction, grad_source = drawn
+    a, _, _ = ghost_fill_system(p, p.grid, direction, grad_source)
+    assert 1.0 <= np.linalg.norm(a, 2) <= math.sqrt(2) * (1 + 4 * UNIT_ROUNDOFF)
+
+
+@pytest.mark.parametrize("kind, cells, degrees", [
+    *[("angle", cells, degrees) for cells in (16, 64) for degrees in range(0, 91, 5)],
+    *[(kind, cells, None) for kind in ("linear", "nonlinear") for cells in (16, 64, 100)]])
+def test_ghost_system_reaches_sqrt2_on_the_study_cases(kind, cells, degrees):
+    # the fill takes sqrt(2) for the largest singular value (apcore._GHOST_SIGMA_MAX)
+    g = unit_square_grid(cells)
+    if kind == "angle":
+        problem = case_angle(g, 1e-3, math.radians(degrees)).problem
+    else:
+        problem = {"linear": case_linear_variable, "nonlinear": case_nonlinear}[kind](g, 0.1).problem
+    a, _, _ = ghost_fill_system(NodeField.zeros(g), g, problem.direction, problem.grad_source_cell)
+    assert np.linalg.norm(a, 2) == pytest.approx(apcore._GHOST_SIGMA_MAX, rel=1e-15, abs=0.0)
 
 
 def test_residuals_reported():

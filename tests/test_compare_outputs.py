@@ -24,9 +24,12 @@ def record(p, residual=1e-13, status="converged"):
     (record([1.0, -0.0, -2.0]), "array_equal", 0),
     (record([1.0, 0.0, -2.0 * (1 + 2**-52)]), "max relative difference 2.220e-16 at p.values", 1),
     (record([1.0, 0.0, -2.0], residual=2e-13),
-     "max relative difference 5.000e-01 at residuals.L", 1),
+     "bytes; diagnostics max relative difference 5.000e-01 at residuals.L", 1),
+    (record([1.0, 0.0, -2.0 * (1 + 2**-52)], residual=4e-13),
+     "max relative difference 2.220e-16 at p.values; diagnostics max relative difference "
+     "7.500e-01 at residuals.L", 1),
     (record([1.0, 0.0, -2.0], status="diverged"), "max relative difference inf at state.status", 1),
-], ids=["bytes", "signed-zero", "difference", "scalar-difference", "status"])
+], ids=["bytes", "signed-zero", "difference", "scalar-difference", "both-differ", "status"])
 def test_compare_reports_each_case(tmp_path, capsys, b, verdict, code):
     a = record([1.0, 0.0, -2.0])
     paths = tmp_path / "a.pkl", tmp_path / "b.pkl"
@@ -74,8 +77,9 @@ def synthetic_report(runtime_ms, seconds, error=0.25):
 
 @pytest.mark.parametrize("error, verdict, ok", [
     (0.25, "bytes", True),
-    (0.5, "max relative difference inf at files.gummel.csv", False),
-], ids=["timings-only", "error"])
+    (0.25 * (1 + 2**-50), "max relative difference 8.882e-16 at files.gummel.csv[0].error", False),
+    (0.5, "max relative difference 5.000e-01 at files.gummel.csv[0].error", False),
+], ids=["timings-only", "rounding", "error"])
 def test_study_outputs_leave_out_the_timings(error, verdict, ok):
     a = compare_outputs._plain(compare_outputs.study_outputs(synthetic_report(1.5, 0.01)))
     b = compare_outputs._plain(compare_outputs.study_outputs(synthetic_report(2.5, 0.02, error)))

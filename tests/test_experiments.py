@@ -370,9 +370,19 @@ def test_cli_rejects_fractional_mesh(tmp_path):
     ("angle", {"alphas": []}, "alphas must not be empty"),
     ("angle", {"meshes": [8, 16]}, "angle runs one mesh"),
     ("conditioning", {"meshes": [8, 16]}, "conditioning runs one mesh"),
+    ("convergence", [1, 2], "config must be an object"),
+    ("convergence", {"solver": 5}, "solver must be an object"),
+    ("convergence", {"solver": {"tol": "x"}}, "solver tol must be in"),
+    ("convergence", {"meshes": 5}, "meshes must be a list"),
+    ("convergence", {"meshes": ["a"]}, "meshes must hold integers"),
+    ("convergence", {"eps_list": ["a"]}, "eps_list: eps must be finite"),
+    ("gummel", {"eta": "x"}, "eta must be finite"),
+    ("gummel", {"tol_rel": "x"}, "tol_rel must be finite"),
 ], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu", "misspelt-threshold",
         "scalar-range", "text-in-range", "nan-threshold", "list-threshold", "text-threshold",
-        "no-meshes", "no-eps", "no-alphas", "two-angle-meshes", "two-conditioning-meshes"])
+        "no-meshes", "no-eps", "no-alphas", "two-angle-meshes", "two-conditioning-meshes",
+        "list-config", "scalar-solver", "text-tol", "scalar-meshes", "text-mesh", "text-eps",
+        "text-eta", "text-tol-rel"])
 def test_cli_rejects_a_bad_config_before_the_first_solve(tmp_path, monkeypatch, experiment,
                                                           data, match):
     # each bad entry follows good ones, or is read by every run, so a check

@@ -19,16 +19,25 @@ Run one ``dump`` per tree, each in its own process.
 ``compare`` prints one line per case: ``bytes`` when every value is equal
 byte for byte, ``array_equal`` when some differ in bytes only in ways
 ``np.array_equal`` forgives (a signed zero), or the largest relative
-difference and the path of the value it was found in.  It exits non-zero
-on any difference beyond ``np.array_equal``, and on a case that only one
-dump holds.  Compare only dumps this tool wrote: loading a pickle can run
-code.
+difference and the path of the value it was found in.  That verdict covers
+the solution; the diagnostics, which sit at rounding level and so move by
+up to their own size when the solution moves by a rounding error (stage
+residuals, the ghost fill's ``constraint_defect``, ``mean_gradient_l2``),
+get a second clause, ``; diagnostics ...``, printed when they differ.
+Study files are compared value by value: each CSV row and the JSON summary
+are parsed before the comparison.  ``compare`` exits non-zero on any
+difference beyond ``np.array_equal``, diagnostics included, and on a case
+that only one dump holds.  Compare only dumps this tool wrote: loading a
+pickle can run code.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
+import json
 import math
 import pickle
 import sys
@@ -185,26 +194,54 @@ def _relative_difference(a, b) -> float:
         return math.inf
 
 
+# Leaves whose path holds one of these are diagnostics, not solution values.
+DIAGNOSTICS = ("residual", "constraint_defect", "mean_gradient_l2")
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parsed(outputs):
+    """``outputs`` with the text of each study file parsed: CSV into rows, JSON into data."""
+    if not (isinstance(outputs, dict) and isinstance(outputs.get("files"), dict)):
+        return outputs
+    files = {name: json.loads(text) if name.endswith(".json") else
+             [{key: _number(item) for key, item in row.items()}
+              for row in csv.DictReader(io.StringIO(text))]
+             for name, text in outputs["files"].items()}
+    return {**outputs, "files": files}
+
+
 def compare_case(a, b) -> tuple[str, bool]:
     """The verdict on one case's outputs, and whether it is within ``np.array_equal``."""
-    left, right = dict(_leaves(a)), dict(_leaves(b))
+    left, right = dict(_leaves(_parsed(a))), dict(_leaves(_parsed(b)))
     if left.keys() != right.keys():
         return f"fields differ: {sorted(left.keys() ^ right.keys())}", False
-    verdict = "bytes"
-    worst, where = 0.0, ""
+    # per kind, False for the solution and True for the diagnostics
+    verdicts = {False: "bytes", True: "bytes"}
+    worst = {False: (0.0, ""), True: (0.0, "")}
     for path, x in left.items():
         y = right[path]
         if _same_bytes(x, y):
             continue
+        kind = any(name in path for name in DIAGNOSTICS)
         if isinstance(x, (np.ndarray, float, int, bool)) and np.array_equal(x, y, equal_nan=True):
-            verdict = "array_equal"
+            verdicts[kind] = "array_equal"
             continue
         rel = _relative_difference(x, y)
-        if rel >= worst:
-            worst, where = rel, path
-    if where:
-        return f"max relative difference {worst:.3e} at {where}", False
-    return verdict, True
+        if rel >= worst[kind][0]:
+            worst[kind] = rel, path
+    for kind, (rel, where) in worst.items():
+        if where:
+            verdicts[kind] = f"max relative difference {rel:.3e} at {where}"
+    ok = all(verdict in ("bytes", "array_equal") for verdict in verdicts.values())
+    if verdicts[True] == "bytes":
+        return verdicts[False], ok
+    return f"{verdicts[False]}; diagnostics {verdicts[True]}", ok
 
 
 def compare(a_path: Path, b_path: Path) -> int:

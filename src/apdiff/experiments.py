@@ -107,9 +107,10 @@ class ExperimentConfig:
     def __post_init__(self):
         # checked here, so that a bad entry fails before the first solve of a study
         for name in ("meshes", "eps_list", "alphas"):
-            if not isinstance(getattr(self, name), (list, tuple, np.ndarray)):
-                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple, np.ndarray)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            if len(values) == 0:
                 raise ValueError(f"{name} must not be empty")
         for cells in self.meshes:
             if isinstance(cells, bool) or not isinstance(cells, (int, np.integer)):

@@ -537,8 +537,12 @@ def test_ghost_layout_gathers_the_sparse_constructions_bitwise(kind, shape, monk
         direction = uniform_direction(g, *vector)
     solved = []
     truncated_solve = apcore._truncated_solve
-    monkeypatch.setattr(apcore, "_truncated_solve",
-                        lambda a, rhs: solved.append(a.copy()) or truncated_solve(a, rhs))
+
+    def recorded(a, rhs):
+        solved.append(a.copy())
+        return truncated_solve(a, rhs)
+
+    monkeypatch.setattr(apcore, "_truncated_solve", recorded)
     fill_ghost(p, direction, grad_source)
     ring, dh_ring = ring_dh(direction)
     ghosts, _ = ghost_extrapolation(g)
@@ -629,7 +633,8 @@ def test_ghost_system_reaches_sqrt2_on_the_study_cases(kind, cells, degrees):
     if kind == "angle":
         problem = case_angle(g, 1e-3, math.radians(degrees)).problem
     else:
-        problem = {"linear": case_linear_variable, "nonlinear": case_nonlinear}[kind](g, 0.1).problem
+        case = case_linear_variable if kind == "linear" else case_nonlinear
+        problem = case(g, 0.1).problem
     a, _, _ = ghost_fill_system(NodeField.zeros(g), g, problem.direction, problem.grad_source_cell)
     assert np.linalg.norm(a, 2) == pytest.approx(apcore._GHOST_SIGMA_MAX, rel=1e-15, abs=0.0)
 

@@ -52,9 +52,9 @@ l, fails the stage at once.
 Ghost node values of p never feed back into the solution; they are filled in
 a final truncated least-squares pass from the flux boundary condition
 (:func:`fill_ghost`), sparse throughout: the few small singular values of the
-ghost system are deflated and the rest is one sparse LU solve.  Its cutoffs
-are relative to the bound sqrt(2) on the largest singular value of the
-row-equilibrated system, which that value reaches to rounding.
+ghost system are deflated, and the shifted LU that finds them solves for the
+rest.  Its cutoffs are relative to the bound sqrt(2) on the largest singular
+value of the row-equilibrated system, which that value reaches to rounding.
 """
 
 from __future__ import annotations
@@ -435,7 +435,7 @@ GHOST_RCOND = 1e-6
 # rounding on every case of the studies.  Every cutoff below is relative to it.
 _GHOST_SIGMA_MAX = math.sqrt(2.0)
 # Singular values below this fraction of the largest are deflated one by one;
-# the rest of the row-equilibrated ghost spectrum is solved for by sparse LU.
+# the rest of the row-equilibrated ghost spectrum is solved for by the shifted LU.
 _GHOST_CLUSTER = 1e-3
 # Block inverse iteration that finds the deflated values: start width (it
 # doubles until the block holds them, up to the dense SVD), step count, and
@@ -466,17 +466,18 @@ def _small_singular_triplets(a: sp.csr_matrix):
     holds them all when both counts agree and stay below half its width;
     otherwise the width doubles, and at full width ``Q_u = Q_v = I`` and the
     counts come from the dense SVD.  The triplets are the SVD of the small
-    values' projection ``U_s^T a V_s``.
+    values' projection ``U_s^T a V_s``.  Returns ``(u, s, v, lu)``, with
+    ``lu`` the one factor of the shifted system, made before the first block.
     """
     k = a.shape[0]
     cut = _GHOST_CLUSTER * _GHOST_SIGMA_MAX
+    lu = spla.splu(_augmented(a, _GHOST_SHIFT * _GHOST_SIGMA_MAX))
     block = GHOST_BLOCK
     while True:
         full = block >= 2 * k
         if full:
             qu = qv = np.eye(k)
         else:
-            lu = spla.splu(_augmented(a, _GHOST_SHIFT * _GHOST_SIGMA_MAX))
             y = np.random.default_rng(0).standard_normal((2 * k, block))
             for _ in range(_GHOST_STEPS):
                 y, _ = scipy.linalg.qr(lu.solve(y), mode="economic")
@@ -491,34 +492,29 @@ def _small_singular_triplets(a: sp.csr_matrix):
     us = qu @ wu[su.size - n_small:].T
     vs = qv @ wv[sv.size - n_small:].T
     x, s, yt = scipy.linalg.svd(us.T @ (a @ vs))
-    return us @ x, s, vs @ yt.T
-
-
-def _bordered(a: sp.csr_matrix, u: np.ndarray, v: np.ndarray) -> sp.csc_matrix:
-    """``[[a, u], [v^T, 0]]`` as CSC, every border entry stored, exact zeros too."""
-    k, d = u.shape
-    c = a.tocoo()
-    rows, columns = np.tile(np.arange(k), d), np.repeat(k + np.arange(d), k)
-    return sp.csc_matrix((np.concatenate([c.data, u.T.ravel(), v.T.ravel()]),
-                          (np.concatenate([c.row, rows, columns]),
-                           np.concatenate([c.col, columns, rows]))), shape=(k + d, k + d))
+    return us @ x, s, vs @ yt.T, lu
 
 
 def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Minimum-norm least squares over the singular values above ``GHOST_RCOND`` times the largest.
 
-    The few small singular triplets are deflated: the bordered system
-    ``[[a, U_s], [V_s^T, 0]]`` solves the rest of the spectrum by sparse LU,
-    and the small values above the cutoff are added back one by one.
+    The few small singular triplets are deflated: ``rhs`` loses its part on
+    ``U_s``, one solve on the inverse iteration's factor of the shifted
+    ``[[-sigma I, a], [a^T, -sigma I]]`` covers the rest of the spectrum, its
+    lower half loses its part on ``V_s``, and the small values above the
+    cutoff are added back one by one.  The shift scales each bulk ``1/s`` by
+    ``1/(1 - (sigma/s)^2)``, within ``(_GHOST_SHIFT/_GHOST_CLUSTER)^2 =
+    1e-12`` of 1.  A deflated value on ``sigma`` amplifies the rounding left
+    by the projection: a shift put exactly on 5.19e-11 (M64, 80 degrees)
+    moved the ghosts by 2.7e-11 relative, and 1e-8 relative off it by 1e-17.
     Returns ``(x, rank, deflated)``.
     """
     k = a.shape[0]
-    u, s, v = _small_singular_triplets(a)
+    u, s, v, lu = _small_singular_triplets(a)
     deflated = s.size
-    # COLAMD pivots on the dense border rows early and fills the factor (956k
-    # nonzeros at M400); a minimum-degree order of a + a^T keeps it sparse (17k)
-    x = spla.splu(_bordered(a, u, v), permc_spec="MMD_AT_PLUS_A").solve(
-        np.concatenate([rhs, np.zeros(deflated)]))[:k]
+    bulk = rhs - u @ (u.T @ rhs)
+    x = lu.solve(np.concatenate([bulk, np.zeros(k)]))[k:]
+    x -= v @ (v.T @ x)
     kept = s > GHOST_RCOND * _GHOST_SIGMA_MAX
     x += v[:, kept] @ ((u[:, kept].T @ rhs) / s[kept])
     return x, k - deflated + int(np.count_nonzero(kept)), deflated
@@ -548,11 +544,11 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
     that prior.  The largest singular value is taken at its bound, sqrt(2)
     (``_GHOST_SIGMA_MAX``), which it reaches to rounding.  The system stays
     sparse: the few singular values below ``1e-3`` times the largest are
-    found by block inverse iteration and deflated, and the rest is one
-    sparse LU solve (``_truncated_solve``).  Truncated directions therefore
-    cost at most the extrapolation error, which has the same
-    boundary-consistent order as the constraints themselves; deficiency is
-    reported, not fatal.
+    found by block inverse iteration and deflated, and one more solve on
+    that iteration's sparse LU, the one matrix a fill factors, covers the
+    rest (``_truncated_solve``).  Truncated directions therefore cost at
+    most the extrapolation error, which has the same boundary-consistent
+    order as the constraints themselves; deficiency is reported, not fatal.
 
     Interior values are never touched.  Returns ``(filled, report)``.
     """

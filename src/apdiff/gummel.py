@@ -81,9 +81,11 @@ class StopRule:
     n_max: int = 30
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol_rel) and self.tol_rel > 0.0):
+        # a bool passes isinstance(int) and np.isfinite, and would stand for 1
+        if isinstance(self.tol_rel, bool) or not (np.isfinite(self.tol_rel) and self.tol_rel > 0):
             raise ValueError(f"tol_rel must be finite and positive, got {self.tol_rel}")
-        if not (isinstance(self.n_max, (int, np.integer)) and self.n_max >= 1):
+        if isinstance(self.n_max, bool) or not (isinstance(self.n_max, (int, np.integer))
+                                                and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
 

@@ -527,7 +527,7 @@ def ghost_fill_data(g, seed):
 @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (12, 12), (9, 17)])
 @pytest.mark.parametrize("kind", ["random", "anti-diagonal", "axis"])
 def test_ghost_layout_gathers_the_sparse_constructions_bitwise(kind, shape, monkeypatch):
-    # the ghost system a fill solves and the two matrices it factors, against
+    # the ghost system a fill solves and the matrix it factors, against
     # scipy.sparse.vstack and bmat on ring_dh's rows; anti-diagonal b holds
     # exact zeros
     g = make_grid(UNIT, *shape)
@@ -557,22 +557,30 @@ def test_ghost_layout_gathers_the_sparse_constructions_bitwise(kind, shape, monk
     shift = 1e-9 * scipy.sparse.identity(ghosts.size)
     assert_bitwise(apcore._augmented(want, 1e-9),
                    scipy.sparse.bmat([[-shift, want], [want.T, -shift]], format="csc"))
-    u, v = np.random.default_rng(4).standard_normal((2, ghosts.size, 3))
-    assert_bitwise(apcore._bordered(want, u, v),
-                   scipy.sparse.bmat([[want, u], [v.T, None]], format="csc"))
 
 
-@pytest.mark.parametrize("block", [2, 10**6])
+@pytest.mark.parametrize("block", [2, 8, 10**6])
 def test_fill_ghost_block_doubling_and_dense_svd(block, monkeypatch):
     # block 2 cannot hold the two small values: it doubles twice, to the default
-    # width 8; a block of at least twice the unknowns is the dense SVD at once
+    # width 8; a block of at least twice the unknowns is the dense SVD at once.
+    # At every width the fill factors one matrix, the shifted system, whose LU
+    # also solves the bulk
     g = unit_square_grid(64)
     problem = case_linear_variable(g, 0.1).problem
     p = solve_linear_ap(problem).p
     default, default_report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    factored = []
+    splu = apcore.spla.splu
+
+    def counted(*args, **kwargs):
+        factored.append(1)
+        return splu(*args, **kwargs)
+
     with monkeypatch.context() as m:
         m.setattr(apcore, "GHOST_BLOCK", block)
+        m.setattr(apcore.spla, "splu", counted)
         filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    assert len(factored) == 1
     assert default_report.deflated == 2
     assert (report.rank, report.deflated) == (default_report.rank, default_report.deflated)
     want, rank = svd_fill_reference(p, g, problem.direction, problem.grad_source_cell)
@@ -580,6 +588,34 @@ def test_fill_ghost_block_doubling_and_dense_svd(block, monkeypatch):
     assert report.rank == rank
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.linalg.norm(got - default.values[ghost_ring(g)]) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_fill_ghost_bulk_solve_is_robust_to_the_shift(monkeypatch):
+    # M100 at 5 degrees deflates 5.45e-9 (and one value at rounding level); with
+    # the shift sigma 1e-6 relative off that value the bulk solve still meets
+    # the default fill.  A shift exactly on a deflated value is not covered: the
+    # shifted system is then singular along that direction, and the solve
+    # amplifies the rounding left after the projection by 1/|s - sigma|
+    g = unit_square_grid(100)
+    problem = case_angle(g, 1e-3, math.radians(5)).problem
+    p = solve_linear_ap(problem).p
+    found = []
+    triplets = apcore._small_singular_triplets
+
+    def recorded(a):
+        found.append(triplets(a))
+        return found[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(apcore, "_small_singular_triplets", recorded)
+        default, default_report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    [(_, deflated, _, _)] = found
+    assert deflated[0] == pytest.approx(5.45e-9, rel=1e-3)
+    monkeypatch.setattr(apcore, "_GHOST_SHIFT", deflated[0] * (1 + 1e-6) / apcore._GHOST_SIGMA_MAX)
+    filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    assert (report.rank, report.deflated) == (default_report.rank, default_report.deflated)
+    want = default.values[ghost_ring(g)]
+    assert np.linalg.norm(filled.values[ghost_ring(g)] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @st.composite

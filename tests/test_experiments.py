@@ -378,11 +378,12 @@ def test_cli_rejects_fractional_mesh(tmp_path):
     ("convergence", {"eps_list": ["a"]}, "eps_list: eps must be finite"),
     ("gummel", {"eta": "x"}, "eta must be finite"),
     ("gummel", {"tol_rel": "x"}, "tol_rel must be finite"),
+    ("gummel", {"n_max": True}, "n_max must be an integer"),
 ], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu", "misspelt-threshold",
         "scalar-range", "text-in-range", "nan-threshold", "list-threshold", "text-threshold",
         "no-meshes", "no-eps", "no-alphas", "two-angle-meshes", "two-conditioning-meshes",
         "list-config", "scalar-solver", "text-tol", "scalar-meshes", "text-mesh", "text-eps",
-        "text-eta", "text-tol-rel"])
+        "text-eta", "text-tol-rel", "true-n-max"])
 def test_cli_rejects_a_bad_config_before_the_first_solve(tmp_path, monkeypatch, experiment,
                                                           data, match):
     # each bad entry follows good ones, or is read by every run, so a check

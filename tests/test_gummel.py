@@ -359,12 +359,15 @@ def test_stop_rule_validation():
     with pytest.raises(ValueError):
         StopRule(n_max=0)
     # nan would never stop the loop, inf would stop it at once, and a
-    # fractional limit would fail later inside range()
-    for bad in (np.nan, np.inf):
+    # fractional limit would fail later inside range(); True passes
+    # isinstance(int) and np.isfinite, and as n_max would stop every run
+    # after one iteration
+    for bad in (np.nan, np.inf, True):
         with pytest.raises(ValueError, match="tol_rel"):
             StopRule(tol_rel=bad)
-    with pytest.raises(ValueError, match="n_max"):
-        StopRule(n_max=2.5)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="n_max"):
+            StopRule(n_max=bad)
 
 
 def new_factor_every_iteration(lp, held, config=None):

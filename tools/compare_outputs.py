@@ -47,8 +47,10 @@ from pathlib import Path
 import numpy as np
 
 LINEAR = [(64, 0.1), (64, 0.0), (64, 1000.0), (101, 0.1), (200, 10.0)]
-ANGLE_DEGREES = [0, 21, 45, 90]
-ANGLE_CELLS, ANGLE_EPS = 100, 1e-3
+# (cells, degrees); the last two fills keep a deflated singular value, 1.75e-6
+# and 3.0e-6, above the cutoff GHOST_RCOND * sqrt(2), and add it back one by one
+ANGLE = [(100, 0), (100, 21), (100, 45), (100, 90), (16, 21), (64, 5)]
+ANGLE_EPS = 1e-3
 GUMMEL = [(64, 10.0), (64, 1.0), (64, 0.1), (64, 0.0), (200, 0.1), (200, 1e-3), (200, 0.0)]
 NAIVE_CELLS, NAIVE_EPS, NAIVE_SEED = 20, [1.0, 1e-3, 1e-6], 3
 CASE_DATA_CELLS = 16
@@ -105,10 +107,10 @@ def cases():
     for cells, eps in LINEAR:
         out.append((f"linear-variable M{cells} eps {eps:g}", lambda cells=cells, eps=eps:
                     solve_linear_ap(problems.case_linear_variable(grid(cells), eps).problem)))
-    for degrees in ANGLE_DEGREES:
-        out.append((f"angle M{ANGLE_CELLS} eps {ANGLE_EPS:g} {degrees} deg",
-                    lambda degrees=degrees: solve_linear_ap(problems.case_angle(
-                        grid(ANGLE_CELLS), ANGLE_EPS, math.radians(degrees)).problem)))
+    for cells, degrees in ANGLE:
+        out.append((f"angle M{cells} eps {ANGLE_EPS:g} {degrees} deg",
+                    lambda cells=cells, degrees=degrees: solve_linear_ap(problems.case_angle(
+                        grid(cells), ANGLE_EPS, math.radians(degrees)).problem)))
 
     def gummel(cells, eps):
         case = problems.case_nonlinear(grid(cells), eps)

@@ -438,11 +438,12 @@ _GHOST_SIGMA_MAX = math.sqrt(2.0)
 # the rest of the row-equilibrated ghost spectrum is solved for by the shifted LU.
 _GHOST_CLUSTER = 1e-3
 # Block inverse iteration that finds the deflated values: start width (it
-# doubles until the block holds them, up to the dense SVD), step count, and
-# shift off zero relative to the largest singular value.
+# doubles until the block holds them, up to the dense SVD), the steps that test
+# for convergence, the last its cap, its shift off zero and converged residual.
 GHOST_BLOCK = 8
-_GHOST_STEPS = 12
+_GHOST_CHECKS = (3, 6, 12)
 _GHOST_SHIFT = 1e-9
+_GHOST_RESIDUAL = 1e-15
 
 
 def _augmented(a: sp.csr_matrix, shift: float) -> sp.csc_matrix:
@@ -455,6 +456,20 @@ def _augmented(a: sp.csr_matrix, shift: float) -> sp.csc_matrix:
                            np.concatenate([c.col + k, c.row, diagonal]))), shape=(2 * k, 2 * k))
 
 
+def _ritz_triplets(a: sp.csr_matrix, y: np.ndarray, cut: float):
+    """Triplets of ``a`` below ``cut`` from ``y``'s span, and whether the two one-sided counts agree."""
+    k = a.shape[0]
+    qu, _ = scipy.linalg.qr(y[:k], mode="economic")
+    qv, _ = scipy.linalg.qr(y[k:], mode="economic")
+    _, sv, wv = scipy.linalg.svd(a @ qv, full_matrices=False)
+    _, su, wu = scipy.linalg.svd(a.T @ qu, full_matrices=False)
+    n_small = int(np.count_nonzero(sv < cut))
+    us = qu @ wu[su.size - n_small:].T
+    vs = qv @ wv[sv.size - n_small:].T
+    x, s, yt = scipy.linalg.svd(us.T @ (a @ vs))
+    return us @ x, s, vs @ yt.T, n_small == np.count_nonzero(su < cut)
+
+
 def _small_singular_triplets(a: sp.csr_matrix):
     """Singular triplets ``(u, s, v)`` of ``a`` below ``_GHOST_CLUSTER`` times the largest.
 
@@ -462,37 +477,35 @@ def _small_singular_triplets(a: sp.csr_matrix):
     so that exactly singular ``a`` factors, brings the small values'
     singular vectors into a block of ``GHOST_BLOCK`` columns.  One-sided Ritz
     values, from the SVDs of ``a Q_v`` and ``a^T Q_u``, bound the singular
-    values from above and count the small ones on each side.  The block
-    holds them all when both counts agree and stay below half its width;
-    otherwise the width doubles, and at full width ``Q_u = Q_v = I`` and the
-    counts come from the dense SVD.  The triplets are the SVD of the small
-    values' projection ``U_s^T a V_s``.  Returns ``(u, s, v, lu)``, with
-    ``lu`` the one factor of the shifted system, made before the first block.
+    values from above and count the small ones on each side; the triplets
+    are the SVD of ``U_s^T a V_s`` (:func:`_ritz_triplets`).  The block holds
+    them when both counts agree and stay below half its width.  Iteration
+    ends at the first step of ``_GHOST_CHECKS`` where, besides, each
+    triplet's residual ``|[a v - s u; a^T u - s v]|`` is within
+    ``_GHOST_RESIDUAL`` of the largest value, or at the last on the counts
+    alone.  A value that nears the cut only later is solved in the bulk,
+    within ``(_GHOST_SHIFT/_GHOST_CLUSTER)^2`` of its deflated solve.
+    Otherwise the width doubles; at full width the block is the identity,
+    the dense SVD.  Returns ``(u, s, v, lu)``, with ``lu`` the one factor of
+    the shifted system, made before the first block.
     """
     k = a.shape[0]
     cut = _GHOST_CLUSTER * _GHOST_SIGMA_MAX
     lu = spla.splu(_augmented(a, _GHOST_SHIFT * _GHOST_SIGMA_MAX))
     block = GHOST_BLOCK
-    while True:
-        full = block >= 2 * k
-        if full:
-            qu = qv = np.eye(k)
-        else:
-            y = np.random.default_rng(0).standard_normal((2 * k, block))
-            for _ in range(_GHOST_STEPS):
-                y, _ = scipy.linalg.qr(lu.solve(y), mode="economic")
-            qu, _ = scipy.linalg.qr(y[:k], mode="economic")
-            qv, _ = scipy.linalg.qr(y[k:], mode="economic")
-        _, sv, wv = scipy.linalg.svd(a @ qv, full_matrices=False)
-        _, su, wu = scipy.linalg.svd(a.T @ qu, full_matrices=False)
-        n_small = int(np.count_nonzero(sv < cut))
-        if full or (n_small == np.count_nonzero(su < cut) and 2 * n_small < block):
-            break
+    while block < 2 * k:
+        y = np.random.default_rng(0).standard_normal((2 * k, block))
+        for step in range(1, _GHOST_CHECKS[-1] + 1):
+            y, _ = scipy.linalg.qr(lu.solve(y), mode="economic")
+            if step in _GHOST_CHECKS:
+                u, s, v, agree = _ritz_triplets(a, y, cut)
+                residual = scipy.linalg.norm(np.vstack([a @ v - u * s, a.T @ u - v * s]), axis=0)
+                converged = np.all(residual <= _GHOST_RESIDUAL * _GHOST_SIGMA_MAX)
+                if agree and 2 * s.size < block and (converged or step == _GHOST_CHECKS[-1]):
+                    return u, s, v, lu
         block *= 2
-    us = qu @ wu[su.size - n_small:].T
-    vs = qv @ wv[sv.size - n_small:].T
-    x, s, yt = scipy.linalg.svd(us.T @ (a @ vs))
-    return us @ x, s, vs @ yt.T, lu
+    u, s, v, _ = _ritz_triplets(a, np.eye(2 * k), cut)
+    return u, s, v, lu
 
 
 def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:

@@ -32,10 +32,16 @@ scipy's BLAS, and the ghost fill (``apcore``) takes its QR and SVD from
 OpenBLAS and its one thread pool.  numpy loads an OpenBLAS of its own, whose
 threads, woken by a dot product of more than 10000 elements, spin on after
 it and take the cores from scipy's factors.
+
+The band's LAPACK runs on one thread of it (:func:`_on_one_blas_thread`): a
+second, for the same bits, made 19 solves at 100 cells per side 20% slower.
+SuperLU keeps the pool: it gave equal bits in equal time on 1 and 2 threads
+(141 against 138 ms at 200 cells per side, 1066 against 1057 ms at 400).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -75,6 +81,27 @@ def norm2(x: np.ndarray) -> float:
     """Euclidean norm of float64 ``x``, raveled: ``sqrt(x . x)``, as ``np.linalg.norm`` takes it."""
     x = np.ravel(x, order="K")
     return math.sqrt(dot(x, x))
+
+
+@lru_cache(maxsize=1)
+def _blas_threads_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS that scipy's LAPACK loaded, or a no-op."""
+    try:
+        setter = ctypes.CDLL(scipy.linalg.lapack._flapack.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return lambda count: count
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+def _on_one_blas_thread(lapack, *args, **kwargs):
+    """``lapack(*args, **kwargs)`` on one thread of scipy's OpenBLAS, for this thread only."""
+    setter = _blas_threads_setter()
+    previous = setter(1)
+    try:
+        return lapack(*args, **kwargs)
+    finally:
+        setter(previous)
 
 
 class AssemblyError(RuntimeError):
@@ -328,23 +355,23 @@ class BandFactor:
     ``matrix`` (CSR), the radius-1 stencil ``S diag(weights)`` on the grid
     ``shape``, is kept for the solves.  The lower band of ``S`` is built in
     Fortran order (:func:`symmetric_band`) and factored in place as
-    ``L L^T`` by LAPACK's blocked ``dpbtrf``.  :meth:`lu_solve` applies
-    ``diag(1 / weights) S^-1``, self-adjoint in the inner product weighted by
-    ``weights``.  A band that is not positive definite raises
-    ``RuntimeError``.
+    ``L L^T`` by LAPACK's blocked ``dpbtrf``, on one BLAS thread as its
+    solves are.  :meth:`lu_solve` applies ``diag(1 / weights) S^-1``,
+    self-adjoint in the inner product weighted by ``weights``.  A band that
+    is not positive definite raises ``RuntimeError``.
     """
 
     def __init__(self, matrix: sp.csr_matrix, weights: np.ndarray, shape: tuple[int, int]):
         self.matrix = matrix
         self._weights = weights
-        self._band, info = scipy.linalg.lapack.dpbtrf(symmetric_band(matrix, weights, shape),
-                                                      lower=1, overwrite_ab=1)
+        self._band, info = _on_one_blas_thread(scipy.linalg.lapack.dpbtrf, symmetric_band(
+            matrix, weights, shape), lower=1, overwrite_ab=1)
         if info != 0:
             raise RuntimeError(f"dpbtrf: leading minor {info} is not positive definite"
                                if info > 0 else f"dpbtrf: illegal argument {-info}")
 
     def lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the factorization's inverse, without refinement."""
-        x, _ = scipy.linalg.lapack.dpbtrs(self._band, rhs, lower=1)
+        x, _ = _on_one_blas_thread(scipy.linalg.lapack.dpbtrs, self._band, rhs, lower=1)
         x /= self._weights
         return x

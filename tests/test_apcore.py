@@ -618,6 +618,45 @@ def test_fill_ghost_bulk_solve_is_robust_to_the_shift(monkeypatch):
     assert np.linalg.norm(filled.values[ghost_ring(g)] - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_fill_ghost_stops_the_inverse_iteration_once_converged(monkeypatch):
+    # at 30 degrees the small triplets reach their 12-step residual within 2
+    # steps, so the iteration stops at its first test; it ran 12 steps before
+    g = unit_square_grid(100)
+    problem = case_angle(g, 1e-3, math.radians(30)).problem
+    p = solve_linear_ap(problem).p
+    block_solves = []
+    splu = apcore.spla.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            if rhs.ndim == 2:
+                block_solves.append(rhs.shape[1])
+            return self._lu.solve(rhs)
+
+    monkeypatch.setattr(apcore.spla, "splu", lambda *args, **kw: Counted(splu(*args, **kw)))
+    _, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    assert report.deflated == 2
+    assert 1 <= len(block_solves) <= 4
+
+
+# M100 at 88 degrees keeps a value near the cutoff and stops at step 6; M16 at
+# 21 degrees stops at step 3
+@pytest.mark.parametrize("cells, degrees", [(100, 88), (16, 21)])
+def test_fill_ghost_early_stop_meets_the_capped_iteration(cells, degrees, monkeypatch):
+    g = unit_square_grid(cells)
+    problem = case_angle(g, 1e-3, math.radians(degrees)).problem
+    p = solve_linear_ap(problem).p
+    filled, report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    monkeypatch.setattr(apcore, "_GHOST_CHECKS", apcore._GHOST_CHECKS[-1:])
+    capped, capped_report = fill_ghost(p, problem.direction, problem.grad_source_cell)
+    assert (report.rank, report.deflated) == (capped_report.rank, capped_report.deflated)
+    want = capped.values[ghost_ring(g)]
+    assert np.linalg.norm(filled.values[ghost_ring(g)] - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @st.composite
 def random_ghost_data(draw):
     """A small square or non-square grid, a random unit direction field and random data."""

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -396,6 +398,75 @@ def test_band_factor_rejects_an_indefinite_band():
     matrix[7, 7] = -matrix[7, 7]
     with pytest.raises(RuntimeError, match="leading minor 8 is not positive definite"):
         BandFactor(matrix, problem.reaction_cell.values[INTERIOR].ravel(), (g.nx, g.ny))
+
+
+@pytest.fixture
+def blas_threads():
+    """Reads the thread count of scipy's OpenBLAS, with the caller's set to 2 during the test."""
+    lapack = ctypes.CDLL(scipy.linalg.lapack._flapack.__file__)
+    getter = getattr(lapack, "scipy_openblas_get_num_threads", None)
+    if getter is None or not hasattr(lapack, "openblas_set_num_threads_local"):
+        pytest.skip("scipy's OpenBLAS sets no thread count per calling thread")
+    setter = linsolve._blas_threads_setter()
+    previous = setter(2)
+    try:
+        yield getter
+    finally:
+        setter(previous)
+
+
+def test_band_lapack_runs_on_one_blas_thread(blas_threads, monkeypatch):
+    g = make_grid(UNIT, 7, 5)
+    problem = case_angle(g, 1e-3, 0.6).problem
+    matrix = apcore.assemble(problem)
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    seen = []
+    for name in ("dpbtrf", "dpbtrs"):
+        call = getattr(scipy.linalg.lapack, name)
+        monkeypatch.setattr(scipy.linalg.lapack, name, lambda *args, call=call, name=name, **kw:
+                            seen.append((name, blas_threads())) or call(*args, **kw))
+    factor = BandFactor(matrix, gc, (g.nx, g.ny))
+    assert blas_threads() == 2
+    factor.lu_solve(np.ones(gc.size))
+    assert blas_threads() == 2
+    matrix[7, 7] = -matrix[7, 7]
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        BandFactor(matrix, gc, (g.nx, g.ny))
+    assert blas_threads() == 2
+    with pytest.raises(ZeroDivisionError):
+        linsolve._on_one_blas_thread(lambda: 1 / 0)
+    assert blas_threads() == 2
+    assert seen == [("dpbtrf", 1), ("dpbtrs", 1), ("dpbtrf", 1)]
+
+
+def test_band_factor_without_the_thread_setter_is_bitwise_equal(monkeypatch):
+    # where scipy's OpenBLAS is not found the band runs on the caller's threads;
+    # the 99-wide band of 100 cells per side is split over them there
+    g = unit_square_grid(100)
+    problem = case_angle(g, 1e-3, 0.6).problem
+    matrix = apcore.assemble(problem)
+    gc = problem.reaction_cell.values[INTERIOR].ravel()
+    rhs = np.random.default_rng(5).standard_normal((3, gc.size))
+
+    def factored():
+        factor = BandFactor(matrix, gc, (g.nx, g.ny))
+        return factor._band.copy(), [factor.lu_solve(r) for r in rhs]
+
+    capped = factored()
+
+    def missing(*args):
+        raise OSError("no such library")
+
+    linsolve._blas_threads_setter.cache_clear()
+    try:
+        monkeypatch.setattr(linsolve.ctypes, "CDLL", missing)
+        assert linsolve._blas_threads_setter()(1) == 1
+        uncapped = factored()
+    finally:
+        monkeypatch.undo()
+        linsolve._blas_threads_setter.cache_clear()
+    for mine, ref in zip([capped[0], *capped[1]], [uncapped[0], *uncapped[1]]):
+        assert mine.tobytes() == ref.tobytes()
 
 
 def test_nested_dissection_is_kept_read_only():

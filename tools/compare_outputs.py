@@ -47,9 +47,11 @@ from pathlib import Path
 import numpy as np
 
 LINEAR = [(64, 0.1), (64, 0.0), (64, 1000.0), (101, 0.1), (200, 10.0)]
-# (cells, degrees); the last two fills keep a deflated singular value, 1.75e-6
-# and 3.0e-6, above the cutoff GHOST_RCOND * sqrt(2), and add it back one by one
-ANGLE = [(100, 0), (100, 21), (100, 45), (100, 90), (16, 21), (64, 5)]
+# (cells, degrees); M100 at 3 and 88 degrees are the angle sweep's fills whose
+# inverse iteration runs past its first convergence test, and the last two
+# fills keep a deflated singular value, 1.75e-6 and 3.0e-6, above the cutoff
+# GHOST_RCOND * sqrt(2), and add it back one by one
+ANGLE = [(100, 0), (100, 3), (100, 21), (100, 45), (100, 88), (100, 90), (16, 21), (64, 5)]
 ANGLE_EPS = 1e-3
 GUMMEL = [(64, 10.0), (64, 1.0), (64, 0.1), (64, 0.0), (200, 0.1), (200, 1e-3), (200, 0.0)]
 NAIVE_CELLS, NAIVE_EPS, NAIVE_SEED = 20, [1.0, 1e-3, 1e-6], 3

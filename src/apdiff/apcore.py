@@ -50,20 +50,17 @@ system is factored, CG runs once more on it, and the holder keeps the new
 factor until the next miss; a miss on A's own factor at eps = 0, in h or
 l, fails the stage at once.
 Ghost node values of p never feed back into the solution; they are filled in
-a final truncated least-squares pass from the flux boundary condition
-(:func:`fill_ghost`), sparse throughout: the few small singular values of the
-ghost system are deflated, and the shifted LU that finds them solves for the
-rest.  Its cutoffs are relative to the bound sqrt(2) on the largest singular
-value of the row-equilibrated system, which that value reaches to rounding.
+a final damped least-squares pass from the flux boundary condition
+(:func:`fill_ghost`), sparse throughout: one sparse factor of the damped
+normal equations solves it, and one of the shifted ones counts the singular
+values below the damping.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -154,10 +151,9 @@ class LinearProblem:
 @dataclass
 class GhostFillReport:
     constraint_defect: float  # max |flux constraint residual| over ring cells
-    rank: int
+    rank: int | None  # singular values at or above GHOST_DAMPING; None if not counted
     n_unknowns: int
     rank_deficient: bool
-    deflated: int  # small singular values solved for one by one, kept or truncated
 
 
 @dataclass
@@ -427,110 +423,38 @@ def reconstruct_q(problem: LinearProblem, l: CellField) -> NodeField:
 # Ghost filling ---------------------------------------------------------------
 
 
-# Relative singular-value cutoff of the ghost-fill least-squares solve.
-GHOST_RCOND = 1e-6
-# The largest singular value of the row-equilibrated ghost system, taken at its
-# bound: each column of the system holds two entries and each row has norm at
-# most 1, so Cauchy-Schwarz gives |a^T x|^2 <= 2 |x|^2.  The bound is reached to
-# rounding on every case of the studies.  Every cutoff below is relative to it.
-_GHOST_SIGMA_MAX = math.sqrt(2.0)
-# Singular values below this fraction of the largest are deflated one by one;
-# the rest of the row-equilibrated ghost spectrum is solved for by the shifted LU.
-_GHOST_CLUSTER = 1e-3
-# Block inverse iteration that finds the deflated values: start width (it
-# doubles until the block holds them, up to the dense SVD), the steps that test
-# for convergence, the last its cap, its shift off zero and converged residual.
-GHOST_BLOCK = 8
-_GHOST_CHECKS = (3, 6, 12)
-_GHOST_SHIFT = 1e-9
-_GHOST_RESIDUAL = 1e-15
+# Tikhonov damping lambda of the ghost-fill least-squares solve, toward the
+# extrapolation prior (Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*,
+# SIAM 1998, ch. 4-5).  A singular value s of the row-equilibrated ghost system
+# gets the filter factor s / (s^2 + lambda^2): 1/s to within (lambda/s)^2 above
+# lambda, and at most 1 / (2 lambda) below, where 1/s would pass the O(h^2)
+# misfit of the flux rows on by up to 7e5.  lambda is absolute: 1 <= s_max <=
+# sqrt(2), as each column holds two entries and each row has norm at most 1
+# (the corner rows 1).
+# Over the angle sweep of the README the ghost error stayed within 4.2 times the
+# interior error at 0.03, and reached 7.9 times at 0.01 (25 cells per side).
+GHOST_DAMPING = 0.03
 
 
-def _augmented(a: sp.csr_matrix, shift: float) -> sp.csc_matrix:
-    """``[[-shift I, a], [a^T, -shift I]]`` as CSC."""
-    k = a.shape[0]
-    c = a.tocoo()
-    diagonal = np.arange(2 * k)
-    return sp.csc_matrix((np.concatenate([c.data, c.data, np.full(2 * k, -shift)]),
-                          (np.concatenate([c.row, c.col + k, diagonal]),
-                           np.concatenate([c.col + k, c.row, diagonal]))), shape=(2 * k, 2 * k))
+def _damped_solve(a: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """``x = (a^T a + lambda^2 I)^-1 a^T rhs``, and the count of singular values at or above lambda.
 
-
-def _ritz_triplets(a: sp.csr_matrix, y: np.ndarray, cut: float):
-    """Triplets of ``a`` below ``cut`` from ``y``'s span, and whether the two one-sided counts agree."""
-    k = a.shape[0]
-    qu, _ = scipy.linalg.qr(y[:k], mode="economic")
-    qv, _ = scipy.linalg.qr(y[k:], mode="economic")
-    _, sv, wv = scipy.linalg.svd(a @ qv, full_matrices=False)
-    _, su, wu = scipy.linalg.svd(a.T @ qu, full_matrices=False)
-    n_small = int(np.count_nonzero(sv < cut))
-    us = qu @ wu[su.size - n_small:].T
-    vs = qv @ wv[sv.size - n_small:].T
-    x, s, yt = scipy.linalg.svd(us.T @ (a @ vs))
-    return us @ x, s, vs @ yt.T, n_small == np.count_nonzero(su < cut)
-
-
-def _small_singular_triplets(a: sp.csr_matrix):
-    """Singular triplets ``(u, s, v)`` of ``a`` below ``_GHOST_CLUSTER`` times the largest.
-
-    Block inverse iteration on ``[[0, a], [a^T, 0]]``, shifted just off zero
-    so that exactly singular ``a`` factors, brings the small values'
-    singular vectors into a block of ``GHOST_BLOCK`` columns.  One-sided Ritz
-    values, from the SVDs of ``a Q_v`` and ``a^T Q_u``, bound the singular
-    values from above and count the small ones on each side; the triplets
-    are the SVD of ``U_s^T a V_s`` (:func:`_ritz_triplets`).  The block holds
-    them when both counts agree and stay below half its width.  Iteration
-    ends at the first step of ``_GHOST_CHECKS`` where, besides, each
-    triplet's residual ``|[a v - s u; a^T u - s v]|`` is within
-    ``_GHOST_RESIDUAL`` of the largest value, or at the last on the counts
-    alone.  A value that nears the cut only later is solved in the bulk,
-    within ``(_GHOST_SHIFT/_GHOST_CLUSTER)^2`` of its deflated solve.
-    Otherwise the width doubles; at full width the block is the identity,
-    the dense SVD.  Returns ``(u, s, v, lu)``, with ``lu`` the one factor of
-    the shifted system, made before the first block.
+    ``lambda`` is ``GHOST_DAMPING``.  SuperLU factors both shifts of
+    ``a^T a`` with diagonal pivots in one symmetric order.  By Sylvester's
+    law of inertia the singular values below lambda are the negative pivots
+    of ``a^T a - lambda^2 I``; the count is ``None`` where SuperLU left the
+    diagonal to pivot, so that this factor is not symmetric.
     """
-    k = a.shape[0]
-    cut = _GHOST_CLUSTER * _GHOST_SIGMA_MAX
-    lu = spla.splu(_augmented(a, _GHOST_SHIFT * _GHOST_SIGMA_MAX))
-    block = GHOST_BLOCK
-    while block < 2 * k:
-        y = np.random.default_rng(0).standard_normal((2 * k, block))
-        for step in range(1, _GHOST_CHECKS[-1] + 1):
-            y, _ = scipy.linalg.qr(lu.solve(y), mode="economic")
-            if step in _GHOST_CHECKS:
-                u, s, v, agree = _ritz_triplets(a, y, cut)
-                residual = scipy.linalg.norm(np.vstack([a @ v - u * s, a.T @ u - v * s]), axis=0)
-                converged = np.all(residual <= _GHOST_RESIDUAL * _GHOST_SIGMA_MAX)
-                if agree and 2 * s.size < block and (converged or step == _GHOST_CHECKS[-1]):
-                    return u, s, v, lu
-        block *= 2
-    u, s, v, _ = _ritz_triplets(a, np.eye(2 * k), cut)
-    return u, s, v, lu
-
-
-def _truncated_solve(a: sp.csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Minimum-norm least squares over the singular values above ``GHOST_RCOND`` times the largest.
-
-    The few small singular triplets are deflated: ``rhs`` loses its part on
-    ``U_s``, one solve on the inverse iteration's factor of the shifted
-    ``[[-sigma I, a], [a^T, -sigma I]]`` covers the rest of the spectrum, its
-    lower half loses its part on ``V_s``, and the small values above the
-    cutoff are added back one by one.  The shift scales each bulk ``1/s`` by
-    ``1/(1 - (sigma/s)^2)``, within ``(_GHOST_SHIFT/_GHOST_CLUSTER)^2 =
-    1e-12`` of 1.  A deflated value on ``sigma`` amplifies the rounding left
-    by the projection: a shift put exactly on 5.19e-11 (M64, 80 degrees)
-    moved the ghosts by 2.7e-11 relative, and 1e-8 relative off it by 1e-17.
-    Returns ``(x, rank, deflated)``.
-    """
-    k = a.shape[0]
-    u, s, v, lu = _small_singular_triplets(a)
-    deflated = s.size
-    bulk = rhs - u @ (u.T @ rhs)
-    x = lu.solve(np.concatenate([bulk, np.zeros(k)]))[k:]
-    x -= v @ (v.T @ x)
-    kept = s > GHOST_RCOND * _GHOST_SIGMA_MAX
-    x += v[:, kept] @ ((u[:, kept].T @ rhs) / s[kept])
-    return x, k - deflated + int(np.count_nonzero(kept)), deflated
+    n = a.shape[1]
+    gram = (a.T @ a).tocsc()
+    shift = GHOST_DAMPING**2 * sp.identity(n, format="csc")
+    damped, inertia = (spla.splu(gram + sign * shift, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+                       for sign in (1.0, -1.0))
+    x = damped.solve(a.T @ rhs)
+    if not np.array_equal(inertia.perm_r, inertia.perm_c):
+        return x, None
+    return x, n - int(np.count_nonzero(inertia.U.diagonal() < 0.0))
 
 
 def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField):
@@ -551,17 +475,15 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
     stencil also couples the ghosts tangentially, which makes a few singular
     values small near the axes.  Both are handled the same way: the solve is
     centered on the one-sided second-order extrapolation of the interior
-    (:func:`operators.ghost_extrapolation`), and a minimum-norm correction
-    over the row-equilibrated system, with singular values at or below
-    ``GHOST_RCOND`` times the largest treated as zero, moves the ghosts off
-    that prior.  The largest singular value is taken at its bound, sqrt(2)
-    (``_GHOST_SIGMA_MAX``), which it reaches to rounding.  The system stays
-    sparse: the few singular values below ``1e-3`` times the largest are
-    found by block inverse iteration and deflated, and one more solve on
-    that iteration's sparse LU, the one matrix a fill factors, covers the
-    rest (``_truncated_solve``).  Truncated directions therefore cost at
-    most the extrapolation error, which has the same boundary-consistent
-    order as the constraints themselves; deficiency is reported, not fatal.
+    (:func:`operators.ghost_extrapolation`), and a Tikhonov-damped
+    least-squares correction over the row-equilibrated system moves the
+    ghosts off that prior (:func:`_damped_solve`, damping
+    ``GHOST_DAMPING``).  Directions with singular values well below the
+    damping keep the prior, so they cost at most the extrapolation error,
+    which has the same boundary-consistent order as the constraints
+    themselves, and the damping bounds how far the constraints' own O(h^2)
+    misfit can move the others.  The report's ``rank`` counts the singular
+    values at or above the damping; deficiency is reported, not fatal.
 
     Interior values are never touched.  Returns ``(filled, report)``.
     """
@@ -589,7 +511,7 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
     row_norms = spla.norm(a, axis=1)
     scale = np.where(row_norms > 0.0, row_norms, 1.0)
     a.data /= np.repeat(scale, np.diff(a.indptr))
-    correction, rank, deflated = _truncated_solve(a, rhs / scale)
+    correction, rank = _damped_solve(a, rhs / scale)
     filled = p.copy()
     filled.values.flat[ghosts] = prior + correction
     defect = apply_dh(filled, direction).values.ravel()[ring] - bs
@@ -597,8 +519,7 @@ def fill_ghost(p: NodeField, direction: CellVectorField, grad_source: CellField)
         constraint_defect=float(np.max(np.abs(defect))),
         rank=rank,
         n_unknowns=ghosts.size,
-        rank_deficient=bool(rank < ghosts.size),
-        deflated=deflated,
+        rank_deficient=rank is not None and rank < ghosts.size,
     )
     return filled, report
 

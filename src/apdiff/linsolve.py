@@ -27,8 +27,7 @@ system ``A + diag(eps G/H)`` of L, or an earlier Gummel iteration's system.
 :func:`refine` is the naive baseline's refinement loop.
 
 The package's vector reductions, :func:`dot` and :func:`norm2`, call
-scipy's BLAS, and the ghost fill (``apcore``) takes its QR and SVD from
-``scipy.linalg``, so the BLAS and LAPACK work of a solve runs in scipy's
+scipy's BLAS, so the BLAS and LAPACK work of a solve runs in scipy's
 OpenBLAS and its one thread pool.  numpy loads an OpenBLAS of its own, whose
 threads, woken by a dot product of more than 10000 elements, spin on after
 it and take the cores from scipy's factors.

@@ -6,7 +6,6 @@ two can check each other.  :func:`duality_defect` is the exception: it is the
 property the production stencils must have, so it applies them.
 """
 
-import mpmath
 import numpy as np
 
 from apdiff.grid import INTERIOR
@@ -122,81 +121,3 @@ def central_difference(fn, x, y, step=1e-5):
     gx = (fn(x + step, y) - fn(x - step, y)) / (2.0 * step)
     gy = (fn(x, y + step) - fn(x, y - step)) / (2.0 * step)
     return gx, gy
-
-
-def _mp_lu(a):
-    """LU with partial pivoting of a square object array of mpf: ``(lu, perm)``, ``a[perm] = L U``.
-
-    Zero entries of the pivot column and row are skipped, which keeps the
-    elimination of sparse systems cheap.
-    """
-    n = a.shape[0]
-    lu = a.copy()
-    perm = np.arange(n)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        lu[[k, piv]] = lu[[piv, k]]
-        perm[[k, piv]] = perm[[piv, k]]
-        rows = k + 1 + np.flatnonzero(lu[k + 1:, k])
-        cols = k + 1 + np.flatnonzero(lu[k, k + 1:])
-        lu[rows, k] /= lu[k, k]
-        lu[np.ix_(rows, cols)] -= np.outer(lu[rows, k], lu[k, cols])
-    return lu, perm
-
-
-def _mp_lu_solve(lu, perm, b, trans=False):
-    """Solve ``a x = b``, or ``a^T x = b``, from :func:`_mp_lu`; ``b`` is 1-D or 2-D."""
-    n = lu.shape[0]
-    if not trans:
-        x = b[perm].copy()
-        for k in range(n):
-            x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
-        for k in range(n - 1, -1, -1):
-            x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-        return x
-    x = b.copy()
-    for k in range(n):
-        x[k] = (x[k] - lu[:k, k] @ x[:k]) / lu[k, k]
-    for k in range(n - 1, -1, -1):
-        x[k] -= lu[k + 1:, k] @ x[k + 1:]
-    out = x.copy()
-    out[perm] = x
-    return out
-
-
-def _mp_orthonormal(v):
-    """Gram-Schmidt on the columns of an object array of mpf."""
-    for j in range(v.shape[1]):
-        for i in range(j):
-            v[:, j] -= (v[:, i] @ v[:, j]) * v[:, i]
-        v[:, j] /= mpmath.sqrt(v[:, j] @ v[:, j])
-    return v
-
-
-def truncated_lstsq_40_digits(a, b, rank):
-    """Minimum-norm least squares of a square, exactly singular float64 system, in 40 digits.
-
-    The truncated SVD that keeps ``rank`` singular values, for a matrix whose
-    other singular values are exact zeros: its null spaces are found in
-    40-digit ``mpmath`` arithmetic by one step of inverse iteration, shifted
-    by 1e-30 and started from the float64 singular vectors, and checked to
-    annihilate ``a`` to 1e-30.  The solution is the shifted solve of the
-    consistent part of ``b``, projected off the right null space, and is
-    checked to solve it to 1e-25 relative.  Returns it in float64.
-    """
-    n = a.shape[0]
-    with mpmath.workdps(40):
-        to_mp = np.vectorize(mpmath.mpf, otypes=[object])
-        am, bm = to_mp(a), to_mp(b)
-        u, _, vt = np.linalg.svd(a)
-        lu, perm = _mp_lu(am + mpmath.mpf("1e-30") * np.eye(n, dtype=int))
-        v = _mp_orthonormal(_mp_lu_solve(lu, perm, to_mp(vt[rank:].T)))
-        w = _mp_orthonormal(_mp_lu_solve(lu, perm, to_mp(u[:, rank:]), trans=True))
-        assert max(abs(t) for t in (am @ v).ravel()) < 1e-30
-        assert max(abs(t) for t in (am.T @ w).ravel()) < 1e-30
-        consistent = bm - w @ (w.T @ bm)
-        y = _mp_lu_solve(lu, perm, consistent)
-        x = y - v @ (v.T @ y)
-        defect = mpmath.sqrt(sum(t * t for t in am @ x - consistent))
-        assert defect <= 1e-25 * mpmath.sqrt(consistent @ consistent)
-        return np.array([float(t) for t in x])

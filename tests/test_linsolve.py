@@ -507,9 +507,9 @@ def test_norm2_of_an_interior_view_equals_numpy_bitwise():
 
 @pytest.mark.parametrize("ghosts", [404, 804, 1604])
 def test_scipy_qr_and_svd_equal_numpy_bitwise_at_ghost_block_shapes(ghosts):
-    # the ghost fill's blocks at 100, 200 and 400 cells per side
+    # blocks of 8 columns over the ghost counts at 100, 200 and 400 cells per side
     rng = np.random.default_rng(ghosts)
-    block = rng.standard_normal((2 * ghosts, apcore.GHOST_BLOCK))
+    block = rng.standard_normal((2 * ghosts, 8))
     for a in (block, block[:ghosts], block[ghosts:]):
         for mine, ref in zip(scipy.linalg.qr(a, mode="economic"), np.linalg.qr(a)):
             np.testing.assert_array_equal(mine, ref)

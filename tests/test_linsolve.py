@@ -477,9 +477,9 @@ def test_nested_dissection_is_kept_read_only():
 
 # One BLAS pool ----------------------------------------------------------------
 #
-# The package's reductions and the ghost fill's QR and SVD call scipy's BLAS
-# and LAPACK in place of numpy's, on the promise that each returns the same
-# bits; if a wheel breaks that, these tests name the call.
+# The package's reductions call scipy's BLAS in place of numpy's, on the
+# promise that each returns the same bits; if a wheel breaks that, these
+# tests name the call.
 
 
 @pytest.mark.parametrize("n", [1, 10000, 10001, 39601])
@@ -503,19 +503,3 @@ def test_norm2_of_an_interior_view_equals_numpy_bitwise():
         assert linsolve.norm2(view) == np.linalg.norm(view)
         flat = view.ravel()
         assert linsolve.dot(flat, flat) == np.dot(flat, flat)
-
-
-@pytest.mark.parametrize("ghosts", [404, 804, 1604])
-def test_scipy_qr_and_svd_equal_numpy_bitwise_at_ghost_block_shapes(ghosts):
-    # blocks of 8 columns over the ghost counts at 100, 200 and 400 cells per side
-    rng = np.random.default_rng(ghosts)
-    block = rng.standard_normal((2 * ghosts, 8))
-    for a in (block, block[:ghosts], block[ghosts:]):
-        for mine, ref in zip(scipy.linalg.qr(a, mode="economic"), np.linalg.qr(a)):
-            np.testing.assert_array_equal(mine, ref)
-        for mine, ref in zip(scipy.linalg.svd(a, full_matrices=False),
-                             np.linalg.svd(a, full_matrices=False)):
-            np.testing.assert_array_equal(mine, ref)
-    square = rng.standard_normal((5, 5))
-    for mine, ref in zip(scipy.linalg.svd(square), np.linalg.svd(square)):
-        np.testing.assert_array_equal(mine, ref)

@@ -13,8 +13,9 @@ import scipy.sparse.linalg as spla
 from apdiff import naive
 from apdiff.apcore import solve_linear_ap
 from apdiff.grid import INTERIOR, make_grid, sample_node
-from apdiff.linsolve import SolveReport
-from apdiff.naive import assemble_naive, estimate_condition, naive_condition, solve_naive
+from apdiff.linsolve import SolveReport, SolverConfig, refine
+from apdiff.naive import (NaiveSystem, assemble_naive, estimate_condition, naive_condition,
+                          solve_naive)
 from apdiff.problems import case_angle, case_linear_variable
 from apdiff.experiments import ExperimentConfig, conditioning_study, rel_error, unit_square_grid
 
@@ -274,28 +275,33 @@ class TrackedFactor:
     def __init__(self, lu):
         self.lu = lu
 
-    def solve(self, *args, **kwargs):
-        return self.lu.solve(*args, **kwargs)
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
 
 
 @pytest.fixture
 def factors(monkeypatch):
-    """Track every naive ``splu``: ``made`` counts calls, ``alive()`` live factors."""
+    """Track every ``splu``: ``made`` lists each call's ``permc_spec``, ``alive()`` live factors.
+
+    Both hand-off slots start and end empty.
+    """
     real = spla.splu
     made, live = [], set()
 
     def tracked(*args, **kwargs):
         assert not live, "a new factor is built while an older one is alive"
+        made.append(kwargs.get("permc_spec"))
         factor = TrackedFactor(real(*args, **kwargs))
-        made.append(len(made))
-        live.add(made[-1])
-        weakref.finalize(factor, live.discard, made[-1])
+        live.add(len(made))
+        weakref.finalize(factor, live.discard, len(made))
         return factor
 
     naive._handoff.clear()
+    naive._column_order.clear()
     monkeypatch.setattr(naive.spla, "splu", tracked)
     yield SimpleNamespace(made=made, alive=lambda: len(live))
     naive._handoff.clear()
+    naive._column_order.clear()
 
 
 def fresh_solve(problem):
@@ -364,3 +370,98 @@ def test_failed_factor_leaves_the_slot_empty():
     system.matrix.data[:] = 0.0  # A^T A = 0: splu raises
     assert naive_condition(system) == np.inf
     assert not naive._handoff
+
+
+def colamd_oracle(problem):
+    """``(cond, x, residual, perm_c)`` of the naive baseline from an explicit COLAMD factor."""
+    system = assemble_naive(problem)
+    a = system.matrix
+    ata = (a.T @ a).tocsr()
+    lu = spla.splu(ata.tocsc(), permc_spec="COLAMD")
+    kappa = estimate_condition(ata, lu)
+    x, res = refine(ata, lu.solve, a.T @ system.rhs, SolverConfig().tol)
+    return float(np.sqrt(kappa)) if np.isfinite(kappa) else np.inf, x, res, lu.perm_c
+
+
+def assert_matches_oracle(problem, want):
+    """A condition estimate, then a solve, of ``problem``: bitwise the oracle's."""
+    cond = naive_condition(assemble_naive(problem))
+    p, rep = solve_naive(problem)
+    assert cond == want[0]
+    assert np.array_equal(p.values.ravel(), want[1]) and rep.residual == want[2]
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
+@pytest.mark.parametrize("cells", [16, 50])
+def test_column_order_slot_is_bitwise_a_colamd_factor(factors, cells, eps):
+    g = unit_square_grid(cells)
+    problem = case_linear_variable(g, eps).problem
+    want = colamd_oracle(problem)
+    first = len(factors.made)
+    assert_matches_oracle(problem, want)  # cold: COLAMD, whose order the slot keeps
+    naive._handoff.clear()
+    assert_matches_oracle(problem, want)  # warm: the slot's order
+    naive_condition(assemble_naive(case_linear_variable(g, 10.0 * eps).problem))
+    naive._handoff.clear()
+    assert_matches_oracle(problem, want)  # warm from another eps of the mesh
+    assert factors.made[first:] == ["COLAMD", "NATURAL", "NATURAL", "NATURAL"]
+
+    naive._handoff.clear()
+    _, lu = naive._normal_equations(assemble_naive(problem))
+    n = g.node_shape[0] * g.node_shape[1]
+    assert np.array_equal(lu.lu.perm_c, np.arange(n))  # no reordering by SuperLU
+    assert np.array_equal(np.argsort(lu.order), want[3])
+    assert factors.alive() == 1
+
+
+def test_a_new_pattern_recomputes_the_order(factors):
+    problems = [case_linear_variable(unit_square_grid(cells), 1e-3).problem
+                for cells in (16, 20, 16)]
+    wants = [colamd_oracle(problem) for problem in problems]
+    first = len(factors.made)
+    for problem, want in zip(problems, wants):
+        assert_matches_oracle(problem, want)
+        assert len(naive._column_order) == 1
+    assert factors.made[first:] == ["COLAMD"] * 3
+    problem = case_linear_variable(unit_square_grid(16), 1.0).problem
+    assert_matches_oracle(problem, colamd_oracle(problem))
+    assert factors.made[-1] == "NATURAL" and factors.alive() == 0
+
+
+def test_singular_matrix_on_a_held_pattern(factors, monkeypatch):
+    # two unknowns a block: A^T A is block diagonal with full 2 x 2 blocks
+    # either way, [[2, 1], [1, 2]] regular and [[3, 3], [3, 3]] singular
+    g = unit_square_grid(8)
+    pairs = g.node_shape[0] * g.node_shape[1] // 2
+    regular, singular = (
+        NaiveSystem(sp.kron(sp.eye(pairs), block, format="csr"), np.ones(3 * pairs))
+        for block in ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.ones((3, 2)))
+    )
+    assert naive_condition(regular) == pytest.approx(np.sqrt(3.0), rel=1e-3)
+    assert naive._column_order
+    assert naive_condition(singular) == np.inf
+    assert not naive._handoff
+
+    monkeypatch.setattr(naive, "assemble_naive", lambda problem: singular)
+    p, report = solve_naive(case_linear_variable(g, 1.0).problem)
+    assert p.values.shape == g.node_shape and np.all(np.isnan(p.values))
+    assert report == SolveReport(np.inf, False)
+    assert not naive._handoff
+    assert factors.made == ["COLAMD", "NATURAL", "NATURAL"]
+    assert factors.alive() == 0
+
+
+def test_same_shape_other_pattern_recomputes_the_order(factors):
+    # the same two-unknown blocks, paired (0, 1), (2, 3), ... and then
+    # (1, 2), (3, 4), ..., (n - 1, 0): A^T A has one shape and two patterns
+    n = 40
+    block = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    pairs = NaiveSystem(sp.kron(sp.eye(n // 2), block, format="csr"), np.ones(3 * n // 2))
+    shifted = NaiveSystem(pairs.matrix[:, np.roll(np.arange(n), 1)], pairs.rhs)
+    for system in (pairs, shifted, pairs):
+        assert naive_condition(system) == pytest.approx(np.sqrt(3.0), rel=1e-3)
+    assert factors.made == ["COLAMD"] * 3
+    naive_condition(shifted)
+    naive._handoff.clear()
+    naive_condition(shifted)
+    assert factors.made[3:] == ["COLAMD", "NATURAL"]

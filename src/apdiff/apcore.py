@@ -265,22 +265,22 @@ FLUX_CG_MAX_STEPS = 30
 _CG_JUDGE_FROM = 4
 
 
-def _cg(apply, gc: np.ndarray, factor: BandFactor | DirectFactor, rhs: np.ndarray,
+def _cg(apply, gc: np.ndarray, lu_solve, rhs: np.ndarray,
         tol: float) -> tuple[np.ndarray, float, int]:
     """Preconditioned conjugate gradients on a cell system ``A_s x = rhs``.
 
     ``apply`` applies ``A_s``, which is self-adjoint in the inner product
     weighted by ``gc`` (the cell G), as A and ``A + diag(eps G/H)`` are; CG
-    runs in that inner product.  ``factor.lu_solve`` preconditions, where the
-    factor may be of ``A_s`` itself, of A, or of an earlier system.  CG starts
-    from zero and runs until its recursive residual falls below ``1e-3 tol``
-    relative, or below ``tol`` after step 1.  The residual after step 1 is
-    the true one, ``rhs - apply(x)``, so a solve that stops there has tested
-    the residual it reports; the recursive one passed ``tol`` where the true
-    one read 1.004e-12 at 440 cells per side.  It gives up at
-    ``FLUX_CG_MAX_STEPS`` steps, or from step ``_CG_JUDGE_FROM`` on as soon
-    as the mean contraction per step so far, kept up to the cap, would leave
-    the residual above ``tol``.  Returns ``(x, residual, steps)``, the
+    runs in that inner product.  ``lu_solve``, a factor's inverse,
+    preconditions, where the factor may be of ``A_s`` itself, of A, or of an
+    earlier system.  CG starts from zero and runs until its recursive residual
+    falls below ``1e-3 tol`` relative, or below ``tol`` after step 1.  The
+    residual after step 1 is the true one, ``rhs - apply(x)``, so a solve that
+    stops there has tested the residual it reports; the recursive one passed
+    ``tol`` where the true one read 1.004e-12 at 440 cells per side.  It gives
+    up at ``FLUX_CG_MAX_STEPS`` steps, or from step ``_CG_JUDGE_FROM`` on as
+    soon as the mean contraction per step so far, kept up to the cap, would
+    leave the residual above ``tol``.  Returns ``(x, residual, steps)``, the
     relative residual recomputed by ``apply``.
     """
     rhs_norm = norm2(rhs)
@@ -296,7 +296,7 @@ def _cg(apply, gc: np.ndarray, factor: BandFactor | DirectFactor, rhs: np.ndarra
                 or (steps >= _CG_JUDGE_FROM
                     and (r_norm / rhs_norm) ** (FLUX_CG_MAX_STEPS / steps) > tol)):
             break
-        z = factor.lu_solve(r)
+        z = lu_solve(r)
         rho = dot(r, gc * z)
         if steps:
             p *= rho / rho_prev
@@ -358,7 +358,8 @@ def _sum_system(problem: LinearProblem, held: HeldFactor, rhs: np.ndarray, eps: 
     mean = _cell_operator(problem) if matrix is None else matrix.dot
     steps = 0
     if held.factor is not None and held.factor.matrix.shape[0] == gc.size:
-        x, residual, steps = _cg(lambda v: mean(v).ravel() + diag * v, gc, held.factor, rhs, tol)
+        x, residual, steps = _cg(lambda v: mean(v).ravel() + diag * v, gc,
+                                 held.factor.lu_solve, rhs, tol)
         if residual <= tol:
             return x, residual, steps, False
         if eps == 0.0 and held.factor.matrix is matrix:
@@ -367,7 +368,7 @@ def _sum_system(problem: LinearProblem, held: HeldFactor, rhs: np.ndarray, eps: 
     system = assemble(problem) if matrix is None else matrix.copy()
     system.setdiag(system.diagonal() + diag)
     held.factor = _factor(problem, system, stage)
-    x, residual, new_steps = _cg(system.dot, gc, held.factor, rhs, tol)
+    x, residual, new_steps = _cg(system.dot, gc, held.factor.lu_solve, rhs, tol)
     if not residual <= tol:
         raise _missed(stage, residual, tol)
     return x, residual, steps + new_steps, True

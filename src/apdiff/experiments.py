@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +123,8 @@ class ExperimentConfig:
                             ("tol_rel", [self.tol_rel])):
             if not all(_finite_number(item) for item in items):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not isinstance(self.thresholds, dict):
+            raise ValueError(f"thresholds must be an object of limits, got {self.thresholds!r}")
         unknown = sorted(set(self.thresholds) - set(_THRESHOLDS))
         if unknown:
             raise ValueError(f"unknown thresholds {unknown}, expected some of {list(_THRESHOLDS)}")
@@ -140,6 +142,11 @@ class ExperimentConfig:
         solver = data.pop("solver", None)
         if not (solver is None or isinstance(solver, dict)):
             raise ValueError(f"solver must be an object with the key tol, got {solver!r}")
+        for name, keys, known in (("config", data, cls), ("solver", solver or {}, SolverConfig)):
+            expected = [f.name for f in fields(known)]
+            unknown = sorted(set(keys) - set(expected))
+            if unknown:
+                raise ValueError(f"unknown {name} keys {unknown}, expected some of {expected}")
         cfg = cls(**data)
         if solver is not None:
             cfg.solver = SolverConfig(**solver)
@@ -419,12 +426,12 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
     limits = {**_THRESHOLDS, **config.thresholds}
     for cells in config.meshes:
         grid = unit_square_grid(cells)
-        base = case_ap_limit(grid, 0.0, eta=config.eta, mu=config.mu)
-        limit = sample_node(base.limit_exact, grid).values[INTERIOR]
-        limit_norm = norm2(limit)
         cases, solutions, errors, unconverged = {}, {}, {}, 0
-        for eps in sorted(config.eps_list):
+        for eps in sorted(config.eps_list):  # 0 first: eps_list holds it, and no eps < 0
             case = cases[eps] = case_ap_limit(grid, eps, eta=config.eta, mu=config.mu)
+            if eps == 0.0:  # the limit is the same for every eps
+                limit = sample_node(case.limit_exact, grid).values[INTERIOR]
+                limit_norm = norm2(limit)
             p0 = sample_node(case.initial_guess, grid)
             (p, state), ms = _timed(gummel_solve, case.problem, p0, stop, config.solver)
             solutions[eps] = p.values[INTERIOR]

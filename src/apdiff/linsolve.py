@@ -330,10 +330,11 @@ def refine(matrix: sp.spmatrix, lu_solve, rhs: np.ndarray, tol: float):
 class DirectFactor:
     """Sparse LU factorization in a given elimination order, reusable across right-hand sides.
 
-    ``matrix`` (CSR) is kept for the solves.  Its copy in the elimination
-    order ``perm``, ``matrix[perm][:, perm]`` as CSC (:func:`factor_order`),
-    is factored with no further column reordering and not kept.  An exactly
-    singular matrix raises ``RuntimeError``.
+    ``matrix`` (CSR) is kept for the callers, which apply, copy and compare
+    it (``apcore._sum_system``); :meth:`lu_solve` does not read it.  Its copy
+    in the elimination order ``perm``, ``matrix[perm][:, perm]`` as CSC
+    (:func:`factor_order`), is factored with no further column reordering
+    and not kept.  An exactly singular matrix raises ``RuntimeError``.
     """
 
     def __init__(self, matrix: sp.csr_matrix, perm: np.ndarray):
@@ -352,12 +353,13 @@ class BandFactor:
     """Banded Cholesky factor of ``S diag(weights)``, ``S`` symmetric positive definite.
 
     ``matrix`` (CSR), the radius-1 stencil ``S diag(weights)`` on the grid
-    ``shape``, is kept for the solves.  The lower band of ``S`` is built in
-    Fortran order (:func:`symmetric_band`) and factored in place as
-    ``L L^T`` by LAPACK's blocked ``dpbtrf``, on one BLAS thread as its
-    solves are.  :meth:`lu_solve` applies ``diag(1 / weights) S^-1``,
-    self-adjoint in the inner product weighted by ``weights``.  A band that
-    is not positive definite raises ``RuntimeError``.
+    ``shape``, is kept for the callers, as :class:`DirectFactor`'s is.  The
+    lower band of ``S`` is built in Fortran order (:func:`symmetric_band`)
+    and factored in place as ``L L^T`` by LAPACK's blocked ``dpbtrf``, on
+    one BLAS thread as its solves are.  :meth:`lu_solve` applies
+    ``diag(1 / weights) S^-1``, self-adjoint in the inner product weighted
+    by ``weights``.  A band that is not positive definite raises
+    ``RuntimeError``.
     """
 
     def __init__(self, matrix: sp.csr_matrix, weights: np.ndarray, shape: tuple[int, int]):

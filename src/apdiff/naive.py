@@ -18,9 +18,10 @@ vanishes; rows with exactly zero alignment are dropped.
 The normal equations are factored in COLAMD order, not the solver's nested
 dissection: their unknowns include the ghost ring, their stencil has radius
 two, and the baseline's condition gate is sensitive to rounding at eps = 1e-6.
-:func:`naive_condition` leaves its factor in a one-entry slot with a private
-copy of A; a :func:`solve_naive` whose A is bitwise equal reuses it.  Every
-call empties the slot first: at most one factor is alive, none after a solve.
+The factor is handed on as one solve function, ``lu_solve``.
+:func:`naive_condition` leaves it in a one-entry slot with a private copy of
+A; a :func:`solve_naive` whose A is bitwise equal reuses it.  Every call
+empties the slot first: at most one factor is alive, none after a solve.
 
 The COLAMD order depends only on the sparsity pattern of ``A^T A``, which
 the eps of a mesh share, so it is computed once per pattern: a second
@@ -121,68 +122,56 @@ def assemble_naive(problem: LinearProblem) -> NaiveSystem:
     return NaiveSystem(matrix=matrix, rhs=rhs)
 
 
-_handoff: list = []  # at most one (copy of A's parts, A^T A, factor)
+_handoff: list = []  # at most one (copy of A's parts, A^T A, lu_solve)
 _column_order: dict = {}  # at most one key of A^T A's pattern: its column order
 
 
-class _ColumnOrderedFactor:
-    """The ``splu`` of ``matrix[:, order]``; :meth:`solve` solves with ``matrix``."""
-
-    def __init__(self, lu, order: np.ndarray):
-        self.lu, self.order = lu, order
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = np.empty_like(rhs)
-        x[self.order] = self.lu.solve(rhs)
-        return x
-
-
-def _factor(ata: sp.csr_matrix):
-    """Factor ``ata`` in the COLAMD column order of its pattern; singular raises.
-
-    The order slot keys by shape and a BLAKE2b digest of ``indptr`` and
-    ``indices``; holding those arrays, 1 MB at M100, raised the peak RSS as
-    much.  ``ata`` is bitwise symmetric (entries ``(i, j)`` and ``(j, i)`` sum
-    the same products in the same order) with sorted indices, so
-    ``ata[order].T`` is ``ata[:, order]`` as CSC.
-    """
-    digest = hashlib.blake2b(ata.indptr)
-    digest.update(ata.indices)
-    key = (ata.shape, digest.digest())
-    order = _column_order.get(key)
-    if order is None:
-        lu = spla.splu(ata.T, permc_spec="COLAMD")
-        _column_order.clear()
-        _column_order[key] = np.argsort(lu.perm_c)  # perm_c maps a column to its position
-        return lu
-    return _ColumnOrderedFactor(spla.splu(ata[order].T, permc_spec="NATURAL"), order)
-
-
 def _normal_equations(system: NaiveSystem, keep: bool = False):
-    """The normal equations ``A^T A`` (CSR) and their factor (:func:`_factor`).
+    """The normal equations ``A^T A`` (CSR) and ``lu_solve``, their factor's inverse.
 
     Empties the hand-off slot, reusing its entry if A is bitwise equal to the
-    entry's copy; ``keep`` stores the result there for the next call.
+    entry's copy; ``keep`` stores the result there for the next call.  A new
+    ``A^T A`` is factored in the COLAMD order of its pattern; singular raises.
+    The order slot keys by shape and a BLAKE2b digest of ``indptr`` and
+    ``indices``; holding those arrays, 1 MB at M100, raised the peak RSS as
+    much.  ``A^T A`` is bitwise symmetric (entries ``(i, j)`` and ``(j, i)``
+    sum the same products in the same order) with sorted indices, so on a
+    known pattern ``ata[order].T`` is ``ata[:, order]`` as CSC.
     """
     a = system.matrix
     parts = (a.shape, a.indptr, a.indices, a.data)
     held = _handoff.pop() if _handoff else None
     if held is not None and all(map(np.array_equal, held[0], parts)):
-        _, ata, lu = held
+        _, ata, lu_solve = held
     else:
         held = None  # release a stale factor before building the next
         ata = (a.T @ a).tocsr()
-        lu = _factor(ata)
+        digest = hashlib.blake2b(ata.indptr)
+        digest.update(ata.indices)
+        key = (ata.shape, digest.digest())
+        order = _column_order.get(key)
+        if order is None:
+            lu = spla.splu(ata.T, permc_spec="COLAMD")
+            _column_order.clear()
+            _column_order[key] = np.argsort(lu.perm_c)  # perm_c maps a column to its position
+            lu_solve = lu.solve
+        else:
+            lu = spla.splu(ata[order].T, permc_spec="NATURAL")
+
+            def lu_solve(rhs: np.ndarray) -> np.ndarray:
+                x = np.empty_like(rhs)
+                x[order] = lu.solve(rhs)
+                return x
     if keep:
-        _handoff.append((tuple(map(np.array, parts)), ata, lu))
-    return ata, lu
+        _handoff.append((tuple(map(np.array, parts)), ata, lu_solve))
+    return ata, lu_solve
 
 
 def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
     """Least-squares solve of the direct system; ``(NodeField, SolveReport)``.
 
-    Factors the normal equations in COLAMD order (:func:`_factor`), or takes
-    the factor :func:`naive_condition` left for the same matrix, and refines with
+    Factors the normal equations (:func:`_normal_equations`), or takes the
+    factor :func:`naive_condition` left for the same matrix, and refines with
     :func:`linsolve.refine` at ``config.tol``; ok means a relative
     normal-equation defect of at most ``max(config.tol, 1e-10)`` (the data
     misfit itself is dominated by the truncation of the flux rows and does
@@ -193,8 +182,8 @@ def solve_naive(problem: LinearProblem, config: SolverConfig | None = None):
     system = assemble_naive(problem)
     atb = system.matrix.T @ system.rhs
     try:
-        ata, lu = _normal_equations(system)
-        x, res = refine(ata, lu.solve, atb, config.tol)
+        ata, lu_solve = _normal_equations(system)
+        x, res = refine(ata, lu_solve, atb, config.tol)
         report = SolveReport(res, bool(np.isfinite(res) and res <= max(config.tol, 1e-10)))
     except RuntimeError:
         x, report = np.full(system.matrix.shape[1], np.nan), SolveReport(np.inf, False)
@@ -209,28 +198,27 @@ def naive_condition(system: NaiveSystem, seed: int = 0) -> float:
     for a following :func:`solve_naive` of the same matrix.
     """
     try:
-        ata, lu = _normal_equations(system, keep=True)
+        ata, lu_solve = _normal_equations(system, keep=True)
     except RuntimeError:
         return np.inf
-    kappa = estimate_condition(ata, lu, seed=seed)
+    kappa = estimate_condition(ata, lu_solve, seed=seed)
     return float(np.sqrt(kappa)) if np.isfinite(kappa) else np.inf
 
 
-def estimate_condition(matrix: sp.csr_matrix, lu, seed: int = 0) -> float:
+def estimate_condition(matrix: sp.csr_matrix, lu_solve, seed: int = 0) -> float:
     """2-norm condition number of the symmetric positive definite ``matrix``, by Lanczos.
 
     Two implicitly restarted Lanczos runs (ARPACK ``eigsh``, relative tolerance
     1e-4, six Lanczos vectors) find the largest eigenvalue of ``matrix`` and
-    the largest of its inverse, which ``lu``, the ``splu`` of ``matrix``,
-    applies; ``seed`` draws both start vectors.  Returns their product, at
-    least 1.  About seven solves by ``lu``; an ARPACK failure (zero iterates,
-    no convergence) or a non-finite solve, which is caught before ARPACK
-    sees it, yields ``inf``.
+    the largest of its inverse, which ``lu_solve`` applies; ``seed`` draws
+    both start vectors.  Returns their product, at least 1.  About seven
+    calls of ``lu_solve``; an ARPACK failure (zero iterates, no convergence)
+    or a non-finite solve, which is caught before ARPACK sees it, yields ``inf``.
     """
     v0, u0 = np.random.default_rng(seed).standard_normal((2, matrix.shape[0]))
 
     def solve(rhs):
-        x = lu.solve(rhs)
+        x = lu_solve(rhs)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite solve by the factor")
         return x

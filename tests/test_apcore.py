@@ -1137,11 +1137,11 @@ def test_new_factor_miss_raises_naming_the_stage(solver, stage, monkeypatch):
     real_cg = apcore._cg
     runs, passed = [], []
 
-    def missing_cg(apply, gc, factor, rhs, tol):
+    def missing_cg(apply, gc, lu_solve, rhs, tol):
         if solver == "solve_linear_ap" and not np.array_equal(rhs, stage_rhs[stage].ravel()):
-            passed.append((rhs, factor))
-            return real_cg(apply, gc, factor, rhs, tol)
-        runs.append(factor)
+            passed.append((rhs, lu_solve.__self__))
+            return real_cg(apply, gc, lu_solve, rhs, tol)
+        runs.append(lu_solve.__self__)
         return np.zeros_like(rhs), 1.0, 1
 
     monkeypatch.setattr(apcore, "_cg", missing_cg)

@@ -379,11 +379,16 @@ def test_cli_rejects_fractional_mesh(tmp_path):
     ("gummel", {"eta": "x"}, "eta must be finite"),
     ("gummel", {"tol_rel": "x"}, "tol_rel must be finite"),
     ("gummel", {"n_max": True}, "n_max must be an integer"),
+    ("conditioning", {"mesh": [8]}, r"unknown config keys \['mesh'\]"),
+    ("convergence", {"solver": {"tols": 1e-10}}, r"unknown solver keys \['tols'\]"),
+    ("convergence", {"thresholds": 5}, "thresholds must be an object"),
+    ("convergence", {"thresholds": None}, "thresholds must be an object"),
 ], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu", "misspelt-threshold",
         "scalar-range", "text-in-range", "nan-threshold", "list-threshold", "text-threshold",
         "no-meshes", "no-eps", "no-alphas", "two-angle-meshes", "two-conditioning-meshes",
         "list-config", "scalar-solver", "text-tol", "scalar-meshes", "text-mesh", "text-eps",
-        "text-eta", "text-tol-rel", "true-n-max"])
+        "text-eta", "text-tol-rel", "true-n-max", "misspelt-key", "misspelt-solver-key",
+        "scalar-thresholds", "null-thresholds"])
 def test_cli_rejects_a_bad_config_before_the_first_solve(tmp_path, monkeypatch, experiment,
                                                           data, match):
     # each bad entry follows good ones, or is read by every run, so a check
@@ -458,10 +463,10 @@ def test_config_from_dict_with_solver():
     cfg = ExperimentConfig.from_dict({"meshes": [10], "solver": {"tol": 1e-11}})
     assert cfg.meshes == [10]
     assert cfg.solver.tol == 1e-11
-    with pytest.raises(TypeError, match="kind"):
+    with pytest.raises(ValueError, match=r"unknown solver keys \['kind'\]"):
         ExperimentConfig.from_dict({"solver": {"kind": "direct", "tol": 1e-11}})
 
 
 def test_config_rejects_case_key():
-    with pytest.raises(TypeError, match="case"):
+    with pytest.raises(ValueError, match=r"unknown config keys \['case'\]"):
         ExperimentConfig.from_dict({"case": "linear-variable"})

@@ -203,13 +203,22 @@ def test_failed_normal_equations_give_a_nan_solution(monkeypatch):
 
 def test_estimate_condition_identity():
     mat = sp.eye(10, format="csr")
-    assert estimate_condition(mat, spla.splu(mat.tocsc())) == pytest.approx(1.0, rel=1e-10)
+    assert estimate_condition(mat, spla.splu(mat.tocsc()).solve) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_estimate_condition_known_spectrum():
     mat = sp.diags([1.0, 1e6], format="csr")
-    est = estimate_condition(mat, spla.splu(mat.tocsc()))
+    est = estimate_condition(mat, spla.splu(mat.tocsc()).solve)
     assert 0.5e6 <= est <= 2e6
+
+
+def test_estimate_condition_and_refine_take_a_plain_function():
+    d = np.arange(1.0, 41.0)
+    mat = sp.diags(d, format="csr")
+    lu_solve = lambda b: b / d
+    assert estimate_condition(mat, lu_solve) == pytest.approx(40.0, rel=1e-3)
+    x, residual = refine(mat, lu_solve, np.ones(40), 1e-12)
+    assert np.array_equal(x, 1.0 / d) and residual <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-3])
@@ -220,38 +229,30 @@ def test_naive_condition_matches_dense_svd(eps):
     assert naive_condition(system) == pytest.approx(dense, rel=1e-3)
 
 
-class CountingFactor:
-    """A factor that counts its solves."""
-
-    def __init__(self, lu):
-        self.lu, self.solves = lu, 0
-
-    def solve(self, *args, **kwargs):
-        self.solves += 1
-        return self.lu.solve(*args, **kwargs)
-
-
 def test_estimate_condition_solve_count():
     system = assemble_naive(case_linear_variable(unit_square_grid(32), 1e-3).problem)
-    ata, lu = naive._normal_equations(system)
-    factor = CountingFactor(lu)
-    assert np.isfinite(estimate_condition(ata, factor))
-    assert 0 < factor.solves <= 12
+    ata, lu_solve = naive._normal_equations(system)
+    solves = []
+
+    def counted(rhs):
+        solves.append(1)
+        return lu_solve(rhs)
+
+    assert np.isfinite(estimate_condition(ata, counted))
+    assert 0 < len(solves) <= 12
 
 
 @pytest.mark.parametrize("value", [np.nan, 0.0])
 def test_estimate_condition_reports_inf_on_a_broken_factor(value):
     mat = sp.diags(np.arange(1.0, 41.0), format="csr")
-    broken = SimpleNamespace(solve=lambda b, trans="N": np.full_like(b, value))
-    assert estimate_condition(mat, broken) == np.inf
+    assert estimate_condition(mat, lambda b: np.full_like(b, value)) == np.inf
 
 
 BROKEN_ESTIMATE = """
 import numpy as np, scipy.sparse as sp
-from types import SimpleNamespace
 from apdiff.naive import estimate_condition
 mat = sp.diags(np.arange(1.0, 41.0), format="csr")
-print(estimate_condition(mat, SimpleNamespace(solve=lambda b, trans="N": np.full_like(b, {value}))))
+print(estimate_condition(mat, lambda b: np.full_like(b, {value})))
 """
 
 
@@ -270,10 +271,16 @@ def test_broken_factor_writes_nothing_to_stderr(value, capfd):
 
 
 class TrackedFactor:
-    """A ``splu`` factor behind a proxy that ``weakref.finalize`` can watch."""
+    """A ``splu`` factor behind a proxy that ``weakref.finalize`` can watch.
+
+    ``solve`` is the proxy's own method, so a solve function holds the proxy.
+    """
 
     def __init__(self, lu):
         self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
 
     def __getattr__(self, name):
         return getattr(self.lu, name)
@@ -283,10 +290,11 @@ class TrackedFactor:
 def factors(monkeypatch):
     """Track every ``splu``: ``made`` lists each call's ``permc_spec``, ``alive()`` live factors.
 
+    ``last()`` is the proxy of the last factor, or ``None`` once it is freed.
     Both hand-off slots start and end empty.
     """
     real = spla.splu
-    made, live = [], set()
+    made, live, last = [], set(), [lambda: None]
 
     def tracked(*args, **kwargs):
         assert not live, "a new factor is built while an older one is alive"
@@ -294,12 +302,13 @@ def factors(monkeypatch):
         factor = TrackedFactor(real(*args, **kwargs))
         live.add(len(made))
         weakref.finalize(factor, live.discard, len(made))
+        last[0] = weakref.ref(factor)
         return factor
 
     naive._handoff.clear()
     naive._column_order.clear()
     monkeypatch.setattr(naive.spla, "splu", tracked)
-    yield SimpleNamespace(made=made, alive=lambda: len(live))
+    yield SimpleNamespace(made=made, alive=lambda: len(live), last=lambda: last[0]())
     naive._handoff.clear()
     naive._column_order.clear()
 
@@ -378,7 +387,7 @@ def colamd_oracle(problem):
     a = system.matrix
     ata = (a.T @ a).tocsr()
     lu = spla.splu(ata.tocsc(), permc_spec="COLAMD")
-    kappa = estimate_condition(ata, lu)
+    kappa = estimate_condition(ata, lu.solve)
     x, res = refine(ata, lu.solve, a.T @ system.rhs, SolverConfig().tol)
     return float(np.sqrt(kappa)) if np.isfinite(kappa) else np.inf, x, res, lu.perm_c
 
@@ -407,11 +416,14 @@ def test_column_order_slot_is_bitwise_a_colamd_factor(factors, cells, eps):
     assert factors.made[first:] == ["COLAMD", "NATURAL", "NATURAL", "NATURAL"]
 
     naive._handoff.clear()
-    _, lu = naive._normal_equations(assemble_naive(problem))
+    _, lu_solve = naive._normal_equations(assemble_naive(problem))
+    assert factors.made[-1] == "NATURAL" and factors.alive() == 1
     n = g.node_shape[0] * g.node_shape[1]
-    assert np.array_equal(lu.lu.perm_c, np.arange(n))  # no reordering by SuperLU
-    assert np.array_equal(np.argsort(lu.order), want[3])
-    assert factors.alive() == 1
+    assert np.array_equal(factors.last().perm_c, np.arange(n))  # no reordering by SuperLU
+    (order,) = naive._column_order.values()
+    assert np.array_equal(np.argsort(order), want[3])
+    del lu_solve
+    assert factors.alive() == 0 and factors.last() is None
 
 
 def test_a_new_pattern_recomputes_the_order(factors):

@@ -99,8 +99,8 @@ class ExperimentConfig:
     alphas: list = field(default_factory=lambda: list(np.linspace(0.0, np.pi / 2, 19)))
     eta: float = 0.1
     mu: float = 60.0
-    tol_rel: float = 1e-12
-    n_max: int = 30
+    tol_rel: float = StopRule.tol_rel
+    n_max: int = StopRule.n_max
     solver: SolverConfig = field(default_factory=SolverConfig)
     thresholds: dict = field(default_factory=dict)
 
@@ -119,21 +119,27 @@ class ExperimentConfig:
         for eps in self.eps_list:
             if not (_finite_number(eps) and eps >= 0.0):
                 raise ValueError(f"eps_list: eps must be finite and >= 0, got {eps!r}")
-        for name, items in (("alphas", self.alphas), ("eta", [self.eta]), ("mu", [self.mu]),
-                            ("tol_rel", [self.tol_rel])):
+        for name in ("meshes", "eps_list"):
+            # the studies key their results by mesh and by eps, a set takes -0.0 for 0.0
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {values!r}")
+        for name, items in (("alphas", self.alphas), ("eta", [self.eta]), ("mu", [self.mu])):
             if not all(_finite_number(item) for item in items):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        StopRule(tol_rel=self.tol_rel, n_max=self.n_max)  # the one check of the stop setting
         if not isinstance(self.thresholds, dict):
             raise ValueError(f"thresholds must be an object of limits, got {self.thresholds!r}")
         unknown = sorted(set(self.thresholds) - set(_THRESHOLDS))
         if unknown:
             raise ValueError(f"unknown thresholds {unknown}, expected some of {list(_THRESHOLDS)}")
         for name, value in self.thresholds.items():
-            # a range is two finite numbers, every other limit one
+            # a range is two finite numbers, low to high, every other limit one
             size = np.size(_THRESHOLDS[name])
             items = list(value) if size > 1 and isinstance(value, (list, tuple)) else [value]
-            if not (len(items) == size and all(_finite_number(item) for item in items)):
-                what = "two finite numbers" if size > 1 else "one finite number"
+            if not (len(items) == size and all(_finite_number(item) for item in items)
+                    and items == sorted(items)):
+                what = "two finite numbers, low to high" if size > 1 else "one finite number"
                 raise ValueError(f"threshold {name} must be {what}, got {value!r}")
 
     @classmethod
@@ -259,12 +265,21 @@ def _add_rows(report: ExperimentReport, case, norms, p: NodeField | None = None,
     return rows
 
 
-def _coarse_fields(state) -> dict:
-    """Iterations and factorizations of a Gummel run's coarse start; none without one."""
-    if state.coarse is None:
-        return {}
-    return {"coarse_iterations": state.coarse.n_iterations,
-            "coarse_factorizations": sum(r.factored for r in state.coarse.history)}
+def _gummel_run(report: ExperimentReport, case, config: ExperimentConfig, label: str, exact=None):
+    """``gummel_solve`` on ``case`` from its initial guess: ``(p, state, fields)``.
+
+    ``fields`` are the run's row columns.  Those of its coarse start, none
+    without one, also go to ``extras["coarse"][label]``.
+    """
+    p0 = sample_node(case.initial_guess, case.grid)
+    stop = StopRule(tol_rel=config.tol_rel, n_max=config.n_max)
+    (p, state), ms = _timed(gummel_solve, case.problem, p0, stop, config.solver, exact=exact)
+    coarse = {} if state.coarse is None else {
+        "coarse_iterations": state.coarse.n_iterations,
+        "coarse_factorizations": sum(r.factored for r in state.coarse.history)}
+    report.extras.setdefault("coarse", {})[label] = coarse
+    return p, state, {"iterations": state.n_iterations, "runtime_ms": ms, "status": state.status,
+                      **coarse}
 
 
 def _linear_run(report: ExperimentReport, case, config: ExperimentConfig, norms):
@@ -370,25 +385,19 @@ def gummel_study(config: ExperimentConfig | None = None) -> ExperimentReport:
     """
     config = config or study_config("gummel")
     report = ExperimentReport("gummel")
-    stop = StopRule(tol_rel=config.tol_rel, n_max=config.n_max)
     limits = {**_THRESHOLDS, **config.thresholds}
     max_iters, plateau_tol = limits["max_iterations"], limits["plateau_change"]
     for cells in config.meshes:
         grid = unit_square_grid(cells)
         for eps in config.eps_list:
             case = case_nonlinear(grid, eps, eta=config.eta, mu=config.mu)
-            p0 = sample_node(case.initial_guess, grid)
-            (p, state), ms = _timed(gummel_solve, case.problem, p0, stop, config.solver,
-                                    exact=case.exact_field())
             label = f"M{cells}-eps{eps:g}"
+            p, state, run = _gummel_run(report, case, config, label, case.exact_field())
             report.histories[label] = state.history
-            coarse = _coarse_fields(state)
-            report.extras.setdefault("coarse", {})[label] = coarse
             residual = state.history[-1].residual if state.history else np.nan
             converged = state.status == "converged"
-            _add_rows(report, case, (1, 2, "inf"), p if converged else None,
-                      iterations=state.n_iterations, runtime_ms=ms, status=state.status,
-                      residual=residual, **coarse)
+            _add_rows(report, case, (1, 2, "inf"), p if converged else None, residual=residual,
+                      **run)
             report.add_check(
                 f"converged M{cells} eps={eps:g}", state.status, "converged", converged
             )
@@ -421,7 +430,6 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
     if 0.0 not in config.eps_list:
         raise ValueError(f"eps_list must contain 0, got {config.eps_list}")
     report = ExperimentReport("eps-limit")
-    stop = StopRule(tol_rel=config.tol_rel, n_max=config.n_max)
     plateau_by_mesh = report.extras.setdefault("e0", {})
     limits = {**_THRESHOLDS, **config.thresholds}
     for cells in config.meshes:
@@ -432,14 +440,10 @@ def epsilon_limit_study(config: ExperimentConfig | None = None) -> ExperimentRep
             if eps == 0.0:  # the limit is the same for every eps
                 limit = sample_node(case.limit_exact, grid).values[INTERIOR]
                 limit_norm = norm2(limit)
-            p0 = sample_node(case.initial_guess, grid)
-            (p, state), ms = _timed(gummel_solve, case.problem, p0, stop, config.solver)
+            p, state, run = _gummel_run(report, case, config, f"M{cells}-eps{eps:g}")
             solutions[eps] = p.values[INTERIOR]
             errors[eps] = norm2(solutions[eps] - limit) / limit_norm
-            coarse = _coarse_fields(state)
-            report.extras.setdefault("coarse", {})[f"M{cells}-eps{eps:g}"] = coarse
-            _add_rows(report, case, ["E_eps"], error=errors[eps], iterations=state.n_iterations,
-                      runtime_ms=ms, status=state.status, **coarse)
+            _add_rows(report, case, ["E_eps"], error=errors[eps], **run)
             unconverged += state.status != "converged"
         report.add_check(f"unconverged runs M{cells}", unconverged, "== 0", unconverged == 0)
 

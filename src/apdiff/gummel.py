@@ -81,9 +81,11 @@ class StopRule:
     n_max: int = 30
 
     def __post_init__(self):
-        # a bool passes isinstance(int) and np.isfinite, and would stand for 1
-        if isinstance(self.tol_rel, bool) or not (np.isfinite(self.tol_rel) and self.tol_rel > 0):
-            raise ValueError(f"tol_rel must be finite and positive, got {self.tol_rel}")
+        # a bool is an int that would stand for 1; a text, None, a list or a complex has no order
+        tol = self.tol_rel
+        real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+        if not (real and np.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol_rel must be finite and positive, got {tol!r}")
         if isinstance(self.n_max, bool) or not (isinstance(self.n_max, (int, np.integer))
                                                 and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")

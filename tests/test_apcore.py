@@ -516,7 +516,7 @@ def test_fill_ghost_angle_sweep_against_svd_reference(cells, degrees):
 
 @pytest.mark.parametrize("cells", [16, 64, 400])
 @pytest.mark.parametrize("case", [case_linear_variable, case_nonlinear])
-def test_fill_ghost_deflates_few_directions(case, cells):
+def test_fill_ghost_damps_only_the_two_tangential_corners(case, cells):
     g = unit_square_grid(cells)
     manufactured = case(g, 0.1)
     p = NodeField.zeros(g)
@@ -555,7 +555,7 @@ def ghost_fill_data(g, seed):
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (12, 12), (9, 17)])
 @pytest.mark.parametrize("kind", ["random", "anti-diagonal", "axis"])
-def test_ghost_layout_gathers_the_sparse_constructions_bitwise(kind, shape, monkeypatch):
+def test_ghost_system_equals_the_vstack_of_ring_dh_rows_bitwise(kind, shape, monkeypatch):
     # the ghost system a fill solves, against scipy.sparse.vstack on ring_dh's
     # rows; anti-diagonal b holds exact zeros
     g = make_grid(UNIT, *shape)

@@ -383,12 +383,21 @@ def test_cli_rejects_fractional_mesh(tmp_path):
     ("convergence", {"solver": {"tols": 1e-10}}, r"unknown solver keys \['tols'\]"),
     ("convergence", {"thresholds": 5}, "thresholds must be an object"),
     ("convergence", {"thresholds": None}, "thresholds must be an object"),
+    ("convergence", {"thresholds": {"slope_range": [2.2, 1.8]}}, "slope_range must.*low to high"),
+    ("eps-limit", {"thresholds": {"eps_slope_range": [1.2, 0.8]}}, "eps_slope_range.*low to high"),
+    ("convergence", {"meshes": [8, 8, 16]}, "meshes must not repeat"),
+    ("gummel", {"eps_list": [0.1, 0.1]}, "eps_list must not repeat"),
+    ("eps-limit", {"eps_list": [0.1, 0.0, -0.0]}, "eps_list must not repeat"),
+    ("convergence", {"n_max": "x"}, "n_max must be an integer"),
+    ("conditioning", {"tol_rel": -1.0}, "tol_rel must be finite and positive"),
 ], ids=["mesh", "negative-eps", "nan-eps", "nan-alpha", "nan-eta", "inf-mu", "misspelt-threshold",
         "scalar-range", "text-in-range", "nan-threshold", "list-threshold", "text-threshold",
         "no-meshes", "no-eps", "no-alphas", "two-angle-meshes", "two-conditioning-meshes",
         "list-config", "scalar-solver", "text-tol", "scalar-meshes", "text-mesh", "text-eps",
         "text-eta", "text-tol-rel", "true-n-max", "misspelt-key", "misspelt-solver-key",
-        "scalar-thresholds", "null-thresholds"])
+        "scalar-thresholds", "null-thresholds", "reversed-slope-range", "reversed-eps-slope-range",
+        "repeated-mesh", "repeated-eps", "signed-zero-eps", "text-n-max-convergence",
+        "negative-tol-rel-conditioning"])
 def test_cli_rejects_a_bad_config_before_the_first_solve(tmp_path, monkeypatch, experiment,
                                                           data, match):
     # each bad entry follows good ones, or is read by every run, so a check

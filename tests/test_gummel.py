@@ -361,9 +361,10 @@ def test_stop_rule_validation():
     # nan would never stop the loop, inf would stop it at once, and a
     # fractional limit would fail later inside range(); True passes
     # isinstance(int) and np.isfinite, and as n_max would stop every run
-    # after one iteration
-    for bad in (np.nan, np.inf, True):
-        with pytest.raises(ValueError, match="tol_rel"):
+    # after one iteration; np.isfinite raises a TypeError on a text or None, and >
+    # on a list or a complex
+    for bad in (np.nan, np.inf, True, "x", None, [1e-12], 1e-12 + 0j):
+        with pytest.raises(ValueError, match="tol_rel must be finite"):
             StopRule(tol_rel=bad)
     for bad in (2.5, True):
         with pytest.raises(ValueError, match="n_max"):
